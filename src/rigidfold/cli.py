@@ -75,6 +75,19 @@ def _write_angle_csv(path, states, degrees):
             fh.write(str(k) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _invalid(p):
+    """Print the validation report of a broken pattern; True when broken."""
+    report = validate_pattern(p)
+    if not report.ok:
+        print(json.dumps(report.to_dict(), indent=1))
+    return not report.ok
+
+
+def _check_every(every):
+    if every < 1:
+        raise ValueError(f"--every must be at least 1, got {every}")
+
+
 def cmd_validate(args):
     p = _load_pattern(args.pattern)
     report = validate_pattern(p)
@@ -84,9 +97,7 @@ def cmd_validate(args):
 
 def cmd_info(args):
     p = _load_pattern(args.pattern)
-    report = validate_pattern(p)
-    if not report.ok:
-        print(json.dumps(report.to_dict(), indent=1))
+    if _invalid(p):
         return EXIT_DOMAIN
     warn = None
     if args.state:
@@ -112,7 +123,10 @@ def cmd_info(args):
 
 
 def cmd_fold(args):
+    _check_every(args.every)
     p = _load_pattern(args.pattern)
+    if _invalid(p):
+        return EXIT_DOMAIN
     schedule = FoldSchedule.from_json(Path(args.schedule).read_text())
     if args.degrees:
         stages = []
@@ -167,7 +181,10 @@ def cmd_fold(args):
 
 
 def cmd_relax(args):
+    _check_every(args.every)
     p = _load_pattern(args.pattern)
+    if _invalid(p):
+        return EXIT_DOMAIN
     cfg = SpringConfig.from_json(p, Path(args.springs).read_text())
     settings = RelaxSettings()
     if args.settings:

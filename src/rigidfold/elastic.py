@@ -26,7 +26,6 @@ import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
 from .numerics import DEFAULT_CUTOFF, min_norm_solve, pseudoinverse, rank
-from .pattern import build_vertex_fans
 from .sequential import ConvergenceError
 
 MAX_STEP_FACTOR = math.pi / 36.0
@@ -129,10 +128,12 @@ def kkt_step(p, cfg, rho, cutoff=DEFAULT_CUTOFF, fans=None, gc=None):
 
     Uses the explicit full-row-rank inverse when the constraint matrix is
     comfortably well conditioned and falls back to the minimum-norm bordered
-    solve otherwise (rank-deficient or nearly folded-flat states).
+    solve otherwise (rank-deficient or nearly folded-flat states).  ``gc``
+    is the assembly at ``rho`` when the caller already has it; ``fans`` is
+    not used, and when passed it must be ``build_vertex_fans(p)``.
     """
     if gc is None:
-        gc = assemble_global(p, rho, fans)
+        gc = assemble_global(p, rho)
     d = spring_gradient(cfg, gc.rho)
     m = gc.C.shape[0]
     if m and rank(gc.C, 1e-6) == m:
@@ -163,9 +164,10 @@ def projection_step_uniform(p, k0, d, rho, fans=None, gc=None):
 
     d is the energy gradient at rho; the increment is the gradient projected
     into the nullspace of the constraint matrix plus the error compensation.
+    ``fans`` is not used; when passed it must be ``build_vertex_fans(p)``.
     """
     if gc is None:
-        gc = assemble_global(p, rho, fans)
+        gc = assemble_global(p, rho)
     d = np.asarray(d, dtype=float)
     cplus = pseudoinverse(gc.C)
     return -(d - cplus @ (gc.C @ d)) / k0 - cplus @ gc.r
@@ -177,17 +179,12 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
     Follows the step rule rho += c * drho / max|drho| with residual cleanup
     after every move; halves c whenever the characteristic angle's increment
     reverses direction, and stops when c drops below the step resolution.
+    Each cleanup's last assembly serves the next step.  ``fans`` is not
+    used; when passed it must be ``build_vertex_fans(p)``.
     """
     settings = settings or RelaxSettings()
-    if fans is None:
-        fans = build_vertex_fans(p)
     rho = np.zeros(p.n_creases) if rho0 is None else np.asarray(rho0, dtype=float).copy()
-    rows = 3 * len(fans)
-
-    gc = assemble_global(p, rho, fans)
-    if rows and gc.normalized_residual >= settings.residual_tol:
-        rho = _cleanup(p, fans, rho, settings)
-        gc = assemble_global(p, rho, fans)
+    rho, gc, _ = _cleanup_count(p, rho, settings)
 
     if settings.characteristic is None:
         grad = np.abs(spring_gradient(cfg, rho))
@@ -205,8 +202,7 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
     i = 0
     while c > settings.step_resolution and i < settings.max_steps:
         i += 1
-        gc = assemble_global(p, rho, fans)
-        drho = kkt_step(p, cfg, rho, fans=fans, gc=gc)
+        drho = kkt_step(p, cfg, rho, gc=gc)
         largest = float(np.max(np.abs(drho))) if drho.size else 0.0
         if largest < 1e-15:
             result.converged = True
@@ -215,7 +211,7 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
             c = c / 2.0
         step = c * drho / largest
         new_rho = rho + step
-        new_rho, iters = _cleanup_count(p, fans, new_rho, settings)
+        new_rho, gc, iters = _cleanup_count(p, new_rho, settings)
         prev_char_move = new_rho[char] - rho[char]
         rho = new_rho
         check_fold_range(rho)
@@ -227,34 +223,33 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
     if c <= settings.step_resolution:
         result.converged = True
 
-    gc = assemble_global(p, rho, fans)
     cplus = pseudoinverse(gc.C)
     d = spring_gradient(cfg, rho)
     result.projected_gradient = float(np.linalg.norm(d - cplus @ (gc.C @ d)))
     return result
 
 
-def _cleanup(p, fans, rho, settings):
-    rho, _ = _cleanup_count(p, fans, rho, settings)
-    return rho
+def _cleanup_count(p, rho, settings):
+    """Residual elimination drho = -C+ r until the normalized residual passes.
 
-
-def _cleanup_count(p, fans, rho, settings):
-    """Residual elimination drho = -C+ r until the normalized residual passes."""
-    rows = 3 * len(fans)
-    if rows == 0:
-        return rho, 0
+    Returns the state, its assembly and the iteration count.  A non-finite
+    residual never passes.
+    """
     iters = 0
-    gc = assemble_global(p, rho, fans)
-    while gc.normalized_residual >= settings.residual_tol:
+    gc = assemble_global(p, rho)
+    while not gc.normalized_residual < settings.residual_tol:
+        if not math.isfinite(gc.normalized_residual):
+            raise ConvergenceError(
+                f"non-finite residual after {iters} cleanup iterations"
+            )
         if iters >= settings.max_newton:
             raise ConvergenceError(
                 f"residual cleanup stalled at {gc.normalized_residual:.3e}"
             )
         rho = rho - pseudoinverse(gc.C) @ gc.r
-        gc = assemble_global(p, rho, fans)
+        gc = assemble_global(p, rho)
         iters += 1
-    return rho, iters
+    return rho, gc, iters
 
 
 def waterbomb_symmetric_oracle(theta):

@@ -12,8 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import assemble_global
+from .kinematics import assemble_global, compile_pattern
 from .pattern import MOUNTAIN, VALLEY
+
+# SHA-256 from the interpreter's builtin module when it has one: hashlib
+# loads OpenSSL, which adds about 3.6 MB to the resident size of the process.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EMBED_RESIDUAL_TOL = 1e-9
 
@@ -108,18 +118,26 @@ def rodrigues(angle, axis):
 def embed(p, rho, root=0, check=True):
     """Isometric 3D embedding of a compatible fold state.
 
-    Rejects incompatible states: the spanning tree silently drops the loop
-    constraints, so embedding an incompatible state would tear the mesh.
+    Rejects incompatible and non-finite states: the spanning tree silently
+    drops the loop constraints, so embedding an incompatible state would tear
+    the mesh.  The tree and the flat coordinates come from the pattern's
+    compiled form; each root's tree is built once.
     """
     rho = np.asarray(rho, dtype=float)
-    if check and p.interior_vertex_ids:
-        gc = assemble_global(p, rho)
-        if gc.normalized_residual >= EMBED_RESIDUAL_TOL:
-            raise ValueError(
-                f"fold state incompatible (residual {gc.normalized_residual:.3e})"
-            )
-    tree = build_spanning_tree(p, root)
-    flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
+    if check:
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("fold state has non-finite angles")
+        if p.interior_vertex_ids:
+            gc = assemble_global(p, rho)
+            if not gc.normalized_residual < EMBED_RESIDUAL_TOL:
+                raise ValueError(
+                    f"fold state incompatible (residual {gc.normalized_residual:.3e})"
+                )
+    compiled = compile_pattern(p)
+    tree = compiled.trees.get(root)
+    if tree is None:
+        tree = compiled.trees[root] = build_spanning_tree(p, root)
+    flat = compiled.flat
     rotations = {tree.root: np.eye(3)}
     offsets = {tree.root: np.zeros(3)}
     for edge in tree.edges:
@@ -141,7 +159,10 @@ def embed(p, rho, root=0, check=True):
     return Embedding3D(
         coords=coords,
         root=root,
-        provenance={"root": root, "state_hash": hash(rho.tobytes())},
+        provenance={
+            "root": root,
+            "state_hash": sha256(rho.tobytes()).hexdigest(),
+        },
     )
 
 

@@ -126,22 +126,118 @@ def check_fold_range(rho):
         )
 
 
+# index of the three independent entries (3,2), (1,3), (2,1) in a matrix stack
+_INDEPENDENT = (..., [2, 0, 1], [1, 2, 0])
+
+
+def _stacked(shape, entries):
+    """Stack of 3x3 matrices: the given {(i, j): values} entries, zero elsewhere."""
+    out = np.zeros(shape + (3, 3))
+    for (i, j), value in entries.items():
+        out[..., i, j] = value
+    return out
+
+
+class _DegreeGroup:
+    """Every fan of one degree n, stacked for batched closure products.
+
+    ``rz[v, k]`` is the constant sector rotation Rz(theta_k) of fan v, and
+    ``factor_ids[v, k]`` the crease whose fold angle enters factor k, which
+    is crease k+1 of the fan (cyclic).  ``jac_index[v, k, j]`` and
+    ``res_index[v, j]`` are flat positions in C and r of the three rows of
+    fan v.
+    """
+
+    def __init__(self, fans, positions, n_creases):
+        ids = np.array([fan.crease_ids for fan in fans], dtype=np.intp)
+        self.degree = ids.shape[1]
+        self.factor_ids = np.roll(ids, -1, axis=1)
+        theta = np.array([fan.sector_angles for fan in fans], dtype=float)
+        c, s = np.cos(theta), np.sin(theta)
+        self.rz = _stacked(
+            theta.shape, {(0, 0): c, (0, 1): -s, (1, 0): s, (1, 1): c, (2, 2): 1.0}
+        )
+        rows = 3 * np.asarray(positions, dtype=np.intp)[:, None] + np.arange(3)
+        self.res_index = rows
+        self.jac_index = rows[:, None, :] * n_creases + self.factor_ids[:, :, None]
+
+    def evaluate(self, rho):
+        """Jacobian entries (V, n, 3) and residuals (V, 3) of every fan.
+
+        The factors and their prefix and suffix products are multiplied in
+        the same order as in ``vertex_closure_derivatives``, so both give
+        the same numbers.
+        """
+        n = self.degree
+        angle = rho[self.factor_ids]
+        c, s = np.cos(angle), np.sin(angle)
+        rx = _stacked(
+            angle.shape, {(0, 0): 1.0, (1, 1): c, (1, 2): -s, (2, 1): s, (2, 2): c}
+        )
+        drx = _stacked(angle.shape, {(1, 1): -s, (1, 2): -c, (2, 1): c, (2, 2): -s})
+        factors = self.rz @ rx
+        prefix = np.empty((len(angle), n + 1, 3, 3))
+        suffix = np.empty_like(prefix)
+        prefix[:, 0] = suffix[:, n] = np.eye(3)
+        for k in range(n):
+            prefix[:, k + 1] = prefix[:, k] @ factors[:, k]
+        for k in range(n - 1, -1, -1):
+            suffix[:, k] = factors[:, k] @ suffix[:, k + 1]
+        derivs = prefix[:, :n] @ (self.rz @ drx) @ suffix[:, 1:]
+        return derivs[_INDEPENDENT], prefix[:, n][_INDEPENDENT]
+
+
+class CompiledPattern:
+    """Constant data a pattern's solvers and embeddings need, computed once.
+
+    Holds the vertex fans grouped by degree, with their sector rotations and
+    scatter indices, the flat pattern coordinates lifted to z = 0, and the
+    spanning trees built so far, keyed by root facet.  Get it through
+    ``compile_pattern``, which caches it on the (immutable) pattern.
+    """
+
+    def __init__(self, p):
+        fans = build_vertex_fans(p)
+        self.rows = 3 * len(fans)
+        by_degree = {}
+        for k, fan in enumerate(fans):
+            by_degree.setdefault(fan.degree, []).append(k)
+        self.groups = [
+            _DegreeGroup([fans[k] for k in ks], ks, p.n_creases)
+            for _, ks in sorted(by_degree.items())
+        ]
+        self.flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
+        self.flat.flags.writeable = False
+        self.trees = {}
+
+
+def compile_pattern(p):
+    """The compiled form of ``p``, built on first use and kept on ``p``."""
+    compiled = getattr(p, "_compiled", None)
+    if compiled is None:
+        compiled = p._compiled = CompiledPattern(p)
+    return compiled
+
+
 def assemble_global(p, rho, fans=None):
-    """Scatter per-vertex Jacobians and residuals into the global system."""
+    """Every vertex's closure rows and residuals in one global system.
+
+    Evaluated from the pattern's compiled form, one batch per fan degree.
+    ``fans`` is accepted for compatibility and not used; when passed it must
+    be ``build_vertex_fans(p)``.
+    """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (p.n_creases,):
         raise ValueError(
             f"fold state has {rho.shape} entries, pattern has {p.n_creases} creases"
         )
-    if fans is None:
-        fans = build_vertex_fans(p)
-    c = np.zeros((3 * len(fans), p.n_creases))
-    r = np.zeros(3 * len(fans))
-    for k, fan in enumerate(fans):
-        ids = list(fan.crease_ids)
-        rho_fan = rho[ids]
-        c[3 * k : 3 * k + 3, ids] = vertex_jacobian(fan, rho_fan)
-        r[3 * k : 3 * k + 3] = vertex_residual(fan, rho_fan)
+    compiled = compile_pattern(p)
+    c = np.zeros((compiled.rows, p.n_creases))
+    r = np.zeros(compiled.rows)
+    for group in compiled.groups:
+        jac, res = group.evaluate(rho)
+        c.flat[group.jac_index] = jac
+        r[group.res_index] = res
     return GlobalConstraint(C=c, r=r, rho=rho.copy())
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
 from .numerics import min_norm_solve
-from .pattern import MOUNTAIN, VALLEY, build_vertex_fans
+from .pattern import MOUNTAIN, VALLEY
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 50
@@ -132,42 +132,55 @@ def _bordered_solve(gc, controlled, f):
 
 
 def _eliminate_residual(p, fans, rho, controlled, eps, max_iter):
-    """Newton loop with f = 0 until the normalized residual passes eps."""
-    rows = 3 * len(fans)
+    """Newton loop with f = 0 until the normalized residual passes eps.
+
+    Returns the state, its assembly and the iteration count.  A non-finite
+    residual never passes.  ``fans`` is not used; when passed it must be
+    ``build_vertex_fans(p)``.
+    """
     iters = 0
-    gc = assemble_global(p, rho, fans)
-    norm = np.linalg.norm(gc.r) / rows if rows else 0.0
-    while norm >= eps:
+    gc = assemble_global(p, rho)
+    while not gc.normalized_residual < eps:
+        norm = gc.normalized_residual
+        if not math.isfinite(norm):
+            raise ConvergenceError(
+                f"non-finite residual after {iters} Newton iterations"
+            )
         if iters >= max_iter:
             raise ConvergenceError(
                 f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})"
             )
         drho = _bordered_solve(gc, controlled, np.zeros(len(controlled)))
         rho = rho + drho
-        gc = assemble_global(p, rho, fans)
-        norm = np.linalg.norm(gc.r) / rows if rows else 0.0
+        gc = assemble_global(p, rho)
         iters += 1
-    return rho, norm, iters
+    return rho, gc, iters
 
 
 def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER, fans=None):
-    """One folding step driven by controlled creases; returns the next state."""
-    state, _, _ = _controlled_step(p, rho, directive, eps, max_iter, fans)
+    """One folding step driven by controlled creases; returns the next state.
+
+    ``fans`` is not used; when passed it must be ``build_vertex_fans(p)``.
+    """
+    state, _, _ = _controlled_step(p, rho, directive, eps, max_iter)
     return state
 
 
-def _controlled_step(p, rho, directive, eps, max_iter, fans=None):
-    if fans is None:
-        fans = build_vertex_fans(p)
+def _controlled_step(p, rho, directive, eps, max_iter, gc=None):
+    """One step from ``rho``, whose assembly ``gc`` is reused when given.
+
+    Returns the next state, its assembly and the Newton iteration count.
+    """
     rho = np.asarray(rho, dtype=float)
-    gc = assemble_global(p, rho, fans)
+    if gc is None:
+        gc = assemble_global(p, rho)
     drho = _bordered_solve(gc, directive.controlled, directive.f)
     rho = rho + drho
-    rho, norm, iters = _eliminate_residual(
-        p, fans, rho, directive.controlled, eps, max_iter
+    rho, gc, iters = _eliminate_residual(
+        p, None, rho, directive.controlled, eps, max_iter
     )
     check_fold_range(rho)
-    return rho, norm, iters
+    return rho, gc, iters
 
 
 def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
@@ -177,16 +190,15 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
     Valleys start at +magnitude, mountains at -magnitude, unassigned creases
     at zero; pure residual elimination (no controlled creases) then restores
     compatibility, which selects the folding branch matching the assignment.
+    ``fans`` is not used; when passed it must be ``build_vertex_fans(p)``.
     """
-    if fans is None:
-        fans = build_vertex_fans(p)
     rho = np.zeros(p.n_creases)
     for i, c in enumerate(p.creases):
         if c.assignment == VALLEY:
             rho[i] = magnitude
         elif c.assignment == MOUNTAIN:
             rho[i] = -magnitude
-    rho, _, _ = _eliminate_residual(p, fans, rho, (), eps, max_iter)
+    rho, _, _ = _eliminate_residual(p, None, rho, (), eps, max_iter)
     return rho
 
 
@@ -195,12 +207,13 @@ def tachi_projection_step(p, rho, drho0, fans=None):
 
     Projects the intended increment into the nullspace of C and compensates
     the current residual in one shot; no iteration, so increments of specific
-    creases are not exactly controlled.
+    creases are not exactly controlled.  ``fans`` is not used; when passed
+    it must be ``build_vertex_fans(p)``.
     """
     from .numerics import pseudoinverse
 
     rho = np.asarray(rho, dtype=float)
-    gc = assemble_global(p, rho, fans)
+    gc = assemble_global(p, rho)
     cplus = pseudoinverse(gc.C)
     drho = (
         np.asarray(drho0, dtype=float)
@@ -219,11 +232,16 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     boundaries land on their targets to solver precision.  Held creases get
     multiplier rows with zero increments.  When a stage omits its step count,
     enough steps are used to keep every controlled increment at or below
-    ``max_step``.
+    ``max_step``.  A crease id outside the pattern raises ``ValueError``.
     """
-    fans = build_vertex_fans(p)
+    for stage in schedule.stages:
+        for i in (*stage.targets, *stage.hold):
+            if not 0 <= i < p.n_creases:
+                raise ValueError(
+                    f"crease id {i} out of range (pattern has {p.n_creases} creases)"
+                )
     rho = np.asarray(rho0, dtype=float).copy()
-    gc = assemble_global(p, rho, fans)
+    gc = assemble_global(p, rho)
     traj = FoldTrajectory()
     traj.append(rho, gc.normalized_residual, 0)
 
@@ -241,12 +259,12 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
             f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
             directive = FoldDirective(controlled=controlled, f=f)
             try:
-                rho, norm, iters = _controlled_step(p, rho, directive, eps, max_iter, fans)
+                rho, gc, iters = _controlled_step(p, rho, directive, eps, max_iter, gc)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"stage {stage_idx}, step {k}/{steps}: {exc}"
                 ) from exc
-            traj.append(rho, norm, iters)
+            traj.append(rho, gc.normalized_residual, iters)
         if ids:
             gap = float(np.max(np.abs(rho[ids] - targets)))
             if gap > 1e-9:

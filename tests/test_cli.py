@@ -293,3 +293,82 @@ class TestMeasureCommand:
         dims = json.loads(capsys.readouterr().out)
         assert dims["H"] == 0.0
         assert dims["L"] > dims["W"] > 0
+
+    def test_nan_state_exits_1(self, miura_file, miura33, tmp_path, capsys):
+        stpath = tmp_path / "nan.json"
+        stpath.write_text(json.dumps({"rho": [math.nan] * miura33.n_creases}))
+        assert main([
+            "measure", "--pattern", str(miura_file), "--state", str(stpath),
+        ]) == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestBadInput:
+    """Every bad input exits with its documented code, never a traceback."""
+
+    @staticmethod
+    def hole_file(tmp_path):
+        verts = [[0, 0], [3, 0], [3, 3], [0, 3],
+                 [1, 1], [2, 1], [2, 2], [1, 2]]
+        p = CreasePattern(
+            verts,
+            [[1, 5, "V"], [2, 6, "V"], [3, 7, "V"], [0, 4, "V"]],
+            [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 7], [7, 4]],
+            [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]],
+        )
+        path = tmp_path / "hole.json"
+        path.write_text(serialize_pattern(p))
+        return path
+
+    @staticmethod
+    def fold(pattern, schedule, tmp_path, *extra):
+        spath = tmp_path / "sched.json"
+        spath.write_text(json.dumps(schedule))
+        return main([
+            "fold", "--pattern", str(pattern), "--schedule", str(spath),
+            "--out", str(tmp_path / "run"), *extra,
+        ])
+
+    @staticmethod
+    def relax(pattern, n_creases, tmp_path, *extra):
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps({"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None, "rest": 0.5} for i in range(n_creases)
+        ]}))
+        return main([
+            "relax", "--pattern", str(pattern), "--springs", str(spath),
+            "--out", str(tmp_path / "run"), *extra,
+        ])
+
+    def test_fold_controlled_id_out_of_range(self, miura_file, miura33, tmp_path, capsys):
+        schedule = {"stages": [{"controlled": [
+            {"crease": miura33.n_creases, "target": 0.5}], "steps": 2}]}
+        assert self.fold(miura_file, schedule, tmp_path) == 1
+        assert "out of range" in capsys.readouterr().err
+
+    def test_fold_hold_id_out_of_range(self, miura_file, miura33, tmp_path, capsys):
+        i1 = miura33.meta["driven_crease"]
+        schedule = {"stages": [{"controlled": [{"crease": i1, "target": -0.5}],
+                                "hold": [miura33.n_creases + 3], "steps": 2}]}
+        assert self.fold(miura_file, schedule, tmp_path) == 1
+        assert "out of range" in capsys.readouterr().err
+
+    def test_fold_every_0(self, miura_file, tmp_path, capsys):
+        assert self.fold(miura_file, {"stages": []}, tmp_path, "--every", "0") == 1
+        assert "--every" in capsys.readouterr().err
+
+    def test_relax_every_0(self, waterbomb_file, tmp_path, capsys):
+        assert self.relax(waterbomb_file, 8, tmp_path, "--every", "0") == 1
+        assert "--every" in capsys.readouterr().err
+
+    def test_fold_invalid_pattern(self, tmp_path, capsys):
+        assert self.fold(self.hole_file(tmp_path), {"stages": []}, tmp_path) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert any(v["kind"] == "holes-unsupported" for v in report["violations"])
+        assert not (tmp_path / "run").exists()
+
+    def test_relax_invalid_pattern(self, tmp_path, capsys):
+        assert self.relax(self.hole_file(tmp_path), 4, tmp_path) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert any(v["kind"] == "holes-unsupported" for v in report["violations"])
+        assert not (tmp_path / "run").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import waterbomb_branch_well
 from rigidfold import (
+    ConvergenceError,
     RelaxSettings,
     SpringConfig,
     assemble_global,
@@ -145,6 +146,11 @@ class TestRelax:
     def test_settings_cap(self):
         with pytest.raises(ValueError):
             RelaxSettings(initial_step=math.pi / 10)
+
+    def test_nan_start_never_converges(self, waterbomb):
+        cfg = SpringConfig.per_unit_length(waterbomb, 1.0, np.zeros(8))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            relax(waterbomb, cfg, RelaxSettings(), np.full(8, np.nan))
 
     def test_rest_compatible_start_immediate(self, waterbomb):
         rest = wb_state(waterbomb, 5 * math.pi / 8)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -135,6 +136,18 @@ class TestEmbed:
         bad[0] += 0.3
         with pytest.raises(ValueError, match="incompatible"):
             embed(miura33, bad)
+
+    def test_nan_rejected(self, miura33):
+        with pytest.raises(ValueError, match="non-finite"):
+            embed(miura33, np.full(miura33.n_creases, np.nan))
+        no_vertices = np.array([np.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            embed(TWO_FACETS, no_vertices)
+
+    def test_state_hash_is_sha256(self, miura33, miura_run):
+        s = miura_run["traj"].states[5]
+        e = embed(miura33, s)
+        assert e.provenance["state_hash"] == hashlib.sha256(s.tobytes()).hexdigest()
 
     def test_root_invariance(self, miura33, miura_run):
         s = miura_run["traj"].states[12]

@@ -239,15 +239,53 @@ def test_fold_range_warns_but_continues():
         check_fold_range(np.array([0.1, math.pi]))  # at the limit: silent
 
 
-def test_jacobian_reuse_consistency(miura33):
-    """Assembled rows must equal per-fan jacobians scattered by global index."""
-    rho = flat_state_seed(miura33, math.radians(1.0))
-    fans = build_vertex_fans(miura33)
-    gc = assemble_global(miura33, rho, fans)
-    for k, fan in enumerate(fans):
-        ids = list(fan.crease_ids)
-        block = gc.C[3 * k: 3 * k + 3, ids]
-        assert np.allclose(block, vertex_jacobian(fan, rho[ids]), atol=1e-14)
-        assert np.allclose(
-            gc.r[3 * k: 3 * k + 3], vertex_residual(fan, rho[ids]), atol=1e-14
-        )
+def test_jacobian_reuse_consistency(miura33, miura_run, waterbomb, wb_tess,
+                                   crane, crane_run):
+    """Assembled rows must equal per-fan jacobians scattered by global index.
+
+    The inputs mix fan degrees: 4 (Miura), 8 (waterbomb base), 6 and 4 in
+    one pattern (tessellation) and the crane's fans, each at random
+    compatible and random incompatible states.
+    """
+    rng = np.random.default_rng(245)
+    miura_states, crane_states = miura_run["traj"].states, crane_run["traj"].states
+    compatible = {
+        "miura": [miura_states[k] for k in rng.integers(0, len(miura_states), 3)],
+        "waterbomb": [
+            wb_symmetric(waterbomb, t) for t in rng.uniform(0.1, 2.3, 3)
+        ],
+        "tessellation": [
+            flat_state_seed(wb_tess, math.radians(d)) for d in rng.uniform(0.5, 5, 3)
+        ],
+        "crane": [crane_states[k] for k in rng.integers(0, len(crane_states), 3)],
+    }
+    patterns = {
+        "miura": miura33, "waterbomb": waterbomb,
+        "tessellation": wb_tess, "crane": crane,
+    }
+    degrees = set()
+    for name, p in patterns.items():
+        fans = build_vertex_fans(p)
+        degrees |= {fan.degree for fan in fans}
+        incompatible = [rng.uniform(-math.pi, math.pi, p.n_creases) for _ in range(3)]
+        for rho in compatible[name] + incompatible:
+            gc = assemble_global(p, rho, fans)
+            for k, fan in enumerate(fans):
+                ids = list(fan.crease_ids)
+                rows = gc.C[3 * k: 3 * k + 3]
+                block = rows[:, ids]
+                assert np.abs(block - vertex_jacobian(fan, rho[ids])).max() <= 1e-14
+                assert np.abs(
+                    gc.r[3 * k: 3 * k + 3] - vertex_residual(fan, rho[ids])
+                ).max() <= 1e-14
+                others = np.delete(rows, ids, axis=1)
+                assert not np.any(others), name
+    assert {4, 6, 8} <= degrees
+
+
+def wb_symmetric(p, theta):
+    rm, rv = waterbomb_symmetric_oracle(theta)
+    s = np.zeros(p.n_creases)
+    s[p.meta["mountains"]] = rm
+    s[p.meta["valleys"]] = rv
+    return s

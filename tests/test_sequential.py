@@ -112,6 +112,10 @@ class TestFlatStateSeed:
         assert int((s > 0).sum()) == 4
         assert int((s < 0).sum()) == 4
 
+    def test_nan_start_never_converges(self, miura33):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            flat_state_seed(miura33, math.nan)
+
 
 class TestTachiProjection:
     def test_zero_increment_compatible_unchanged(self, waterbomb):
@@ -215,6 +219,12 @@ class TestRunSchedule:
                 traj.states[k][list(held)], traj.states[stage1_end][list(held)],
                 atol=1e-9,
             )
+
+    @pytest.mark.parametrize("targets, hold", [({10_000: 0.1}, ()), ({0: 0.1}, (-1,))])
+    def test_crease_id_out_of_range(self, miura33, targets, hold):
+        schedule = FoldSchedule((Stage(targets=targets, steps=1, hold=hold),))
+        with pytest.raises(ValueError, match="out of range"):
+            run_schedule(miura33, np.zeros(miura33.n_creases), schedule)
 
 
 class TestScheduleJson:
