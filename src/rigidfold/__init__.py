@@ -43,7 +43,7 @@ from .kinematics import (
     vertex_jacobian,
     vertex_residual,
 )
-from .numerics import min_norm_solve, pseudoinverse, rank
+from .numerics import free_column_solve, min_norm_solve, pseudoinverse, rank
 from .pattern import (
     Crease,
     CreasePattern,

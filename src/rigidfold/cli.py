@@ -188,8 +188,7 @@ def cmd_relax(args):
     cfg = SpringConfig.from_json(p, Path(args.springs).read_text())
     settings = RelaxSettings()
     if args.settings:
-        raw = json.loads(Path(args.settings).read_text())
-        settings = RelaxSettings(**raw)
+        settings = RelaxSettings.from_json(Path(args.settings).read_text())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.state:

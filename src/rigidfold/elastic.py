@@ -20,7 +20,7 @@ increment reverses; iteration stops once c is below resolution.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,8 +43,10 @@ class SpringConfig:
         object.__setattr__(self, "rest", np.asarray(self.rest, dtype=float))
         if self.stiffness.shape != self.rest.shape:
             raise ValueError("stiffness and rest angle arrays must match")
-        if np.any(self.stiffness <= 0):
-            raise ValueError("spring stiffness must be positive")
+        if not np.all((self.stiffness > 0) & np.isfinite(self.stiffness)):
+            raise ValueError("spring stiffness must be positive and finite")
+        if not np.all(np.isfinite(self.rest)):
+            raise ValueError("spring rest angles must be finite")
 
     @classmethod
     def per_unit_length(cls, p, k, rest):
@@ -88,12 +90,29 @@ class RelaxSettings:
     max_newton: int = 50
 
     def __post_init__(self):
+        for name in ("initial_step", "step_resolution", "residual_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"relax setting {name} must be finite")
         if self.initial_step > MAX_STEP_FACTOR + 1e-15:
             raise ValueError(
                 f"initial step factor {self.initial_step} exceeds pi/36"
             )
         if self.initial_step <= 0:
             raise ValueError("initial step factor must be positive")
+
+    @classmethod
+    def from_json(cls, document):
+        """Settings object with any subset of the fields; unknown keys fail."""
+        data = json.loads(document) if isinstance(document, str) else document
+        if not isinstance(data, dict):
+            raise ValueError("relax settings must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown relax settings: {', '.join(unknown)}")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a value of the wrong type, e.g. a string
+            raise ValueError(f"bad relax settings: {exc}") from exc
 
 
 @dataclass
@@ -183,14 +202,17 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
     used; when passed it must be ``build_vertex_fans(p)``.
     """
     settings = settings or RelaxSettings()
+    if settings.characteristic is not None:
+        char = int(settings.characteristic)
+        if not 0 <= char < p.n_creases:
+            raise ValueError(
+                f"characteristic crease {char} out of range "
+                f"(pattern has {p.n_creases} creases)"
+            )
     rho = np.zeros(p.n_creases) if rho0 is None else np.asarray(rho0, dtype=float).copy()
     rho, gc, _ = _cleanup_count(p, rho, settings)
-
     if settings.characteristic is None:
-        grad = np.abs(spring_gradient(cfg, rho))
-        char = int(np.argmax(grad))
-    else:
-        char = int(settings.characteristic)
+        char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))
 
     result = RelaxResult(characteristic=char)
     result.states.append(rho.copy())

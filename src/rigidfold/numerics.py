@@ -1,8 +1,12 @@
 """Rank-revealing pseudoinverse and minimum-norm solves shared by both solvers.
 
-All routines use one SVD cutoff policy: singular values below
-``cutoff * sigma_max * max(rows, cols)`` count as zero.  Constraint matrices
-here are small and expressed in radians, so a tight relative cutoff is safe.
+The SVD routines use one cutoff policy: singular values below
+``cutoff * sigma_max * max(rows, cols)`` count as zero.  ``free_column_solve``
+decides rank on the normal matrix ``N = C_F^T C_F``, whose eigenvalues are
+the squared singular values of ``C_F``: eigenvalues at or below
+``cutoff * lambda_max(N) * n`` count as zero, with n the column count of C.
+Constraint matrices here are small and expressed in radians, so a tight
+relative cutoff is safe.
 """
 
 import numpy as np
@@ -47,6 +51,57 @@ def min_norm_solve(m, b, cutoff=DEFAULT_CUTOFF):
     coeff[~keep] = 0.0
     coeff[keep] /= s[keep]
     return vt.T @ coeff
+
+
+def free_column_solve(c, r, fixed, f, cutoff=DEFAULT_CUTOFF):
+    """Least-squares increment for ``c @ dx = -r`` with ``dx[fixed] = f`` exactly.
+
+    The free columns F solve the normal equations ``N dx_F = g`` with
+    ``N = C_F^T C_F`` and ``g = -C_F^T (r + C_A f)``, A being the fixed
+    columns.  When every eigenvalue of N is above the cutoff, one LU solve
+    of N gives dx_F.  Otherwise the eigendecomposition of N drops the
+    eigenvalues at or below it, and dx_F is the minimum-norm least-squares
+    solution on the kept eigenvectors, refined once against the residual of
+    C_F itself.  With no free columns or no rows, dx_F is zero.  Returns
+    ``(dx, rank)``, rank being the number of eigenvalues kept.
+    """
+    c = np.asarray(c, dtype=float)
+    r = np.asarray(r, dtype=float)
+    f = np.asarray(f, dtype=float)
+    fixed = np.asarray(fixed, dtype=int).reshape(-1)
+    for a in (c, r, f):
+        _check_finite(a)
+    n = c.shape[1]
+    if r.shape != (c.shape[0],) or f.shape != fixed.shape:
+        raise ValueError(
+            f"shape mismatch: C {c.shape}, r {r.shape}, {fixed.size} fixed, f {f.shape}"
+        )
+    if np.any((fixed < 0) | (fixed >= n)):
+        raise ValueError(f"fixed columns must be distinct and in [0, {n})")
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    if np.count_nonzero(free) != n - fixed.size:
+        raise ValueError(f"fixed columns must be distinct and in [0, {n})")
+    dx = np.zeros(n)
+    dx[fixed] = f
+    c_free = c[:, free]
+    if not c_free.size:
+        return dx, 0
+    b = -(r + c[:, fixed] @ f)
+    normal = c_free.T @ c_free
+    w = np.linalg.eigvalsh(normal)
+    if w[0] > cutoff * w[-1] * n:
+        dx[free] = np.linalg.solve(normal, c_free.T @ b)
+        return dx, w.size
+    w, v = np.linalg.eigh(normal)
+    keep = w > cutoff * w[-1] * n
+    w, v = w[keep], v[:, keep]
+    x = v @ ((v.T @ (c_free.T @ b)) / w)
+    # Squaring C_F blurs its small kept singular directions; one correction
+    # from the unsquared residual b - C_F x restores them.
+    x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
+    dx[free] = x
+    return dx, w.size
 
 
 def rank(m, cutoff=DEFAULT_CUTOFF):

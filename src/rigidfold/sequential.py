@@ -1,16 +1,19 @@
 """Controlled folding steps via Lagrange multipliers and schedule execution.
 
-One folding step prescribes exact increments for a controlled crease subset.
-The increment of the full state minimizes the linearized closure residual
-subject to those increments, solved through the bordered system
+One folding step prescribes exact increments f for a controlled crease
+subset A.  The increment of the full state minimizes the linearized closure
+residual ||C drho + r|| subject to drho_A = f.  Eliminating the multipliers
+leaves the normal equations on the free creases F:
 
-    [ C^T C   A ] [ drho   ]   [ -C^T r ]
-    [ A^T     0 ] [ lambda ] = [  f     ]
+    C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
-with A the selection columns of the controlled creases.  The bordered matrix
-can be singular, so the minimum-norm solution is used throughout.  After the
-increment, the residual is eliminated by iterating the same solve with f = 0,
-which leaves the controlled angles untouched.
+solved by ``numerics.free_column_solve``.  Eigenvalues of C_F^T C_F at or
+below ``cutoff * lambda_max * n_creases`` count as zero, the rank decision
+of the squared singular values of C.  When one does (at the flat state,
+where the closure condition degenerates, or when more creases are free than
+C has independent rows, as in the crane's stages), the minimum-norm drho_F
+is used.  After the increment, the residual is eliminated by iterating the
+same solve with f = 0, which leaves the controlled angles untouched.
 """
 
 import json
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
-from .numerics import min_norm_solve
+from .numerics import free_column_solve
 from .pattern import MOUNTAIN, VALLEY
 
 DEFAULT_EPS = 1e-9
@@ -116,21 +119,6 @@ class FoldTrajectory:
         return len(self.states)
 
 
-def _bordered_solve(gc, controlled, f):
-    """Minimum-norm solve of the bordered multiplier system; returns drho."""
-    n = gc.C.shape[1]
-    m = len(controlled)
-    k = np.zeros((n + m, n + m))
-    k[:n, :n] = gc.C.T @ gc.C
-    rhs = np.zeros(n + m)
-    rhs[:n] = -gc.C.T @ gc.r
-    for j, cid in enumerate(controlled):
-        k[cid, n + j] = 1.0
-        k[n + j, cid] = 1.0
-        rhs[n + j] = f[j]
-    return min_norm_solve(k, rhs)[:n]
-
-
 def _eliminate_residual(p, fans, rho, controlled, eps, max_iter):
     """Newton loop with f = 0 until the normalized residual passes eps.
 
@@ -150,7 +138,7 @@ def _eliminate_residual(p, fans, rho, controlled, eps, max_iter):
             raise ConvergenceError(
                 f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})"
             )
-        drho = _bordered_solve(gc, controlled, np.zeros(len(controlled)))
+        drho, _ = free_column_solve(gc.C, gc.r, controlled, np.zeros(len(controlled)))
         rho = rho + drho
         gc = assemble_global(p, rho)
         iters += 1
@@ -174,7 +162,7 @@ def _controlled_step(p, rho, directive, eps, max_iter, gc=None):
     rho = np.asarray(rho, dtype=float)
     if gc is None:
         gc = assemble_global(p, rho)
-    drho = _bordered_solve(gc, directive.controlled, directive.f)
+    drho, _ = free_column_solve(gc.C, gc.r, directive.controlled, directive.f)
     rho = rho + drho
     rho, gc, iters = _eliminate_residual(
         p, None, rho, directive.controlled, eps, max_iter
@@ -230,7 +218,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     Within a stage the controlled angles move linearly from their entry value
     to the target; each step prescribes the exact remaining share, so stage
     boundaries land on their targets to solver precision.  Held creases get
-    multiplier rows with zero increments.  When a stage omits its step count,
+    fixed columns with zero increments.  When a stage omits its step count,
     enough steps are used to keep every controlled increment at or below
     ``max_step``.  A crease id outside the pattern raises ``ValueError``.
     """

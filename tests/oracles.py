@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's kinematics, solver, and embedding
 code paths: the folded Miura sheet is built from elementary vector geometry
-with a bisection closure solve, and the waterbomb well comes from a 1-D
-brute-force scan of the closed-form branch.
+with a bisection closure solve, the waterbomb well comes from a 1-D
+brute-force scan of the closed-form branch, and the controlled step comes
+from a full SVD of the bordered multiplier system.
 """
 
 import math
@@ -239,3 +240,31 @@ def waterbomb_branch_well(cfg_rest_m, cfg_rest_v, k_m=1.0, k_v=1.0, samples=2000
     theta = best[1]
     rm, rv = waterbomb_symmetric_oracle(theta)
     return theta, rm, rv, best[0]
+
+
+def bordered_solve(gc, controlled, f, cutoff=1e-12):
+    """Controlled increment from the bordered multiplier system.
+
+    Solves, minimum-norm through a full SVD,
+
+        [ C^T C   A ] [ drho   ]   [ -C^T r ]
+        [ A^T     0 ] [ lambda ] = [  f     ]
+
+    with A the selection columns of the controlled creases; singular values
+    at or below ``cutoff * sigma_max * (n + m)`` count as zero.  Returns
+    ``(drho, rank)`` where rank is that of the bordered matrix less 2m,
+    which is the rank of the free columns C_F when the cutoff separates.
+    """
+    c, r = np.asarray(gc.C, dtype=float), np.asarray(gc.r, dtype=float)
+    n, m = c.shape[1], len(controlled)
+    k = np.zeros((n + m, n + m))
+    k[:n, :n] = c.T @ c
+    rhs = np.zeros(n + m)
+    rhs[:n] = -c.T @ r
+    for j, cid in enumerate(controlled):
+        k[cid, n + j] = k[n + j, cid] = 1.0
+        rhs[n + j] = f[j]
+    u, s, vt = np.linalg.svd(k)
+    keep = s > cutoff * s[0] * (n + m)
+    x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
+    return x[:n], int(np.count_nonzero(keep)) - 2 * m

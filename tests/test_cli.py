@@ -372,3 +372,31 @@ class TestBadInput:
         report = json.loads(capsys.readouterr().out)
         assert any(v["kind"] == "holes-unsupported" for v in report["violations"])
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("entry", [{"k": math.nan}, {"k": -1.0}, {"rest": math.inf}])
+    def test_relax_bad_spring_exits_1(self, waterbomb_file, tmp_path, capsys, entry):
+        creases = [{"crease": i, "k": None, "rest": 0.5} for i in range(8)]
+        creases[3].update(entry)
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps({"k_per_length": 1.0, "creases": creases}))
+        assert main([
+            "relax", "--pattern", str(waterbomb_file), "--springs", str(spath),
+            "--out", str(tmp_path / "run"),
+        ]) == 1
+        assert "spring" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"bogus": 1, "max_steps": 10}, "unknown relax settings: bogus"),
+        ({"initial_step": math.nan}, "initial_step must be finite"),
+        ({"step_resolution": math.nan}, "step_resolution must be finite"),
+        ({"residual_tol": math.inf}, "residual_tol must be finite"),
+        ({"initial_step": "big"}, "bad relax settings"),
+        ({"characteristic": 8}, "characteristic crease 8 out of range"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_relax_bad_settings_exits_1(self, waterbomb_file, tmp_path, capsys,
+                                        settings, message):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(settings))
+        assert self.relax(waterbomb_file, 8, tmp_path, "--settings", str(path)) == 1
+        assert message in capsys.readouterr().err

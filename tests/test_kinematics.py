@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,8 +236,9 @@ def test_fold_range_warns_but_continues():
 
     with pytest.warns(UserWarning, match="exceed"):
         check_fold_range(np.array([0.1, -3.5]))
-    with np.testing.suppress_warnings():
-        check_fold_range(np.array([0.1, math.pi]))  # at the limit: silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # at the limit: silent
+        check_fold_range(np.array([0.1, math.pi, -math.pi]))
 
 
 def test_jacobian_reuse_consistency(miura33, miura_run, waterbomb, wb_tess,

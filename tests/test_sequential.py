@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import bordered_solve
 from rigidfold import (
     ConvergenceError,
     FoldDirective,
@@ -10,7 +12,10 @@ from rigidfold import (
     Stage,
     assemble_global,
     controlled_step,
+    crane_schedule,
     flat_state_seed,
+    free_column_solve,
+    generate_waterbomb_tessellation,
     run_schedule,
     tachi_projection_step,
     waterbomb_symmetric_oracle,
@@ -248,6 +253,100 @@ class TestScheduleJson:
             Stage(targets={1: 0.5}, steps=0)
         with pytest.raises(ValueError):
             Stage(targets={1: 0.5}, hold=(1,))
+
+
+class TestFreeColumnSolve:
+    """The free-column normal equations against the bordered-SVD oracle."""
+
+    @staticmethod
+    def cases(name, p, compatible, rng, stage_sets=()):
+        """(label, state, fixed, f) over compatible and perturbed states.
+
+        Fixed sets: none, one crease, a random third of the creases (or the
+        given stage directives with their holds), and every crease.
+        """
+        n = p.n_creases
+        sets = [(), (int(rng.integers(n)),), *stage_sets, tuple(range(n))]
+        if not stage_sets:
+            sets.insert(2, tuple(int(i) for i in rng.choice(n, n // 3, replace=False)))
+        states = [("flat", np.zeros(n))]
+        for k, s in enumerate(compatible):
+            states.append((f"compatible {k}", s))
+            states.append((f"incompatible {k}", s + rng.normal(0.0, 0.02, n)))
+        for label, s in states:
+            for fixed in sets:
+                f = rng.normal(0.0, 0.02, len(fixed))
+                yield f"{name} {label} |A|={len(fixed)}", s, fixed, f
+
+    def check(self, p, label, state, fixed, f):
+        gc = assemble_global(p, state)
+        dx, rank = free_column_solve(gc.C, gc.r, fixed, f)
+        ref, ref_rank = bordered_solve(gc, fixed, f)
+        assert np.array_equal(dx[list(fixed)], f), label
+        assert rank == ref_rank, label
+        if rank == p.n_creases - len(fixed):
+            assert np.abs(dx - ref).max() < 1e-9, label
+        else:
+            res = np.linalg.norm(gc.C @ dx + gc.r)
+            ref_res = np.linalg.norm(gc.C @ ref + gc.r)
+            assert res <= ref_res + 1e-12, label
+        return rank == p.n_creases - len(fixed)
+
+    def test_matches_bordered_oracle(self, miura33, miura_run, waterbomb, crane,
+                                     crane_run):
+        rng = np.random.default_rng(311)
+        tess = generate_waterbomb_tessellation(3, 2)
+        miura_states = miura_run["traj"].states
+        crane_states = crane_run["traj"].states
+        stage_sets = [
+            tuple(sorted(stage.targets)) + stage.hold
+            for stage in crane_schedule(crane).stages
+        ]
+        suites = [
+            ("miura", miura33, [miura_states[k] for k in (3, 17, 30)], ()),
+            ("waterbomb", waterbomb, [
+                np.where(np.isin(np.arange(8), waterbomb.meta["mountains"]), m, v)
+                for m, v in map(waterbomb_symmetric_oracle, (0.4, 2.0))
+            ], ()),
+            ("crane", crane, [crane_states[k] for k in (20, 60, 95)], stage_sets),
+            ("tessellation", tess,
+             [flat_state_seed(tess, math.radians(d)) for d in (1.0, 20.0)], ()),
+        ]
+        branches = set()
+        for name, p, compatible, sets in suites:
+            for label, state, fixed, f in self.cases(name, p, compatible, rng, sets):
+                branches.add(self.check(p, label, state, fixed, f))
+        assert branches == {True, False}  # both the LU and eigh branches ran
+
+    def test_zero_row_matrix(self):
+        gc = SimpleNamespace(C=np.zeros((0, 5)), r=np.zeros(0))
+        dx, rank = free_column_solve(gc.C, gc.r, (1, 3), [0.3, -0.2])
+        assert np.array_equal(dx, [0.0, 0.3, 0.0, -0.2, 0.0])
+        assert rank == 0
+        ref, ref_rank = bordered_solve(gc, (1, 3), [0.3, -0.2])
+        assert ref_rank == 0
+        assert np.abs(dx - ref).max() < 1e-9
+
+    def test_all_fixed_returns_f(self, miura33):
+        gc = assemble_global(miura33, flat_state_seed(miura33, math.radians(3.0)))
+        f = np.linspace(-0.1, 0.1, miura33.n_creases)
+        dx, rank = free_column_solve(gc.C, gc.r, tuple(range(miura33.n_creases)), f)
+        assert np.array_equal(dx, f)
+        assert rank == 0
+
+    @pytest.mark.parametrize("which", ["C", "r", "f"])
+    def test_non_finite_input_raises(self, miura33, which):
+        gc = assemble_global(miura33, flat_state_seed(miura33, math.radians(3.0)))
+        args = {"C": gc.C.copy(), "r": gc.r.copy(), "f": np.array([0.1])}
+        args[which].flat[0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            free_column_solve(args["C"], args["r"], (0,), args["f"])
+
+    @pytest.mark.parametrize("fixed", [(2, 2), (-1,), (10_000,)])
+    def test_bad_fixed_columns_raise(self, miura33, fixed):
+        gc = assemble_global(miura33, np.zeros(miura33.n_creases))
+        with pytest.raises(ValueError, match="distinct"):
+            free_column_solve(gc.C, gc.r, fixed, np.zeros(len(fixed)))
 
 
 def test_miura_relation_everywhere(miura_run, miura33):
