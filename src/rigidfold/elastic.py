@@ -21,6 +21,7 @@ increment reverses; iteration stops once c is below resolution.
 import json
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class SpringConfig:
         return cls(stiffness=stiffness, rest=rest)
 
 
+def _is_number(value, kind):
+    """True for an instance of the numbers ABC ``kind`` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RelaxSettings:
     initial_step: float = MAX_STEP_FACTOR
@@ -91,8 +97,22 @@ class RelaxSettings:
 
     def __post_init__(self):
         for name in ("initial_step", "step_resolution", "residual_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"relax setting {name} must be finite")
+            value = getattr(self, name)
+            if not (_is_number(value, Real) and math.isfinite(value)):
+                raise ValueError(f"relax setting {name} must be a finite number, got {value!r}")
+        for name in ("step_resolution", "residual_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"relax setting {name} must be positive")
+        for name in ("max_steps", "max_newton"):
+            value = getattr(self, name)
+            if not (_is_number(value, Integral) and value >= 0):
+                raise ValueError(
+                    f"relax setting {name} must be a non-negative integer, got {value!r}"
+                )
+        if not (self.characteristic is None or _is_number(self.characteristic, Integral)):
+            raise ValueError(
+                f"relax setting characteristic must be a crease id, got {self.characteristic!r}"
+            )
         if self.initial_step > MAX_STEP_FACTOR + 1e-15:
             raise ValueError(
                 f"initial step factor {self.initial_step} exceeds pi/36"
@@ -109,10 +129,7 @@ class RelaxSettings:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown relax settings: {', '.join(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:  # a value of the wrong type, e.g. a string
-            raise ValueError(f"bad relax settings: {exc}") from exc
+        return cls(**data)
 
 
 @dataclass

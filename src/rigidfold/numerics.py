@@ -4,7 +4,7 @@ The SVD routines use one cutoff policy: singular values below
 ``cutoff * sigma_max * max(rows, cols)`` count as zero.  ``free_column_solve``
 decides rank on the normal matrix ``N = C_F^T C_F``, whose eigenvalues are
 the squared singular values of ``C_F``: eigenvalues at or below
-``cutoff * lambda_max(N) * n`` count as zero, with n the column count of C.
+``DEFAULT_CUTOFF * lambda_max(N) * n`` count as zero, with n the column count of C.
 Constraint matrices here are small and expressed in radians, so a tight
 relative cutoff is safe.
 """
@@ -53,17 +53,17 @@ def min_norm_solve(m, b, cutoff=DEFAULT_CUTOFF):
     return vt.T @ coeff
 
 
-def free_column_solve(c, r, fixed, f, cutoff=DEFAULT_CUTOFF):
+def free_column_solve(c, r, fixed, f):
     """Least-squares increment for ``c @ dx = -r`` with ``dx[fixed] = f`` exactly.
 
     The free columns F solve the normal equations ``N dx_F = g`` with
     ``N = C_F^T C_F`` and ``g = -C_F^T (r + C_A f)``, A being the fixed
-    columns.  When every eigenvalue of N is above the cutoff, one LU solve
-    of N gives dx_F.  Otherwise the eigendecomposition of N drops the
-    eigenvalues at or below it, and dx_F is the minimum-norm least-squares
-    solution on the kept eigenvectors, refined once against the residual of
-    C_F itself.  With no free columns or no rows, dx_F is zero.  Returns
-    ``(dx, rank)``, rank being the number of eigenvalues kept.
+    columns.  When every eigenvalue of N is above ``DEFAULT_CUTOFF *
+    lambda_max(N) * n``, one LU solve of N gives dx_F.  Otherwise the
+    eigendecomposition of N drops the eigenvalues at or below it, and dx_F is
+    the minimum-norm least-squares solution on the kept eigenvectors, refined
+    once against the residual of C_F itself.  With no free columns or no
+    rows, dx_F is zero.
     """
     c = np.asarray(c, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -86,22 +86,22 @@ def free_column_solve(c, r, fixed, f, cutoff=DEFAULT_CUTOFF):
     dx[fixed] = f
     c_free = c[:, free]
     if not c_free.size:
-        return dx, 0
+        return dx
     b = -(r + c[:, fixed] @ f)
     normal = c_free.T @ c_free
     w = np.linalg.eigvalsh(normal)
-    if w[0] > cutoff * w[-1] * n:
+    if w[0] > DEFAULT_CUTOFF * w[-1] * n:
         dx[free] = np.linalg.solve(normal, c_free.T @ b)
-        return dx, w.size
+        return dx
     w, v = np.linalg.eigh(normal)
-    keep = w > cutoff * w[-1] * n
+    keep = w > DEFAULT_CUTOFF * w[-1] * n
     w, v = w[keep], v[:, keep]
     x = v @ ((v.T @ (c_free.T @ b)) / w)
     # Squaring C_F blurs its small kept singular directions; one correction
     # from the unsquared residual b - C_F x restores them.
     x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
     dx[free] = x
-    return dx, w.size
+    return dx
 
 
 def rank(m, cutoff=DEFAULT_CUTOFF):

@@ -8,7 +8,7 @@ leaves the normal equations on the free creases F:
     C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
 solved by ``numerics.free_column_solve``.  Eigenvalues of C_F^T C_F at or
-below ``cutoff * lambda_max * n_creases`` count as zero, the rank decision
+below ``1e-12 * lambda_max * n_creases`` count as zero, the rank decision
 of the squared singular values of C.  When one does (at the flat state,
 where the closure condition degenerates, or when more creases are free than
 C has independent rows, as in the crane's stages), the minimum-norm drho_F
@@ -138,7 +138,7 @@ def _eliminate_residual(p, fans, rho, controlled, eps, max_iter):
             raise ConvergenceError(
                 f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})"
             )
-        drho, _ = free_column_solve(gc.C, gc.r, controlled, np.zeros(len(controlled)))
+        drho = free_column_solve(gc.C, gc.r, controlled, np.zeros(len(controlled)))
         rho = rho + drho
         gc = assemble_global(p, rho)
         iters += 1
@@ -162,7 +162,7 @@ def _controlled_step(p, rho, directive, eps, max_iter, gc=None):
     rho = np.asarray(rho, dtype=float)
     if gc is None:
         gc = assemble_global(p, rho)
-    drho, _ = free_column_solve(gc.C, gc.r, directive.controlled, directive.f)
+    drho = free_column_solve(gc.C, gc.r, directive.controlled, directive.f)
     rho = rho + drho
     rho, gc, iters = _eliminate_residual(
         p, None, rho, directive.controlled, eps, max_iter

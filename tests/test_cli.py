@@ -387,10 +387,17 @@ class TestBadInput:
 
     @pytest.mark.parametrize("settings, message", [
         ({"bogus": 1, "max_steps": 10}, "unknown relax settings: bogus"),
-        ({"initial_step": math.nan}, "initial_step must be finite"),
-        ({"step_resolution": math.nan}, "step_resolution must be finite"),
-        ({"residual_tol": math.inf}, "residual_tol must be finite"),
-        ({"initial_step": "big"}, "bad relax settings"),
+        ({"initial_step": math.nan}, "initial_step must be a finite number"),
+        ({"step_resolution": math.nan}, "step_resolution must be a finite number"),
+        ({"residual_tol": math.inf}, "residual_tol must be a finite number"),
+        ({"initial_step": "big"}, "initial_step must be a finite number"),
+        ({"residual_tol": 0}, "residual_tol must be positive"),
+        ({"max_steps": "10"}, "max_steps must be a non-negative integer"),
+        ({"max_steps": None}, "max_steps must be a non-negative integer"),
+        ({"max_newton": -1}, "max_newton must be a non-negative integer"),
+        ({"max_newton": 5.0}, "max_newton must be a non-negative integer"),
+        ({"characteristic": [1]}, "characteristic must be a crease id"),
+        ({"characteristic": 1.5}, "characteristic must be a crease id"),
         ({"characteristic": 8}, "characteristic crease 8 out of range"),
         ([1, 2], "JSON object"),
     ])
