@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .elastic import RelaxSettings, SpringConfig, relax
-from .embedding import embed, measure_dimensions
+from .embedding import EMBED_RESIDUAL_TOL, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, parse_pattern, validate_pattern
 from .sequential import ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
@@ -88,6 +88,21 @@ def _check_every(every):
         raise ValueError(f"--every must be at least 1, got {every}")
 
 
+def _check_seed_magnitude(magnitude):
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(
+            f"--seed-magnitude must be finite and non-negative, got {magnitude!r}"
+        )
+
+
+def _check_eps(eps):
+    # every frame is embedded, and embed accepts residuals below EMBED_RESIDUAL_TOL
+    if not (math.isfinite(eps) and 0 < eps <= EMBED_RESIDUAL_TOL):
+        raise ValueError(
+            f"--eps must be finite and in (0, {EMBED_RESIDUAL_TOL:g}], got {eps!r}"
+        )
+
+
 def cmd_validate(args):
     p = _load_pattern(args.pattern)
     report = validate_pattern(p)
@@ -124,6 +139,8 @@ def cmd_info(args):
 
 def cmd_fold(args):
     _check_every(args.every)
+    _check_seed_magnitude(args.seed_magnitude)
+    _check_eps(args.eps)
     p = _load_pattern(args.pattern)
     if _invalid(p):
         return EXIT_DOMAIN
@@ -158,7 +175,13 @@ def cmd_fold(args):
             fh.write(f"{k},{r:.17g},{it}\n")
     for k, s in enumerate(traj.states):
         if k % args.every == 0 or k == len(traj.states) - 1:
-            e = embed(p, s, root=args.root_facet)
+            # run_schedule assembled every state it accepted: its residual
+            # stands in for the compatibility check embed would repeat
+            if not traj.residuals[k] < EMBED_RESIDUAL_TOL:
+                raise ValueError(
+                    f"fold state incompatible (residual {traj.residuals[k]:.3e})"
+                )
+            e = embed(p, s, root=args.root_facet, check=False)
             (out / f"step_{k:04d}.obj").write_text(export_obj(e, p.facets))
     manifest = {
         "command": "fold",
@@ -182,6 +205,7 @@ def cmd_fold(args):
 
 def cmd_relax(args):
     _check_every(args.every)
+    _check_seed_magnitude(args.seed_magnitude)
     p = _load_pattern(args.pattern)
     if _invalid(p):
         return EXIT_DOMAIN

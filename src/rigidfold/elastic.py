@@ -1,18 +1,19 @@
 """Relaxation of crease-spring energy on the rigid-origami constraint set.
 
 Creases carry rotational springs with stiffness k_i and rest angle; the
-energy increment for a state increment is a quadratic form, and the
-constrained minimizer comes from the bordered system
+energy increment for a state increment is a quadratic form with the
+diagonal stiffness H, and its minimizer subject to the linearized closure
+constraint C drho = -r is the Lagrange-multiplier step.  Substituting
+drho = H^-1/2 u - H^-1 d turns it into the minimum-norm solution of
 
-    [ H    C^T ] [ drho   ]     [ d ]
-    [ C    0   ] [ lambda ] = - [ r ]
+    B u = -(r - C H^-1 d),   B = C H^-1/2
 
-solved minimum-norm.  When the constraint matrix has full row rank the
-explicit inverse gives the same increment through
+which ``numerics.free_column_solve`` gives with no fixed columns.  When C
+has full row rank this is the explicit-inverse step
 
     drho = -(H^-1 - G C H^-1) d - G r,   G = H^-1 C^T (C H^-1 C^T)^-1
 
-and with uniform stiffness that reduces to the projected steepest descent
+and with uniform stiffness it is the projected steepest descent
 -(1/k0)(I - C+ C) d - C+ r.  Step length is capped so the largest single
 angle change is a factor c, halved whenever the characteristic angle's
 increment reverses; iteration stops once c is below resolution.
@@ -26,8 +27,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
-from .numerics import DEFAULT_CUTOFF, min_norm_solve, pseudoinverse, rank
-from .sequential import ConvergenceError
+from .numerics import free_column_solve
+from .sequential import _eliminate_residual
 
 MAX_STEP_FACTOR = math.pi / 36.0
 
@@ -159,64 +160,41 @@ def spring_gradient(cfg, rho):
     return cfg.stiffness * (np.asarray(rho, dtype=float) - cfg.rest)
 
 
-def kkt_step(p, cfg, rho, cutoff=DEFAULT_CUTOFF, fans=None, gc=None):
+def kkt_step(p, cfg, rho, gc=None):
     """Energy-optimal increment subject to the linearized closure constraint.
 
-    Uses the explicit full-row-rank inverse when the constraint matrix is
-    comfortably well conditioned and falls back to the minimum-norm bordered
-    solve otherwise (rank-deficient or nearly folded-flat states).  ``gc``
-    is the assembly at ``rho`` when the caller already has it; ``fans`` is
-    not used, and when passed it must be ``build_vertex_fans(p)``.
+    The minimum-norm solve on the stiffness-scaled columns C H^-1/2 serves
+    full-rank and rank-deficient (nearly folded-flat) states alike.  ``gc``
+    is the assembly at ``rho`` when the caller already has it.
     """
     if gc is None:
         gc = assemble_global(p, rho)
     d = spring_gradient(cfg, gc.rho)
-    m = gc.C.shape[0]
-    if m and rank(gc.C, 1e-6) == m:
-        return _full_rank_step(gc.C, gc.r, cfg.stiffness, d)
-    return _bordered_step(gc.C, gc.r, cfg.stiffness, d, cutoff)
+    scale = 1.0 / np.sqrt(cfg.stiffness)
+    hinv_d = d / cfg.stiffness
+    u = free_column_solve(gc.C * scale, gc.r - gc.C @ hinv_d, (), [])
+    return scale * u - hinv_d
 
 
-def _bordered_step(c, r, stiffness, d, cutoff=DEFAULT_CUTOFF):
-    n = c.shape[1]
-    m = c.shape[0]
-    k = np.zeros((n + m, n + m))
-    k[:n, :n] = np.diag(stiffness)
-    k[:n, n:] = c.T
-    k[n:, :n] = c
-    rhs = -np.concatenate([d, r])
-    return min_norm_solve(k, rhs, cutoff)[:n]
-
-
-def _full_rank_step(c, r, stiffness, d):
-    hinv = 1.0 / stiffness
-    chinv = c * hinv  # C @ H^-1
-    g = (chinv.T) @ np.linalg.inv(chinv @ c.T)  # H^-1 C^T (C H^-1 C^T)^-1
-    return -(hinv * d - g @ (chinv @ d)) - g @ r
-
-
-def projection_step_uniform(p, k0, d, rho, fans=None, gc=None):
+def projection_step_uniform(p, k0, d, rho, gc=None):
     """Projected steepest-descent increment for uniform stiffness k0.
 
     d is the energy gradient at rho; the increment is the gradient projected
     into the nullspace of the constraint matrix plus the error compensation.
-    ``fans`` is not used; when passed it must be ``build_vertex_fans(p)``.
     """
     if gc is None:
         gc = assemble_global(p, rho)
     d = np.asarray(d, dtype=float)
-    cplus = pseudoinverse(gc.C)
-    return -(d - cplus @ (gc.C @ d)) / k0 - cplus @ gc.r
+    return -d / k0 - free_column_solve(gc.C, gc.C @ d / k0 - gc.r, (), [])
 
 
-def relax(p, cfg, settings=None, rho0=None, fans=None):
+def relax(p, cfg, settings=None, rho0=None):
     """Drive the state to a constrained spring-energy minimum.
 
     Follows the step rule rho += c * drho / max|drho| with residual cleanup
     after every move; halves c whenever the characteristic angle's increment
     reverses direction, and stops when c drops below the step resolution.
-    Each cleanup's last assembly serves the next step.  ``fans`` is not
-    used; when passed it must be ``build_vertex_fans(p)``.
+    Each cleanup's last assembly serves the next step.
     """
     settings = settings or RelaxSettings()
     if settings.characteristic is not None:
@@ -227,7 +205,9 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
                 f"(pattern has {p.n_creases} creases)"
             )
     rho = np.zeros(p.n_creases) if rho0 is None else np.asarray(rho0, dtype=float).copy()
-    rho, gc, _ = _cleanup_count(p, rho, settings)
+    rho, gc, _ = _eliminate_residual(
+        p, rho, (), settings.residual_tol, settings.max_newton
+    )
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))
 
@@ -250,7 +230,9 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
             c = c / 2.0
         step = c * drho / largest
         new_rho = rho + step
-        new_rho, gc, iters = _cleanup_count(p, new_rho, settings)
+        new_rho, gc, iters = _eliminate_residual(
+            p, new_rho, (), settings.residual_tol, settings.max_newton
+        )
         prev_char_move = new_rho[char] - rho[char]
         rho = new_rho
         check_fold_range(rho)
@@ -262,33 +244,11 @@ def relax(p, cfg, settings=None, rho0=None, fans=None):
     if c <= settings.step_resolution:
         result.converged = True
 
-    cplus = pseudoinverse(gc.C)
     d = spring_gradient(cfg, rho)
-    result.projected_gradient = float(np.linalg.norm(d - cplus @ (gc.C @ d)))
+    result.projected_gradient = float(
+        np.linalg.norm(d + free_column_solve(gc.C, gc.C @ d, (), []))
+    )
     return result
-
-
-def _cleanup_count(p, rho, settings):
-    """Residual elimination drho = -C+ r until the normalized residual passes.
-
-    Returns the state, its assembly and the iteration count.  A non-finite
-    residual never passes.
-    """
-    iters = 0
-    gc = assemble_global(p, rho)
-    while not gc.normalized_residual < settings.residual_tol:
-        if not math.isfinite(gc.normalized_residual):
-            raise ConvergenceError(
-                f"non-finite residual after {iters} cleanup iterations"
-            )
-        if iters >= settings.max_newton:
-            raise ConvergenceError(
-                f"residual cleanup stalled at {gc.normalized_residual:.3e}"
-            )
-        rho = rho - pseudoinverse(gc.C) @ gc.r
-        gc = assemble_global(p, rho)
-        iters += 1
-    return rho, gc, iters
 
 
 def waterbomb_symmetric_oracle(theta):

@@ -1,12 +1,14 @@
-"""Rank-revealing pseudoinverse and minimum-norm solves shared by both solvers.
+"""Minimum-norm constrained solves, and the SVD routines kept beside them.
 
-The SVD routines use one cutoff policy: singular values below
-``cutoff * sigma_max * max(rows, cols)`` count as zero.  ``free_column_solve``
-decides rank on the normal matrix ``N = C_F^T C_F``, whose eigenvalues are
-the squared singular values of ``C_F``: eigenvalues at or below
-``DEFAULT_CUTOFF * lambda_max(N) * n`` count as zero, with n the column count of C.
-Constraint matrices here are small and expressed in radians, so a tight
-relative cutoff is safe.
+``free_column_solve`` is the one solve of both solvers: controlled folding
+steps, residual elimination and spring relaxation.  It decides rank on the
+Gram matrix of the free columns C_F, whose eigenvalues are the squared
+singular values of C_F: eigenvalues at or below ``DEFAULT_CUTOFF *
+lambda_max * n`` count as zero, with n the column count of C.  The SVD
+routines (pseudoinverse, minimum-norm solve, rank) use their own policy:
+singular values below ``cutoff * sigma_max * max(rows, cols)`` count as
+zero.  Constraint matrices here are small and expressed in radians, so a
+tight relative cutoff is safe.
 """
 
 import numpy as np
@@ -56,14 +58,19 @@ def min_norm_solve(m, b, cutoff=DEFAULT_CUTOFF):
 def free_column_solve(c, r, fixed, f):
     """Least-squares increment for ``c @ dx = -r`` with ``dx[fixed] = f`` exactly.
 
-    The free columns F solve the normal equations ``N dx_F = g`` with
-    ``N = C_F^T C_F`` and ``g = -C_F^T (r + C_A f)``, A being the fixed
-    columns.  When every eigenvalue of N is above ``DEFAULT_CUTOFF *
-    lambda_max(N) * n``, one LU solve of N gives dx_F.  Otherwise the
-    eigendecomposition of N drops the eigenvalues at or below it, and dx_F is
-    the minimum-norm least-squares solution on the kept eigenvectors, refined
-    once against the residual of C_F itself.  With no free columns or no
-    rows, dx_F is zero.
+    dx_F on the free columns F is the minimum-norm least-squares solution of
+    ``C_F dx_F = b`` with ``b = -(r + C_A f)``, A being the fixed columns.
+    Rank is decided on the Gram matrix of C_F: eigenvalues at or below
+    ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.  When C_F has at
+    least as many rows as columns, the Gram matrix is ``N = C_F^T C_F``; if
+    none of its eigenvalues count as zero, one LU solve of the normal
+    equations ``N dx_F = C_F^T b`` gives dx_F, and otherwise dx_F is solved
+    on N's kept eigenvectors.  When C_F has fewer rows than columns, N is
+    singular by construction; dx_F = C_F^T y lies in the row space, and y
+    is solved on the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero
+    eigenvalues are those of N.  Either eigenvector solve is refined once
+    against the residual of C_F itself.  With no free columns or no rows,
+    dx_F is zero.
     """
     c = np.asarray(c, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -88,20 +95,34 @@ def free_column_solve(c, r, fixed, f):
     if not c_free.size:
         return dx
     b = -(r + c[:, fixed] @ f)
+    # Squaring C_F blurs its small kept singular directions; each eigenvector
+    # solve below is corrected once from the unsquared residual of C_F.
+    if c_free.shape[0] < c_free.shape[1]:
+        # Forming dx_F from C_F^T keeps it in the row space to rounding,
+        # where eigenvectors of N would leak eps * cond(C_F)^2 of it into
+        # the null space.
+        w, v = _kept_eigh(c_free @ c_free.T, n)
+        y = v @ ((v.T @ b) / w)
+        y += v @ ((v.T @ (b - c_free @ (c_free.T @ y))) / w)
+        dx[free] = c_free.T @ y
+        return dx
     normal = c_free.T @ c_free
     w = np.linalg.eigvalsh(normal)
     if w[0] > DEFAULT_CUTOFF * w[-1] * n:
         dx[free] = np.linalg.solve(normal, c_free.T @ b)
         return dx
-    w, v = np.linalg.eigh(normal)
-    keep = w > DEFAULT_CUTOFF * w[-1] * n
-    w, v = w[keep], v[:, keep]
+    w, v = _kept_eigh(normal, n)
     x = v @ ((v.T @ (c_free.T @ b)) / w)
-    # Squaring C_F blurs its small kept singular directions; one correction
-    # from the unsquared residual b - C_F x restores them.
     x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
     dx[free] = x
     return dx
+
+
+def _kept_eigh(gram, n):
+    """Eigenpairs of ``gram`` above ``DEFAULT_CUTOFF * lambda_max * n``."""
+    w, v = np.linalg.eigh(gram)
+    keep = w > DEFAULT_CUTOFF * w[-1] * n
+    return w[keep], v[:, keep]
 
 
 def rank(m, cutoff=DEFAULT_CUTOFF):

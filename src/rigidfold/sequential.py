@@ -7,13 +7,13 @@ leaves the normal equations on the free creases F:
 
     C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
-solved by ``numerics.free_column_solve``.  Eigenvalues of C_F^T C_F at or
-below ``1e-12 * lambda_max * n_creases`` count as zero, the rank decision
-of the squared singular values of C.  When one does (at the flat state,
-where the closure condition degenerates, or when more creases are free than
-C has independent rows, as in the crane's stages), the minimum-norm drho_F
-is used.  After the increment, the residual is eliminated by iterating the
-same solve with f = 0, which leaves the controlled angles untouched.
+solved by ``numerics.free_column_solve``.  Squared singular values of C_F
+at or below ``1e-12 * lambda_max * n_creases`` count as zero.  When one
+does (at the flat state, where the closure condition degenerates, or when
+more creases are free than C has independent rows, as in the crane's
+stages), the minimum-norm drho_F is used.  After the increment, the residual
+is eliminated by iterating the same solve with f = 0, which leaves the
+controlled angles untouched.
 """
 
 import json
@@ -119,12 +119,11 @@ class FoldTrajectory:
         return len(self.states)
 
 
-def _eliminate_residual(p, fans, rho, controlled, eps, max_iter):
+def _eliminate_residual(p, rho, controlled, eps, max_iter):
     """Newton loop with f = 0 until the normalized residual passes eps.
 
     Returns the state, its assembly and the iteration count.  A non-finite
-    residual never passes.  ``fans`` is not used; when passed it must be
-    ``build_vertex_fans(p)``.
+    residual never passes.
     """
     iters = 0
     gc = assemble_global(p, rho)
@@ -145,11 +144,8 @@ def _eliminate_residual(p, fans, rho, controlled, eps, max_iter):
     return rho, gc, iters
 
 
-def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER, fans=None):
-    """One folding step driven by controlled creases; returns the next state.
-
-    ``fans`` is not used; when passed it must be ``build_vertex_fans(p)``.
-    """
+def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
+    """One folding step driven by controlled creases; returns the next state."""
     state, _, _ = _controlled_step(p, rho, directive, eps, max_iter)
     return state
 
@@ -164,21 +160,18 @@ def _controlled_step(p, rho, directive, eps, max_iter, gc=None):
         gc = assemble_global(p, rho)
     drho = free_column_solve(gc.C, gc.r, directive.controlled, directive.f)
     rho = rho + drho
-    rho, gc, iters = _eliminate_residual(
-        p, None, rho, directive.controlled, eps, max_iter
-    )
+    rho, gc, iters = _eliminate_residual(p, rho, directive.controlled, eps, max_iter)
     check_fold_range(rho)
     return rho, gc, iters
 
 
 def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
-                    max_iter=DEFAULT_MAX_ITER, fans=None):
+                    max_iter=DEFAULT_MAX_ITER):
     """Assignment-signed near-flat state projected onto the constraint set.
 
     Valleys start at +magnitude, mountains at -magnitude, unassigned creases
     at zero; pure residual elimination (no controlled creases) then restores
     compatibility, which selects the folding branch matching the assignment.
-    ``fans`` is not used; when passed it must be ``build_vertex_fans(p)``.
     """
     rho = np.zeros(p.n_creases)
     for i, c in enumerate(p.creases):
@@ -186,17 +179,16 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
             rho[i] = magnitude
         elif c.assignment == MOUNTAIN:
             rho[i] = -magnitude
-    rho, _, _ = _eliminate_residual(p, None, rho, (), eps, max_iter)
+    rho, _, _ = _eliminate_residual(p, rho, (), eps, max_iter)
     return rho
 
 
-def tachi_projection_step(p, rho, drho0, fans=None):
+def tachi_projection_step(p, rho, drho0):
     """Baseline single-shot Euler step: nullspace projection plus error term.
 
     Projects the intended increment into the nullspace of C and compensates
     the current residual in one shot; no iteration, so increments of specific
-    creases are not exactly controlled.  ``fans`` is not used; when passed
-    it must be ``build_vertex_fans(p)``.
+    creases are not exactly controlled.
     """
     from .numerics import pseudoinverse
 

@@ -3,8 +3,9 @@
 These deliberately avoid the package's kinematics, solver, and embedding
 code paths: the folded Miura sheet is built from elementary vector geometry
 with a bisection closure solve, the waterbomb well comes from a 1-D
-brute-force scan of the closed-form branch, and the controlled step comes
-from a full SVD of the bordered multiplier system.
+brute-force scan of the closed-form branch, the controlled step comes
+from a full SVD of the bordered multiplier system, and the spring step from
+the explicit full-row-rank inverse or a full SVD of its bordered KKT system.
 """
 
 import math
@@ -268,3 +269,37 @@ def bordered_solve(gc, controlled, f, cutoff=1e-12):
     keep = s > cutoff * s[0] * (n + m)
     x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
     return x[:n], int(np.count_nonzero(keep)) - 2 * m
+
+
+def explicit_inverse_step(c, r, stiffness, d):
+    """Spring step from the explicit full-row-rank inverse.
+
+        drho = -(H^-1 - G C H^-1) d - G r,   G = H^-1 C^T (C H^-1 C^T)^-1
+
+    with H the diagonal stiffness; C must have full row rank.
+    """
+    hinv = 1.0 / np.asarray(stiffness, dtype=float)
+    chinv = c * hinv  # C @ H^-1
+    g = chinv.T @ np.linalg.inv(chinv @ c.T)
+    return -(hinv * d - g @ (chinv @ d)) - g @ r
+
+
+def bordered_step(c, r, stiffness, d, cutoff=1e-12):
+    """Spring step from the bordered KKT system, minimum-norm by a full SVD.
+
+        [ H    C^T ] [ drho   ]     [ d ]
+        [ C    0   ] [ lambda ] = - [ r ]
+
+    Singular values at or below ``cutoff * sigma_max * (n + m)`` count as
+    zero.
+    """
+    m, n = c.shape
+    k = np.zeros((n + m, n + m))
+    k[:n, :n] = np.diag(stiffness)
+    k[:n, n:] = c.T
+    k[n:, :n] = c
+    rhs = -np.concatenate([d, r])
+    u, s, vt = np.linalg.svd(k)
+    keep = s > cutoff * s[0] * (n + m)
+    x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
+    return x[:n]

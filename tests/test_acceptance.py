@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bordered_step,
+    explicit_inverse_step,
     miura_period_dims,
     miura_poisson,
     period_frame_dims,
@@ -32,7 +34,7 @@ from rigidfold import (
     vertex_jacobian,
     waterbomb_symmetric_oracle,
 )
-from rigidfold.elastic import _bordered_step, _full_rank_step, projection_step_uniform
+from rigidfold.elastic import kkt_step, projection_step_uniform
 from rigidfold.kinematics import vertex_closure_derivatives
 from rigidfold.numerics import pseudoinverse, rank
 from rigidfold.sequential import _eliminate_residual
@@ -144,13 +146,12 @@ def test_criterion_3_jacobian_correctness(miura33, waterbomb, miura_run):
     for theta in rng.uniform(0.15, 3 * math.pi / 4 - 0.05, 50):
         states.append((waterbomb, wb_state(waterbomb, theta)))
     # 50 Miura branch states away from the fold limit, re-tightened
-    fans = build_vertex_fans(miura33)
     usable = [
         s for s in miura_run["traj"].states if np.abs(s).max() <= math.pi - 0.1
     ]
     picks = rng.choice(len(usable), size=50, replace=True)
     for k in picks:
-        s, _, _ = _eliminate_residual(miura33, fans, usable[k], (), 1e-12, 50)
+        s, _, _ = _eliminate_residual(miura33, usable[k], (), 1e-12, 50)
         states.append((miura33, s))
     assert len(states) == 100
 
@@ -230,7 +231,7 @@ def test_criterion_6_projection_equivalence(waterbomb):
     cfg_uniform = SpringConfig(stiffness=np.full(8, k0), rest=rest)
     cfg_varied = SpringConfig(stiffness=rng.uniform(0.5, 3.0, 8), rest=rest)
     checked = 0
-    worst_2221, worst_2120 = 0.0, 0.0
+    worst_2221, worst_2120, worst_step = 0.0, 0.0, 0.0
     while checked < 50:
         rho = rng.uniform(-math.pi + 0.1, math.pi - 0.1, 8)
         gc = assemble_global(waterbomb, rho)
@@ -238,18 +239,20 @@ def test_criterion_6_projection_equivalence(waterbomb):
             continue
         checked += 1
         d_uniform = spring_gradient(cfg_uniform, rho)
-        eq21 = _full_rank_step(gc.C, gc.r, cfg_uniform.stiffness, d_uniform)
+        eq21 = explicit_inverse_step(gc.C, gc.r, cfg_uniform.stiffness, d_uniform)
         eq22 = projection_step_uniform(waterbomb, k0, d_uniform, rho, gc=gc)
         worst_2221 = max(worst_2221, np.abs(eq21 - eq22).max())
         d_varied = spring_gradient(cfg_varied, rho)
-        fast = _full_rank_step(gc.C, gc.r, cfg_varied.stiffness, d_varied)
-        bordered = _bordered_step(gc.C, gc.r, cfg_varied.stiffness, d_varied)
+        fast = explicit_inverse_step(gc.C, gc.r, cfg_varied.stiffness, d_varied)
+        bordered = bordered_step(gc.C, gc.r, cfg_varied.stiffness, d_varied)
+        step = kkt_step(waterbomb, cfg_varied, rho, gc=gc)
         worst_2120 = max(worst_2120, np.abs(fast - bordered).max())
-    ok = worst_2221 < 1e-10 and worst_2120 < 1e-9
+        worst_step = max(worst_step, np.abs(step - fast).max(), np.abs(step - bordered).max())
+    ok = worst_2221 < 1e-10 and worst_2120 < 1e-9 and worst_step < 1e-9
     verdict(6, ok, (
         f"50 states: uniform-stiffness projection vs explicit inverse "
         f"{worst_2221:.2e} (<1e-10); explicit inverse vs bordered solve "
-        f"{worst_2120:.2e} (<1e-9)"
+        f"{worst_2120:.2e} (<1e-9); KKT step vs both {worst_step:.2e} (<1e-9)"
     ))
 
 

@@ -163,6 +163,27 @@ class TestFoldCommand:
         ])
         assert code == 3
 
+    def test_incompatible_frame_exits_1(self, miura_file, tmp_path, capsys, monkeypatch):
+        import rigidfold.cli as cli
+        from rigidfold import assemble_global
+
+        real_run_schedule = cli.run_schedule
+
+        def torn(p, rho0, schedule, **kwargs):
+            traj = real_run_schedule(p, rho0, schedule, **kwargs)
+            state = traj.states[-1] + 0.01
+            traj.append(state, assemble_global(p, state).normalized_residual, 0)
+            return traj
+
+        monkeypatch.setattr(cli, "run_schedule", torn)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"stages": []}))
+        assert main([
+            "fold", "--pattern", str(miura_file), "--schedule", str(spath),
+            "--out", str(tmp_path / "run"),
+        ]) == 1
+        assert "fold state incompatible" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, miura_file, miura33, tmp_path, capsys):
         i1 = miura33.meta["driven_crease"]
         spath = tmp_path / "s.json"
@@ -360,6 +381,28 @@ class TestBadInput:
     def test_relax_every_0(self, waterbomb_file, tmp_path, capsys):
         assert self.relax(waterbomb_file, 8, tmp_path, "--every", "0") == 1
         assert "--every" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-5"])
+    def test_fold_bad_eps_exits_1(self, miura_file, tmp_path, capsys, eps):
+        assert self.fold(miura_file, {"stages": []}, tmp_path, "--eps", eps) == 1
+        assert "--eps must be finite and in (0, 1e-09]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-1"])
+    def test_fold_bad_seed_magnitude_exits_1(self, miura_file, tmp_path, capsys,
+                                             magnitude):
+        assert self.fold(miura_file, {"stages": []}, tmp_path,
+                         "--seed-magnitude", magnitude) == 1
+        assert "--seed-magnitude must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-1"])
+    def test_relax_bad_seed_magnitude_exits_1(self, waterbomb_file, tmp_path, capsys,
+                                              magnitude):
+        assert self.relax(waterbomb_file, 8, tmp_path,
+                          "--seed-magnitude", magnitude) == 1
+        assert "--seed-magnitude must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_fold_invalid_pattern(self, tmp_path, capsys):
         assert self.fold(self.hole_file(tmp_path), {"stages": []}, tmp_path) == 1
