@@ -213,6 +213,13 @@ def cmd_relax(args):
     settings = RelaxSettings()
     if args.settings:
         settings = RelaxSettings.from_json(Path(args.settings).read_text())
+    # every written frame is embedded, and embed accepts residuals below
+    # EMBED_RESIDUAL_TOL
+    if settings.residual_tol > EMBED_RESIDUAL_TOL:
+        raise ValueError(
+            f"residual_tol must be at most {EMBED_RESIDUAL_TOL:g} for relax, "
+            f"got {settings.residual_tol!r}"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.state:

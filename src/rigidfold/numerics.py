@@ -4,7 +4,10 @@
 steps, residual elimination and spring relaxation.  It decides rank on the
 Gram matrix of the free columns C_F, whose eigenvalues are the squared
 singular values of C_F: eigenvalues at or below ``DEFAULT_CUTOFF *
-lambda_max * n`` count as zero, with n the column count of C.  The SVD
+lambda_max * n`` count as zero, with n the column count of C.  Full rank
+of a tall C_F is certified by one Cholesky factorization of the shifted
+Gram matrix; only when that fails, or C_F is wide, does an
+eigendecomposition decide which eigenvalues to keep.  The SVD
 routines (pseudoinverse, minimum-norm solve, rank) use their own policy:
 singular values below ``cutoff * sigma_max * max(rows, cols)`` count as
 zero.  Constraint matrices here are small and expressed in radians, so a
@@ -63,14 +66,14 @@ def free_column_solve(c, r, fixed, f):
     Rank is decided on the Gram matrix of C_F: eigenvalues at or below
     ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.  When C_F has at
     least as many rows as columns, the Gram matrix is ``N = C_F^T C_F``; if
-    none of its eigenvalues count as zero, one LU solve of the normal
-    equations ``N dx_F = C_F^T b`` gives dx_F, and otherwise dx_F is solved
-    on N's kept eigenvectors.  When C_F has fewer rows than columns, N is
-    singular by construction; dx_F = C_F^T y lies in the row space, and y
-    is solved on the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero
-    eigenvalues are those of N.  Either eigenvector solve is refined once
-    against the residual of C_F itself.  With no free columns or no rows,
-    dx_F is zero.
+    a shifted Cholesky factorization certifies that none of its eigenvalues
+    counts as zero, one LU solve of the normal equations ``N dx_F = C_F^T
+    b`` gives dx_F, and otherwise dx_F is solved on N's kept eigenvectors.
+    When C_F has fewer rows than columns, N is singular by construction;
+    dx_F = C_F^T y lies in the row space, and y is solved on the kept
+    eigenvectors of ``M = C_F C_F^T``, whose nonzero eigenvalues are those
+    of N.  Either eigenvector solve is refined once against the residual of
+    C_F itself.  With no free columns or no rows, dx_F is zero.
     """
     c = np.asarray(c, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -107,8 +110,7 @@ def free_column_solve(c, r, fixed, f):
         dx[free] = c_free.T @ y
         return dx
     normal = c_free.T @ c_free
-    w = np.linalg.eigvalsh(normal)
-    if w[0] > DEFAULT_CUTOFF * w[-1] * n:
+    if _full_rank_certified(normal, n):
         dx[free] = np.linalg.solve(normal, c_free.T @ b)
         return dx
     w, v = _kept_eigh(normal, n)
@@ -116,6 +118,28 @@ def free_column_solve(c, r, fixed, f):
     x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
     dx[free] = x
     return dx
+
+
+def _full_rank_certified(gram, n):
+    """True when one Cholesky proves every eigenvalue of ``gram`` is kept.
+
+    The largest absolute row sum ``lam_hi`` bounds ``lambda_max`` from
+    above.  If ``gram - 2 tau lam_hi I`` (``tau = DEFAULT_CUTOFF * n``)
+    factors, then ``lambda_min > 2 tau lambda_max - ||E||``, and Cholesky's
+    backward error ``||E||`` (about ``n^2 eps lambda_max``) stays below
+    ``tau lambda_max`` for n up to several thousand, so no eigenvalue is
+    at or below the cutoff.  A failed factorization proves nothing: the
+    caller falls back to the eigendecomposition, which applies the cutoff
+    itself.
+    """
+    shift = 2.0 * DEFAULT_CUTOFF * n * np.linalg.norm(gram, np.inf)
+    shifted = gram.copy()
+    shifted.flat[:: gram.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _kept_eigh(gram, n):

@@ -8,12 +8,14 @@ leaves the normal equations on the free creases F:
     C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
 solved by ``numerics.free_column_solve``.  Squared singular values of C_F
-at or below ``1e-12 * lambda_max * n_creases`` count as zero.  When one
-does (at the flat state, where the closure condition degenerates, or when
-more creases are free than C has independent rows, as in the crane's
-stages), the minimum-norm drho_F is used.  After the increment, the residual
-is eliminated by iterating the same solve with f = 0, which leaves the
-controlled angles untouched.
+at or below ``1e-12 * lambda_max * n_creases`` count as zero.  For a tall
+C_F one shifted Cholesky of the normal matrix certifies that none does,
+and one LU solve gives drho_F.  When the certificate fails (at the flat
+state, where the closure condition degenerates) or C_F is wide (more
+creases free than C has rows, as in the crane's stages), an
+eigendecomposition decides the rank and the minimum-norm drho_F is used.
+After the increment, the residual is eliminated by iterating the same
+solve with f = 0, which leaves the controlled angles untouched.
 """
 
 import json

@@ -73,13 +73,53 @@ def _solve_h(alpha, rho1, h_lo, h_hi):
     return 0.5 * (h_lo + h_hi)
 
 
-def miura_cell_vectors(alpha, rho1, a, b):
+def _continued_h(alpha, rho1, solved):
+    """Straight-crease angle h on the branch through flat, by continuation.
+
+    ``solved`` maps alpha to the points rho1 -> h solved so far on that
+    alpha's branch, seeded with flat, h(0) = 0; the result is added to it.
+    The continuation starts from the solved point nearest to rho1 between
+    flat and rho1 and walks to rho1 in steps of at most 0.3 rad, each one a
+    bisection bracketed around the previous h.  From flat it takes at least
+    four steps with brackets symmetric about h = 0.
+    """
+    known = solved.setdefault(alpha, {0.0: 0.0})
+    if rho1 in known:
+        return known[rho1]
+    r0 = max((r for r in known if 0.0 <= r / rho1 < 1.0), key=abs)
+    prev = known[r0]
+    span = abs(rho1 - r0)
+    steps = max(4, int(span / 0.3) + 1) if r0 == 0.0 else int(span / 0.3) + 1
+    for k in range(1, steps + 1):
+        r = r0 + (rho1 - r0) * k / steps
+        h = None
+        for width in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2):
+            if r0 == 0.0 and k == 1:
+                lo, hi = -width, width
+            else:
+                lo = max(prev - width, -math.pi + 1e-12)
+                hi = min(prev + width, math.pi - 1e-12)
+            try:
+                h = _solve_h(alpha, r, lo, hi)
+                break
+            except ValueError:
+                continue
+        if h is None:
+            raise ValueError(f"closure continuation lost the branch at {r}")
+        prev = h
+    known[rho1] = h
+    return h
+
+
+def miura_cell_vectors(alpha, rho1, a, b, solved=None):
     """Folded 3D crease vectors (E, up, W, down) at the driven vertex.
 
     The straight-crease fold angle h is solved by continuation bisection so
     the four rigid sector facets wrap around the vertex exactly.  The fully
     folded endpoint is evaluated just inside +-pi, where the in-plane
-    dimensions are still smooth.
+    dimensions are still smooth.  A caller evaluating many neighbouring
+    angles passes one ``solved`` dict to all calls, so each continuation
+    starts from the nearest angle already solved instead of from flat.
     """
     if abs(rho1) < 1e-14:
         h = 0.0
@@ -88,23 +128,7 @@ def miura_cell_vectors(alpha, rho1, a, b):
         rho1 = math.copysign(math.pi, rho1)
         h = math.copysign(math.pi, rho1)
     else:
-        # continuation from flat keeps the branch connected to h(0) = 0
-        steps = max(4, int(abs(rho1) / 0.3) + 1)
-        h = prev = 0.0
-        for k in range(1, steps + 1):
-            r = rho1 * k / steps
-            h = None
-            for width in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2):
-                lo = max(prev - width, -math.pi + 1e-12) if k > 1 else -width
-                hi = min(prev + width, math.pi - 1e-12) if k > 1 else width
-                try:
-                    h = _solve_h(alpha, r, lo, hi)
-                    break
-                except ValueError:
-                    continue
-            if h is None:
-                raise ValueError(f"closure continuation lost the branch at {r}")
-            prev = h
+        h = _continued_h(alpha, rho1, {} if solved is None else solved)
     sectors = (math.pi - alpha, alpha, alpha, math.pi - alpha)
     folds = (rho1, -h, rho1, h)
     u = np.array([1.0, 0.0, 0.0])
@@ -118,7 +142,7 @@ def miura_cell_vectors(alpha, rho1, a, b):
     return b * e_dir, a * up_dir, b * w_dir, a * down_dir, h
 
 
-def miura_folded_sheet(m, n, a, b, alpha, rho1):
+def miura_folded_sheet(m, n, a, b, alpha, rho1, solved=None):
     """All folded vertex coordinates of the m x n cell sheet, rho1 driven.
 
     rho1 is the fold angle of the slanted creases in the driven column (the
@@ -131,7 +155,7 @@ def miura_folded_sheet(m, n, a, b, alpha, rho1):
     c_star = n if n % 2 == 0 else n - 1
     if c_star < 1:
         c_star = 1
-    e_vec, up_vec, w_vec, down_vec, h = miura_cell_vectors(alpha, rho1, a, b)
+    e_vec, up_vec, w_vec, down_vec, h = miura_cell_vectors(alpha, rho1, a, b, solved)
 
     # 3x3 cell block centered on the driven vertex
     cell = {}
@@ -206,19 +230,19 @@ def period_frame_dims(coords, m, n):
     return float(spans[0]), float(spans[1]), float(spans[2])
 
 
-def miura_period_dims(m, n, a, b, alpha, rho1):
-    coords = miura_folded_sheet(m, n, a, b, alpha, rho1)
+def miura_period_dims(m, n, a, b, alpha, rho1, solved=None):
+    coords = miura_folded_sheet(m, n, a, b, alpha, rho1, solved)
     return period_frame_dims(coords, m, n)
 
 
-def miura_poisson(m, n, a, b, alpha, rho1, fd=1e-6):
+def miura_poisson(m, n, a, b, alpha, rho1, fd=1e-6, solved=None):
     """In-plane Poisson ratio -(dL/L)/(dW/W) at rho1, tiny central difference.
 
     Evaluated in the period-aligned frame, where L and W are smooth.
     """
-    l_hi, w_hi, _ = miura_period_dims(m, n, a, b, alpha, rho1 + fd)
-    l_lo, w_lo, _ = miura_period_dims(m, n, a, b, alpha, rho1 - fd)
-    l_mid, w_mid, _ = miura_period_dims(m, n, a, b, alpha, rho1)
+    l_hi, w_hi, _ = miura_period_dims(m, n, a, b, alpha, rho1 + fd, solved)
+    l_lo, w_lo, _ = miura_period_dims(m, n, a, b, alpha, rho1 - fd, solved)
+    l_mid, w_mid, _ = miura_period_dims(m, n, a, b, alpha, rho1, solved)
     dl = (l_hi - l_lo) / (2 * fd)
     dw = (w_hi - w_lo) / (2 * fd)
     return -(dl / l_mid) / (dw / w_mid)

@@ -93,9 +93,10 @@ def test_criterion_1_miura_kinematics(miura33, miura_run):
 def _dims_and_nu_errors(p, traj, i1, coarse):
     hist = []
     worst_lw = 0.0
+    solved = {}  # oracle continuation points shared across neighbouring angles
     for s in traj.states:
         l, w, _ = period_frame_dims(embed(p, s).coords, 3, 3)
-        lo, wo, _ = miura_period_dims(3, 3, 1.0, 1.0, ALPHA, s[i1])
+        lo, wo, _ = miura_period_dims(3, 3, 1.0, 1.0, ALPHA, s[i1], solved)
         worst_lw = max(worst_lw, abs(l - lo) / lo, abs(w - wo) / wo)
         hist.append((l, w, s[i1]))
     series = poisson_ratio([(l, w) for l, w, _ in hist])
@@ -104,7 +105,7 @@ def _dims_and_nu_errors(p, traj, i1, coarse):
         if nu is None:
             continue
         mid = 0.5 * (hist[k][2] + hist[k + 1][2])
-        nu_pairs.append((nu, miura_poisson(3, 3, 1.0, 1.0, ALPHA, mid)))
+        nu_pairs.append((nu, miura_poisson(3, 3, 1.0, 1.0, ALPHA, mid, solved=solved)))
     # secant estimates carry an absolute discretization floor, so the
     # percentage tolerance applies pointwise where nu is order one and
     # against the run's nu scale on the tail where nu crosses zero

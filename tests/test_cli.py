@@ -404,6 +404,15 @@ class TestBadInput:
         assert "--seed-magnitude must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("tol", [1e-5, 2e-9])
+    def test_relax_residual_tol_above_embed_tol_exits_1(self, waterbomb_file, tmp_path,
+                                                       capsys, tol):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({"residual_tol": tol}))
+        assert self.relax(waterbomb_file, 8, tmp_path, "--settings", str(path)) == 1
+        assert "residual_tol must be at most 1e-09" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_fold_invalid_pattern(self, tmp_path, capsys):
         assert self.fold(self.hole_file(tmp_path), {"stages": []}, tmp_path) == 1
         report = json.loads(capsys.readouterr().out)

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oracles import bordered_solve
 from rigidfold import min_norm_solve, pseudoinverse, rank
 from rigidfold.kinematics import assemble_global
+from rigidfold.numerics import DEFAULT_CUTOFF, _full_rank_certified, free_column_solve
 from rigidfold.sequential import flat_state_seed
 
 
@@ -115,3 +119,69 @@ def test_rank_permutation_invariant():
     pr = rng.permutation(5)
     pc = rng.permutation(8)
     assert rank(m[pr][:, pc]) == r
+
+
+class TestFullRankCertificate:
+    """The shifted-Cholesky certificate against the eigenvalue cutoff.
+
+    C_F = U diag(sigma) V^T is tall with sigma_max = 1 and
+    sigma_min^2 = ratio * tau, tau = DEFAULT_CUTOFF * n, so the eigenvalue
+    rule keeps every direction for ratio > 1, and the certificate needs
+    ratio > 2 * lam_hi / lambda_max >= 2.
+    """
+
+    ROWS, FREE = 14, 6
+    RATIOS = (0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 600.0)
+
+    def cases(self):
+        """(ratio, C, r, fixed, f) with no fixed column and with three."""
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            for n_fixed in (0, 3):
+                n = self.FREE + n_fixed
+                fixed = np.sort(rng.choice(n, n_fixed, replace=False))
+                free = np.setdiff1d(np.arange(n), fixed)
+                for ratio in self.RATIOS:
+                    u, _ = np.linalg.qr(rng.standard_normal((self.ROWS, self.FREE)))
+                    v, _ = np.linalg.qr(rng.standard_normal((self.FREE, self.FREE)))
+                    sigma = np.geomspace(1.0, np.sqrt(ratio * DEFAULT_CUTOFF * n), self.FREE)
+                    c = np.empty((self.ROWS, n))
+                    c[:, free] = (u * sigma) @ v.T
+                    c[:, fixed] = rng.standard_normal((self.ROWS, n_fixed))
+                    r = rng.normal(0.0, 0.02, self.ROWS)
+                    yield ratio, c, r, fixed, rng.normal(0.0, 0.02, n_fixed)
+
+    def test_never_certifies_a_deficient_matrix(self):
+        for ratio, c, _, fixed, _ in self.cases():
+            n = c.shape[1]
+            c_free = np.delete(c, fixed, axis=1)
+            normal = c_free.T @ c_free
+            w = np.linalg.eigvalsh(normal)
+            full = w[0] > DEFAULT_CUTOFF * w[-1] * n
+            certified = _full_rank_certified(normal, n)
+            assert full or not certified, ratio
+            if ratio <= 2.0:
+                assert not certified, ratio
+            if ratio in (1.5, 2.0):
+                assert full, ratio
+            if ratio == 600.0:
+                assert certified, ratio
+
+    def test_gray_zone_residual_and_fixed_columns(self):
+        gray = 0
+        for ratio, c, r, fixed, f in self.cases():
+            n = c.shape[1]
+            dx = free_column_solve(c, r, fixed, f)
+            assert np.array_equal(dx[fixed], f), ratio
+            # ratio 1 sits on the cutoff itself, where rounding picks the rank
+            if fixed.size or ratio <= 1.0 or _full_rank_certified(c.T @ c, n):
+                continue
+            w = np.linalg.eigvalsh(c.T @ c)
+            assert w[0] > DEFAULT_CUTOFF * w[-1] * n, ratio
+            # with no fixed column the bordered oracle's cutoff is the same rule
+            ref, ref_rank = bordered_solve(SimpleNamespace(C=c, r=r), [], [])
+            assert ref_rank == n, ratio
+            res = np.linalg.norm(c @ dx + r)
+            assert res <= np.linalg.norm(c @ ref + r) + 1e-12, ratio
+            gray += 1
+        assert gray >= 20
