@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 domain violation, 2 I/O or parse failure,
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from .elastic import RelaxSettings, SpringConfig, relax
 from .embedding import EMBED_RESIDUAL_TOL, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, parse_pattern, validate_pattern
-from .sequential import ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
+from .sequential import DEFAULT_EPS, ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -50,15 +51,25 @@ def parse_obj(text):
     return np.array(vertices), faces
 
 
-def _load_pattern(path):
-    return parse_pattern(Path(path).read_text())
+def _load(path, parse, *args):
+    """``parse(text, *args)`` on one input document's text.
+
+    A missing file stays an I/O error (exit 2); a document of the wrong
+    shape, which the parsers meet as KeyError, TypeError or AttributeError
+    (or OverflowError, for an infinite crease id), is a domain error (exit 1).
+    """
+    text = Path(path).read_text()
+    try:
+        return parse(text, *args)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed document {path}: {exc!r}") from exc
 
 
-def _load_state(path, n):
-    data = json.loads(Path(path).read_text())
+def _parse_state(text, n):
+    data = json.loads(text)
     rho = np.asarray(data["rho"] if isinstance(data, dict) else data, dtype=float)
     if rho.shape != (n,):
-        raise PatternError(f"state has {rho.shape[0]} angles, pattern has {n} creases")
+        raise PatternError(f"state has {rho.size} angles, pattern has {n} creases")
     return rho
 
 
@@ -95,28 +106,42 @@ def _check_seed_magnitude(magnitude):
         )
 
 
-def _check_eps(eps):
+def _check_tol(name, tol):
     # every frame is embedded, and embed accepts residuals below EMBED_RESIDUAL_TOL
-    if not (math.isfinite(eps) and 0 < eps <= EMBED_RESIDUAL_TOL):
+    if not (math.isfinite(tol) and 0 < tol <= EMBED_RESIDUAL_TOL):
         raise ValueError(
-            f"--eps must be finite and in (0, {EMBED_RESIDUAL_TOL:g}], got {eps!r}"
+            f"{name} must be finite and in (0, {EMBED_RESIDUAL_TOL:g}], got {tol!r}"
         )
 
 
+def _write_run(out, p, states, residuals, args, manifest):
+    """OBJ frames of every ``--every``-th state and the last, then the manifest.
+
+    Each frame is embedded at the residual the solver recorded for it.
+    """
+    last = len(states) - 1
+    for k, (s, residual) in enumerate(zip(states, residuals)):
+        if k % args.every == 0 or k == last:
+            e = embed(p, s, root=args.root_facet, residual=residual)
+            (out / f"step_{k:04d}.obj").write_text(export_obj(e, p.facets))
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    print(json.dumps(manifest, indent=1))
+
+
 def cmd_validate(args):
-    p = _load_pattern(args.pattern)
+    p = _load(args.pattern, parse_pattern)
     report = validate_pattern(p)
     print(json.dumps(report.to_dict(), indent=1))
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
 def cmd_info(args):
-    p = _load_pattern(args.pattern)
+    p = _load(args.pattern, parse_pattern)
     if _invalid(p):
         return EXIT_DOMAIN
     warn = None
     if args.state:
-        rho = _load_state(args.state, p.n_creases)
+        rho = _load(args.state, _parse_state, p.n_creases)
     elif any(c.assignment != "U" for c in p.creases):
         rho = flat_state_seed(p, math.radians(1.0))
     else:
@@ -140,24 +165,18 @@ def cmd_info(args):
 def cmd_fold(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
-    _check_eps(args.eps)
-    p = _load_pattern(args.pattern)
+    _check_tol("--eps", args.eps)
+    p = _load(args.pattern, parse_pattern)
     if _invalid(p):
         return EXIT_DOMAIN
-    schedule = FoldSchedule.from_json(Path(args.schedule).read_text())
+    schedule = _load(args.schedule, FoldSchedule.from_json)
     if args.degrees:
-        stages = []
-        from .sequential import Stage
-
-        for s in schedule.stages:
-            stages.append(
-                Stage(
-                    targets={c: math.radians(t) for c, t in s.targets.items()},
-                    steps=s.steps,
-                    hold=s.hold,
-                )
+        schedule = FoldSchedule(tuple(
+            dataclasses.replace(
+                s, targets={c: math.radians(t) for c, t in s.targets.items()}
             )
-        schedule = FoldSchedule(tuple(stages))
+            for s in schedule.stages
+        ))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -173,16 +192,6 @@ def cmd_fold(args):
         fh.write("step,residual,newton_iters\n")
         for k, (r, it) in enumerate(zip(traj.residuals, traj.newton_iters)):
             fh.write(f"{k},{r:.17g},{it}\n")
-    for k, s in enumerate(traj.states):
-        if k % args.every == 0 or k == len(traj.states) - 1:
-            # run_schedule assembled every state it accepted: its residual
-            # stands in for the compatibility check embed would repeat
-            if not traj.residuals[k] < EMBED_RESIDUAL_TOL:
-                raise ValueError(
-                    f"fold state incompatible (residual {traj.residuals[k]:.3e})"
-                )
-            e = embed(p, s, root=args.root_facet, check=False)
-            (out / f"step_{k:04d}.obj").write_text(export_obj(e, p.facets))
     manifest = {
         "command": "fold",
         "pattern": str(args.pattern),
@@ -198,32 +207,25 @@ def cmd_fold(args):
         "stage_ends": traj.stage_ends,
         "wall_time_s": wall,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    print(json.dumps(manifest, indent=1))
+    _write_run(out, p, traj.states, traj.residuals, args, manifest)
     return EXIT_OK
 
 
 def cmd_relax(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
-    p = _load_pattern(args.pattern)
+    p = _load(args.pattern, parse_pattern)
     if _invalid(p):
         return EXIT_DOMAIN
-    cfg = SpringConfig.from_json(p, Path(args.springs).read_text())
+    cfg = _load(args.springs, lambda text: SpringConfig.from_json(p, text))
     settings = RelaxSettings()
     if args.settings:
-        settings = RelaxSettings.from_json(Path(args.settings).read_text())
-    # every written frame is embedded, and embed accepts residuals below
-    # EMBED_RESIDUAL_TOL
-    if settings.residual_tol > EMBED_RESIDUAL_TOL:
-        raise ValueError(
-            f"residual_tol must be at most {EMBED_RESIDUAL_TOL:g} for relax, "
-            f"got {settings.residual_tol!r}"
-        )
+        settings = _load(args.settings, RelaxSettings.from_json)
+    _check_tol("residual_tol", settings.residual_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.state:
-        rho0 = _load_state(args.state, p.n_creases)
+        rho0 = _load(args.state, _parse_state, p.n_creases)
     elif args.seed_magnitude > 0:
         rho0 = flat_state_seed(p, math.radians(args.seed_magnitude))
     else:
@@ -236,10 +238,6 @@ def cmd_relax(args):
         fh.write("step,energy,characteristic_angle\n")
         for k, (u, s) in enumerate(zip(result.energies, result.states)):
             fh.write(f"{k},{u:.17g},{s[result.characteristic]:.17g}\n")
-    for k, s in enumerate(result.states):
-        if k % args.every == 0 or k == len(result.states) - 1:
-            e = embed(p, s, root=args.root_facet)
-            (out / f"step_{k:04d}.obj").write_text(export_obj(e, p.facets))
     (out / "final_state.json").write_text(
         json.dumps({"rho": list(result.final)}, indent=1)
     )
@@ -254,14 +252,13 @@ def cmd_relax(args):
         "characteristic": result.characteristic,
         "wall_time_s": wall,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    print(json.dumps(manifest, indent=1))
+    _write_run(out, p, result.states, result.residuals, args, manifest)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
 def cmd_measure(args):
-    p = _load_pattern(args.pattern)
-    rho = _load_state(args.state, p.n_creases)
+    p = _load(args.pattern, parse_pattern)
+    rho = _load(args.state, _parse_state, p.n_creases)
     e = embed(p, rho, root=args.root_facet)
     l, w, h = measure_dimensions(e)
     print(json.dumps({"L": l, "W": w, "H": h}, indent=1))
@@ -269,9 +266,9 @@ def cmd_measure(args):
 
 
 def cmd_export_obj(args):
-    p = _load_pattern(args.pattern)
+    p = _load(args.pattern, parse_pattern)
     if args.state:
-        rho = _load_state(args.state, p.n_creases)
+        rho = _load(args.state, _parse_state, p.n_creases)
     else:
         rho = np.zeros(p.n_creases)
     e = embed(p, rho, root=args.root_facet)
@@ -314,7 +311,7 @@ def build_parser():
                     help="schedule targets and CSV output in degrees")
     sp.add_argument("--seed-magnitude", type=float, default=1.0,
                     help="assignment seed in degrees; 0 starts exactly flat")
-    sp.add_argument("--eps", type=float, default=1e-9,
+    sp.add_argument("--eps", type=float, default=DEFAULT_EPS,
                     help="normalized residual tolerance per step")
     sp.set_defaults(func=cmd_fold)
 

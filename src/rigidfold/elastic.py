@@ -28,7 +28,7 @@ import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
-from .sequential import _eliminate_residual
+from .sequential import DEFAULT_EPS, _eliminate_residual, _is_number
 
 MAX_STEP_FACTOR = math.pi / 36.0
 
@@ -82,16 +82,11 @@ class SpringConfig:
         return cls(stiffness=stiffness, rest=rest)
 
 
-def _is_number(value, kind):
-    """True for an instance of the numbers ABC ``kind`` that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RelaxSettings:
     initial_step: float = MAX_STEP_FACTOR
     step_resolution: float = 1e-6
-    residual_tol: float = 1e-9
+    residual_tol: float = DEFAULT_EPS
     characteristic: int | None = None
     max_steps: int = 5000
     max_newton: int = 50
@@ -140,6 +135,7 @@ class RelaxResult:
     step_factors: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
     characteristic: int = 0
     converged: bool = False
     projected_gradient: float = math.nan
@@ -194,7 +190,8 @@ def relax(p, cfg, settings=None, rho0=None):
     Follows the step rule rho += c * drho / max|drho| with residual cleanup
     after every move; halves c whenever the characteristic angle's increment
     reverses direction, and stops when c drops below the step resolution.
-    Each cleanup's last assembly serves the next step.
+    Each cleanup's last assembly serves the next step and gives the state's
+    recorded residual.
     """
     settings = settings or RelaxSettings()
     if settings.characteristic is not None:
@@ -215,6 +212,7 @@ def relax(p, cfg, settings=None, rho0=None):
     result.states.append(rho.copy())
     result.energies.append(spring_energy(cfg, rho))
     result.newton_iters.append(0)
+    result.residuals.append(gc.normalized_residual)
 
     c = settings.initial_step
     prev_char_move = 0.0
@@ -241,6 +239,7 @@ def relax(p, cfg, settings=None, rho0=None):
         result.step_factors.append(c)
         result.step_sizes.append(float(np.max(np.abs(step))))
         result.newton_iters.append(iters)
+        result.residuals.append(gc.normalized_residual)
     if c <= settings.step_resolution:
         result.converged = True
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .kinematics import assemble_global, compile_pattern
 from .pattern import MOUNTAIN, VALLEY
+from .sequential import DEFAULT_EPS
 
 # SHA-256 from the interpreter's builtin module when it has one: hashlib
 # loads OpenSSL, which adds about 3.6 MB to the resident size of the process.
@@ -25,7 +26,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-EMBED_RESIDUAL_TOL = 1e-9
+EMBED_RESIDUAL_TOL = DEFAULT_EPS  # the solvers' acceptance tolerance
 
 
 @dataclass(frozen=True)
@@ -115,24 +116,24 @@ def rodrigues(angle, axis):
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
-def embed(p, rho, root=0, check=True):
+def embed(p, rho, root=0, residual=None):
     """Isometric 3D embedding of a compatible fold state.
 
     Rejects incompatible and non-finite states: the spanning tree silently
     drops the loop constraints, so embedding an incompatible state would tear
-    the mesh.  The tree and the flat coordinates come from the pattern's
-    compiled form; each root's tree is built once.
+    the mesh.  ``residual`` is the state's normalized closure residual when
+    the caller has measured it, as the solvers do for every state they
+    accept; without it the state is assembled here.  The tree and the flat
+    coordinates come from the pattern's compiled form; each root's tree is
+    built once.
     """
     rho = np.asarray(rho, dtype=float)
-    if check:
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("fold state has non-finite angles")
-        if p.interior_vertex_ids:
-            gc = assemble_global(p, rho)
-            if not gc.normalized_residual < EMBED_RESIDUAL_TOL:
-                raise ValueError(
-                    f"fold state incompatible (residual {gc.normalized_residual:.3e})"
-                )
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("fold state has non-finite angles")
+    if residual is None:
+        residual = assemble_global(p, rho).normalized_residual
+    if not residual < EMBED_RESIDUAL_TOL:
+        raise ValueError(f"fold state incompatible (residual {residual:.3e})")
     compiled = compile_pattern(p)
     tree = compiled.trees.get(root)
     if tree is None:

@@ -1,7 +1,7 @@
 """Minimum-norm constrained solves, and the SVD routines kept beside them.
 
 ``free_column_solve`` is the one solve of both solvers: controlled folding
-steps, residual elimination and spring relaxation.  It decides rank on the
+steps, residual elimination, spring relaxation and the Tachi projection step.  It decides rank on the
 Gram matrix of the free columns C_F, whose eigenvalues are the squared
 singular values of C_F: eigenvalues at or below ``DEFAULT_CUTOFF *
 lambda_max * n`` count as zero, with n the column count of C.  Full rank

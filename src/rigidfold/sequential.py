@@ -21,6 +21,7 @@ solve with f = 0, which leaves the controlled angles untouched.
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -31,6 +32,11 @@ from .pattern import MOUNTAIN, VALLEY
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 50
 DEFAULT_MAX_STEP = math.radians(5.0)
+
+
+def _is_number(value, kind):
+    """True for an instance of the numbers ABC ``kind`` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class ConvergenceError(RuntimeError):
@@ -62,8 +68,10 @@ class Stage:
     hold: tuple = ()
 
     def __post_init__(self):
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("step count must be >= 1")
+        if self.steps is not None and not (_is_number(self.steps, Integral) and self.steps >= 1):
+            raise ValueError(f"step count must be an integer >= 1, got {self.steps!r}")
+        if not all(math.isfinite(t) for t in self.targets.values()):
+            raise ValueError("stage targets must be finite")
         overlap = set(self.targets) & set(self.hold)
         if overlap:
             raise ValueError(f"creases both controlled and held: {sorted(overlap)}")
@@ -192,17 +200,10 @@ def tachi_projection_step(p, rho, drho0):
     the current residual in one shot; no iteration, so increments of specific
     creases are not exactly controlled.
     """
-    from .numerics import pseudoinverse
-
     rho = np.asarray(rho, dtype=float)
+    drho0 = np.asarray(drho0, dtype=float)
     gc = assemble_global(p, rho)
-    cplus = pseudoinverse(gc.C)
-    drho = (
-        np.asarray(drho0, dtype=float)
-        - cplus @ (gc.C @ np.asarray(drho0, dtype=float))
-        - cplus @ gc.r
-    )
-    return rho + drho
+    return rho + drho0 + free_column_solve(gc.C, gc.C @ drho0 + gc.r, (), [])
 
 
 def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,

@@ -410,7 +410,7 @@ class TestBadInput:
         path = tmp_path / "settings.json"
         path.write_text(json.dumps({"residual_tol": tol}))
         assert self.relax(waterbomb_file, 8, tmp_path, "--settings", str(path)) == 1
-        assert "residual_tol must be at most 1e-09" in capsys.readouterr().err
+        assert "residual_tol must be finite and in (0, 1e-09]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_fold_invalid_pattern(self, tmp_path, capsys):
@@ -459,3 +459,102 @@ class TestBadInput:
         path.write_text(json.dumps(settings))
         assert self.relax(waterbomb_file, 8, tmp_path, "--settings", str(path)) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, document, message", [
+        ("schedule", {}, "malformed document"),
+        ("schedule", [], "malformed document"),
+        ("schedule", {"stages": [{"controlled": [{"crease": 0}]}]}, "malformed document"),
+        ("schedule", {"stages": [{"controlled": [{"crease": 0, "target": None}]}]},
+         "malformed document"),
+        ("schedule", {"stages": [{"controlled": [{"crease": 0, "target": 0.5}],
+                                  "steps": "3"}]}, "step count must be an integer"),
+        ("schedule", {"stages": [{"controlled": [{"crease": 0, "target": 0.5}],
+                                  "steps": 2.5}]}, "step count must be an integer"),
+        ("schedule", {"stages": [{"controlled": [{"crease": 0, "target": math.nan}]}]},
+         "stage targets must be finite"),
+        ("springs", {}, "malformed document"),
+        ("springs", [], "malformed document"),
+        ("springs", {"creases": [{"crease": math.inf, "rest": 0.5}]}, "malformed document"),
+        ("state", {"x": 1}, "malformed document"),
+        ("state", {"rho": math.inf}, "state has 1 angles"),
+        ("pattern", {"vertices": [1, 2]}, "malformed document"),
+        ("pattern", {"creases": [["a", 1, "M"]]}, "malformed document"),
+    ], ids=[
+        "schedule-empty-object", "schedule-list", "schedule-no-target",
+        "schedule-null-target", "schedule-string-steps", "schedule-fractional-steps",
+        "schedule-nan-target", "springs-empty-object", "springs-list",
+        "springs-infinite-crease", "state-no-rho", "state-scalar-rho",
+        "pattern-scalar-vertices", "pattern-string-crease-end",
+    ])
+    def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,
+                                        message):
+        files = {
+            "pattern": json.loads(serialize_pattern(miura33)),
+            "schedule": {"stages": []},
+            "springs": {"k_per_length": 1.0, "creases": [
+                {"crease": i, "k": None, "rest": 0.5} for i in range(miura33.n_creases)
+            ]},
+            "state": {"rho": [0.0] * miura33.n_creases},
+        }
+        files[kind] = {**files[kind], **document} if kind == "pattern" else document
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        command = {
+            "pattern": ["validate"],
+            "schedule": ["fold", "--schedule", str(paths["schedule"])],
+            "springs": ["relax", "--springs", str(paths["springs"])],
+            "state": ["relax", "--springs", str(paths["springs"]),
+                      "--state", str(paths["state"])],
+        }[kind]
+        out = ["--out", str(tmp_path / "run")] if kind != "pattern" else []
+        assert main([*command, "--pattern", str(paths["pattern"]), *out]) == 1
+        assert message in capsys.readouterr().err
+
+
+class TestFramesUseRecordedResiduals:
+    """fold and relax embed each frame at the residual its solver recorded."""
+
+    @staticmethod
+    def count_frame_assemblies(monkeypatch):
+        import rigidfold.embedding as embedding
+
+        calls = []
+        real = embedding.assemble_global
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, "assemble_global", counting)
+        return calls
+
+    def test_fold_assembles_no_frame(self, miura_file, miura33, tmp_path, capsys,
+                                     monkeypatch):
+        calls = self.count_frame_assemblies(monkeypatch)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"stages": [{"controlled": [
+            {"crease": miura33.meta["driven_crease"], "target": -0.5}], "steps": 4}]}))
+        out = tmp_path / "run"
+        assert main(["fold", "--pattern", str(miura_file), "--schedule", str(spath),
+                     "--out", str(out), "--every", "1"]) == 0
+        assert len(list(out.glob("step_*.obj"))) == 5
+        assert calls == []
+
+    def test_relax_assembles_no_frame(self, waterbomb_file, waterbomb, tmp_path, capsys,
+                                      monkeypatch):
+        calls = self.count_frame_assemblies(monkeypatch)
+        rm, rv = waterbomb_symmetric_oracle(5 * math.pi / 8)
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps({"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None,
+             "rest": rm if i in waterbomb.meta["mountains"] else rv}
+            for i in range(8)
+        ]}))
+        out = tmp_path / "run"
+        assert main(["relax", "--pattern", str(waterbomb_file), "--springs", str(spath),
+                     "--out", str(out), "--every", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(list(out.glob("step_*.obj"))) == manifest["steps"] + 1 > 1
+        assert calls == []

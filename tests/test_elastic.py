@@ -231,6 +231,13 @@ class TestRelax:
                 gc = assemble_global(waterbomb, s)
                 assert gc.normalized_residual < 1e-9
 
+    def test_residuals_recorded_per_state(self, waterbomb, wb_bistability):
+        for name in ("upward", "downward"):
+            res = wb_bistability[name]
+            assert res.residuals == [
+                assemble_global(waterbomb, s).normalized_residual for s in res.states
+            ]
+
     def test_step_size_is_exactly_c(self, wb_bistability):
         res = wb_bistability["downward"]
         for c, size in zip(res.step_factors, res.step_sizes):

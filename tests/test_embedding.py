@@ -144,6 +144,30 @@ class TestEmbed:
         with pytest.raises(ValueError, match="non-finite"):
             embed(TWO_FACETS, no_vertices)
 
+    def test_recorded_residual_above_tolerance_rejected(self, miura33):
+        s = flat_state_seed(miura33, math.radians(1.0))
+        with pytest.raises(ValueError, match=r"fold state incompatible \(residual 2\.000e-09\)"):
+            embed(miura33, s, residual=2e-9)
+
+    def test_nan_rejected_at_zero_residual(self, miura33):
+        with pytest.raises(ValueError, match="non-finite"):
+            embed(miura33, np.full(miura33.n_creases, np.nan), residual=0.0)
+
+    def test_residual_measured_only_when_not_given(self, miura33, monkeypatch):
+        import rigidfold.embedding as embedding
+
+        calls = []
+        real = embedding.assemble_global
+        monkeypatch.setattr(
+            embedding, "assemble_global", lambda *a: calls.append(1) or real(*a)
+        )
+        s = flat_state_seed(miura33, math.radians(1.0))
+        given = embed(miura33, s, residual=0.0)
+        assert calls == []
+        measured = embed(miura33, s)
+        assert calls == [1]
+        assert np.array_equal(given.coords, measured.coords)
+
     def test_state_hash_is_sha256(self, miura33, miura_run):
         s = miura_run["traj"].states[5]
         e = embed(miura33, s)
