@@ -1,7 +1,8 @@
 """Command-line front end: validation, info, folding runs, and exporters.
 
-Exit codes: 0 success, 1 domain violation, 2 I/O or parse failure,
-3 solver non-convergence.
+Exit codes: 0 success, 1 domain violation (including a malformed input
+document), 2 a file that could not be read or written, 3 solver
+non-convergence (including a relaxation that stops short of stationary).
 """
 
 import argparse
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elastic import RelaxSettings, SpringConfig, relax
+from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, relax
 from .embedding import EMBED_RESIDUAL_TOL, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, parse_pattern, validate_pattern
@@ -54,14 +55,15 @@ def parse_obj(text):
 def _load(path, parse, *args):
     """``parse(text, *args)`` on one input document's text.
 
-    A missing file stays an I/O error (exit 2); a document of the wrong
-    shape, which the parsers meet as KeyError, TypeError or AttributeError
-    (or OverflowError, for an infinite crease id), is a domain error (exit 1).
+    A file that cannot be read stays an I/O error (exit 2).  A document that
+    is not JSON, or is of the wrong shape, which the parsers meet as
+    KeyError, TypeError or AttributeError (or OverflowError, for an infinite
+    crease id), is a domain error (exit 1), as a malformed pattern is.
     """
     text = Path(path).read_text()
     try:
         return parse(text, *args)
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed document {path}: {exc!r}") from exc
 
 
@@ -253,7 +255,14 @@ def cmd_relax(args):
         "wall_time_s": wall,
     }
     _write_run(out, p, result.states, result.residuals, args, manifest)
-    return EXIT_OK if result.converged else EXIT_SOLVER
+    if not result.converged:
+        print(
+            f"error: relaxation not stationary (projected gradient "
+            f"{result.projected_gradient:.3e}, tolerance {STATIONARY_TOL:g})",
+            file=sys.stderr,
+        )
+        return EXIT_SOLVER
+    return EXIT_OK
 
 
 def cmd_measure(args):
@@ -343,7 +352,7 @@ def main(argv=None):
     except PatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConvergenceError as exc:

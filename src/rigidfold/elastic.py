@@ -16,7 +16,9 @@ has full row rank this is the explicit-inverse step
 and with uniform stiffness it is the projected steepest descent
 -(1/k0)(I - C+ C) d - C+ r.  Step length is capped so the largest single
 angle change is a factor c, halved whenever the characteristic angle's
-increment reverses; iteration stops once c is below resolution.
+increment reverses; iteration stops once c is below resolution.  A
+relaxation has converged only where it stops stationary, with a projected
+gradient below ``STATIONARY_TOL``.
 """
 
 import json
@@ -31,6 +33,7 @@ from .numerics import free_column_solve
 from .sequential import DEFAULT_EPS, _eliminate_residual, _is_number
 
 MAX_STEP_FACTOR = math.pi / 36.0
+STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,11 @@ def relax(p, cfg, settings=None, rho0=None):
 
     Follows the step rule rho += c * drho / max|drho| with residual cleanup
     after every move; halves c whenever the characteristic angle's increment
-    reverses direction, and stops when c drops below the step resolution.
-    Each cleanup's last assembly serves the next step and gives the state's
-    recorded residual.
+    reverses direction, and stops when c drops below the step resolution,
+    when the step vanishes or after ``max_steps``.  Whatever stopped it, the
+    result is converged only if the final state is stationary: its projected
+    gradient is below ``STATIONARY_TOL``.  Each cleanup's last assembly
+    serves the next step and gives the state's recorded residual.
     """
     settings = settings or RelaxSettings()
     if settings.characteristic is not None:
@@ -222,7 +227,6 @@ def relax(p, cfg, settings=None, rho0=None):
         drho = kkt_step(p, cfg, rho, gc=gc)
         largest = float(np.max(np.abs(drho))) if drho.size else 0.0
         if largest < 1e-15:
-            result.converged = True
             break
         if i > 2 and drho[char] * prev_char_move < 0.0:
             c = c / 2.0
@@ -240,13 +244,12 @@ def relax(p, cfg, settings=None, rho0=None):
         result.step_sizes.append(float(np.max(np.abs(step))))
         result.newton_iters.append(iters)
         result.residuals.append(gc.normalized_residual)
-    if c <= settings.step_resolution:
-        result.converged = True
 
     d = spring_gradient(cfg, rho)
     result.projected_gradient = float(
         np.linalg.norm(d + free_column_solve(gc.C, gc.C @ d, (), []))
     )
+    result.converged = result.projected_gradient < STATIONARY_TOL
     return result
 
 

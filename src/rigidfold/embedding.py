@@ -39,8 +39,22 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class SpanningTree:
+    """A breadth-first facet tree and the constant geometry embedding needs.
+
+    The read-only arrays follow from ``root``, ``edges`` and the pattern, so
+    ``==`` ignores them.  Per tree edge: the crease id, the skew matrix K of
+    the unit axis, K @ K and the anchor ``flat[a]``.  ``owners`` maps each
+    vertex to the first facet holding it in ``[root] + BFS`` order, or one
+    past the last facet for a vertex on no facet.
+    """
+
     root: int
     edges: tuple  # TreeEdge in breadth-first order
+    creases: np.ndarray = field(compare=False, repr=False)
+    skew: np.ndarray = field(compare=False, repr=False)
+    skew_sq: np.ndarray = field(compare=False, repr=False)
+    anchors: np.ndarray = field(compare=False, repr=False)
+    owners: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_facets(self):
@@ -84,7 +98,19 @@ def build_spanning_tree(p, root=0):
             )
     if len(seen) != len(p.facets):
         raise ValueError("facet adjacency graph is disconnected")
-    return SpanningTree(root=root, edges=tuple(edges))
+
+    flat = compile_pattern(p).flat
+    anchors = flat[[e.axis[0] for e in edges]]
+    directions = flat[[e.axis[1] for e in edges]] - anchors
+    skew = np.array([_skew(d / np.linalg.norm(d)) for d in directions]).reshape(-1, 3, 3)
+    owners = np.full(len(p.vertices), len(p.facets))
+    for f in reversed([root] + [e.facet for e in edges]):  # first facet wins
+        owners[list(p.facets[f])] = f
+    arrays = (np.array([e.crease for e in edges], dtype=np.intp), skew, skew @ skew,
+              anchors, owners)
+    for a in arrays:
+        a.flags.writeable = False
+    return SpanningTree(root, tuple(edges), *arrays)
 
 
 def _clockwise_axis(p, parent, crease):
@@ -104,6 +130,12 @@ def _clockwise_axis(p, parent, crease):
     raise ValueError(f"crease {crease} not on facet {parent}")
 
 
+def _skew(axis):
+    """Cross-product matrix K of a 3-vector: K @ x = axis x x."""
+    kx, ky, kz = axis
+    return np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+
+
 def rodrigues(angle, axis):
     """Proper rotation by ``angle`` about the unit 3-vector ``axis``."""
     axis = np.asarray(axis, dtype=float)
@@ -111,8 +143,7 @@ def rodrigues(angle, axis):
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"rotation axis is not unit length (|e| = {norm})")
     c, s = math.cos(angle), math.sin(angle)
-    kx, ky, kz = axis
-    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    k = _skew(axis)
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
@@ -123,9 +154,13 @@ def embed(p, rho, root=0, residual=None):
     drops the loop constraints, so embedding an incompatible state would tear
     the mesh.  ``residual`` is the state's normalized closure residual when
     the caller has measured it, as the solvers do for every state they
-    accept; without it the state is assembled here.  The tree and the flat
-    coordinates come from the pattern's compiled form; each root's tree is
-    built once.
+    accept; without it the state is assembled here.
+
+    The flat coordinates and each root's spanning tree, with its constant
+    geometry, are built once and kept on the pattern's compiled form.  Per
+    state, each tree edge's rotation I + sin K + (1 - cos) K^2 is composed
+    onto its parent facet's pose, and one stacked product places every
+    vertex by its owning facet's pose.
     """
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
@@ -138,25 +173,22 @@ def embed(p, rho, root=0, residual=None):
     tree = compiled.trees.get(root)
     if tree is None:
         tree = compiled.trees[root] = build_spanning_tree(p, root)
-    flat = compiled.flat
-    rotations = {tree.root: np.eye(3)}
-    offsets = {tree.root: np.zeros(3)}
-    for edge in tree.edges:
-        a, b = edge.axis
-        direction = flat[b] - flat[a]
-        direction = direction / np.linalg.norm(direction)
-        local = rodrigues(rho[edge.crease], direction)
-        r_parent, t_parent = rotations[edge.parent], offsets[edge.parent]
-        rotations[edge.facet] = r_parent @ local
-        offsets[edge.facet] = (
-            r_parent @ (flat[a] - local @ flat[a]) + t_parent
-        )
-    coords = np.full((len(p.vertices), 3), np.nan)
-    for f in [tree.root] + [e.facet for e in tree.edges]:
-        r, t = rotations[f], offsets[f]
-        for v in p.facets[f]:
-            if np.isnan(coords[v, 0]):
-                coords[v] = r @ flat[v] + t
+    angles = rho[tree.creases].tolist()
+    cos = np.array([math.cos(x) for x in angles])[:, None, None]
+    sin = np.array([math.sin(x) for x in angles])[:, None, None]
+    local = np.eye(3) + sin * tree.skew + (1.0 - cos) * tree.skew_sq
+    moved = tree.anchors - (local @ tree.anchors[:, :, None])[:, :, 0]
+    # one pose per facet, and a NaN pose for vertices on no facet
+    rotations = np.empty((len(p.facets) + 1, 3, 3))
+    offsets = np.empty((len(p.facets) + 1, 3))
+    rotations[root], offsets[root] = np.eye(3), 0.0
+    rotations[-1], offsets[-1] = np.nan, np.nan
+    for i, edge in enumerate(tree.edges):
+        r_parent = rotations[edge.parent]
+        rotations[edge.facet] = r_parent @ local[i]
+        offsets[edge.facet] = r_parent @ moved[i] + offsets[edge.parent]
+    owners = tree.owners
+    coords = (rotations[owners] @ compiled.flat[:, :, None])[:, :, 0] + offsets[owners]
     return Embedding3D(
         coords=coords,
         root=root,

@@ -4,8 +4,9 @@ These deliberately avoid the package's kinematics, solver, and embedding
 code paths: the folded Miura sheet is built from elementary vector geometry
 with a bisection closure solve, the waterbomb well comes from a 1-D
 brute-force scan of the closed-form branch, the controlled step comes
-from a full SVD of the bordered multiplier system, and the spring step from
-the explicit full-row-rank inverse or a full SVD of its bordered KKT system.
+from a full SVD of the bordered multiplier system, the spring step from
+the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
+and the embedding from a per-facet loop down the spanning tree.
 """
 
 import math
@@ -327,3 +328,27 @@ def bordered_step(c, r, stiffness, d, cutoff=1e-12):
     keep = s > cutoff * s[0] * (n + m)
     x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
     return x[:n]
+
+
+def tree_embedding(p, rho, edges, root):
+    """Vertex coordinates placed facet by facet down a spanning tree.
+
+    One rotation per tree edge about its own normalized axis, poses kept per
+    facet, and each vertex placed by the first facet of ``[root] + edges``
+    that holds it: the same arithmetic, step for step, as the engine's
+    stacked embedding, so the two agree bit for bit.
+    """
+    flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
+    rotations, offsets = {root: np.eye(3)}, {root: np.zeros(3)}
+    for e in edges:
+        a, b = e.axis
+        local = _rot(flat[b] - flat[a], rho[e.crease])
+        r, t = rotations[e.parent], offsets[e.parent]
+        rotations[e.facet] = r @ local
+        offsets[e.facet] = r @ (flat[a] - local @ flat[a]) + t
+    coords = np.full((len(p.vertices), 3), np.nan)
+    for f in [root] + [e.facet for e in edges]:
+        for v in p.facets[f]:
+            if np.isnan(coords[v, 0]):
+                coords[v] = rotations[f] @ flat[v] + offsets[f]
+    return coords

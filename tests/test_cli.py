@@ -14,7 +14,7 @@ from rigidfold import (
 )
 from rigidfold.cli import export_obj, main, parse_obj
 from rigidfold.embedding import embed
-from rigidfold.pattern import CreasePattern
+from rigidfold.pattern import MOUNTAIN, CreasePattern
 
 
 @pytest.fixture()
@@ -231,6 +231,29 @@ class TestRelaxCommand:
             assert manifest["converged"]
         assert abs(finals["up"][0] - rm) < 1e-4
         assert abs(finals["up"][0] - finals["down"][0]) > 0.1
+
+    def test_coarse_step_resolution_exits_3(self, waterbomb_file, waterbomb, tmp_path,
+                                            capsys):
+        springs = {"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None,
+             "rest": -0.75 * math.pi if c.assignment == MOUNTAIN else 0.75 * math.pi}
+            for i, c in enumerate(waterbomb.creases)
+        ]}
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps(springs))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"step_resolution": 0.05}))
+        out = tmp_path / "rrun"
+        assert main([
+            "relax", "--pattern", str(waterbomb_file), "--springs", str(spath),
+            "--settings", str(settings), "--out", str(out),
+        ]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is False
+        assert manifest["projected_gradient"] > 1e-2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "projected gradient" in err[0]
 
     def test_rest_compatible_start_zero_steps(self, waterbomb_file, waterbomb,
                                               tmp_path, capsys):
@@ -479,12 +502,18 @@ class TestBadInput:
         ("state", {"rho": math.inf}, "state has 1 angles"),
         ("pattern", {"vertices": [1, 2]}, "malformed document"),
         ("pattern", {"creases": [["a", 1, "M"]]}, "malformed document"),
+        # a JSON syntax error is a malformed document whichever file holds it
+        ("schedule", "{oops", "malformed document"),
+        ("springs", "{oops", "malformed document"),
+        ("settings", "{oops", "malformed document"),
+        ("state", "{oops", "malformed document"),
     ], ids=[
         "schedule-empty-object", "schedule-list", "schedule-no-target",
         "schedule-null-target", "schedule-string-steps", "schedule-fractional-steps",
         "schedule-nan-target", "springs-empty-object", "springs-list",
         "springs-infinite-crease", "state-no-rho", "state-scalar-rho",
         "pattern-scalar-vertices", "pattern-string-crease-end",
+        "schedule-syntax", "springs-syntax", "settings-syntax", "state-syntax",
     ])
     def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,
                                         message):
@@ -495,16 +524,19 @@ class TestBadInput:
                 {"crease": i, "k": None, "rest": 0.5} for i in range(miura33.n_creases)
             ]},
             "state": {"rho": [0.0] * miura33.n_creases},
+            "settings": {},
         }
         files[kind] = {**files[kind], **document} if kind == "pattern" else document
         paths = {}
         for name, data in files.items():
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(data))
+            paths[name].write_text(data if isinstance(data, str) else json.dumps(data))
         command = {
             "pattern": ["validate"],
             "schedule": ["fold", "--schedule", str(paths["schedule"])],
             "springs": ["relax", "--springs", str(paths["springs"])],
+            "settings": ["relax", "--springs", str(paths["springs"]),
+                         "--settings", str(paths["settings"])],
             "state": ["relax", "--springs", str(paths["springs"]),
                       "--state", str(paths["state"])],
         }[kind]

@@ -273,7 +273,21 @@ class TestRelax:
             stiffness=p.crease_lengths() * rng.uniform(0.5, 3.0, p.n_creases), rest=rest
         )
         result = relax(p, cfg, RelaxSettings(max_steps=2500), seed)
+        assert result.projected_gradient < 1e-4
         assert result.converged
+
+    def test_coarse_step_resolution_stop_is_not_converged(self, waterbomb):
+        # c falls below a coarse resolution long before the state is stationary
+        rest = np.array([
+            -0.75 * math.pi if c.assignment == MOUNTAIN else 0.75 * math.pi
+            for c in waterbomb.creases
+        ])
+        cfg = SpringConfig.per_unit_length(waterbomb, 1.0, rest)
+        seed = flat_state_seed(waterbomb, math.radians(1.0))
+        coarse = relax(waterbomb, cfg, RelaxSettings(step_resolution=0.05), seed)
+        assert coarse.step_factors[-1] <= 0.05  # stopped on step resolution
+        assert coarse.projected_gradient > 1e-2
+        assert not coarse.converged
 
     def test_characteristic_default_largest_moment(self, waterbomb):
         rest = wb_state(waterbomb, 5 * math.pi / 8)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import miura_period_dims, period_frame_dims
+from oracles import miura_period_dims, period_frame_dims, tree_embedding
 from rigidfold import (
     CreasePattern,
     build_spanning_tree,
@@ -99,6 +99,18 @@ class TestEmbed:
         # the moving facet rotates toward +z for a positive (valley) fold
         assert e.coords[4][2] > 0.9
         assert e.coords[5][2] > 0.9
+
+    def test_matches_per_facet_loop(self, miura33, miura_run, crane, crane_run):
+        cases = [(crane, s, 0) for s in crane_run["traj"].states]
+        cases += [
+            (miura33, s, root)
+            for s in miura_run["traj"].states[::4]
+            for root in (0, 7, len(miura33.facets) - 1)
+        ]
+        for p, s, root in cases:
+            edges = build_spanning_tree(p, root).edges
+            expected = tree_embedding(p, s, edges, root)
+            assert np.array_equal(embed(p, s, root=root).coords, expected)
 
     def test_isometry(self, miura33, miura_run):
         s = miura_run["traj"].states[18]
