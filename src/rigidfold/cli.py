@@ -88,12 +88,16 @@ def _write_angle_csv(path, states, degrees):
             fh.write(str(k) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _invalid(p):
-    """Print the validation report of a broken pattern; True when broken."""
+def _load_pattern(path):
+    """The pattern at ``path``; a broken one has its validation report printed
+    and raises PatternError (exit 1).  Every command but ``validate`` loads
+    its pattern here, before it solves, embeds or writes anything."""
+    p = _load(path, parse_pattern)
     report = validate_pattern(p)
     if not report.ok:
         print(json.dumps(report.to_dict(), indent=1))
-    return not report.ok
+        raise PatternError(f"pattern {path} fails validation")
+    return p
 
 
 def _check_every(every):
@@ -138,9 +142,7 @@ def cmd_validate(args):
 
 
 def cmd_info(args):
-    p = _load(args.pattern, parse_pattern)
-    if _invalid(p):
-        return EXIT_DOMAIN
+    p = _load_pattern(args.pattern)
     warn = None
     if args.state:
         rho = _load(args.state, _parse_state, p.n_creases)
@@ -168,9 +170,7 @@ def cmd_fold(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
     _check_tol("--eps", args.eps)
-    p = _load(args.pattern, parse_pattern)
-    if _invalid(p):
-        return EXIT_DOMAIN
+    p = _load_pattern(args.pattern)
     schedule = _load(args.schedule, FoldSchedule.from_json)
     if args.degrees:
         schedule = FoldSchedule(tuple(
@@ -216,9 +216,7 @@ def cmd_fold(args):
 def cmd_relax(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
-    p = _load(args.pattern, parse_pattern)
-    if _invalid(p):
-        return EXIT_DOMAIN
+    p = _load_pattern(args.pattern)
     cfg = _load(args.springs, lambda text: SpringConfig.from_json(p, text))
     settings = RelaxSettings()
     if args.settings:
@@ -266,7 +264,7 @@ def cmd_relax(args):
 
 
 def cmd_measure(args):
-    p = _load(args.pattern, parse_pattern)
+    p = _load_pattern(args.pattern)
     rho = _load(args.state, _parse_state, p.n_creases)
     e = embed(p, rho, root=args.root_facet)
     l, w, h = measure_dimensions(e)
@@ -275,7 +273,7 @@ def cmd_measure(args):
 
 
 def cmd_export_obj(args):
-    p = _load(args.pattern, parse_pattern)
+    p = _load_pattern(args.pattern)
     if args.state:
         rho = _load(args.state, _parse_state, p.n_creases)
     else:

@@ -9,6 +9,7 @@ max vertex id).
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ _ASSIGNMENTS = (MOUNTAIN, VALLEY, UNASSIGNED)
 
 # tolerance for the non-reflex sector sum around an interior vertex
 DEVELOPABILITY_TOL = 1e-9
+
+# a sector at or below this many radians means two coincident crease directions
+_ZERO_SECTOR = 1e-12
 
 
 class PatternError(ValueError):
@@ -87,14 +91,18 @@ class VertexFan:
 
 
 class CreasePattern:
-    """Immutable crease pattern; derived combinatorics computed on build."""
+    """Immutable crease pattern; derived combinatorics computed on build.
+
+    The constructor owns the structural checks: finite 2D points, and vertex
+    ids that are integers in range; ``validate_pattern`` reports the rest.
+    """
 
     def __init__(self, vertices, creases, boundary, facets, meta=None):
-        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        self.creases = self._canonical_creases(creases)
-        self.boundary = sorted(
-            tuple(sorted((int(a), int(b)))) for a, b in boundary
-        )
+        self.vertices = _points(vertices)
+        n = len(self.vertices)
+        self.creases = self._canonical_creases(creases, n)
+        edges = (_indices(e, n, "boundary edge") for e in boundary)
+        self.boundary = sorted((min(a, b), max(a, b)) for a, b in edges)
         self.facets = self._canonical_facets(facets)
         self.meta = dict(meta or {})
         self._index_edges()
@@ -102,15 +110,13 @@ class CreasePattern:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _canonical_creases(creases):
+    def _canonical_creases(creases, n):
         out = []
         for c in creases:
             if isinstance(c, Crease):
-                out.append(c)
-            else:
-                a, b = int(c[0]), int(c[1])
-                assignment = c[2] if len(c) > 2 else UNASSIGNED
-                out.append(Crease(a, b, assignment))
+                c = (c.a, c.b, c.assignment)
+            a, b = _indices(c[:2], n, "crease")
+            out.append(Crease(a, b, c[2] if len(c) > 2 else UNASSIGNED))
         out.sort(key=lambda c: c.key)
         for prev, cur in zip(out, out[1:]):
             if prev.key == cur.key:
@@ -119,13 +125,10 @@ class CreasePattern:
 
     def _canonical_facets(self, facets):
         out = []
-        n = len(self.vertices)
         for cycle in facets:
-            cycle = [int(v) for v in cycle]
+            cycle = _indices(cycle, len(self.vertices), "facet")
             if len(cycle) < 3:
                 raise PatternError(f"facet with fewer than 3 vertices: {cycle}")
-            if any(v < 0 or v >= n for v in cycle):
-                raise PatternError(f"dangling index in facet {cycle}")
             if self._signed_area(cycle) < 0:
                 cycle = cycle[::-1]
             k = cycle.index(min(cycle))
@@ -134,18 +137,9 @@ class CreasePattern:
         return out
 
     def _signed_area(self, cycle):
-        pts = self.vertices[list(cycle)]
-        x, y = pts[:, 0], pts[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        return _shoelace(self.vertices[list(cycle)])
 
     def _index_edges(self):
-        n = len(self.vertices)
-        for c in self.creases:
-            if c.b >= n or c.a < 0:
-                raise PatternError(f"dangling index in crease {c.key}")
-        for a, b in self.boundary:
-            if b >= n or a < 0:
-                raise PatternError(f"dangling index in boundary edge ({a}, {b})")
         self.crease_index = {c.key: i for i, c in enumerate(self.creases)}
         boundary_vertices = {v for e in self.boundary for v in e}
         incident = {}
@@ -160,12 +154,10 @@ class CreasePattern:
     @classmethod
     def from_edges(cls, vertices, creases, boundary, meta=None):
         """Build a pattern from edges alone; facets come from face traversal."""
-        vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        crease_list = cls._canonical_creases(creases)
-        edges = [c.key for c in crease_list]
-        edges += [tuple(sorted((int(a), int(b)))) for a, b in boundary]
-        facets = trace_facets(vertices, edges)
-        return cls(vertices, crease_list, boundary, facets, meta=meta)
+        p = cls(vertices, creases, boundary, [], meta=meta)
+        edges = [c.key for c in p.creases] + p.boundary
+        p.facets = p._canonical_facets(trace_facets(p.vertices, edges))
+        return p
 
     # -- basic queries ---------------------------------------------------------
 
@@ -223,6 +215,44 @@ class CreasePattern:
         }
 
 
+# -- structure checks --------------------------------------------------------------
+
+
+def _points(vertices):
+    """The vertex list as an (n, 2) float array of finite 2D points, n > 0."""
+    if len(vertices) == 0:
+        raise PatternError("empty vertex list")
+    for v in vertices:
+        if len(v) != 2:
+            raise PatternError(f"vertex is not a 2D point: {v}")
+    pts = np.asarray(vertices, dtype=float)
+    if pts.ndim != 2 or not np.all(np.isfinite(pts)):
+        raise PatternError("vertex coordinates must be finite numbers")
+    return pts
+
+
+def _indices(entry, n, what):
+    """The vertex ids of one crease, boundary edge or facet, never truncated:
+    a non-number is a TypeError, a fraction or an id outside ``range(n)`` a
+    PatternError."""
+    out = []
+    for v in entry:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise TypeError(f"vertex id {v!r} in {what} {entry} is not a number")
+        if not float(v).is_integer():
+            raise PatternError(f"non-integral index {v!r} in {what} {entry}")
+        if not 0 <= v < n:
+            raise PatternError(f"dangling index {v!r} in {what} {entry}")
+        out.append(int(v))
+    return out
+
+
+def _shoelace(pts):
+    """Signed area of the closed polygon ``pts``, positive anticlockwise."""
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 # -- planar face traversal -----------------------------------------------------
 
 
@@ -264,10 +294,7 @@ def trace_facets(vertices, edges):
                 visited.add(e)
                 cycle.append(e[0])
                 e = successor(*e)
-            pts = vertices[[*cycle]]
-            x, y = pts[:, 0], pts[:, 1]
-            area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-            if area > 0:
+            if _shoelace(vertices[cycle]) > 0:
                 faces.append(cycle)
     return faces
 
@@ -286,26 +313,11 @@ def parse_pattern(document):
     missing = {"vertices", "creases", "boundary", "facets"} - set(data)
     if missing:
         raise PatternError(f"missing fields: {sorted(missing)}")
-    vertices = data["vertices"]
-    if not vertices:
-        raise PatternError("empty vertex list")
-    for v in vertices:
-        if len(v) != 2:
-            raise PatternError(f"vertex is not a 2D point: {v}")
-    n = len(vertices)
-    creases = []
     for entry in data["creases"]:
         if len(entry) != 3:
             raise PatternError(f"crease entry must be [a, b, kind]: {entry}")
-        a, b, kind = entry
-        if not (0 <= a < n and 0 <= b < n):
-            raise PatternError(f"dangling index in crease {entry}")
-        creases.append(Crease(int(a), int(b), kind))
-    for a, b in data["boundary"]:
-        if not (0 <= a < n and 0 <= b < n):
-            raise PatternError(f"dangling index in boundary edge [{a}, {b}]")
     return CreasePattern(
-        vertices, creases, data["boundary"], data["facets"],
+        data["vertices"], data["creases"], data["boundary"], data["facets"],
         meta=data.get("meta"),
     )
 
@@ -408,64 +420,48 @@ def validate_pattern(p):
     if euler != 1:
         violations.append(Violation("holes-unsupported", "Euler check", float(euler)))
 
-    # developability and fan sanity at interior vertices.  Sectors here are
-    # the non-reflex angles between consecutive crease directions; they sum
-    # to 2*pi only when the fan is a proper flat wedge cover.
+    # fan sanity and developability at interior vertices.  min(s, 2*pi - s)
+    # is the non-reflex angle of a sector, so the sum reaches 2*pi only
+    # when no sector is reflex and the creases wrap the vertex.
     for v in p.interior_vertex_ids:
-        ids = p._incident_creases[v]
-        if len(ids) < 3:
-            violations.append(
-                Violation("fan-degree", f"vertex {v}", float(len(ids)))
-            )
+        degree = len(p._incident_creases[v])
+        if degree < 3:
+            violations.append(Violation("fan-degree", f"vertex {v}", float(degree)))
             continue
-        dirs = []
-        for i in ids:
-            c = p.creases[i]
-            other = c.b if c.a == v else c.a
-            d = p.vertices[other] - p.vertices[v]
-            dirs.append((math.atan2(d[1], d[0]), d / np.linalg.norm(d)))
-        dirs.sort(key=lambda t: t[0])
-        total = 0.0
-        for k in range(len(dirs)):
-            u1 = dirs[k][1]
-            u2 = dirs[(k + 1) % len(dirs)][1]
-            sector = math.acos(float(np.clip(np.dot(u1, u2), -1.0, 1.0)))
-            if sector <= 1e-12:
-                violations.append(Violation("zero-sector", f"vertex {v}", sector))
-            total += sector
+        _, sectors = _fan(p, v)
+        for s in sectors[sectors <= _ZERO_SECTOR]:
+            violations.append(Violation("zero-sector", f"vertex {v}", float(s)))
+        total = float(np.minimum(sectors, 2 * math.pi - sectors).sum())
         if abs(total - 2 * math.pi) > DEVELOPABILITY_TOL:
             violations.append(Violation("developability", f"vertex {v}", total))
 
     return ValidationReport(tuple(violations))
 
 
-def build_vertex_fans(p):
-    """One fan per interior vertex: creases anticlockwise plus sector angles.
+def _fan(p, v):
+    """Crease ids around vertex ``v`` anticlockwise, and the sector from each
+    to the next: ``np.diff`` of the sorted ``atan2`` directions closed by a
+    full turn, so the sectors telescope to 2*pi."""
+    entries = []
+    for i in p._incident_creases[v]:
+        c = p.creases[i]
+        d = p.vertices[c.b if c.a == v else c.a] - p.vertices[v]
+        entries.append((math.atan2(d[1], d[0]), i))
+    entries.sort()
+    angles = [a for a, _ in entries]
+    sectors = np.diff(np.asarray(angles + [angles[0] + 2 * math.pi]))
+    return tuple(i for _, i in entries), sectors
 
-    Sector i is the angle from crease i to crease i+1 (cyclic), computed from
-    the 2D coordinates, so the sectors telescope to exactly 2*pi.
-    """
+
+def build_vertex_fans(p):
+    """One fan per interior vertex: creases anticlockwise plus sector angles,
+    computed from the 2D coordinates."""
     fans = []
     for v in p.interior_vertex_ids:
-        ids = p._incident_creases[v]
-        if len(ids) < 3:
+        if len(p._incident_creases[v]) < 3:
             raise PatternError(f"interior vertex {v} has fewer than 3 creases")
-        entries = []
-        for i in ids:
-            c = p.creases[i]
-            other = c.b if c.a == v else c.a
-            d = p.vertices[other] - p.vertices[v]
-            entries.append((math.atan2(d[1], d[0]), i))
-        entries.sort()
-        angles = [e[0] for e in entries]
-        sectors = np.diff(np.asarray(angles + [angles[0] + 2 * math.pi]))
-        if np.any(sectors <= 1e-12):
+        crease_ids, sectors = _fan(p, v)
+        if np.any(sectors <= _ZERO_SECTOR):
             raise PatternError(f"coincident crease directions at vertex {v}")
-        fans.append(
-            VertexFan(
-                vertex_id=v,
-                crease_ids=tuple(e[1] for e in entries),
-                sector_angles=sectors,
-            )
-        )
+        fans.append(VertexFan(vertex_id=v, crease_ids=crease_ids, sector_angles=sectors))
     return fans

@@ -83,6 +83,18 @@ class TestInfoCommand:
         assert main(["info", "--pattern", str(path)]) == 0
         assert "warning" in json.loads(capsys.readouterr().out)
 
+    def test_straight_crease_line(self, tmp_path, capsys):
+        # a valley line running straight through an interior vertex
+        p = CreasePattern.from_edges(
+            [[0, 0], [2, 0], [2, 1], [0, 1], [1, 0.5], [0.5, 1], [1.5, 1]],
+            [(0, 4, "V"), (4, 2, "V"), (4, 5, "M"), (4, 6, "M")],
+            [(0, 1), (1, 2), (2, 6), (6, 5), (5, 3), (3, 0)],
+        )
+        path = tmp_path / "line.json"
+        path.write_text(serialize_pattern(p))
+        assert main(["info", "--pattern", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["interior_vertices"] == 1
+
 
 class TestFoldCommand:
     def test_miura_run_artifacts(self, miura_file, miura33, tmp_path, capsys):
@@ -442,6 +454,31 @@ class TestBadInput:
         assert any(v["kind"] == "holes-unsupported" for v in report["violations"])
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["info"],
+        ["measure", "--state", "{state}"],
+        ["export-obj", "--out", "{out}"],
+        ["export-obj", "--state", "{state}", "--out", "{out}"],
+    ], ids=["info", "measure", "export-obj", "export-obj-state"])
+    def test_invalid_pattern_exits_1_before_embedding(self, tmp_path, capsys, command):
+        # vertex 4 lies on no facet: embedding it would write NaN coordinates
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [5, 5]],
+            "creases": [[0, 2, "V"]],
+            "boundary": [[0, 1], [1, 2], [2, 3], [3, 0]],
+            "facets": [[0, 1, 2], [0, 2, 3]],
+        }))
+        state, out = tmp_path / "state.json", tmp_path / "mesh.obj"
+        state.write_text(json.dumps({"rho": [0.0]}))
+        argv = [a.format(state=state, out=out) for a in command]
+        assert main([*argv, "--pattern", str(path)]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert "isolated-vertex" in [v["kind"] for v in report["violations"]]
+        assert "fails validation" in captured.err
+        assert not out.exists()
+
     def test_relax_invalid_pattern(self, tmp_path, capsys):
         assert self.relax(self.hole_file(tmp_path), 4, tmp_path) == 1
         report = json.loads(capsys.readouterr().out)
@@ -502,6 +539,7 @@ class TestBadInput:
         ("state", {"rho": math.inf}, "state has 1 angles"),
         ("pattern", {"vertices": [1, 2]}, "malformed document"),
         ("pattern", {"creases": [["a", 1, "M"]]}, "malformed document"),
+        ("pattern", {"creases": [[0, 1.5, "M"]]}, "non-integral index 1.5"),
         # a JSON syntax error is a malformed document whichever file holds it
         ("schedule", "{oops", "malformed document"),
         ("springs", "{oops", "malformed document"),
@@ -513,6 +551,7 @@ class TestBadInput:
         "schedule-nan-target", "springs-empty-object", "springs-list",
         "springs-infinite-crease", "state-no-rho", "state-scalar-rho",
         "pattern-scalar-vertices", "pattern-string-crease-end",
+        "pattern-fractional-crease-end",
         "schedule-syntax", "springs-syntax", "settings-syntax", "state-syntax",
     ])
     def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,

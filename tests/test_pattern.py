@@ -269,3 +269,61 @@ def test_wb_tessellation_parameter_sweep_validates(rows, cols):
     p = generate_waterbomb_tessellation(rows, cols, a=0.8, b=1.1)
     assert validate_pattern(p).ok
     assert 3 * p.n_interior_vertices <= p.n_creases
+
+
+def test_straight_crease_line_is_developable():
+    # the valley line 0-4-2 runs straight through interior vertex 4: the
+    # sector of pi below it is not reflex
+    p = CreasePattern.from_edges(
+        [[0, 0], [2, 0], [2, 1], [0, 1], [1, 0.5], [0.5, 1], [1.5, 1]],
+        [(0, 4, "V"), (4, 2, "V"), (4, 5, "M"), (4, 6, "M")],
+        [(0, 1), (1, 2), (2, 6), (6, 5), (5, 3), (3, 0)],
+    )
+    assert validate_pattern(p).ok
+    (fan,) = build_vertex_fans(p)
+    assert np.isclose(fan.sector_angles.max(), math.pi, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("creases", [[0, 2, "M"], [1, 3.5, "V"]]),
+    ("creases", [[0, 1.5, "M"]]),
+    ("boundary", [[0, 1], [1, 2], [2, 3], [3, 0.25]]),
+    ("facets", [[0, 1, 2.5, 3]]),
+    ("facets", [[0, 1, 2, math.nan]]),
+])
+def test_non_integral_index_rejected(field, value):
+    doc = json.loads(SQUARE_DOC)
+    doc[field] = value
+    with pytest.raises(PatternError, match="non-integral index"):
+        parse_pattern(json.dumps(doc))
+    with pytest.raises(PatternError, match="non-integral index"):
+        CreasePattern(**{k: doc[k] for k in ("vertices", "creases", "boundary", "facets")})
+
+
+def test_integral_float_index_accepted():
+    doc = json.loads(SQUARE_DOC)
+    doc["facets"] = [[0.0, 1.0, 2.0, 3.0]]
+    assert parse_pattern(json.dumps(doc)) == parse_pattern(SQUARE_DOC)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([], "empty vertex list"),
+    ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], "not a 2D point"),
+    ([[0, 0], [1, 0], [1, math.inf], [0, 1]], "finite"),
+    ([[0, 0], [1, 0], [1, math.nan], [0, 1]], "finite"),
+])
+def test_constructor_checks_vertices(vertices, message):
+    # four 3D points used to be reshaped silently into six 2D points
+    with pytest.raises(PatternError, match=message):
+        CreasePattern(vertices, [], [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2, 3]])
+
+
+def test_constructor_checks_dangling_indices():
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    square = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    with pytest.raises(PatternError, match="dangling index 4 in crease"):
+        CreasePattern(verts, [[0, 4, "M"]], square, [[0, 1, 2, 3]])
+    with pytest.raises(PatternError, match="dangling index -1 in boundary edge"):
+        CreasePattern(verts, [], [*square[:3], [3, -1]], [[0, 1, 2, 3]])
+    with pytest.raises(PatternError, match="dangling index 7 in facet"):
+        CreasePattern(verts, [], square, [[0, 1, 7]])

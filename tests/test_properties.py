@@ -4,8 +4,14 @@ Hypothesis runs derandomized with a bounded example count, so every run
 tests the same examples.
 """
 
+import contextlib
+import copy
+import io
+import json
 import math
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +27,15 @@ from rigidfold import (  # noqa: E402
     embed,
     flat_state_seed,
     free_column_solve,
+    generate_crane,
     generate_miura,
+    generate_waterbomb_base,
+    generate_waterbomb_tessellation,
+    parse_pattern,
     run_schedule,
+    serialize_pattern,
 )
+from rigidfold.cli import main, parse_obj  # noqa: E402
 from rigidfold.numerics import DEFAULT_CUTOFF  # noqa: E402
 from rigidfold.sequential import DEFAULT_EPS  # noqa: E402
 
@@ -107,3 +119,127 @@ def test_embedding_is_an_isometry_with_the_state_s_dihedrals(cells, alpha_deg, s
     assert np.max(np.abs(dihedral_angles(p, e) - rho)) < 1e-9
     cycle = list(p.facets[root])
     assert np.array_equal(coords[cycle], flat[cycle])
+
+
+side = st.floats(0.2, 5.0)
+generated_patterns = st.one_of(
+    st.builds(generate_miura, st.integers(1, 4), st.integers(1, 4), a=side, b=side,
+              alpha=st.floats(0.05, math.pi / 2 - 0.05)),
+    st.builds(generate_waterbomb_tessellation, st.integers(1, 3), st.integers(1, 3),
+              a=side, b=side),
+    st.builds(generate_waterbomb_base, radius=side),
+    st.builds(generate_crane),
+)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=generated_patterns)
+def test_serialize_parse_round_trip(p):
+    """Parsing a serialized pattern gives back the same pattern, and the same
+    document when serialized again."""
+    text = serialize_pattern(p)
+    again = parse_pattern(text)
+    assert again == p
+    assert serialize_pattern(again) == text
+
+
+@lru_cache(maxsize=None)
+def base_documents():
+    """Small valid patterns, as documents, with a compatible folded state each."""
+    out = []
+    for p in (generate_miura(1, 1), generate_waterbomb_base()):
+        seed = flat_state_seed(p, math.radians(10.0))
+        out.append((json.loads(serialize_pattern(p)), list(seed)))
+    return out
+
+
+junk_numbers = st.sampled_from([math.nan, math.inf, 1e300, "1", None, True, [0]])
+junk_entries = st.sampled_from([3, [], [0], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "abc", {}, None])
+FIELDS = ("vertices", "creases", "boundary", "facets")
+# each edit and the fields it may apply to
+EDITS = {
+    "drop-field": FIELDS,
+    "set-coordinate": ("vertices",),
+    "move-vertex": ("vertices",),
+    "add-vertex": ("vertices",),
+    "drop-entry": FIELDS,
+    "duplicate-entry": FIELDS,
+    "replace-entry": FIELDS,
+    "set-index": FIELDS[1:],
+    "set-assignment": ("creases",),
+    "reverse-facet": ("facets",),
+}
+
+
+def mutate(doc, data):
+    """One structural or numeric edit of a pattern document, in place."""
+    op = data.draw(st.sampled_from(sorted(EDITS)), label="op")
+    field = data.draw(st.sampled_from(EDITS[op]), label="field")
+    if op == "drop-field":
+        doc.pop(field, None)
+        return
+    entries = doc.get(field)
+    if not isinstance(entries, list) or not entries:
+        return
+    k = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    if op == "add-vertex":
+        entries.append([data.draw(st.floats(-3, 3), label="x"),
+                        data.draw(st.floats(-3, 3), label="y")])
+    elif op == "drop-entry":
+        entries.pop(k)
+    elif op == "duplicate-entry":
+        entries.append(copy.deepcopy(entries[k]))
+    elif op == "replace-entry":
+        entries[k] = copy.deepcopy(data.draw(junk_entries, label="junk"))
+    elif not isinstance(entries[k], list) or not entries[k]:
+        return
+    elif op == "reverse-facet":
+        entries[k].reverse()
+    elif op == "set-assignment":
+        entries[k][-1] = data.draw(st.sampled_from(["M", "V", "U", "X", 1, None]),
+                                   label="kind")
+    else:
+        i = data.draw(st.integers(0, len(entries[k]) - 1), label="position")
+        if op == "move-vertex":
+            if isinstance(entries[k][i], (int, float)):
+                entries[k][i] += data.draw(st.sampled_from([1e-12, 1e-3, 0.3, 3.0]),
+                                           label="shift")
+            return
+        n = len(doc["vertices"]) if isinstance(doc.get("vertices"), list) else 1
+        value = junk_numbers if op == "set-coordinate" else st.one_of(
+            junk_numbers, st.sampled_from([n, n + 5, -1, 0, 0.5, 2.0]))
+        entries[k][i] = copy.deepcopy(data.draw(value, label="value"))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(base=st.integers(0, 1), edits=st.integers(0, 3), folded=st.booleans(),
+       data=st.data())
+def test_cli_exit_codes_are_total(base, edits, folded, data):
+    """Mutated pattern documents through validate, info, measure and
+    export-obj exit 0, 1, 2 or 3 and never raise, and no command that
+    exits 0 writes a non-finite coordinate or dimension."""
+    doc, seed = copy.deepcopy(base_documents()[base])
+    for _ in range(edits):
+        mutate(doc, data)
+    creases = doc.get("creases")
+    n = len(creases) if isinstance(creases, list) else 0
+    rho = seed if folded and n == len(seed) else [0.0] * n
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        pattern, state, obj = tmp / "p.json", tmp / "s.json", tmp / "m.obj"
+        pattern.write_text(json.dumps(doc))
+        state.write_text(json.dumps({"rho": rho}))
+        common = ["--pattern", str(pattern)]
+        for argv in (["validate", *common], ["info", *common],
+                     ["measure", *common, "--state", str(state)],
+                     ["export-obj", *common, "--state", str(state), "--out", str(obj)]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code != 0:
+                continue
+            if argv[0] == "measure":
+                assert all(math.isfinite(x) for x in json.loads(out.getvalue()).values())
+            elif argv[0] == "export-obj":
+                assert np.all(np.isfinite(parse_obj(obj.read_text())[0]))
