@@ -218,13 +218,23 @@ class CreasePattern:
 # -- structure checks --------------------------------------------------------------
 
 
+def _is_real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _points(vertices):
-    """The vertex list as an (n, 2) float array of finite 2D points, n > 0."""
+    """The vertex list as an (n, 2) float array of finite 2D points, n > 0;
+    a coordinate that is not a real number (a string, a bool) is a
+    TypeError, never converted."""
     if len(vertices) == 0:
         raise PatternError("empty vertex list")
     for v in vertices:
         if len(v) != 2:
             raise PatternError(f"vertex is not a 2D point: {v}")
+        for x in v:
+            if not _is_real(x):
+                raise TypeError(f"coordinate {x!r} of vertex {v} is not a number")
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or not np.all(np.isfinite(pts)):
         raise PatternError("vertex coordinates must be finite numbers")
@@ -237,7 +247,7 @@ def _indices(entry, n, what):
     PatternError."""
     out = []
     for v in entry:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        if not _is_real(v):
             raise TypeError(f"vertex id {v!r} in {what} {entry} is not a number")
         if not float(v).is_integer():
             raise PatternError(f"non-integral index {v!r} in {what} {entry}")

@@ -8,11 +8,15 @@ leaves the normal equations on the free creases F:
     C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
 solved by ``numerics.free_column_solve``.  Squared singular values of C_F
-at or below ``1e-12 * lambda_max * n_creases`` count as zero.  For a tall
-C_F one shifted Cholesky of the normal matrix certifies that none does,
-and one LU solve gives drho_F.  When the certificate fails (at the flat
-state, where the closure condition degenerates) or C_F is wide (more
-creases free than C has rows, as in the crane's stages), an
+at or below ``1e-12 * lambda_max * n_creases`` count as zero.  Each row of
+C couples only the creases of one vertex, so in the canonical crease order
+C_F is banded and its normal matrix block-tridiagonal (Miura k x k cells:
+band 4k).  For a tall C_F one shifted block Cholesky of the normal matrix
+certifies that no squared singular value counts as zero, and a block
+Cholesky solve gives drho_F; when the band spans every free crease, that
+is one dense Cholesky and one LU solve.  When the certificate fails (at
+the flat state, where the closure condition degenerates) or C_F is wide
+(more creases free than C has rows, as in the crane's stages), an
 eigendecomposition decides the rank and the minimum-norm drho_F is used.
 After the increment, the residual is eliminated by iterating the same
 solve with f = 0, which leaves the controlled angles untouched.

@@ -4,7 +4,8 @@ These deliberately avoid the package's kinematics, solver, and embedding
 code paths: the folded Miura sheet is built from elementary vector geometry
 with a bisection closure solve, the waterbomb well comes from a 1-D
 brute-force scan of the closed-form branch, the controlled step comes
-from a full SVD of the bordered multiplier system, the spring step from
+from a full SVD of the bordered multiplier system or, at full column rank,
+from one dense LU solve of its normal equations, the spring step from
 the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
 and the embedding from a per-facet loop down the spanning tree.
 """
@@ -294,6 +295,34 @@ def bordered_solve(gc, controlled, f, cutoff=1e-12):
     keep = s > cutoff * s[0] * (n + m)
     x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
     return x[:n], int(np.count_nonzero(keep)) - 2 * m
+
+
+def normal_solve(c, r, fixed, f):
+    """Controlled increment from one dense LU solve of the normal equations.
+
+        C_F^T C_F dx_F = -C_F^T (r + C_A f),   dx_A = f
+
+    with A the fixed columns and F the rest; no rank decision, so C_F must
+    have full column rank.
+    """
+    c, r, f = (np.asarray(a, dtype=float) for a in (c, r, f))
+    fixed = np.asarray(fixed, dtype=int).reshape(-1)
+    free = np.ones(c.shape[1], dtype=bool)
+    free[fixed] = False
+    dx = np.zeros(c.shape[1])
+    dx[fixed] = f
+    c_free = c[:, free]
+    b = -(r + c[:, fixed] @ f)
+    dx[free] = np.linalg.solve(c_free.T @ c_free, c_free.T @ b)
+    return dx
+
+
+def normal_rounding_bound(c, fixed, x):
+    """Forward-error bound for two backward-stable solves of the same normal
+    equations: ``10 k eps cond(C_F^T C_F) max|x|`` over the k free columns."""
+    free = np.setdiff1d(np.arange(c.shape[1]), fixed)
+    w = np.linalg.eigvalsh(c[:, free].T @ c[:, free])
+    return 10 * free.size * np.finfo(float).eps * w[-1] / w[0] * np.abs(x).max()
 
 
 def explicit_inverse_step(c, r, stiffness, d):

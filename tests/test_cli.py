@@ -540,6 +540,8 @@ class TestBadInput:
         ("pattern", {"vertices": [1, 2]}, "malformed document"),
         ("pattern", {"creases": [["a", 1, "M"]]}, "malformed document"),
         ("pattern", {"creases": [[0, 1.5, "M"]]}, "non-integral index 1.5"),
+        ("pattern", {"vertices": [[0, 0], [1, "0"]]}, "malformed document"),
+        ("pattern", {"vertices": [[0, 0], [1, True]]}, "malformed document"),
         # a JSON syntax error is a malformed document whichever file holds it
         ("schedule", "{oops", "malformed document"),
         ("springs", "{oops", "malformed document"),
@@ -551,7 +553,8 @@ class TestBadInput:
         "schedule-nan-target", "springs-empty-object", "springs-list",
         "springs-infinite-crease", "state-no-rho", "state-scalar-rho",
         "pattern-scalar-vertices", "pattern-string-crease-end",
-        "pattern-fractional-crease-end",
+        "pattern-fractional-crease-end", "pattern-string-coordinate",
+        "pattern-bool-coordinate",
         "schedule-syntax", "springs-syntax", "settings-syntax", "state-syntax",
     ])
     def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,

@@ -1,12 +1,18 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import bordered_solve
-from rigidfold import min_norm_solve, pseudoinverse, rank
+from oracles import bordered_solve, normal_rounding_bound, normal_solve
+from rigidfold import build_vertex_fans, generate_miura, min_norm_solve, pseudoinverse, rank
 from rigidfold.kinematics import assemble_global
-from rigidfold.numerics import DEFAULT_CUTOFF, _full_rank_certified, free_column_solve
+from rigidfold.numerics import (
+    DEFAULT_CUTOFF,
+    _full_rank_certified,
+    _gram_blocks,
+    free_column_solve,
+)
 from rigidfold.sequential import flat_state_seed
 
 
@@ -121,6 +127,11 @@ def test_rank_permutation_invariant():
     assert rank(m[pr][:, pc]) == r
 
 
+def free_blocks(c, fixed):
+    """The Gram blocks the free-column solve forms for C_F."""
+    return _gram_blocks(np.delete(c, fixed, axis=1))
+
+
 class TestFullRankCertificate:
     """The shifted-Cholesky certificate against the eigenvalue cutoff.
 
@@ -132,6 +143,7 @@ class TestFullRankCertificate:
 
     ROWS, FREE = 14, 6
     RATIOS = (0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 600.0)
+    BLOCKS = 1
 
     def cases(self):
         """(ratio, C, r, fixed, f) with no fixed column and with three."""
@@ -151,14 +163,18 @@ class TestFullRankCertificate:
                     r = rng.normal(0.0, 0.02, self.ROWS)
                     yield ratio, c, r, fixed, rng.normal(0.0, 0.02, n_fixed)
 
+    def certified(self, c, fixed):
+        diag, upper = free_blocks(c, fixed)
+        assert len(diag) == self.BLOCKS
+        return _full_rank_certified(diag, upper, c.shape[1])
+
     def test_never_certifies_a_deficient_matrix(self):
         for ratio, c, _, fixed, _ in self.cases():
             n = c.shape[1]
             c_free = np.delete(c, fixed, axis=1)
-            normal = c_free.T @ c_free
-            w = np.linalg.eigvalsh(normal)
+            w = np.linalg.eigvalsh(c_free.T @ c_free)
             full = w[0] > DEFAULT_CUTOFF * w[-1] * n
-            certified = _full_rank_certified(normal, n)
+            certified = self.certified(c, fixed)
             assert full or not certified, ratio
             if ratio <= 2.0:
                 assert not certified, ratio
@@ -174,7 +190,7 @@ class TestFullRankCertificate:
             dx = free_column_solve(c, r, fixed, f)
             assert np.array_equal(dx[fixed], f), ratio
             # ratio 1 sits on the cutoff itself, where rounding picks the rank
-            if fixed.size or ratio <= 1.0 or _full_rank_certified(c.T @ c, n):
+            if fixed.size or ratio <= 1.0 or self.certified(c, fixed):
                 continue
             w = np.linalg.eigvalsh(c.T @ c)
             assert w[0] > DEFAULT_CUTOFF * w[-1] * n, ratio
@@ -185,3 +201,94 @@ class TestFullRankCertificate:
             assert res <= np.linalg.norm(c @ ref + r) + 1e-12, ratio
             gray += 1
         assert gray >= 20
+
+
+class TestBandedSolve:
+    """The tall certified solve in blocks of the band of C_F, against one dense
+    LU solve of the normal equations."""
+
+    @pytest.fixture(scope="class", params=[5, 7])
+    def miura_state(self, request):
+        p = generate_miura(request.param, request.param)
+        return p, assemble_global(p, flat_state_seed(p, math.radians(30.0)))
+
+    @staticmethod
+    def check(gc, fixed, f):
+        n = gc.C.shape[1]
+        diag, upper = free_blocks(gc.C, fixed)
+        assert len(diag) > 2
+        assert _full_rank_certified(diag, upper, n)
+        dx = free_column_solve(gc.C, gc.r, fixed, f)
+        ref = normal_solve(gc.C, gc.r, fixed, f)
+        assert np.array_equal(dx[list(fixed)], f)
+        assert np.abs(dx - ref).max() <= normal_rounding_bound(gc.C, fixed, ref)
+
+    def test_fixed_columns_anywhere(self, miura_state):
+        p, gc = miura_state
+        n = p.n_creases
+        band = len(free_blocks(gc.C, [])[0][0])
+        assert band == 4 * p.meta["m"]  # canonical crease order
+        rng = np.random.default_rng(17)
+        for fixed in ([0], [n // 2], [n - 1], [band], [band - 1, band], [0, band, n - 1]):
+            self.check(gc, fixed, rng.normal(0.0, 0.02, len(fixed)))
+
+    def test_vertex_with_all_creases_fixed(self, miura_state):
+        """Its rows of C_F are zero; they have no span, so the band stays."""
+        p, gc = miura_state
+        fans = build_vertex_fans(p)
+        k = len(fans) // 2
+        fixed = sorted(fans[k].crease_ids)
+        assert not np.any(np.delete(gc.C, fixed, axis=1)[3 * k:3 * k + 3])
+        self.check(gc, fixed, np.full(len(fixed), 0.01))
+
+    def test_single_block_is_the_dense_lu_solve(self):
+        rng = np.random.default_rng(5)
+        for rows, cols, fixed in ((14, 6, []), (14, 9, [0, 4, 8]), (30, 30, [29])):
+            c = rng.standard_normal((rows, cols))
+            r = rng.normal(0.0, 0.02, rows)
+            f = rng.normal(0.0, 0.02, len(fixed))
+            assert len(free_blocks(c, fixed)[0]) == 1
+            assert np.array_equal(free_column_solve(c, r, fixed, f), normal_solve(c, r, fixed, f))
+
+
+class TestBlockCertificate(TestFullRankCertificate):
+    """The certificate in blocks, on block-diagonal C_F with prescribed
+    singular values: the same ratios, the same rule, several blocks."""
+
+    BLOCKS = 4
+
+    def cases(self):
+        """(ratio, C, r, fixed, f) with C_F block-diagonal in BLOCKS blocks of
+        ROWS x FREE, sigma_max = 1 and sigma_min^2 = ratio * tau."""
+        rng = np.random.default_rng(2025)
+        rows, cols = self.BLOCKS * self.ROWS, self.BLOCKS * self.FREE
+        for _ in range(10):
+            for n_fixed in (0, 3):
+                n = cols + n_fixed
+                fixed = np.sort(rng.choice(n, n_fixed, replace=False))
+                free = np.setdiff1d(np.arange(n), fixed)
+                for ratio in self.RATIOS:
+                    sigma = rng.permutation(
+                        np.geomspace(1.0, np.sqrt(ratio * DEFAULT_CUTOFF * n), cols)
+                    ).reshape(self.BLOCKS, self.FREE)
+                    c_free = np.zeros((rows, cols))
+                    for k, s in enumerate(sigma):
+                        u, _ = np.linalg.qr(rng.standard_normal((self.ROWS, self.FREE)))
+                        v, _ = np.linalg.qr(rng.standard_normal((self.FREE, self.FREE)))
+                        c_free[k * self.ROWS:(k + 1) * self.ROWS,
+                               k * self.FREE:(k + 1) * self.FREE] = (u * s) @ v.T
+                    c = np.empty((rows, n))
+                    c[:, free] = c_free
+                    c[:, fixed] = rng.standard_normal((rows, n_fixed))
+                    r = rng.normal(0.0, 0.02, rows)
+                    yield ratio, c, r, fixed, rng.normal(0.0, 0.02, n_fixed)
+
+    def test_certified_solve_is_the_lu_normal_solve(self):
+        certified = 0
+        for ratio, c, r, fixed, f in self.cases():
+            if self.certified(c, fixed):
+                dx = free_column_solve(c, r, fixed, f)
+                ref = normal_solve(c, r, fixed, f)
+                assert np.abs(dx - ref).max() <= normal_rounding_bound(c, fixed, ref), ratio
+                certified += 1
+        assert certified >= 40

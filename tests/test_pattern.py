@@ -318,6 +318,24 @@ def test_constructor_checks_vertices(vertices, message):
         CreasePattern(vertices, [], [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2, 3]])
 
 
+@pytest.mark.parametrize("coordinate", ["0", True, False, None, [0]])
+def test_non_number_coordinate_rejected(coordinate):
+    # "0" and true used to be read as the numbers 0 and 1
+    doc = json.loads(SQUARE_DOC)
+    doc["vertices"][1][1] = coordinate
+    with pytest.raises(TypeError, match="is not a number"):
+        parse_pattern(json.dumps(doc))
+    with pytest.raises(TypeError, match="is not a number"):
+        CreasePattern(doc["vertices"], [], doc["boundary"], doc["facets"])
+
+
+def test_numpy_coordinates_accepted():
+    doc = json.loads(SQUARE_DOC)
+    p = CreasePattern(np.array(doc["vertices"], dtype=np.int64), [], doc["boundary"],
+                      doc["facets"])
+    assert p == parse_pattern(SQUARE_DOC)
+
+
 def test_constructor_checks_dangling_indices():
     verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
     square = [[0, 1], [1, 2], [2, 3], [3, 0]]

@@ -35,8 +35,10 @@ from rigidfold import (  # noqa: E402
     run_schedule,
     serialize_pattern,
 )
+from oracles import normal_rounding_bound, normal_solve  # noqa: E402
 from rigidfold.cli import main, parse_obj  # noqa: E402
-from rigidfold.numerics import DEFAULT_CUTOFF  # noqa: E402
+from rigidfold.generators import crane_schedule  # noqa: E402
+from rigidfold.numerics import DEFAULT_CUTOFF, _gram_blocks  # noqa: E402
 from rigidfold.sequential import DEFAULT_EPS  # noqa: E402
 
 
@@ -52,6 +54,32 @@ def miura_drive(cells, alpha_deg, eps=DEFAULT_EPS):
     return p, run_schedule(p, seed, schedule, eps=eps).states
 
 
+def check_lu_normal_solve(c, r, fixed, f):
+    """Where the eigenvalue cutoff keeps every direction of C_F^T C_F, the
+    free-column solve is the LU solve of the normal equations: exactly when
+    the band of C_F spans its columns (one block), to rounding in blocks.
+    Returns the number of blocks, 0 when the rule drops a direction or C_F
+    is wide."""
+    n = c.shape[1]
+    dx = free_column_solve(c, r, fixed, f)
+    assert np.array_equal(dx[fixed], f)
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    c_free = c[:, free]
+    if c_free.shape[0] < c_free.shape[1]:
+        return 0
+    w = np.linalg.eigvalsh(c_free.T @ c_free)
+    if not w[0] > DEFAULT_CUTOFF * w[-1] * n:
+        return 0
+    ref = normal_solve(c, r, fixed, f)
+    blocks = len(_gram_blocks(c_free)[0])
+    if blocks == 1:
+        assert np.array_equal(dx, ref)
+    else:
+        assert np.abs(dx - ref).max() <= normal_rounding_bound(c, fixed, ref)
+    return blocks
+
+
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(
     cells=st.integers(2, 5),
@@ -60,8 +88,7 @@ def miura_drive(cells, alpha_deg, eps=DEFAULT_EPS):
     data=st.data(),
 )
 def test_full_rank_solve_is_the_lu_normal_solve(cells, alpha_deg, step, data):
-    """Where the eigenvalue cutoff keeps every direction of C_F^T C_F, the
-    free-column solve is exactly one LU solve of the normal equations."""
+    """On Miura drive states with random fixed creases."""
     p, states = miura_drive(cells, alpha_deg)
     n = p.n_creases
     gc = assemble_global(p, states[step])
@@ -69,20 +96,39 @@ def test_full_rank_solve_is_the_lu_normal_solve(cells, alpha_deg, step, data):
         st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), label="fixed",
     )), dtype=int)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
-    f = rng.normal(0.0, 0.02, fixed.size)
+    check_lu_normal_solve(gc.C, gc.r, fixed, rng.normal(0.0, 0.02, fixed.size))
 
-    dx = free_column_solve(gc.C, gc.r, fixed, f)
-    assert np.array_equal(dx[fixed], f)
-    free = np.ones(n, dtype=bool)
-    free[fixed] = False
-    c_free = gc.C[:, free]
-    if c_free.shape[0] < c_free.shape[1]:
-        return
-    normal = c_free.T @ c_free
-    w = np.linalg.eigvalsh(normal)
-    if w[0] > DEFAULT_CUTOFF * w[-1] * n:
-        b = -(gc.r + gc.C[:, fixed] @ f)
-        assert np.array_equal(dx[free], np.linalg.solve(normal, c_free.T @ b))
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    cols=st.integers(6, 60),
+    data=st.data(),
+)
+def test_banded_full_rank_solve_is_the_lu_normal_solve(cols, data):
+    """On random C_F whose band is below half its column count, so that the
+    solve runs in at least three blocks; with extra rows, fixed columns and
+    rows that only touch fixed columns."""
+    band = data.draw(st.integers(1, (cols - 1) // 2), label="band")
+    extra = data.draw(st.integers(0, cols), label="extra rows")
+    zero_rows = data.draw(st.integers(0, 3), label="zero rows")
+    n_fixed = data.draw(st.integers(0, 4), label="fixed")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    rows = cols + extra + zero_rows
+    c_free = np.zeros((rows, cols))
+    for i in range(cols + extra):
+        span = rng.integers(1, band + 1)
+        # the first cols rows cover their own column, which keeps C_F full rank
+        j = i if i < cols else rng.integers(0, cols)
+        lo = rng.integers(max(0, j - span + 1), min(j, cols - span) + 1)
+        c_free[i, lo:lo + span] = rng.standard_normal(span)
+    n = cols + n_fixed
+    fixed = np.sort(rng.choice(n, n_fixed, replace=False))
+    c = np.zeros((rows, n))
+    c[:, np.setdiff1d(np.arange(n), fixed)] = rng.permutation(c_free)
+    c[:, fixed] = rng.standard_normal((rows, n_fixed))
+    r = rng.normal(0.0, 0.1, rows)
+    blocks = check_lu_normal_solve(c, r, fixed, rng.normal(0.0, 0.02, n_fixed))
+    assert blocks == 0 or blocks >= 3
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -119,6 +165,64 @@ def test_embedding_is_an_isometry_with_the_state_s_dihedrals(cells, alpha_deg, s
     assert np.max(np.abs(dihedral_angles(p, e) - rho)) < 1e-9
     cycle = list(p.facets[root])
     assert np.array_equal(coords[cycle], flat[cycle])
+
+
+@lru_cache(maxsize=None)
+def seeded(kind, size, angle_deg, eps):
+    """A generated pattern and its flat-state seed solved to eps; size is the
+    Miura cell count or the tessellation's (rows, cols), angle the Miura
+    alpha or the tessellation's seed magnitude."""
+    if kind == "miura":
+        p = generate_miura(size, size, alpha=math.radians(angle_deg))
+        return p, flat_state_seed(p, math.radians(1.0), eps=eps)
+    if kind == "tessellation":
+        p = generate_waterbomb_tessellation(*size)
+        return p, flat_state_seed(p, math.radians(angle_deg), eps=eps)
+    p = generate_crane()
+    return p, np.zeros(p.n_creases)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["miura", "tessellation", "crane"]),
+       eps=st.sampled_from([1e-9, 1e-12]), data=st.data())
+def test_every_accepted_state_closes(kind, eps, data):
+    """Every state of a short controlled drive from a seed solved to eps has a
+    normalized closure residual below eps, and it is the residual the
+    trajectory records.
+
+    Miura 2-4 cells drive the driven crease by at most 40 degrees a step,
+    waterbomb tessellations of one or two tiles one crease by up to 30
+    degrees from a 5-20 degree seed, and the crane runs its three-stage
+    schedule in 1-4 steps a stage."""
+    if kind == "miura":
+        p, seed = seeded(kind, data.draw(st.integers(2, 4), label="cells"),
+                         data.draw(st.integers(45, 75), label="alpha"), eps)
+        target = math.radians(data.draw(st.integers(-150, -10), label="target"))
+        crease = p.meta["driven_crease"]
+        steps = math.ceil(abs(target - seed[crease]) / math.radians(40.0))
+        schedule = FoldSchedule((Stage(
+            targets={crease: target},
+            steps=steps + data.draw(st.integers(0, 2), label="extra steps"),
+        ),))
+    elif kind == "tessellation":
+        p, seed = seeded(kind, data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+                                         label="tiles"),
+                         data.draw(st.integers(5, 20), label="seed"), eps)
+        crease = data.draw(st.integers(0, p.n_creases - 1), label="crease")
+        delta = math.radians(data.draw(st.integers(5, 30), label="delta"))
+        schedule = FoldSchedule((Stage(
+            targets={crease: seed[crease] + math.copysign(delta, seed[crease])},
+            steps=data.draw(st.integers(2, 4), label="steps"),
+        ),))
+    else:
+        p, seed = seeded(kind, None, None, eps)
+        schedule = crane_schedule(p, data.draw(st.integers(1, 4), label="steps"))
+    traj = run_schedule(p, seed, schedule, eps=eps)
+    assert len(traj) == 1 + sum(stage.steps for stage in schedule.stages)
+    for state, recorded in zip(traj.states, traj.residuals):
+        residual = assemble_global(p, state).normalized_residual
+        assert residual == recorded
+        assert residual < eps
 
 
 side = st.floats(0.2, 5.0)
