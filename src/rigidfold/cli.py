@@ -247,6 +247,7 @@ def cmd_relax(args):
         "springs": str(args.springs),
         "steps": len(result.states) - 1,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "final_energy": result.energies[-1],
         "projected_gradient": result.projected_gradient,
         "characteristic": result.characteristic,
@@ -255,8 +256,9 @@ def cmd_relax(args):
     _write_run(out, p, result.states, result.residuals, args, manifest)
     if not result.converged:
         print(
-            f"error: relaxation not stationary (projected gradient "
-            f"{result.projected_gradient:.3e}, tolerance {STATIONARY_TOL:g})",
+            f"error: relaxation not stationary (stopped on {result.stop_reason}, "
+            f"projected gradient {result.projected_gradient:.3e}, "
+            f"tolerance {STATIONARY_TOL:g})",
             file=sys.stderr,
         )
         return EXIT_SOLVER

@@ -34,6 +34,9 @@ from .sequential import DEFAULT_EPS, _eliminate_residual, _is_number
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
+# why a relaxation stopped: step factor below resolution, a step with no
+# angle change, or the step budget spent
+STOP_REASONS = ("step_resolution", "vanishing_step", "max_steps")
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,12 @@ class RelaxSettings:
 
 @dataclass
 class RelaxResult:
+    """Accepted states of a relaxation and why it stopped.
+
+    ``stop_reason`` is one of ``STOP_REASONS``; ``converged`` says, whatever
+    the reason, whether the final state is stationary.
+    """
+
     states: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     step_factors: list = field(default_factory=list)
@@ -142,6 +151,7 @@ class RelaxResult:
     characteristic: int = 0
     converged: bool = False
     projected_gradient: float = math.nan
+    stop_reason: str = ""
 
     @property
     def final(self):
@@ -171,7 +181,7 @@ def kkt_step(p, cfg, rho, gc=None):
     d = spring_gradient(cfg, gc.rho)
     scale = 1.0 / np.sqrt(cfg.stiffness)
     hinv_d = d / cfg.stiffness
-    u = free_column_solve(gc.C * scale, gc.r - gc.C @ hinv_d, (), [])
+    u = free_column_solve(gc.blocks.scale_columns(scale), gc.r - gc.C @ hinv_d, (), [])
     return scale * u - hinv_d
 
 
@@ -184,7 +194,7 @@ def projection_step_uniform(p, k0, d, rho, gc=None):
     if gc is None:
         gc = assemble_global(p, rho)
     d = np.asarray(d, dtype=float)
-    return -d / k0 - free_column_solve(gc.C, gc.C @ d / k0 - gc.r, (), [])
+    return -d / k0 - free_column_solve(gc.blocks, gc.C @ d / k0 - gc.r, (), [])
 
 
 def relax(p, cfg, settings=None, rho0=None):
@@ -193,9 +203,10 @@ def relax(p, cfg, settings=None, rho0=None):
     Follows the step rule rho += c * drho / max|drho| with residual cleanup
     after every move; halves c whenever the characteristic angle's increment
     reverses direction, and stops when c drops below the step resolution,
-    when the step vanishes or after ``max_steps``.  Whatever stopped it, the
-    result is converged only if the final state is stationary: its projected
-    gradient is below ``STATIONARY_TOL``.  Each cleanup's last assembly
+    when the step vanishes or after ``max_steps``, and records which of
+    these stopped it as ``stop_reason``.  Whatever stopped it, the result is
+    converged only if the final state is stationary: its projected gradient
+    is below ``STATIONARY_TOL``.  Each cleanup's last assembly
     serves the next step and gives the state's recorded residual.
     """
     settings = settings or RelaxSettings()
@@ -227,6 +238,7 @@ def relax(p, cfg, settings=None, rho0=None):
         drho = kkt_step(p, cfg, rho, gc=gc)
         largest = float(np.max(np.abs(drho))) if drho.size else 0.0
         if largest < 1e-15:
+            result.stop_reason = "vanishing_step"
             break
         if i > 2 and drho[char] * prev_char_move < 0.0:
             c = c / 2.0
@@ -244,10 +256,12 @@ def relax(p, cfg, settings=None, rho0=None):
         result.step_sizes.append(float(np.max(np.abs(step))))
         result.newton_iters.append(iters)
         result.residuals.append(gc.normalized_residual)
+    else:
+        result.stop_reason = "max_steps" if c > settings.step_resolution else "step_resolution"
 
     d = spring_gradient(cfg, rho)
     result.projected_gradient = float(
-        np.linalg.norm(d + free_column_solve(gc.C, gc.C @ d, (), []))
+        np.linalg.norm(d + free_column_solve(gc.blocks, gc.C @ d, (), []))
     )
     result.converged = result.projected_gradient < STATIONARY_TOL
     return result

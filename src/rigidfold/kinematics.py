@@ -5,6 +5,9 @@ crease in canonical order.  Valley folds are positive, mountain folds
 negative.  Around each interior vertex the chained sector/fold rotations must
 compose to the identity; the three independent entries of that matrix give a
 residual per vertex, and the analytic derivative gives the constraint rows.
+Assembly keeps the constraint matrix C as it computes it, one 3 x degree
+block per vertex (``numerics.RowBlocks``), and builds the dense C only when
+something asks for it.
 """
 
 import warnings
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import rank
+from .numerics import RowBlocks, rank
 from .pattern import build_vertex_fans
 
 FOLD_RANGE_SLACK = 1e-6
@@ -102,15 +105,25 @@ def vertex_jacobian(fan, rho_fan):
 
 @dataclass
 class GlobalConstraint:
-    """Linearized constraint system C @ drho = -r at the evaluation point."""
+    """Linearized constraint system C @ drho = -r at the evaluation point.
 
-    C: np.ndarray
+    ``blocks`` holds C as one group per fan degree n: the crease ids (V, n),
+    the row ids (V, 3) and the entries (V, 3, n) of its V vertices.  The
+    dense ``C`` is built from them on first use and kept.
+    """
+
+    blocks: RowBlocks
     r: np.ndarray
     rho: np.ndarray
 
     @property
+    def C(self):
+        """The dense constraint matrix, built on first use and kept."""
+        return self.blocks.dense
+
+    @property
     def normalized_residual(self):
-        rows = self.C.shape[0]
+        rows = len(self.r)
         return float(np.linalg.norm(self.r)) / rows if rows else 0.0
 
 
@@ -143,12 +156,11 @@ class _DegreeGroup:
 
     ``rz[v, k]`` is the constant sector rotation Rz(theta_k) of fan v, and
     ``factor_ids[v, k]`` the crease whose fold angle enters factor k, which
-    is crease k+1 of the fan (cyclic).  ``jac_index[v, k, j]`` and
-    ``res_index[v, j]`` are flat positions in C and r of the three rows of
-    fan v.
+    is crease k+1 of the fan (cyclic).  ``rows[v, j]`` are the rows of C and
+    r of the three closure entries of fan v.
     """
 
-    def __init__(self, fans, positions, n_creases):
+    def __init__(self, fans, positions):
         ids = np.array([fan.crease_ids for fan in fans], dtype=np.intp)
         self.degree = ids.shape[1]
         self.factor_ids = np.roll(ids, -1, axis=1)
@@ -157,12 +169,10 @@ class _DegreeGroup:
         self.rz = _stacked(
             theta.shape, {(0, 0): c, (0, 1): -s, (1, 0): s, (1, 1): c, (2, 2): 1.0}
         )
-        rows = 3 * np.asarray(positions, dtype=np.intp)[:, None] + np.arange(3)
-        self.res_index = rows
-        self.jac_index = rows[:, None, :] * n_creases + self.factor_ids[:, :, None]
+        self.rows = 3 * np.asarray(positions, dtype=np.intp)[:, None] + np.arange(3)
 
     def evaluate(self, rho):
-        """Jacobian entries (V, n, 3) and residuals (V, 3) of every fan.
+        """Jacobian entries (V, 3, n) and residuals (V, 3) of every fan.
 
         The factors and their prefix and suffix products are multiplied in
         the same order as in ``vertex_closure_derivatives``, so both give
@@ -184,15 +194,15 @@ class _DegreeGroup:
         for k in range(n - 1, -1, -1):
             suffix[:, k] = factors[:, k] @ suffix[:, k + 1]
         derivs = prefix[:, :n] @ (self.rz @ drx) @ suffix[:, 1:]
-        return derivs[_INDEPENDENT], prefix[:, n][_INDEPENDENT]
+        return derivs[_INDEPENDENT].transpose(0, 2, 1), prefix[:, n][_INDEPENDENT]
 
 
 class CompiledPattern:
     """Constant data a pattern's solvers and embeddings need, computed once.
 
-    Holds the vertex fans grouped by degree, with their sector rotations and
-    scatter indices, the flat pattern coordinates lifted to z = 0, and the
-    spanning trees built so far, keyed by root facet.  Get it through
+    Holds the vertex fans grouped by degree, with their sector rotations,
+    crease ids and row indices, the flat pattern coordinates lifted to z =
+    0, and the spanning trees built so far, keyed by root facet.  Get it through
     ``compile_pattern``, which caches it on the (immutable) pattern.
     """
 
@@ -203,7 +213,7 @@ class CompiledPattern:
         for k, fan in enumerate(fans):
             by_degree.setdefault(fan.degree, []).append(k)
         self.groups = [
-            _DegreeGroup([fans[k] for k in ks], ks, p.n_creases)
+            _DegreeGroup([fans[k] for k in ks], ks)
             for _, ks in sorted(by_degree.items())
         ]
         self.flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
@@ -232,13 +242,14 @@ def assemble_global(p, rho, fans=None):
             f"fold state has {rho.shape} entries, pattern has {p.n_creases} creases"
         )
     compiled = compile_pattern(p)
-    c = np.zeros((compiled.rows, p.n_creases))
     r = np.zeros(compiled.rows)
+    groups = []
     for group in compiled.groups:
         jac, res = group.evaluate(rho)
-        c.flat[group.jac_index] = jac
-        r[group.res_index] = res
-    return GlobalConstraint(C=c, r=r, rho=rho.copy())
+        r[group.rows] = res
+        groups.append((group.rows, group.factor_ids, jac))
+    c = RowBlocks((compiled.rows, p.n_creases), groups)
+    return GlobalConstraint(blocks=c, r=r, rho=rho.copy())
 
 
 def dof(constraint, cutoff=1e-9):

@@ -2,20 +2,29 @@
 
 ``free_column_solve`` is the one solve of both solvers: controlled folding
 steps, residual elimination, spring relaxation and the Tachi projection
-step.  It decides rank on the Gram matrix of the free columns C_F, whose
-eigenvalues are the squared singular values of C_F: eigenvalues at or
-below ``DEFAULT_CUTOFF * lambda_max * n`` count as zero, with n the column
-count of C.  For a tall C_F the Gram matrix N = C_F^T C_F is block-
-tridiagonal in blocks of the band of C_F (the widest column span of a
-row), since no row reaches past the next block.  Full rank is certified by
-a block Cholesky factorization of the shifted N, and the step solved by a
-block Cholesky of N; with one block both are the dense factorizations.
-Only when the certificate fails, or C_F is wide, does an
-eigendecomposition of a dense Gram matrix decide which eigenvalues to
-keep.  The SVD routines (pseudoinverse, minimum-norm solve, rank) use
-their own policy: singular values below ``cutoff * sigma_max * max(rows,
-cols)`` count as zero.  Constraint matrices here are expressed in
-radians, so a tight relative cutoff is safe.
+step.  It takes the constraint matrix as ``RowBlocks``: dense row blocks,
+each on its own short list of columns, which is how assembly produces C
+(one 3 x degree block per vertex).  A plain 2-D array is converted on
+entry, each row a block on its nonzero columns.  Rank is decided on the
+Gram matrix of the free columns C_F, whose eigenvalues are the squared
+singular values of C_F: eigenvalues at or below ``DEFAULT_CUTOFF *
+lambda_max * n`` count as zero, with n the column count of C.
+
+For a tall C_F the band w is read from the structure: the widest span,
+first to last free column, of a row block.  Cut into blocks of w columns,
+N = C_F^T C_F is block-tridiagonal.  With at least three blocks its
+diagonal and super-diagonal blocks are formed straight from the row
+blocks, and one sweep of windowed Cholesky factorizations both certifies
+full rank (on the shifted N) and solves the normal equations (on N, with
+the right-hand side bordered into each window); no dense C is built.  With
+fewer blocks, or when the certificate fails, or when C_F is wide, the
+dense C is built once from the blocks and solved densely, an
+eigendecomposition of a Gram matrix deciding which eigenvalues to keep
+when full rank is not certified.  The SVD routines (pseudoinverse,
+minimum-norm solve, rank) use their own policy: singular values below
+``cutoff * sigma_max * max(rows, cols)`` count as zero.  Constraint
+matrices here are expressed in radians, so a tight relative cutoff is
+safe.
 """
 
 import numpy as np
@@ -62,40 +71,86 @@ def min_norm_solve(m, b, cutoff=DEFAULT_CUTOFF):
     return vt.T @ coeff
 
 
+class RowBlocks:
+    """A matrix stored as dense row blocks, each on its own columns.
+
+    ``groups`` holds ``(rows, cols, vals)`` triples of V blocks with h rows
+    and k columns each: ``vals[v, i, j]`` is the entry at row ``rows[v, i]``
+    and column ``cols[v, j]``.  A row lies in at most one block, a block's
+    columns are distinct, and every entry outside the blocks is zero.  The
+    dense matrix is built on first use and kept.
+    """
+
+    def __init__(self, shape, groups, dense=None):
+        self.shape = tuple(shape)
+        self.groups = tuple(groups)
+        self._dense = dense
+
+    @classmethod
+    def from_dense(cls, m):
+        """Each row of ``m`` one block on its nonzero columns, grouped by
+        their count; the given array serves as the dense matrix."""
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2:
+            raise ValueError(f"constraint matrix must be 2-D, got shape {m.shape}")
+        nz = m != 0
+        counts = nz.sum(axis=1)
+        groups = []
+        for k in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == k)[:, None]
+            cols = np.nonzero(nz[rows[:, 0]])[1].reshape(-1, k)
+            groups.append((rows, cols, m[rows, cols][:, None, :]))
+        return cls(m.shape, groups, dense=m)
+
+    @property
+    def dense(self):
+        """The dense matrix, scattered from the blocks once."""
+        if self._dense is None:
+            dense = np.zeros(self.shape)
+            for rows, cols, vals in self.groups:
+                dense.flat[rows[:, :, None] * self.shape[1] + cols[:, None, :]] = vals
+            self._dense = dense
+        return self._dense
+
+    def scale_columns(self, scale):
+        """This matrix with column j multiplied by ``scale[j]``."""
+        return RowBlocks(self.shape, [
+            (rows, cols, vals * scale[cols][:, None, :]) for rows, cols, vals in self.groups
+        ])
+
+
 def free_column_solve(c, r, fixed, f):
     """Least-squares increment for ``c @ dx = -r`` with ``dx[fixed] = f`` exactly.
 
-    dx_F on the free columns F is the minimum-norm least-squares solution of
-    ``C_F dx_F = b`` with ``b = -(r + C_A f)``, A being the fixed columns.
-    Rank is decided on the Gram matrix of C_F: eigenvalues at or below
-    ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.
+    ``c`` is a ``RowBlocks`` or a 2-D array.  dx_F on the free columns F is
+    the minimum-norm least-squares solution of ``C_F dx_F = b`` with ``b =
+    -(r + C_A f)``, A being the fixed columns.  Rank is decided on the Gram
+    matrix of C_F: eigenvalues at or below ``DEFAULT_CUTOFF * lambda_max *
+    n`` count as zero.
 
     When C_F has at least as many rows as columns, the Gram matrix is ``N =
-    C_F^T C_F``, formed in blocks of the band w of C_F: the widest span,
-    first to last nonzero column, of a row that has any (a row whose
-    columns are all fixed has none).  Cut into consecutive blocks of w
-    columns, no row touches two blocks that are not adjacent, so N is
-    block-tridiagonal and only its diagonal and super-diagonal blocks are
-    formed.  If a block Cholesky factorization of the shifted N certifies
-    that none of its eigenvalues counts as zero (``_full_rank_certified``),
-    a block Cholesky solve of the normal equations ``N dx_F = C_F^T b``
-    gives dx_F; with one block (the band spans every column) the
-    certificate is one dense Cholesky and the solve one dense LU solve.
-    Otherwise the dense N is formed and dx_F is solved on its kept
-    eigenvectors.  When C_F has fewer rows than columns, N is singular by
+    C_F^T C_F``.  If its band (``_gram_band``) cuts the free columns into at
+    least three blocks, N is formed as its diagonal and super-diagonal
+    blocks and ``_band_solve`` certifies in one sweep that none of its
+    eigenvalues counts as zero and solves ``N dx_F = C_F^T b``.  With fewer
+    blocks the dense N is formed; one shifted Cholesky factorization
+    certifies full rank (``_full_rank_certified``) and one LU solve gives
+    dx_F.  Without the certificate, dx_F is solved on the kept eigenvectors
+    of the dense N.  When C_F has fewer rows than columns, N is singular by
     construction; dx_F = C_F^T y lies in the row space, and y is solved on
     the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero eigenvalues
     are those of N.  Either eigenvector solve is refined once against the
     residual of C_F itself.  With no free columns or no rows, dx_F is zero.
     """
-    c = np.asarray(c, dtype=float)
+    if not isinstance(c, RowBlocks):
+        c = RowBlocks.from_dense(c)
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
     fixed = np.asarray(fixed, dtype=int).reshape(-1)
-    for a in (c, r, f):
+    for a in (r, f, *(vals for _, _, vals in c.groups)):
         _check_finite(a)
-    n = c.shape[1]
-    if r.shape != (c.shape[0],) or f.shape != fixed.shape:
+    rows, n = c.shape
+    if r.shape != (rows,) or f.shape != fixed.shape:
         raise ValueError(
             f"shape mismatch: C {c.shape}, r {r.shape}, {fixed.size} fixed, f {f.shape}"
         )
@@ -103,17 +158,29 @@ def free_column_solve(c, r, fixed, f):
         raise ValueError(f"fixed columns must be distinct and in [0, {n})")
     free = np.ones(n, dtype=bool)
     free[fixed] = False
-    if np.count_nonzero(free) != n - fixed.size:
+    n_free = np.count_nonzero(free)
+    if n_free != n - fixed.size:
         raise ValueError(f"fixed columns must be distinct and in [0, {n})")
     dx = np.zeros(n)
     dx[fixed] = f
-    c_free = c[:, free]
-    if not c_free.size:
+    if not rows or not n_free:
         return dx
-    b = -(r + c[:, fixed] @ f)
+    band = None
+    if rows >= n_free:
+        # free index of every column of C, -1 for a fixed one
+        pos = np.cumsum(free) - 1
+        pos[fixed] = -1
+        band = _gram_band(c, pos, n_free)
+        if band is not None:
+            x = _band_solve(band, _free_rhs(c, r, fixed, f, pos, n_free), n)
+            if x is not None:
+                dx[free] = x
+                return dx
+    c_free = c.dense[:, free]
+    b = -(r + c.dense[:, fixed] @ f)
     # Squaring C_F blurs its small kept singular directions; each eigenvector
     # solve below is corrected once from the unsquared residual of C_F.
-    if c_free.shape[0] < c_free.shape[1]:
+    if rows < n_free:
         # Forming dx_F from C_F^T keeps it in the row space to rounding,
         # where eigenvectors of N would leak eps * cond(C_F)^2 of it into
         # the null space.
@@ -122,101 +189,85 @@ def free_column_solve(c, r, fixed, f):
         y += v @ ((v.T @ (b - c_free @ (c_free.T @ y))) / w)
         dx[free] = c_free.T @ y
         return dx
-    diag, upper = _gram_blocks(c_free)
+    gram = c_free.T @ c_free
     g = c_free.T @ b
-    if _full_rank_certified(diag, upper, n):
-        dx[free] = _block_solve(diag, upper, g)
+    if band is None and _full_rank_certified(gram, n):
+        dx[free] = np.linalg.solve(gram, g)
         return dx
-    w, v = _kept_eigh(c_free.T @ c_free, n)
+    w, v = _kept_eigh(gram, n)
     x = v @ ((v.T @ g) / w)
     x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
     dx[free] = x
     return dx
 
 
-def _gram_blocks(c_free):
-    """Diagonal and super-diagonal blocks of ``N = C_F^T C_F``.
+def _gram_band(c, pos, n_free):
+    """The band of ``N = C_F^T C_F`` in blocks, or None below three blocks.
 
-    The band w of C_F is the widest span, from first to last nonzero
-    column, of its rows; all-zero rows have none.  Cut into consecutive
-    blocks of w columns, no row touches more than two adjacent blocks, so N
-    is block-tridiagonal.  Diagonal block k and super-diagonal block k come
-    from the rows that touch block k, in one product of their columns in
-    blocks k and k + 1.  With one block, the one diagonal block is the
-    dense N.
+    ``pos`` maps each column of C to its free index, -1 for a fixed column.
+    The band w of C_F is the widest span, first to last free column, of a
+    row block of C; a block whose columns are all fixed has none.  Cut into
+    consecutive blocks of w columns, no row touches two blocks that are not
+    adjacent, so N is block-tridiagonal.  Returns the (K, w, 2w) array whose
+    ``[k, :, :w]`` is diagonal block k of N and ``[k, :, w:]`` its
+    super-diagonal block k, zero past the last free column.  Each row
+    block's Gram matrix is one batched product of its entries, and one
+    ``bincount`` sums them into place.
     """
-    cols = c_free.shape[1]
-    nz = c_free != 0
-    live = np.flatnonzero(nz.any(axis=1))
-    first = nz[live].argmax(axis=1)
-    last = cols - 1 - nz[live, ::-1].argmax(axis=1)
-    width = int(np.max(last - first)) + 1 if live.size else cols
-    if width >= cols:
-        return [c_free.T @ c_free], []
-    first //= width
-    last //= width
-    diag, upper = [], []
-    for k, lo in enumerate(range(0, cols, width)):
-        rows = live[(first <= k) & (last >= k)]
-        slab = c_free[rows, lo:lo + 2 * width]
-        gram = slab[:, :width].T @ slab
-        diag.append(gram[:, :width])
-        if lo + width < cols:
-            upper.append(gram[:, width:])
-    return diag, upper
+    free_pos = [pos[cols] for _, cols, _ in c.groups]
+    width = 0
+    for p in free_pos:
+        # first to last free column of each block, negative when all are fixed
+        span = p.max(axis=1) - np.where(p < 0, n_free, p).min(axis=1) + 1
+        width = max(width, int(span.max(initial=0)))
+    if not width or n_free <= 2 * width:
+        return None
+    index, weight = [], []
+    for (_, _, vals), p in zip(c.groups, free_pos):
+        i, j = p[:, :, None], p[:, None, :]
+        start = i // width * width  # first column of the block holding i
+        keep = (i >= 0) & (j >= start)
+        # row i of the band, column j - start: diagonal, then super-diagonal
+        index.append((2 * width * i + j - start)[keep])
+        weight.append((vals.transpose(0, 2, 1) @ vals)[keep])
+    blocks = -(-n_free // width)
+    band = np.bincount(
+        np.concatenate(index), np.concatenate(weight), minlength=2 * width * width * blocks
+    )
+    return band.reshape(blocks, width, 2 * width)
 
 
-def _full_rank_certified(diag, upper, n):
-    """True when one block Cholesky proves every eigenvalue of N is kept.
+def _free_rhs(c, r, fixed, f, pos, n_free):
+    """``C_F^T b`` with ``b = -(r + C_A f)``, from the row blocks of C."""
+    given = np.zeros(c.shape[1])
+    given[fixed] = f
+    b = np.zeros(c.shape[0])
+    for rows, cols, vals in c.groups:
+        b[rows] = (vals @ given[cols][:, :, None])[:, :, 0]
+    b = -(r + b)
+    index, weight = [], []
+    for rows, cols, vals in c.groups:
+        p = pos[cols]
+        index.append(p[p >= 0])
+        weight.append((b[rows][:, None, :] @ vals)[:, 0][p >= 0])
+    return np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n_free)
 
-    N is given by its diagonal and super-diagonal blocks.  The largest
-    absolute row sum ``lam_hi``, summed over a block row, bounds
-    ``lambda_max`` from above.  If ``N - 2 tau lam_hi I`` (``tau =
-    DEFAULT_CUTOFF * n``) factors, then ``lambda_min > 2 tau lambda_max -
-    ||E||``, E being the backward error of the factorization.  A block
-    Cholesky is a Cholesky factorization with its inner products summed in
-    another order, so the dense bound holds: ``||E||`` is about ``n^2 eps
-    lambda_max`` at most, and less in a band, where no inner product has
-    more than 2w terms.  That stays below ``tau lambda_max`` for n up to
-    several thousand, so no eigenvalue is at or below the cutoff.  A failed
+
+def _full_rank_certified(gram, n):
+    """True when one Cholesky factorization proves every eigenvalue of the
+    dense Gram matrix is kept.
+
+    The largest absolute row sum ``lam_hi`` bounds ``lambda_max`` from
+    above.  If ``gram - 2 tau lam_hi I`` (``tau = DEFAULT_CUTOFF * n``)
+    factors, then ``lambda_min > 2 tau lambda_max - ||E||``, E being the
+    backward error of the factorization, about ``n^2 eps lambda_max`` at
+    most.  That stays below ``tau lambda_max`` for n up to several
+    thousand, so no eigenvalue is at or below the cutoff.  A failed
     factorization proves nothing: the caller falls back to the
     eigendecomposition, which applies the cutoff itself.
     """
-    sums = [np.abs(d).sum(axis=1) for d in diag]
-    for k, e in enumerate(upper):
-        sums[k] += np.abs(e).sum(axis=1)
-        sums[k + 1] += np.abs(e).sum(axis=0)
-    shift = 2.0 * DEFAULT_CUTOFF * n * max(s.max(initial=0) for s in sums)
-    return _block_cholesky(diag, upper, shift) is not None
-
-
-def _block_cholesky(diag, upper, shift=0.0):
-    """Block Cholesky factors of ``N - shift I``, or None if one fails.
-
-    ``N - shift I = L L^T`` with L block lower-bidiagonal: the factors L_k
-    on its diagonal and the couplings ``B_k = E_k^T L_k^{-T}`` below it,
-    E_k being the super-diagonal blocks of N.  numpy has no triangular
-    solve, so L_k and B_k come from one Cholesky factorization of the
-    shifted window ``[[S_k, E_k], [E_k^T, D_{k+1}]]``, S_k being the Schur
-    complement ``D_k - B_{k-1} B_{k-1}^T`` left by the blocks before k.
-    One block is one dense Cholesky.
-    """
-    factors, couplings = [], []
-    schur = diag[0]
-    for e, d in zip(upper, diag[1:]):
-        w = len(schur)
-        window = np.empty((w + len(d),) * 2)
-        window[:w, :w], window[:w, w:], window[w:, :w], window[w:, w:] = schur, e, e.T, d
-        factor = _shifted_cholesky(window, shift)
-        if factor is None:
-            return None
-        factors.append(factor[:w, :w])
-        couplings.append(factor[w:, :w])
-        schur = d - couplings[-1] @ couplings[-1].T
-    factor = _shifted_cholesky(schur, shift)
-    if factor is None:
-        return None
-    return factors + [factor], couplings
+    shift = 2.0 * DEFAULT_CUTOFF * n * np.abs(gram).sum(axis=1).max(initial=0)
+    return _shifted_cholesky(gram, shift) is not None
 
 
 def _shifted_cholesky(a, shift):
@@ -229,26 +280,80 @@ def _shifted_cholesky(a, shift):
         return None
 
 
-def _block_solve(diag, upper, g):
-    """``N^{-1} g`` for certified positive definite block-tridiagonal N.
+def _band_inf_norm(band):
+    """``||N||_inf``, the largest absolute row sum of N, from its band: a
+    row of block k sums its diagonal and super-diagonal blocks and column
+    of super-diagonal block k - 1."""
+    w = band.shape[1]
+    magnitude = abs(band)
+    sums = magnitude.sum(axis=2)
+    sums[1:] += magnitude[:-1, :, w:].sum(axis=1)
+    return sums.max()
 
-    One block is the dense LU solve.  More blocks are solved by block
-    Cholesky and block forward and back substitution, each block's
-    triangular system by ``np.linalg.solve``.
+
+def _band_solve(band, g, n):
+    """``N^{-1} g`` for block-tridiagonal N when its full rank is certified,
+    else None.
+
+    N is given by its ``_gram_band``.  The certificate is the one of
+    ``_full_rank_certified``, with ``lam_hi = ||N||_inf`` summed over a
+    block row: a block Cholesky factorization of ``N - 2 tau lam_hi I``.
+    That is a Cholesky factorization with its inner products summed in
+    another order, so the dense backward-error bound holds, and is smaller
+    in a band, where no inner product has more than 2w terms.
+
+    ``N = L L^T`` with L block lower-bidiagonal: factors L_k on its
+    diagonal and couplings ``B_k = E_k^T L_k^{-T}`` below it, E_k being the
+    super-diagonal blocks of N.  One sweep factors window k, ``[[S_k, E_k,
+    h_k], [E_k^T, D_{k+1}, g_{k+1}], [h_k^T, g_{k+1}^T, inf]]``, for the
+    shifted and the unshifted N in one stacked Cholesky.  S_k and h_k are
+    what the blocks before k leave of D_k and g_k: the window's own
+    trailing rows minus its couplings' outer product.  The bordered row of
+    the unshifted factor is the forward substitution ``y = L^{-1} g``; its
+    corner stays ``inf`` whatever y is.  The shifted windows are bordered by
+    zeros, so the border never fails the certificate.  One window buffer is
+    reused: each factorization leaves the next window's S and h.  Back
+    substitution ``L^T x = y`` follows, one ``np.linalg.solve`` per block.
+    The last block is padded to w columns by a decoupled diagonal
+    ``lam_hi``, which leaves the other entries of the factors as they are
+    and solves to zero.
     """
-    if not upper:
-        return np.linalg.solve(diag[0], g)
-    factors, couplings = _block_cholesky(diag, upper)
-    ends = np.cumsum([len(factor) for factor in factors[:-1]])
-    ys = []
-    for k, (factor, rhs) in enumerate(zip(factors, np.split(g, ends))):
-        if k:
-            rhs = rhs - couplings[k - 1] @ ys[-1]
-        ys.append(np.linalg.solve(factor, rhs))
-    xs = [np.linalg.solve(factors[-1].T, ys[-1])]
-    for factor, coupling, y in zip(factors[-2::-1], couplings[::-1], ys[-2::-1]):
-        xs.append(np.linalg.solve(factor.T, y - coupling.T @ xs[-1]))
-    return np.concatenate(xs[::-1])
+    blocks, w = band.shape[:2]
+    lam_hi = _band_inf_norm(band)
+    shift = 2.0 * DEFAULT_CUTOFF * n * lam_hi
+    rhs = np.zeros(blocks * w)
+    rhs[:len(g)] = g
+    rhs = rhs.reshape(blocks, w)
+    # diagonal blocks of N and of the shifted N
+    diag = np.stack([band[:, :, :w], band[:, :, :w] - shift * np.eye(w)])
+    pad = np.arange(len(g) - (blocks - 1) * w, w)
+    diag[:, -1, pad, pad] = lam_hi
+    # lower triangle only: np.linalg.cholesky reads nothing else
+    window = np.zeros((2, 2 * w + 1, 2 * w + 1))
+    window[:, :w, :w] = diag[:, 0]
+    window[0, -1, :w] = rhs[0]
+    window[:, -1, -1] = np.inf
+    factors = []
+    for k in range(1, blocks):
+        window[:, w:-1, :w] = band[k - 1, :, w:].T
+        window[:, w:-1, w:-1] = diag[:, k]
+        window[0, -1, w:-1] = rhs[k]
+        try:
+            low = np.linalg.cholesky(window)
+        except np.linalg.LinAlgError:
+            return None
+        factors.append(low[0])
+        below = low[:, w:, :w]
+        trailing = window[:, w:, w:] - below @ below.transpose(0, 2, 1)
+        window[:, :w, :w] = trailing[:, :w, :w]
+        window[:, -1, :w] = trailing[:, -1, :w]
+    x = np.empty((blocks, w))
+    last = factors[-1]
+    x[-1] = np.linalg.solve(last[w:-1, w:-1].T, last[-1, w:-1])
+    for k in range(blocks - 2, -1, -1):
+        low = factors[k]
+        x[k] = np.linalg.solve(low[:w, :w].T, low[-1, :w] - low[w:-1, :w].T @ x[k + 1])
+    return x.reshape(-1)[:len(g)]
 
 
 def _kept_eigh(gram, n):

@@ -7,19 +7,22 @@ leaves the normal equations on the free creases F:
 
     C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
-solved by ``numerics.free_column_solve``.  Squared singular values of C_F
-at or below ``1e-12 * lambda_max * n_creases`` count as zero.  Each row of
-C couples only the creases of one vertex, so in the canonical crease order
-C_F is banded and its normal matrix block-tridiagonal (Miura k x k cells:
-band 4k).  For a tall C_F one shifted block Cholesky of the normal matrix
-certifies that no squared singular value counts as zero, and a block
-Cholesky solve gives drho_F; when the band spans every free crease, that
-is one dense Cholesky and one LU solve.  When the certificate fails (at
-the flat state, where the closure condition degenerates) or C_F is wide
-(more creases free than C has rows, as in the crane's stages), an
-eigendecomposition decides the rank and the minimum-norm drho_F is used.
-After the increment, the residual is eliminated by iterating the same
-solve with f = 0, which leaves the controlled angles untouched.
+solved by ``numerics.free_column_solve`` on the assembly's per-vertex
+blocks of C.  Squared singular values of C_F at or below ``1e-12 *
+lambda_max * n_creases`` count as zero.  Each block of C couples only the
+creases of one vertex, so in the canonical crease order C_F is banded and
+its normal matrix block-tridiagonal (Miura k x k cells: band 4k, read from
+the vertices' first and last free creases).  For a tall C_F with at least
+three blocks, one sweep of windowed Cholesky factorizations of the shifted
+and the unshifted normal matrix certifies that no squared singular value
+counts as zero and solves for drho_F, without a dense C; with fewer blocks
+the dense normal matrix gets one Cholesky certificate and one LU solve.
+When the certificate fails (at the flat state, where the closure condition
+degenerates) or C_F is wide (more creases free than C has rows, as in one
+of the crane's stages), an eigendecomposition of a dense Gram matrix
+decides the rank and the minimum-norm drho_F is used.  After the
+increment, the residual is eliminated by iterating the same solve with f =
+0, which leaves the controlled angles untouched.
 """
 
 import json
@@ -29,7 +32,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .kinematics import assemble_global, check_fold_range
+from .kinematics import FOLD_RANGE_SLACK, assemble_global, check_fold_range
 from .numerics import free_column_solve
 from .pattern import MOUNTAIN, VALLEY
 
@@ -151,7 +154,7 @@ def _eliminate_residual(p, rho, controlled, eps, max_iter):
             raise ConvergenceError(
                 f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})"
             )
-        drho = free_column_solve(gc.C, gc.r, controlled, np.zeros(len(controlled)))
+        drho = free_column_solve(gc.blocks, gc.r, controlled, np.zeros(len(controlled)))
         rho = rho + drho
         gc = assemble_global(p, rho)
         iters += 1
@@ -172,7 +175,7 @@ def _controlled_step(p, rho, directive, eps, max_iter, gc=None):
     rho = np.asarray(rho, dtype=float)
     if gc is None:
         gc = assemble_global(p, rho)
-    drho = free_column_solve(gc.C, gc.r, directive.controlled, directive.f)
+    drho = free_column_solve(gc.blocks, gc.r, directive.controlled, directive.f)
     rho = rho + drho
     rho, gc, iters = _eliminate_residual(p, rho, directive.controlled, eps, max_iter)
     check_fold_range(rho)
@@ -207,7 +210,7 @@ def tachi_projection_step(p, rho, drho0):
     rho = np.asarray(rho, dtype=float)
     drho0 = np.asarray(drho0, dtype=float)
     gc = assemble_global(p, rho)
-    return rho + drho0 + free_column_solve(gc.C, gc.C @ drho0 + gc.r, (), [])
+    return rho + drho0 + free_column_solve(gc.blocks, gc.C @ drho0 + gc.r, (), [])
 
 
 def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
@@ -219,7 +222,9 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     boundaries land on their targets to solver precision.  Held creases get
     fixed columns with zero increments.  When a stage omits its step count,
     enough steps are used to keep every controlled increment at or below
-    ``max_step``.  A crease id outside the pattern raises ``ValueError``.
+    ``max_step``.  A crease id outside the pattern, or a target outside the
+    fold-angle range [-pi, pi], raises ``ValueError``: a finite but huge
+    target would ask a stage without a step count for endless steps.
     """
     for stage in schedule.stages:
         for i in (*stage.targets, *stage.hold):
@@ -227,6 +232,9 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
                 raise ValueError(
                     f"crease id {i} out of range (pattern has {p.n_creases} creases)"
                 )
+        for i, target in stage.targets.items():
+            if abs(target) > math.pi + FOLD_RANGE_SLACK:
+                raise ValueError(f"target {target!r} of crease {i} outside [-pi, pi]")
     rho = np.asarray(rho0, dtype=float).copy()
     gc = assemble_global(p, rho)
     traj = FoldTrajectory()

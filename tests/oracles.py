@@ -5,7 +5,8 @@ code paths: the folded Miura sheet is built from elementary vector geometry
 with a bisection closure solve, the waterbomb well comes from a 1-D
 brute-force scan of the closed-form branch, the controlled step comes
 from a full SVD of the bordered multiplier system or, at full column rank,
-from one dense LU solve of its normal equations, the spring step from
+from one dense LU solve of its normal equations, whose banded Gram blocks
+are formed from the values of the dense matrix, the spring step from
 the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
 and the embedding from a per-facet loop down the spanning tree.
 """
@@ -323,6 +324,36 @@ def normal_rounding_bound(c, fixed, x):
     free = np.setdiff1d(np.arange(c.shape[1]), fixed)
     w = np.linalg.eigvalsh(c[:, free].T @ c[:, free])
     return 10 * free.size * np.finfo(float).eps * w[-1] / w[0] * np.abs(x).max()
+
+
+def gram_blocks(c_free):
+    """Diagonal and super-diagonal blocks of ``N = C_F^T C_F`` from the dense
+    C_F, in blocks of its band read from the values.
+
+    The band w is the widest span, from first to last nonzero column, of a
+    row of C_F; all-zero rows have none.  Block k of N comes from one
+    product of the columns of blocks k and k + 1 over the rows that touch
+    block k.  With one block, the one diagonal block is the dense N.
+    """
+    cols = c_free.shape[1]
+    nz = c_free != 0
+    live = np.flatnonzero(nz.any(axis=1))
+    first = nz[live].argmax(axis=1)
+    last = cols - 1 - nz[live, ::-1].argmax(axis=1)
+    width = int(np.max(last - first)) + 1 if live.size else cols
+    if width >= cols:
+        return [c_free.T @ c_free], []
+    first //= width
+    last //= width
+    diag, upper = [], []
+    for k, lo in enumerate(range(0, cols, width)):
+        rows = live[(first <= k) & (last >= k)]
+        slab = c_free[rows, lo:lo + 2 * width]
+        gram = slab[:, :width].T @ slab
+        diag.append(gram[:, :width])
+        if lo + width < cols:
+            upper.append(gram[:, width:])
+    return diag, upper
 
 
 def explicit_inverse_step(c, r, stiffness, d):

@@ -263,9 +263,37 @@ class TestRelaxCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"] is False
         assert manifest["projected_gradient"] > 1e-2
-        err = capsys.readouterr().err.strip().splitlines()
+        assert manifest["stop_reason"] == "step_resolution"
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["stop_reason"] == "step_resolution"
+        err = captured.err.strip().splitlines()
         assert len(err) == 1
         assert "projected gradient" in err[0]
+        assert "stopped on step_resolution" in err[0]
+
+    def test_step_budget_exits_3_and_names_it(self, waterbomb_file, waterbomb, tmp_path,
+                                              capsys):
+        rm, rv = waterbomb_symmetric_oracle(5 * math.pi / 8)
+        springs = {"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None,
+             "rest": rm if i in waterbomb.meta["mountains"] else rv}
+            for i in range(8)
+        ]}
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps(springs))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"max_steps": 2}))
+        out = tmp_path / "rrun"
+        assert main([
+            "relax", "--pattern", str(waterbomb_file), "--springs", str(spath),
+            "--settings", str(settings), "--out", str(out),
+        ]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "max_steps"
+        assert manifest["steps"] == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["stop_reason"] == "max_steps"
+        assert "stopped on max_steps" in captured.err
 
     def test_rest_compatible_start_zero_steps(self, waterbomb_file, waterbomb,
                                               tmp_path, capsys):
@@ -290,6 +318,8 @@ class TestRelaxCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["steps"] <= 1
         assert manifest["final_energy"] < 1e-10
+        assert manifest["stop_reason"] == "vanishing_step"
+        assert json.loads(capsys.readouterr().out)["stop_reason"] == "vanishing_step"
 
 
 class TestObjExport:
@@ -532,6 +562,8 @@ class TestBadInput:
                                   "steps": 2.5}]}, "step count must be an integer"),
         ("schedule", {"stages": [{"controlled": [{"crease": 0, "target": math.nan}]}]},
          "stage targets must be finite"),
+        ("schedule", {"stages": [{"controlled": [{"crease": 0, "target": 1e300}]}]},
+         "outside [-pi, pi]"),
         ("springs", {}, "malformed document"),
         ("springs", [], "malformed document"),
         ("springs", {"creases": [{"crease": math.inf, "rest": 0.5}]}, "malformed document"),
@@ -550,8 +582,8 @@ class TestBadInput:
     ], ids=[
         "schedule-empty-object", "schedule-list", "schedule-no-target",
         "schedule-null-target", "schedule-string-steps", "schedule-fractional-steps",
-        "schedule-nan-target", "springs-empty-object", "springs-list",
-        "springs-infinite-crease", "state-no-rho", "state-scalar-rho",
+        "schedule-nan-target", "schedule-huge-target", "springs-empty-object",
+        "springs-list", "springs-infinite-crease", "state-no-rho", "state-scalar-rho",
         "pattern-scalar-vertices", "pattern-string-crease-end",
         "pattern-fractional-crease-end", "pattern-string-coordinate",
         "pattern-bool-coordinate",

@@ -18,6 +18,7 @@ from rigidfold import (
     spring_gradient,
     waterbomb_symmetric_oracle,
 )
+from rigidfold.elastic import STOP_REASONS
 from rigidfold.numerics import rank
 from rigidfold.pattern import MOUNTAIN
 
@@ -205,6 +206,7 @@ class TestRelax:
         assert result.converged
         assert len(result.states) <= 2
         assert np.allclose(result.final, rest, atol=1e-9)
+        assert result.stop_reason == "vanishing_step"
 
     def test_bistable_upward_reaches_rest(self, wb_bistability):
         res = wb_bistability["upward"]
@@ -288,6 +290,24 @@ class TestRelax:
         assert coarse.step_factors[-1] <= 0.05  # stopped on step resolution
         assert coarse.projected_gradient > 1e-2
         assert not coarse.converged
+        assert coarse.stop_reason == "step_resolution"
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 3])
+    def test_step_budget_stop_is_named(self, waterbomb, max_steps):
+        rest = wb_state(waterbomb, 5 * math.pi / 8)
+        cfg = SpringConfig.per_unit_length(waterbomb, 1.0, rest)
+        s0 = wb_state(waterbomb, 3 * math.pi / 4)
+        result = relax(waterbomb, cfg, RelaxSettings(max_steps=max_steps), s0)
+        assert result.stop_reason == "max_steps"
+        assert len(result.states) == max_steps + 1
+        assert not result.converged
+
+    def test_stop_reason_is_named_on_converged_runs(self, wb_bistability):
+        """A stationary run still says what stopped it."""
+        for name in ("upward", "downward"):
+            res = wb_bistability[name]
+            assert res.converged
+            assert res.stop_reason in STOP_REASONS
 
     def test_characteristic_default_largest_moment(self, waterbomb):
         rest = wb_state(waterbomb, 5 * math.pi / 8)

@@ -4,13 +4,25 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bordered_solve, normal_rounding_bound, normal_solve
-from rigidfold import build_vertex_fans, generate_miura, min_norm_solve, pseudoinverse, rank
+from oracles import bordered_solve, gram_blocks, normal_rounding_bound, normal_solve
+from rigidfold import (
+    build_vertex_fans,
+    generate_crane,
+    generate_miura,
+    generate_waterbomb_tessellation,
+    min_norm_solve,
+    pseudoinverse,
+    rank,
+    vertex_jacobian,
+)
 from rigidfold.kinematics import assemble_global
 from rigidfold.numerics import (
     DEFAULT_CUTOFF,
+    RowBlocks,
+    _band_inf_norm,
+    _band_solve,
     _full_rank_certified,
-    _gram_blocks,
+    _gram_band,
     free_column_solve,
 )
 from rigidfold.sequential import flat_state_seed
@@ -127,9 +139,21 @@ def test_rank_permutation_invariant():
     assert rank(m[pr][:, pc]) == r
 
 
-def free_blocks(c, fixed):
-    """The Gram blocks the free-column solve forms for C_F."""
-    return _gram_blocks(np.delete(c, fixed, axis=1))
+def free_band(c, fixed):
+    """The Gram band the free-column solve forms for C_F, None for one dense
+    block; ``c`` is a ``RowBlocks`` or a dense array."""
+    if not isinstance(c, RowBlocks):
+        c = RowBlocks.from_dense(c)
+    free = np.ones(c.shape[1], dtype=bool)
+    free[fixed] = False
+    pos = np.cumsum(free) - 1
+    pos[~free] = -1
+    return _gram_band(c, pos, int(free.sum()))
+
+
+def band_certified(band, n, fixed):
+    """The one-sweep certificate, run with a zero right-hand side."""
+    return _band_solve(band, np.zeros(n - len(fixed)), n) is not None
 
 
 class TestFullRankCertificate:
@@ -164,9 +188,14 @@ class TestFullRankCertificate:
                     yield ratio, c, r, fixed, rng.normal(0.0, 0.02, n_fixed)
 
     def certified(self, c, fixed):
-        diag, upper = free_blocks(c, fixed)
-        assert len(diag) == self.BLOCKS
-        return _full_rank_certified(diag, upper, c.shape[1])
+        n = c.shape[1]
+        band = free_band(c, fixed)
+        if band is None:
+            assert self.BLOCKS == 1
+            c_free = np.delete(c, fixed, axis=1)
+            return _full_rank_certified(c_free.T @ c_free, n)
+        assert len(band) == self.BLOCKS
+        return band_certified(band, n, fixed)
 
     def test_never_certifies_a_deficient_matrix(self):
         for ratio, c, _, fixed, _ in self.cases():
@@ -204,8 +233,10 @@ class TestFullRankCertificate:
 
 
 class TestBandedSolve:
-    """The tall certified solve in blocks of the band of C_F, against one dense
-    LU solve of the normal equations."""
+    """The tall certified solve in blocks of the band of C_F, from the
+    per-vertex blocks of assembly (structural band) and from the dense C
+    (band read from the values), against one dense LU solve of the normal
+    equations."""
 
     @pytest.fixture(scope="class", params=[5, 7])
     def miura_state(self, request):
@@ -215,19 +246,20 @@ class TestBandedSolve:
     @staticmethod
     def check(gc, fixed, f):
         n = gc.C.shape[1]
-        diag, upper = free_blocks(gc.C, fixed)
-        assert len(diag) > 2
-        assert _full_rank_certified(diag, upper, n)
-        dx = free_column_solve(gc.C, gc.r, fixed, f)
         ref = normal_solve(gc.C, gc.r, fixed, f)
-        assert np.array_equal(dx[list(fixed)], f)
-        assert np.abs(dx - ref).max() <= normal_rounding_bound(gc.C, fixed, ref)
+        for c in (gc.blocks, gc.C):
+            band = free_band(c, fixed)
+            assert len(band) > 2
+            assert band_certified(band, n, fixed)
+            dx = free_column_solve(c, gc.r, fixed, f)
+            assert np.array_equal(dx[list(fixed)], f)
+            assert np.abs(dx - ref).max() <= normal_rounding_bound(gc.C, fixed, ref)
 
     def test_fixed_columns_anywhere(self, miura_state):
         p, gc = miura_state
         n = p.n_creases
-        band = len(free_blocks(gc.C, [])[0][0])
-        assert band == 4 * p.meta["m"]  # canonical crease order
+        band = free_band(gc.blocks, []).shape[1]
+        assert band == free_band(gc.C, []).shape[1] == 4 * p.meta["m"]  # canonical crease order
         rng = np.random.default_rng(17)
         for fixed in ([0], [n // 2], [n - 1], [band], [band - 1, band], [0, band, n - 1]):
             self.check(gc, fixed, rng.normal(0.0, 0.02, len(fixed)))
@@ -247,8 +279,102 @@ class TestBandedSolve:
             c = rng.standard_normal((rows, cols))
             r = rng.normal(0.0, 0.02, rows)
             f = rng.normal(0.0, 0.02, len(fixed))
-            assert len(free_blocks(c, fixed)[0]) == 1
+            assert free_band(c, fixed) is None
             assert np.array_equal(free_column_solve(c, r, fixed, f), normal_solve(c, r, fixed, f))
+
+    def test_two_blocks_are_one_dense_block(self):
+        """A band of at least half the free columns leaves one window, all of
+        N, so the dense single-block solve runs."""
+        rng = np.random.default_rng(8)
+        c = np.zeros((40, 12))
+        for i, row in enumerate(c):
+            lo = i % 7
+            row[lo:lo + 6] = rng.standard_normal(6)
+        assert free_band(c, []) is None
+        assert len(gram_blocks(c)[0]) == 2
+        r = rng.normal(0.0, 0.02, 40)
+        assert np.array_equal(free_column_solve(c, r, [], []), normal_solve(c, r, [], []))
+
+
+class TestRowBlocks:
+    """The row-block storage of C against its dense forms."""
+
+    @pytest.fixture(scope="class")
+    def patterns(self):
+        return [generate_miura(5, 5), generate_waterbomb_tessellation(3, 2), generate_crane()]
+
+    def test_dense_is_the_per_vertex_assembly(self, patterns):
+        """The lazily built dense C holds each vertex's Jacobian bit for bit."""
+        rng = np.random.default_rng(31)
+        for p in patterns:
+            fans = build_vertex_fans(p)
+            for rho in (rng.uniform(-math.pi, math.pi, p.n_creases), np.zeros(p.n_creases)):
+                gc = assemble_global(p, rho)
+                ref = np.zeros((3 * len(fans), p.n_creases))
+                for k, fan in enumerate(fans):
+                    ids = list(fan.crease_ids)
+                    ref[3 * k:3 * k + 3, ids] = vertex_jacobian(fan, rho[ids])
+                assert np.array_equal(gc.C, ref)
+                assert gc.C is gc.C  # built once
+                assert gc.normalized_residual == np.linalg.norm(gc.r) / len(ref)
+
+    def test_from_dense_keeps_every_entry(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.4)
+        m[3] = 0.0
+        blocks = RowBlocks.from_dense(m)
+        assert blocks.dense is m
+        assert np.array_equal(RowBlocks(m.shape, blocks.groups).dense, m)
+        scale = rng.uniform(0.5, 2.0, 7)
+        assert np.array_equal(blocks.scale_columns(scale).dense, m * scale)
+
+    def test_conversion_gives_the_value_band_blocks(self):
+        """Integer entries make every sum exact, so the band formed from the
+        converted rows equals the value-band blocks of the dense C_F."""
+        rng = np.random.default_rng(12)
+        for cols, width, fixed in ((40, 6, []), (41, 5, [0, 17, 40]), (60, 9, [8, 9])):
+            c = np.zeros((3 * cols, cols))
+            for i, row in enumerate(c):
+                lo = rng.integers(0, cols - width + 1)
+                row[lo:lo + width] = rng.integers(-4, 5, width)
+            c[5] = 0.0
+            diag, upper = gram_blocks(np.delete(c, fixed, axis=1))
+            band = free_band(c, fixed)
+            w = band.shape[1]
+            assert len(band) == len(diag) > 2
+            for k, d in enumerate(diag):
+                assert np.array_equal(band[k, :len(d), :len(d)], d)
+            for k, e in enumerate(upper):
+                assert np.array_equal(band[k, :, w:w + e.shape[1]], e)
+            assert not np.any(band[-1, :, w:])
+
+    def test_band_norm_is_the_largest_row_sum(self):
+        """The certificate's lam_hi counts every block of a row of N, the
+        transposed super-diagonal block on its left included."""
+        p = generate_miura(5, 5)
+        gc = assemble_global(p, flat_state_seed(p, math.radians(30.0)))
+        for fixed in ([], [0, 20, 100]):
+            c_free = np.delete(gc.C, fixed, axis=1)
+            ref = np.abs(c_free.T @ c_free).sum(axis=1).max()
+            assert _band_inf_norm(free_band(gc.blocks, fixed)) == pytest.approx(ref, rel=1e-14)
+        # band 5; the largest row of N = I + a a^T is column 5, the first of
+        # block 1, and two of its terms lie left of it in block 0
+        c = np.vstack([np.eye(30), np.zeros(30)])
+        c[-1, 3:8] = [1, 1, 10, 10, 10]
+        band = free_band(c, [])
+        assert band.shape == (6, 5, 10)
+        assert _band_inf_norm(band) == np.abs(c.T @ c).sum(axis=1).max() == 321
+
+    def test_structural_band_at_a_folded_state(self):
+        """At a folded Miura state no Jacobian entry vanishes, so the band of
+        the per-vertex blocks is the band of the values."""
+        p = generate_miura(7, 7)
+        gc = assemble_global(p, flat_state_seed(p, math.radians(30.0)))
+        for fixed in ([], [p.meta["driven_crease"]], [0, 28, 100]):
+            band = free_band(gc.blocks, fixed)
+            dense = free_band(gc.C, fixed)
+            assert band.shape == dense.shape
+            assert np.abs(band - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
 class TestBlockCertificate(TestFullRankCertificate):

@@ -10,7 +10,9 @@ import io
 import json
 import math
 import tempfile
-from functools import lru_cache
+import warnings
+from functools import lru_cache, reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,8 @@ from rigidfold import (  # noqa: E402
 from oracles import normal_rounding_bound, normal_solve  # noqa: E402
 from rigidfold.cli import main, parse_obj  # noqa: E402
 from rigidfold.generators import crane_schedule  # noqa: E402
-from rigidfold.numerics import DEFAULT_CUTOFF, _gram_blocks  # noqa: E402
+from rigidfold.numerics import DEFAULT_CUTOFF, RowBlocks, _gram_band  # noqa: E402
+from rigidfold.pattern import MOUNTAIN  # noqa: E402
 from rigidfold.sequential import DEFAULT_EPS  # noqa: E402
 
 
@@ -57,14 +60,21 @@ def miura_drive(cells, alpha_deg, eps=DEFAULT_EPS):
 def check_lu_normal_solve(c, r, fixed, f):
     """Where the eigenvalue cutoff keeps every direction of C_F^T C_F, the
     free-column solve is the LU solve of the normal equations: exactly when
-    the band of C_F spans its columns (one block), to rounding in blocks.
+    the band of C_F cuts its columns into fewer than three blocks (one dense
+    block), to rounding in blocks.  ``c`` is a dense array or ``RowBlocks``.
     Returns the number of blocks, 0 when the rule drops a direction or C_F
     is wide."""
-    n = c.shape[1]
     dx = free_column_solve(c, r, fixed, f)
+    if not isinstance(c, RowBlocks):
+        c = RowBlocks.from_dense(c)
     assert np.array_equal(dx[fixed], f)
+    n = c.shape[1]
     free = np.ones(n, dtype=bool)
     free[fixed] = False
+    pos = np.cumsum(free) - 1
+    pos[fixed] = -1
+    band = _gram_band(c, pos, int(free.sum()))
+    c = c.dense
     c_free = c[:, free]
     if c_free.shape[0] < c_free.shape[1]:
         return 0
@@ -72,7 +82,7 @@ def check_lu_normal_solve(c, r, fixed, f):
     if not w[0] > DEFAULT_CUTOFF * w[-1] * n:
         return 0
     ref = normal_solve(c, r, fixed, f)
-    blocks = len(_gram_blocks(c_free)[0])
+    blocks = 1 if band is None else len(band)
     if blocks == 1:
         assert np.array_equal(dx, ref)
     else:
@@ -88,7 +98,8 @@ def check_lu_normal_solve(c, r, fixed, f):
     data=st.data(),
 )
 def test_full_rank_solve_is_the_lu_normal_solve(cells, alpha_deg, step, data):
-    """On Miura drive states with random fixed creases."""
+    """On Miura drive states with random fixed creases, from the per-vertex
+    blocks of assembly and from the dense C."""
     p, states = miura_drive(cells, alpha_deg)
     n = p.n_creases
     gc = assemble_global(p, states[step])
@@ -96,7 +107,9 @@ def test_full_rank_solve_is_the_lu_normal_solve(cells, alpha_deg, step, data):
         st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), label="fixed",
     )), dtype=int)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
-    check_lu_normal_solve(gc.C, gc.r, fixed, rng.normal(0.0, 0.02, fixed.size))
+    f = rng.normal(0.0, 0.02, fixed.size)
+    for c in (gc.blocks, gc.C):
+        check_lu_normal_solve(c, gc.r, fixed, f)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -347,3 +360,94 @@ def test_cli_exit_codes_are_total(base, edits, folded, data):
                 assert all(math.isfinite(x) for x in json.loads(out.getvalue()).values())
             elif argv[0] == "export-obj":
                 assert np.all(np.isfinite(parse_obj(obj.read_text())[0]))
+
+
+@lru_cache(maxsize=None)
+def run_documents():
+    """The waterbomb base, as a document, with a valid schedule for ``fold``
+    and valid springs, settings and start state for ``relax``."""
+    p = generate_waterbomb_base()
+    sign = [-1.0 if c.assignment == MOUNTAIN else 1.0 for c in p.creases]
+    return serialize_pattern(p), {
+        "schedule": {"stages": [{"controlled": [{"crease": sign.index(-1.0),
+                                                 "target": -1.0}],
+                                 "hold": [], "steps": 3}]},
+        "springs": {"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None, "rest": 0.75 * math.pi * s} for i, s in enumerate(sign)
+        ]},
+        "settings": {"max_steps": 100},
+        "state": {"rho": list(flat_state_seed(p, math.radians(10.0)))},
+    }
+
+
+junk_values = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1, 0, 0.5, 3, "1",
+                               None, True, [], [0], {}, {"x": 1}])
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def mutate_document(doc, data):
+    """One edit at some place in a JSON document: drop the value, replace it
+    with junk, duplicate a list entry, or scale or shift a number.  Returns
+    the edited document."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    op = data.draw(st.sampled_from(["drop", "junk", "duplicate", "perturb"]), label="op")
+    if not path:
+        return copy.deepcopy(data.draw(junk_values, label="junk")) if op == "junk" else doc
+    *head, key = path
+    parent = reduce(getitem, head, doc)
+    value = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "junk":
+        parent[key] = copy.deepcopy(data.draw(junk_values, label="junk"))
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.append(copy.deepcopy(value))
+    elif op == "perturb" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        parent[key] = value * data.draw(st.sampled_from([-1, 2, 1e-3]), label="scale") \
+            + data.draw(st.sampled_from([0, 1]), label="shift")
+    return doc
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["schedule", "springs", "settings", "state"]),
+       edits=st.integers(1, 3), syntax_error=st.sampled_from([False] * 4 + [True]),
+       data=st.data())
+def test_fold_and_relax_exit_codes_are_total(kind, edits, syntax_error, data):
+    """Mutated schedule documents through fold, and mutated springs, settings
+    and state documents through relax, exit 0, 1, 2 or 3 and never raise.
+
+    Every document is read by ``cli._load``.  A syntax error cuts the edited
+    document's text in half.  Warnings are not errors here: a state past the
+    fold-angle range warns by design."""
+    pattern_text, documents = run_documents()
+    doc = copy.deepcopy(documents[kind])
+    for _ in range(edits):
+        doc = mutate_document(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "pattern.json").write_text(pattern_text)
+        for name, document in documents.items():
+            text = json.dumps(doc if name == kind else document)
+            if name == kind and syntax_error:
+                text = text[:len(text) // 2]
+            (tmp / f"{name}.json").write_text(text)
+        if kind == "schedule":
+            argv = ["fold", "--schedule", str(tmp / "schedule.json")]
+        else:
+            argv = ["relax", *(f"--{name}={tmp / name}.json"
+                               for name in ("springs", "settings", "state"))]
+        argv += ["--pattern", str(tmp / "pattern.json"), "--out", str(tmp / "run"),
+                 "--every", "1000"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv

@@ -231,6 +231,14 @@ class TestRunSchedule:
         with pytest.raises(ValueError, match="out of range"):
             run_schedule(miura33, np.zeros(miura33.n_creases), schedule)
 
+    @pytest.mark.parametrize("target", [math.pi + 1e-5, -4.0, 1e300])
+    def test_target_outside_fold_range(self, miura33, target):
+        """A stage without a step count would split a finite but huge target
+        into as many 5 degree steps: 1e300 radians never ends."""
+        schedule = FoldSchedule((Stage(targets={0: target}),))
+        with pytest.raises(ValueError, match=r"outside \[-pi, pi\]"):
+            run_schedule(miura33, np.zeros(miura33.n_creases), schedule)
+
 
 class TestScheduleJson:
     def test_roundtrip(self):
