@@ -18,7 +18,7 @@ import numpy as np
 from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, relax
 from .embedding import EMBED_RESIDUAL_TOL, embed, measure_dimensions
 from .kinematics import assemble_global, dof
-from .pattern import PatternError, parse_pattern, validate_pattern
+from .pattern import PatternError, _real, parse_pattern, validate_pattern
 from .sequential import DEFAULT_EPS, ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
 
 EXIT_OK = 0
@@ -57,8 +57,9 @@ def _load(path, parse, *args):
 
     A file that cannot be read stays an I/O error (exit 2).  A document that
     is not JSON, or is of the wrong shape, which the parsers meet as
-    KeyError, TypeError or AttributeError (or OverflowError, for an infinite
-    crease id), is a domain error (exit 1), as a malformed pattern is.
+    KeyError, TypeError or AttributeError (or OverflowError, for an integer
+    too large for a float), is a domain error (exit 1), as a malformed
+    pattern is.
     """
     text = Path(path).read_text()
     try:
@@ -68,10 +69,17 @@ def _load(path, parse, *args):
 
 
 def _parse_state(text, n):
+    """The n fold angles of a state document: finite real numbers, never
+    converted from strings or bools."""
     data = json.loads(text)
-    rho = np.asarray(data["rho"] if isinstance(data, dict) else data, dtype=float)
+    values = data["rho"] if isinstance(data, dict) else data
+    rho = np.asarray(values, dtype=float)
     if rho.shape != (n,):
         raise PatternError(f"state has {rho.size} angles, pattern has {n} creases")
+    for v in values:
+        _real(v, "state angle")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("state angles must be finite")
     return rho
 
 

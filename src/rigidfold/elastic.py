@@ -30,7 +30,8 @@ import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
-from .sequential import DEFAULT_EPS, _eliminate_residual, _is_number
+from .pattern import _index, _is_number, _real
+from .sequential import DEFAULT_EPS, _eliminate_residual
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
@@ -63,21 +64,24 @@ class SpringConfig:
 
     @classmethod
     def from_json(cls, p, document):
-        """Springs schema: global k_per_length with per-crease overrides."""
+        """Springs schema: global k_per_length with per-crease overrides;
+        crease ids are never truncated, numbers never read from strings."""
         data = json.loads(document) if isinstance(document, str) else document
         k_per_length = data.get("k_per_length")
+        if k_per_length is not None:
+            k_per_length = _real(k_per_length, "k_per_length")
         lengths = p.crease_lengths()
         stiffness = np.full(p.n_creases, np.nan)
         rest = np.zeros(p.n_creases)
         seen = set()
         for entry in data["creases"]:
-            i = int(entry["crease"])
+            i = _index(entry["crease"], "springs")
             if i < 0 or i >= p.n_creases:
                 raise ValueError(f"crease id {i} out of range")
             seen.add(i)
-            rest[i] = float(entry["rest"])
+            rest[i] = _real(entry["rest"], f"rest angle of crease {i}")
             if entry.get("k") is not None:
-                stiffness[i] = float(entry["k"])
+                stiffness[i] = _real(entry["k"], f"stiffness of crease {i}")
             elif k_per_length is not None:
                 stiffness[i] = k_per_length * lengths[i]
             else:
@@ -181,7 +185,7 @@ def kkt_step(p, cfg, rho, gc=None):
     d = spring_gradient(cfg, gc.rho)
     scale = 1.0 / np.sqrt(cfg.stiffness)
     hinv_d = d / cfg.stiffness
-    u = free_column_solve(gc.blocks.scale_columns(scale), gc.r - gc.C @ hinv_d, (), [])
+    u = free_column_solve(gc.blocks.scale_columns(scale), gc.r - gc.blocks @ hinv_d, (), [])
     return scale * u - hinv_d
 
 
@@ -194,7 +198,7 @@ def projection_step_uniform(p, k0, d, rho, gc=None):
     if gc is None:
         gc = assemble_global(p, rho)
     d = np.asarray(d, dtype=float)
-    return -d / k0 - free_column_solve(gc.blocks, gc.C @ d / k0 - gc.r, (), [])
+    return -d / k0 - free_column_solve(gc.blocks, gc.blocks @ d / k0 - gc.r, (), [])
 
 
 def relax(p, cfg, settings=None, rho0=None):
@@ -261,7 +265,7 @@ def relax(p, cfg, settings=None, rho0=None):
 
     d = spring_gradient(cfg, rho)
     result.projected_gradient = float(
-        np.linalg.norm(d + free_column_solve(gc.blocks, gc.C @ d, (), []))
+        np.linalg.norm(d + free_column_solve(gc.blocks, gc.blocks @ d, (), []))
     )
     result.converged = result.projected_gradient < STATIONARY_TOL
     return result

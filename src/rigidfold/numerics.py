@@ -5,26 +5,27 @@ steps, residual elimination, spring relaxation and the Tachi projection
 step.  It takes the constraint matrix as ``RowBlocks``: dense row blocks,
 each on its own short list of columns, which is how assembly produces C
 (one 3 x degree block per vertex).  A plain 2-D array is converted on
-entry, each row a block on its nonzero columns.  Rank is decided on the
-Gram matrix of the free columns C_F, whose eigenvalues are the squared
-singular values of C_F: eigenvalues at or below ``DEFAULT_CUTOFF *
-lambda_max * n`` count as zero, with n the column count of C.
+entry, each row a block on its nonzero columns.  Products ``C @ x`` and
+``C^T @ y`` are summed from the blocks.  Rank is decided on the Gram matrix
+of the free columns C_F, whose eigenvalues are the squared singular values
+of C_F: eigenvalues at or below ``DEFAULT_CUTOFF * lambda_max * n`` count
+as zero, with n the column count of C.
 
-For a tall C_F the band w is read from the structure: the widest span,
-first to last free column, of a row block.  Cut into blocks of w columns,
-N = C_F^T C_F is block-tridiagonal.  With at least three blocks its
-diagonal and super-diagonal blocks are formed straight from the row
-blocks, and one sweep of windowed Cholesky factorizations both certifies
-full rank (on the shifted N) and solves the normal equations (on N, with
-the right-hand side bordered into each window); no dense C is built.  With
-fewer blocks, or when the certificate fails, or when C_F is wide, the
-dense C is built once from the blocks and solved densely, an
-eigendecomposition of a Gram matrix deciding which eigenvalues to keep
-when full rank is not certified.  The SVD routines (pseudoinverse,
-minimum-norm solve, rank) use their own policy: singular values below
-``cutoff * sigma_max * max(rows, cols)`` count as zero.  Constraint
-matrices here are expressed in radians, so a tight relative cutoff is
-safe.
+The solve has three branches.  For a tall C_F the band w is read from the
+structure: the widest span, first to last free column, of a row block.  Cut
+into blocks of w columns, N = C_F^T C_F is block-tridiagonal.  With at
+least three blocks its diagonal and super-diagonal blocks are formed
+straight from the row blocks, and one sweep of windowed Cholesky
+factorizations both certifies full rank (on the shifted N, the one
+certificate) and solves the normal equations (on N, with the right-hand
+side bordered into each window).  With fewer blocks, or when the
+certificate fails, the dense C_F is built once and the step is solved on
+the kept eigenvectors of N; a wide C_F is solved on the kept eigenvectors
+of C_F C_F^T.  Only these two eigenvector solves read a dense C.  The SVD
+routines (pseudoinverse, minimum-norm solve, rank) use their own policy:
+singular values below ``cutoff * sigma_max * max(rows, cols)`` count as
+zero.  Constraint matrices here are expressed in radians, so a tight
+relative cutoff is safe.
 """
 
 import numpy as np
@@ -112,6 +113,24 @@ class RowBlocks:
             self._dense = dense
         return self._dense
 
+    def __matmul__(self, x):
+        """``C @ x``: one batched product per group, scattered to its rows."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(self.shape[0])
+        for rows, cols, vals in self.groups:
+            out[rows] = (vals @ x[cols][:, :, None])[:, :, 0]
+        return out
+
+    def rmatvec(self, y):
+        """``C^T @ y``: one batched product per group, summed into its
+        columns by one ``bincount``."""
+        y = np.asarray(y, dtype=float)
+        index, weight = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for rows, cols, vals in self.groups:
+            index.append(cols.reshape(-1))
+            weight.append((y[rows][:, None, :] @ vals).reshape(-1))
+        return np.bincount(np.concatenate(index), np.concatenate(weight), minlength=self.shape[1])
+
     def scale_columns(self, scale):
         """This matrix with column j multiplied by ``scale[j]``."""
         return RowBlocks(self.shape, [
@@ -124,23 +143,22 @@ def free_column_solve(c, r, fixed, f):
 
     ``c`` is a ``RowBlocks`` or a 2-D array.  dx_F on the free columns F is
     the minimum-norm least-squares solution of ``C_F dx_F = b`` with ``b =
-    -(r + C_A f)``, A being the fixed columns.  Rank is decided on the Gram
-    matrix of C_F: eigenvalues at or below ``DEFAULT_CUTOFF * lambda_max *
-    n`` count as zero.
+    -(r + C_A f)``, A being the fixed columns; b is formed once, from the
+    blocks.  Rank is decided on the Gram matrix of C_F: eigenvalues at or
+    below ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.
 
     When C_F has at least as many rows as columns, the Gram matrix is ``N =
     C_F^T C_F``.  If its band (``_gram_band``) cuts the free columns into at
     least three blocks, N is formed as its diagonal and super-diagonal
     blocks and ``_band_solve`` certifies in one sweep that none of its
     eigenvalues counts as zero and solves ``N dx_F = C_F^T b``.  With fewer
-    blocks the dense N is formed; one shifted Cholesky factorization
-    certifies full rank (``_full_rank_certified``) and one LU solve gives
-    dx_F.  Without the certificate, dx_F is solved on the kept eigenvectors
-    of the dense N.  When C_F has fewer rows than columns, N is singular by
-    construction; dx_F = C_F^T y lies in the row space, and y is solved on
-    the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero eigenvalues
-    are those of N.  Either eigenvector solve is refined once against the
-    residual of C_F itself.  With no free columns or no rows, dx_F is zero.
+    blocks, or without the certificate, dx_F is solved on the kept
+    eigenvectors of the dense N.  When C_F has fewer rows than columns, N is
+    singular by construction; dx_F = C_F^T y lies in the row space, and y is
+    solved on the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero
+    eigenvalues are those of N.  Either eigenvector solve is refined once
+    against the residual of C_F itself.  With no free columns or no rows,
+    dx_F is zero.
     """
     if not isinstance(c, RowBlocks):
         c = RowBlocks.from_dense(c)
@@ -165,19 +183,18 @@ def free_column_solve(c, r, fixed, f):
     dx[fixed] = f
     if not rows or not n_free:
         return dx
-    band = None
+    b = -(r + c @ dx)
     if rows >= n_free:
         # free index of every column of C, -1 for a fixed one
         pos = np.cumsum(free) - 1
         pos[fixed] = -1
         band = _gram_band(c, pos, n_free)
         if band is not None:
-            x = _band_solve(band, _free_rhs(c, r, fixed, f, pos, n_free), n)
+            x = _band_solve(band, c.rmatvec(b)[free], n)
             if x is not None:
                 dx[free] = x
                 return dx
     c_free = c.dense[:, free]
-    b = -(r + c.dense[:, fixed] @ f)
     # Squaring C_F blurs its small kept singular directions; each eigenvector
     # solve below is corrected once from the unsquared residual of C_F.
     if rows < n_free:
@@ -189,13 +206,8 @@ def free_column_solve(c, r, fixed, f):
         y += v @ ((v.T @ (b - c_free @ (c_free.T @ y))) / w)
         dx[free] = c_free.T @ y
         return dx
-    gram = c_free.T @ c_free
-    g = c_free.T @ b
-    if band is None and _full_rank_certified(gram, n):
-        dx[free] = np.linalg.solve(gram, g)
-        return dx
-    w, v = _kept_eigh(gram, n)
-    x = v @ ((v.T @ g) / w)
+    w, v = _kept_eigh(c_free.T @ c_free, n)
+    x = v @ ((v.T @ (c_free.T @ b)) / w)
     x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
     dx[free] = x
     return dx
@@ -237,49 +249,6 @@ def _gram_band(c, pos, n_free):
     return band.reshape(blocks, width, 2 * width)
 
 
-def _free_rhs(c, r, fixed, f, pos, n_free):
-    """``C_F^T b`` with ``b = -(r + C_A f)``, from the row blocks of C."""
-    given = np.zeros(c.shape[1])
-    given[fixed] = f
-    b = np.zeros(c.shape[0])
-    for rows, cols, vals in c.groups:
-        b[rows] = (vals @ given[cols][:, :, None])[:, :, 0]
-    b = -(r + b)
-    index, weight = [], []
-    for rows, cols, vals in c.groups:
-        p = pos[cols]
-        index.append(p[p >= 0])
-        weight.append((b[rows][:, None, :] @ vals)[:, 0][p >= 0])
-    return np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n_free)
-
-
-def _full_rank_certified(gram, n):
-    """True when one Cholesky factorization proves every eigenvalue of the
-    dense Gram matrix is kept.
-
-    The largest absolute row sum ``lam_hi`` bounds ``lambda_max`` from
-    above.  If ``gram - 2 tau lam_hi I`` (``tau = DEFAULT_CUTOFF * n``)
-    factors, then ``lambda_min > 2 tau lambda_max - ||E||``, E being the
-    backward error of the factorization, about ``n^2 eps lambda_max`` at
-    most.  That stays below ``tau lambda_max`` for n up to several
-    thousand, so no eigenvalue is at or below the cutoff.  A failed
-    factorization proves nothing: the caller falls back to the
-    eigendecomposition, which applies the cutoff itself.
-    """
-    shift = 2.0 * DEFAULT_CUTOFF * n * np.abs(gram).sum(axis=1).max(initial=0)
-    return _shifted_cholesky(gram, shift) is not None
-
-
-def _shifted_cholesky(a, shift):
-    """Cholesky factor of ``a - shift I``, or None if it does not exist."""
-    a = a.copy()
-    a.flat[:: a.shape[0] + 1] -= shift
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _band_inf_norm(band):
     """``||N||_inf``, the largest absolute row sum of N, from its band: a
     row of block k sums its diagonal and super-diagonal blocks and column
@@ -295,12 +264,14 @@ def _band_solve(band, g, n):
     """``N^{-1} g`` for block-tridiagonal N when its full rank is certified,
     else None.
 
-    N is given by its ``_gram_band``.  The certificate is the one of
-    ``_full_rank_certified``, with ``lam_hi = ||N||_inf`` summed over a
-    block row: a block Cholesky factorization of ``N - 2 tau lam_hi I``.
-    That is a Cholesky factorization with its inner products summed in
-    another order, so the dense backward-error bound holds, and is smaller
-    in a band, where no inner product has more than 2w terms.
+    N is given by its ``_gram_band``.  The certificate is a block Cholesky
+    factorization of ``N - 2 tau lam_hi I``, ``tau = DEFAULT_CUTOFF * n``,
+    with ``lam_hi = ||N||_inf >= lambda_max`` summed over a block row.  If
+    it factors, ``lambda_min > 2 tau lambda_max - ||E||``, the backward
+    error E being about ``n^2 eps lambda_max`` at most (less in a band,
+    where no inner product has more than 2w terms), below ``tau lambda_max``
+    for n up to several thousand: no eigenvalue is at or below the cutoff.
+    A failure proves nothing; the caller falls back to the eigenvectors.
 
     ``N = L L^T`` with L block lower-bidiagonal: factors L_k on its
     diagonal and couplings ``B_k = E_k^T L_k^{-T}`` below it, E_k being the

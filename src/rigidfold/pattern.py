@@ -218,9 +218,28 @@ class CreasePattern:
 # -- structure checks --------------------------------------------------------------
 
 
-def _is_real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Real):
+    """True for an instance of the numbers ABC ``kind`` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _real(value, what):
+    """``value`` as a float, never converted from another type: a string or a
+    bool is a TypeError."""
+    if not _is_number(value):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def _index(value, what, error=ValueError):
+    """``value`` as an int id, never truncated: a non-number (a string, a
+    bool) is a TypeError and a fraction ``error``; ``what`` says where the id
+    stands."""
+    if not _is_number(value):
+        raise TypeError(f"id {value!r} in {what} is not a number")
+    if not float(value).is_integer():
+        raise error(f"non-integral index {value!r} in {what}")
+    return int(value)
 
 
 def _points(vertices):
@@ -233,7 +252,7 @@ def _points(vertices):
         if len(v) != 2:
             raise PatternError(f"vertex is not a 2D point: {v}")
         for x in v:
-            if not _is_real(x):
+            if not _is_number(x):
                 raise TypeError(f"coordinate {x!r} of vertex {v} is not a number")
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or not np.all(np.isfinite(pts)):
@@ -247,13 +266,10 @@ def _indices(entry, n, what):
     PatternError."""
     out = []
     for v in entry:
-        if not _is_real(v):
-            raise TypeError(f"vertex id {v!r} in {what} {entry} is not a number")
-        if not float(v).is_integer():
-            raise PatternError(f"non-integral index {v!r} in {what} {entry}")
-        if not 0 <= v < n:
+        i = _index(v, f"{what} {entry}", PatternError)
+        if not 0 <= i < n:
             raise PatternError(f"dangling index {v!r} in {what} {entry}")
-        out.append(int(v))
+        out.append(i)
     return out
 
 

@@ -15,14 +15,13 @@ its normal matrix block-tridiagonal (Miura k x k cells: band 4k, read from
 the vertices' first and last free creases).  For a tall C_F with at least
 three blocks, one sweep of windowed Cholesky factorizations of the shifted
 and the unshifted normal matrix certifies that no squared singular value
-counts as zero and solves for drho_F, without a dense C; with fewer blocks
-the dense normal matrix gets one Cholesky certificate and one LU solve.
-When the certificate fails (at the flat state, where the closure condition
-degenerates) or C_F is wide (more creases free than C has rows, as in one
-of the crane's stages), an eigendecomposition of a dense Gram matrix
-decides the rank and the minimum-norm drho_F is used.  After the
-increment, the residual is eliminated by iterating the same solve with f =
-0, which leaves the controlled angles untouched.
+counts as zero and solves for drho_F, without a dense C.  Otherwise (fewer
+blocks, a failed certificate at the flat state, where the closure
+condition degenerates, or a wide C_F with more creases free than C has
+rows, as in one of the crane's stages) an eigendecomposition of a dense
+Gram matrix decides the rank and the minimum-norm drho_F is used.  After
+the increment, the residual is eliminated by iterating the same solve with
+f = 0, which leaves the controlled angles untouched.
 """
 
 import json
@@ -34,16 +33,11 @@ import numpy as np
 
 from .kinematics import FOLD_RANGE_SLACK, assemble_global, check_fold_range
 from .numerics import free_column_solve
-from .pattern import MOUNTAIN, VALLEY
+from .pattern import MOUNTAIN, VALLEY, _index, _is_number, _real
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 50
 DEFAULT_MAX_STEP = math.radians(5.0)
-
-
-def _is_number(value, kind):
-    """True for an instance of the numbers ABC ``kind`` that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class ConvergenceError(RuntimeError):
@@ -90,17 +84,15 @@ class FoldSchedule:
 
     @classmethod
     def from_json(cls, document):
+        """Schedule document: crease ids are integers, never truncated, and
+        targets real numbers, never converted from strings or bools."""
         data = json.loads(document) if isinstance(document, str) else document
         stages = []
-        for s in data["stages"]:
-            targets = {int(c["crease"]): float(c["target"]) for c in s["controlled"]}
-            stages.append(
-                Stage(
-                    targets=targets,
-                    steps=s.get("steps"),
-                    hold=tuple(int(i) for i in s.get("hold", ())),
-                )
-            )
+        for k, s in enumerate(data["stages"]):
+            targets = {_index(c["crease"], f"controlled creases of stage {k}"):
+                       _real(c["target"], f"target in stage {k}") for c in s["controlled"]}
+            hold = tuple(_index(i, f"held creases of stage {k}") for i in s.get("hold", ()))
+            stages.append(Stage(targets=targets, steps=s.get("steps"), hold=hold))
         return cls(tuple(stages))
 
     def to_dict(self):
@@ -210,7 +202,7 @@ def tachi_projection_step(p, rho, drho0):
     rho = np.asarray(rho, dtype=float)
     drho0 = np.asarray(drho0, dtype=float)
     gc = assemble_global(p, rho)
-    return rho + drho0 + free_column_solve(gc.blocks, gc.C @ drho0 + gc.r, (), [])
+    return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])
 
 
 def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigidfold
 from rigidfold import (
     crane_schedule,
     generate_crane,
@@ -210,6 +215,35 @@ class TestFoldCommand:
             outs.append((out / "angles.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_crane_outputs_identical_across_blas_threads(self, tmp_path):
+        """``rigidfold fold`` on the crane schedule in a fresh process with one
+        BLAS thread and with two: every output but ``manifest.json``, which
+        holds the wall time, is byte-identical.  The crane's solves are all
+        small; a large dense eigendecomposition (a Miura 5x5 flat seed) may
+        differ in its last bits between thread counts, so README guarantees
+        less there."""
+        crane = generate_crane()
+        cpath = tmp_path / "crane.json"
+        cpath.write_text(serialize_pattern(crane))
+        spath = tmp_path / "sched.json"
+        spath.write_text(json.dumps(crane_schedule(crane).to_dict()))
+        src = str(Path(rigidfold.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "rigidfold.cli", "fold", "--pattern", str(cpath),
+                 "--schedule", str(spath), "--out", str(out), "--seed-magnitude", "0"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append({
+                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+            })
+        assert len(outputs[0]) == 3 * 36 + 1 + 2  # OBJ frames, angles.csv, residuals.csv
+        assert outputs[0] == outputs[1]
+
 
 class TestRelaxCommand:
     def test_bistable_wells(self, waterbomb_file, waterbomb, tmp_path, capsys):
@@ -389,6 +423,11 @@ class TestMeasureCommand:
         assert capsys.readouterr().out == ""
 
 
+# the driven crease and crease count of the Miura 3x3 sheet (the miura33 fixture)
+DRIVEN = generate_miura(3, 3).meta["driven_crease"]
+N_CREASES = generate_miura(3, 3).n_creases
+
+
 class TestBadInput:
     """Every bad input exits with its documented code, never a traceback."""
 
@@ -566,7 +605,7 @@ class TestBadInput:
          "outside [-pi, pi]"),
         ("springs", {}, "malformed document"),
         ("springs", [], "malformed document"),
-        ("springs", {"creases": [{"crease": math.inf, "rest": 0.5}]}, "malformed document"),
+        ("springs", {"creases": [{"crease": math.inf, "rest": 0.5}]}, "non-integral index inf"),
         ("state", {"x": 1}, "malformed document"),
         ("state", {"rho": math.inf}, "state has 1 angles"),
         ("pattern", {"vertices": [1, 2]}, "malformed document"),
@@ -579,6 +618,32 @@ class TestBadInput:
         ("springs", "{oops", "malformed document"),
         ("settings", "{oops", "malformed document"),
         ("state", "{oops", "malformed document"),
+        # ids are never truncated and numbers never converted from strings or
+        # bools: crease 0.7 past the driven crease used to fold the driven one
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN + 0.7, "target": -0.5}]}]},
+         f"non-integral index {DRIVEN + 0.7}"),
+        ("schedule", {"stages": [{"controlled": [{"crease": True, "target": -0.5}]}]},
+         "malformed document"),
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": "-0.5"}]}]},
+         "malformed document"),
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": False}]}]},
+         "malformed document"),
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": -0.5}],
+                                  "hold": [0.5]}]}, "non-integral index 0.5"),
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": -0.5}],
+                                  "hold": ["0"]}]}, "malformed document"),
+        ("springs", {"k_per_length": 1.0, "creases": [{"crease": 0.2, "rest": 0.5}]},
+         "non-integral index 0.2"),
+        ("springs", {"k_per_length": 1.0, "creases": [{"crease": False, "rest": 0.5}]},
+         "malformed document"),
+        ("springs", {"k_per_length": 1.0, "creases": [{"crease": 0, "rest": "0.5"}]},
+         "malformed document"),
+        ("springs", {"creases": [{"crease": 0, "k": "1", "rest": 0.5}]}, "malformed document"),
+        ("springs", {"k_per_length": True, "creases": [{"crease": 0, "rest": 0.5}]},
+         "malformed document"),
+        ("state", {"rho": ["0"] + [0.0] * (N_CREASES - 1)}, "malformed document"),
+        ("state", {"rho": [False] + [0.0] * (N_CREASES - 1)}, "malformed document"),
+        ("state", {"rho": [math.nan] + [0.0] * (N_CREASES - 1)}, "state angles must be finite"),
     ], ids=[
         "schedule-empty-object", "schedule-list", "schedule-no-target",
         "schedule-null-target", "schedule-string-steps", "schedule-fractional-steps",
@@ -588,6 +653,11 @@ class TestBadInput:
         "pattern-fractional-crease-end", "pattern-string-coordinate",
         "pattern-bool-coordinate",
         "schedule-syntax", "springs-syntax", "settings-syntax", "state-syntax",
+        "schedule-fractional-crease", "schedule-bool-crease", "schedule-string-target",
+        "schedule-bool-target", "schedule-fractional-hold", "schedule-string-hold",
+        "springs-fractional-crease", "springs-bool-crease", "springs-string-rest",
+        "springs-string-k", "springs-bool-k-per-length", "state-string-angle",
+        "state-bool-angle", "state-nan-angle",
     ])
     def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,
                                         message):
