@@ -65,7 +65,8 @@ class SpringConfig:
     @classmethod
     def from_json(cls, p, document):
         """Springs schema: global k_per_length with per-crease overrides;
-        crease ids are never truncated, numbers never read from strings."""
+        crease ids are never truncated and name one entry each, numbers are
+        never read from strings."""
         data = json.loads(document) if isinstance(document, str) else document
         k_per_length = data.get("k_per_length")
         if k_per_length is not None:
@@ -78,6 +79,8 @@ class SpringConfig:
             i = _index(entry["crease"], "springs")
             if i < 0 or i >= p.n_creases:
                 raise ValueError(f"crease id {i} out of range")
+            if i in seen:
+                raise ValueError(f"crease {i} has two springs entries")
             seen.add(i)
             rest[i] = _real(entry["rest"], f"rest angle of crease {i}")
             if entry.get("k") is not None:

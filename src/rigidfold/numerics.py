@@ -11,26 +11,39 @@ of the free columns C_F, whose eigenvalues are the squared singular values
 of C_F: eigenvalues at or below ``DEFAULT_CUTOFF * lambda_max * n`` count
 as zero, with n the column count of C.
 
-The solve has three branches.  For a tall C_F the band w is read from the
+The solve has four branches.  For a tall C_F the band w is read from the
 structure: the widest span, first to last free column, of a row block.  Cut
-into blocks of w columns, N = C_F^T C_F is block-tridiagonal.  With at
+into blocks of w columns, N = C_F^T C_F is block-tridiagonal, and with at
 least three blocks its diagonal and super-diagonal blocks are formed
-straight from the row blocks, and one sweep of windowed Cholesky
-factorizations both certifies full rank (on the shifted N, the one
-certificate) and solves the normal equations (on N, with the right-hand
-side bordered into each window).  With fewer blocks, or when the
-certificate fails, the dense C_F is built once and the step is solved on
-the kept eigenvectors of N; a wide C_F is solved on the kept eigenvectors
-of C_F C_F^T.  Only these two eigenvector solves read a dense C.  The SVD
-routines (pseudoinverse, minimum-norm solve, rank) use their own policy:
-singular values below ``cutoff * sigma_max * max(rows, cols)`` count as
-zero.  Constraint matrices here are expressed in radians, so a tight
-relative cutoff is safe.
+straight from the row blocks.
+
+- Certified band: one sweep of windowed Cholesky factorizations both
+  certifies full rank (on the shifted N, the one certificate) and solves
+  the normal equations (on N, with the right-hand side bordered into each
+  window).
+- Deflated band: when the certificate fails, as at the flat states where
+  the closure condition degenerates, the null space of N is deflated in the
+  band: inverse iteration and Rayleigh-Ritz on a kept factorization of a
+  slightly shifted N find it, an inertia count proves the gap around the
+  cutoff, and refinement on the same factors gives the minimum-norm step.
+- Tall eigh: with fewer than three blocks, or when the deflated solve
+  proves nothing (an eigenvalue near the cutoff, a null space it does not
+  capture), the dense C_F is built once and the step is solved on the kept
+  eigenvectors of N.
+- Wide eigh: a C_F with fewer rows than columns is solved on the kept
+  eigenvectors of C_F C_F^T.
+
+Only the two eigenvector solves read a dense C.  The SVD routines
+(pseudoinverse, minimum-norm solve, rank) use their own policy: singular
+values below ``cutoff * sigma_max * max(rows, cols)`` count as zero.
+Constraint matrices here are expressed in radians, so a tight relative
+cutoff is safe.
 """
 
 import numpy as np
 
 DEFAULT_CUTOFF = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def _check_finite(m):
@@ -150,15 +163,21 @@ def free_column_solve(c, r, fixed, f):
     When C_F has at least as many rows as columns, the Gram matrix is ``N =
     C_F^T C_F``.  If its band (``_gram_band``) cuts the free columns into at
     least three blocks, N is formed as its diagonal and super-diagonal
-    blocks and ``_band_solve`` certifies in one sweep that none of its
-    eigenvalues counts as zero and solves ``N dx_F = C_F^T b``.  With fewer
-    blocks, or without the certificate, dx_F is solved on the kept
-    eigenvectors of the dense N.  When C_F has fewer rows than columns, N is
-    singular by construction; dx_F = C_F^T y lies in the row space, and y is
-    solved on the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero
-    eigenvalues are those of N.  Either eigenvector solve is refined once
-    against the residual of C_F itself.  With no free columns or no rows,
-    dx_F is zero.
+    blocks, and two band solves are tried in turn:
+
+    - ``_band_solve`` certifies in one sweep that none of the eigenvalues
+      counts as zero and solves ``N dx_F = C_F^T b``;
+    - if that certificate fails, ``_deflated_band_solve`` proves which
+      eigenvalues count as zero, deflates their eigenvectors and solves on
+      the rest, refined from the residual of C_F itself.
+
+    With fewer blocks, or when neither band solve proves its rank, dx_F is
+    solved on the kept eigenvectors of the dense N.  When C_F has fewer
+    rows than columns, N is singular by construction; dx_F = C_F^T y lies
+    in the row space, and y is solved on the kept eigenvectors of ``M = C_F
+    C_F^T``, whose nonzero eigenvalues are those of N.  Either eigenvector
+    solve is refined once against the residual of C_F itself.  With no free
+    columns or no rows, dx_F is zero.
     """
     if not isinstance(c, RowBlocks):
         c = RowBlocks.from_dense(c)
@@ -190,7 +209,17 @@ def free_column_solve(c, r, fixed, f):
         pos[fixed] = -1
         band = _gram_band(c, pos, n_free)
         if band is not None:
-            x = _band_solve(band, c.rmatvec(b)[free], n)
+            g = c.rmatvec(b)[free]
+            x = _band_solve(band, g, n)
+            if x is None:
+
+                def residual(x):
+                    """``C_F^T (b - C_F x)``, from the blocks."""
+                    trial = dx.copy()
+                    trial[free] = x
+                    return -c.rmatvec(r + c @ trial)[free]
+
+                x = _deflated_band_solve(band, g, residual, n)
             if x is not None:
                 dx[free] = x
                 return dx
@@ -271,7 +300,7 @@ def _band_solve(band, g, n):
     error E being about ``n^2 eps lambda_max`` at most (less in a band,
     where no inner product has more than 2w terms), below ``tau lambda_max``
     for n up to several thousand: no eigenvalue is at or below the cutoff.
-    A failure proves nothing; the caller falls back to the eigenvectors.
+    A failure proves nothing; the caller tries ``_deflated_band_solve``.
 
     ``N = L L^T`` with L block lower-bidiagonal: factors L_k on its
     diagonal and couplings ``B_k = E_k^T L_k^{-T}`` below it, E_k being the
@@ -325,6 +354,181 @@ def _band_solve(band, g, n):
         low = factors[k]
         x[k] = np.linalg.solve(low[:w, :w].T, low[-1, :w] - low[w:-1, :w].T @ x[k + 1])
     return x.reshape(-1)[:len(g)]
+
+
+def _band_matmul(band, x):
+    """``N @ x`` for the block-tridiagonal N of ``band``, on the padded
+    columns: x has ``K w`` rows, one or more columns."""
+    blocks, w = band.shape[:2]
+    xb = x.reshape(blocks, w, -1)
+    upper = band[:-1, :, w:]
+    y = band[:, :, :w] @ xb
+    y[:-1] += upper @ xb[1:]
+    y[1:] += upper.transpose(0, 2, 1) @ xb[:-1]
+    return y.reshape(x.shape)
+
+
+def _band_cholesky(band, shift):
+    """Kept block Cholesky factors of ``N + shift I``, or None if it fails.
+
+    ``N + shift I = L L^T`` with L block lower-bidiagonal: L_k on the
+    diagonal, ``B_k^T`` below it, ``B_k = L_k^{-1} E_k``.  Each Schur
+    complement ``S_{k+1} = D_{k+1} + shift I - B_k^T B_k`` is factored in
+    turn.  numpy has no triangular solve, so the factors are kept as what a
+    solve applies: every ``L_k^{-1}``, and the products ``L_{k+1}^{-1}
+    B_k^T`` and ``L_k^{-T} B_k`` that the forward and back substitutions
+    subtract, each formed once for all right-hand sides.
+    """
+    blocks, w = band.shape[:2]
+    eye = np.eye(w)
+    inv = np.empty((blocks, w, w))
+    coupling = np.empty((blocks - 1, w, w))
+    schur = band[0, :, :w] + shift * eye
+    for k in range(blocks):
+        try:
+            low = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            return None
+        inv[k] = np.linalg.inv(low)
+        if k + 1 < blocks:
+            coupling[k] = inv[k] @ band[k, :, w:]
+            schur = band[k + 1, :, :w] + shift * eye - coupling[k].T @ coupling[k]
+    return (inv, inv[1:] @ coupling.transpose(0, 2, 1),
+            inv[:-1].transpose(0, 2, 1) @ coupling)
+
+
+def _band_cholesky_solve(factors, rhs):
+    """``(N + shift I)^{-1} rhs`` from ``_band_cholesky`` factors; rhs has
+    ``K w`` rows, one or more columns."""
+    inv, forward, back = factors
+    blocks, w = inv.shape[:2]
+    y = inv @ rhs.reshape(blocks, w, -1)
+    for k in range(1, blocks):
+        y[k] -= forward[k - 1] @ y[k - 1]
+    x = inv.transpose(0, 2, 1) @ y
+    for k in range(blocks - 2, -1, -1):
+        x[k] -= back[k] @ x[k + 1]
+    return x.reshape(rhs.shape)
+
+
+def _band_inertia(band, shift):
+    """The number of eigenvalues of N below ``shift``, with the rounding
+    that bounds it, or None when rounding could change the count.
+
+    A block LDL^T of ``N - shift I`` runs over the Schur complements ``S_k``
+    of the block-tridiagonal N: by Haynsworth's inertia additivity the
+    negative eigenvalues of all S_k are those of ``N - shift I``.  The
+    rounding of step k is taken as ``beta_k = w^2 eps M_k``, where M_k (the
+    largest absolute row sum of D_k, plus shift, plus the growth carried in
+    from block k - 1) bounds what formed S_k.  A pivot whose eigenvalues
+    all exceed beta_k is proved so by one Cholesky of ``S_k - beta_k I``,
+    and that factor carries on: the sweep is then the exact factorization
+    of a matrix with D_k moved by beta_k.  Any other pivot is
+    eigendecomposed, ``S_k = Q diag(lam) Q^T``: an eigenvalue within beta_k
+    of zero proves nothing, and the signs of the others are counted.  The
+    growth, the trace of ``E_k^T Q |lam|^{-1} Q^T E_k``, bounds the norm of
+    what S_k passes on.  Returns ``(count, beta)``, beta the largest
+    beta_k: the count is exact for ``N - shift I + E``, where E, the
+    deliberate shifts plus the rounding, is block tridiagonal with ``||E||
+    <= 4 beta``, and no eigenvalue of ``N + E`` is farther than ``||E||``
+    from one of N (Weyl).
+    """
+    blocks, w = band.shape[:2]
+    eye = np.eye(w)
+    row_sums = np.abs(band[:, :, :w]).sum(axis=2).max(axis=1)
+    count, growth, beta = 0, 0.0, 0.0
+    schur = band[0, :, :w] - shift * eye
+    for k in range(blocks):
+        rounding = w * w * _EPS * (row_sums[k] + shift + growth)
+        beta = max(beta, rounding)
+        try:
+            y = np.linalg.solve(np.linalg.cholesky(schur - rounding * eye), band[k, :, w:])
+            pivots = np.ones(w)
+        except np.linalg.LinAlgError:
+            pivots, q = np.linalg.eigh(schur)
+            if np.abs(pivots).min() <= rounding:
+                return None
+            count += int(np.count_nonzero(pivots < 0))
+            y = q.T @ band[k, :, w:]
+        if k + 1 < blocks:
+            schur = band[k + 1, :, :w] - shift * eye - y.T @ (y / pivots[:, None])
+            growth = float(np.sum(y * y / np.abs(pivots)[:, None]))
+    return count, beta
+
+
+def _deflated_band_solve(band, g, residual, n):
+    """Minimum-norm ``N^+ g`` for block-tridiagonal N when its null space is
+    certified, else None.
+
+    N is given by its ``_gram_band`` and is singular to rounding, as at the
+    flat states where the closure condition degenerates.  The rank rule is
+    ``free_column_solve``'s: eigenvalues at or below ``tau lambda_max``,
+    ``tau = DEFAULT_CUTOFF * n``, count as zero, with ``lam_lo <= lambda_max
+    <= lam_hi`` for ``lam_lo`` the largest diagonal entry of N and ``lam_hi
+    = ||N||_inf``.  Null-space deflation with a certified gap (Bjorck,
+    Numerical Methods for Least Squares Problems, 1996, sections 2.7 and
+    6.3):
+
+    - ``N + mu I``, ``mu = 1e-11 lam_hi``, is factored once
+      (``_band_cholesky``);
+    - three inverse iterations on a deterministic start block of four
+      columns (Weyl sequences ``frac(i sqrt(p))``, p = 2, 3, 5, 7), then
+      Rayleigh-Ritz on ``Z^T N Z``, keep as Z the Ritz vectors whose values
+      are at or below ``tau lam_lo``.  The k-th Ritz value bounds the k-th
+      eigenvalue from above, so at least ``len(Z)`` eigenvalues count as
+      zero;
+    - ``_band_inertia`` of ``N - 2 tau lam_hi I`` must count exactly
+      ``len(Z)`` eigenvalues with its rounding below ``tau lam_hi / 4``: the
+      rest of the spectrum lies above ``tau lam_hi``, so the rule keeps it;
+    - ``x = P (N + mu I)^{-1} P g`` with ``P = I - Z Z^T``, then four
+      refinement steps ``x <- x + P (N + mu I)^{-1} P (g - N x)``, the
+      residual ``g - N x = C_F^T (b - C_F x)`` taken unsquared from
+      ``residual(x)``.  Each step shrinks the error on a kept eigenvector
+      of eigenvalue lambda by ``mu / (lambda + mu) <= q = mu / (tau lam_hi
+      + mu)``, so after the last step, dx, at most ``q / (1 - q) ||dx||``
+      is left; it must be below ``n_free eps ||x||``.
+
+    Any other outcome, a failed factorization included, proves nothing: the
+    caller falls back to the eigenvectors of the dense N.  The last block
+    is padded as in ``_band_solve``.
+    """
+    blocks, w = band.shape[:2]
+    n_free = len(g)
+    tau = DEFAULT_CUTOFF * n
+    lam_hi = _band_inf_norm(band)
+    lam_lo = band[:, range(w), range(w)].max()
+    band = band.copy()
+    pad = np.arange(n_free - (blocks - 1) * w, w)
+    band[-1, pad, pad] = lam_hi
+    shift = 1e-11 * lam_hi
+    factors = _band_cholesky(band, shift)
+    if factors is None:
+        return None
+    z = np.zeros((blocks * w, 4))
+    z[:n_free] = np.arange(1, n_free + 1)[:, None] * np.sqrt([2.0, 3.0, 5.0, 7.0]) % 1.0 - 0.5
+    for _ in range(3):
+        z = np.linalg.qr(_band_cholesky_solve(factors, z))[0]
+    theta, u = np.linalg.eigh(z.T @ _band_matmul(band, z))
+    null = z @ u[:, theta <= tau * lam_lo]
+    inertia = _band_inertia(band, 2.0 * tau * lam_hi)
+    if inertia is None or inertia[0] != null.shape[1] or 4.0 * inertia[1] >= tau * lam_hi:
+        return None
+
+    def solve(v):
+        rhs = np.zeros(blocks * w)
+        rhs[:n_free] = v
+        rhs -= null @ (null.T @ rhs)
+        x = _band_cholesky_solve(factors, rhs)
+        return (x - null @ (null.T @ x))[:n_free]
+
+    x = solve(g)
+    for _ in range(4):
+        step = solve(residual(x))
+        x += step
+    q = shift / (tau * lam_hi + shift)
+    if q / (1.0 - q) * np.linalg.norm(step) > n_free * _EPS * np.linalg.norm(x):
+        return None
+    return x
 
 
 def _kept_eigh(gram, n):

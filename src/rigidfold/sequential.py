@@ -12,16 +12,26 @@ blocks of C.  Squared singular values of C_F at or below ``1e-12 *
 lambda_max * n_creases`` count as zero.  Each block of C couples only the
 creases of one vertex, so in the canonical crease order C_F is banded and
 its normal matrix block-tridiagonal (Miura k x k cells: band 4k, read from
-the vertices' first and last free creases).  For a tall C_F with at least
-three blocks, one sweep of windowed Cholesky factorizations of the shifted
-and the unshifted normal matrix certifies that no squared singular value
-counts as zero and solves for drho_F, without a dense C.  Otherwise (fewer
-blocks, a failed certificate at the flat state, where the closure
-condition degenerates, or a wide C_F with more creases free than C has
-rows, as in one of the crane's stages) an eigendecomposition of a dense
-Gram matrix decides the rank and the minimum-norm drho_F is used.  After
-the increment, the residual is eliminated by iterating the same solve with
-f = 0, which leaves the controlled angles untouched.
+the vertices' first and last free creases).  The solve has four branches:
+
+- certified band: for a tall C_F with at least three blocks, one sweep of
+  windowed Cholesky factorizations of the shifted and the unshifted normal
+  matrix certifies that no squared singular value counts as zero and
+  solves for drho_F, without a dense C;
+- deflated band: where that certificate fails, as at the flat state, where
+  the closure condition degenerates and the mechanism's direction becomes
+  a null vector, the null space is found by inverse iteration in the band,
+  the gap around the cutoff is proved by an inertia count, and the
+  minimum-norm drho_F is refined on the remaining directions, still
+  without a dense C;
+- tall eigh: with fewer blocks, or when the deflated solve proves nothing
+  (an eigenvalue too near the cutoff), an eigendecomposition of the dense
+  Gram matrix decides the rank and gives the minimum-norm drho_F;
+- wide eigh: a C_F with more creases free than C has rows, as in one of
+  the crane's stages, is solved on the eigenvectors of ``C_F C_F^T``.
+
+After the increment, the residual is eliminated by iterating the same solve
+with f = 0, which leaves the controlled angles untouched.
 """
 
 import json
@@ -52,7 +62,9 @@ class FoldDirective:
     f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "controlled", tuple(int(i) for i in self.controlled))
+        object.__setattr__(self, "controlled", tuple(
+            _index(i, "controlled creases") for i in self.controlled
+        ))
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float).reshape(-1))
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("controlled crease ids must be distinct")
@@ -69,6 +81,10 @@ class Stage:
     hold: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "targets", {
+            _index(i, "stage targets"): t for i, t in self.targets.items()
+        })
+        object.__setattr__(self, "hold", tuple(_index(i, "held creases") for i in self.hold))
         if self.steps is not None and not (_is_number(self.steps, Integral) and self.steps >= 1):
             raise ValueError(f"step count must be an integer >= 1, got {self.steps!r}")
         if not all(math.isfinite(t) for t in self.targets.values()):
@@ -84,13 +100,18 @@ class FoldSchedule:
 
     @classmethod
     def from_json(cls, document):
-        """Schedule document: crease ids are integers, never truncated, and
-        targets real numbers, never converted from strings or bools."""
+        """Schedule document: crease ids are integers, never truncated, each
+        named once per stage, and targets real numbers, never converted from
+        strings or bools."""
         data = json.loads(document) if isinstance(document, str) else document
         stages = []
         for k, s in enumerate(data["stages"]):
-            targets = {_index(c["crease"], f"controlled creases of stage {k}"):
-                       _real(c["target"], f"target in stage {k}") for c in s["controlled"]}
+            targets = {}
+            for c in s["controlled"]:
+                i = _index(c["crease"], f"controlled creases of stage {k}")
+                if i in targets:
+                    raise ValueError(f"crease {i} controlled twice in stage {k}")
+                targets[i] = _real(c["target"], f"target in stage {k}")
             hold = tuple(_index(i, f"held creases of stage {k}") for i in s.get("hold", ()))
             stages.append(Stage(targets=targets, steps=s.get("steps"), hold=hold))
         return cls(tuple(stages))

@@ -326,6 +326,37 @@ def normal_rounding_bound(c, fixed, x):
     return 10 * free.size * np.finfo(float).eps * w[-1] / w[0] * np.abs(x).max()
 
 
+def kept_solve(c, r, fixed, f, cutoff=1e-12):
+    """Minimum-norm increment from the SVD of C_F, with ``dx_A = f``.
+
+    Solves ``C_F dx_F = -(r + C_A f)`` in least squares on the kept singular
+    directions: those whose squared singular value is above ``cutoff *
+    sigma_max^2 * n``, n the column count of C, which is the eigenvalue rule
+    ``free_column_solve`` applies to ``N = C_F^T C_F``.
+    """
+    c, r, f = (np.asarray(a, dtype=float) for a in (c, r, f))
+    fixed = np.asarray(fixed, dtype=int).reshape(-1)
+    free = np.ones(c.shape[1], dtype=bool)
+    free[fixed] = False
+    dx = np.zeros(c.shape[1])
+    dx[fixed] = f
+    u, s, vt = np.linalg.svd(c[:, free], full_matrices=False)
+    keep = s**2 > cutoff * s[0] ** 2 * c.shape[1]
+    b = -(r + c[:, fixed] @ f)
+    dx[free] = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+    return dx
+
+
+def kept_rounding_bound(c, fixed, x, cutoff=1e-12):
+    """``normal_rounding_bound`` on the kept directions of ``kept_solve``:
+    ``10 k eps lambda_max / lambda_kept x_max`` over the k free columns, with
+    lambda_kept the smallest kept eigenvalue of ``C_F^T C_F``."""
+    free = np.setdiff1d(np.arange(c.shape[1]), fixed)
+    s = np.linalg.svd(c[:, free], compute_uv=False)
+    kept = s[s**2 > cutoff * s[0] ** 2 * c.shape[1]]
+    return 10 * free.size * np.finfo(float).eps * (kept[0] / kept[-1]) ** 2 * np.abs(x).max()
+
+
 def gram_blocks(c_free):
     """Diagonal and super-diagonal blocks of ``N = C_F^T C_F`` from the dense
     C_F, in blocks of its band read from the values.

@@ -216,33 +216,45 @@ class TestFoldCommand:
         assert outs[0] == outs[1]
 
     def test_crane_outputs_identical_across_blas_threads(self, tmp_path):
-        """``rigidfold fold`` on the crane schedule in a fresh process with one
-        BLAS thread and with two: every output but ``manifest.json``, which
-        holds the wall time, is byte-identical.  The crane's solves are all
-        small; a large dense eigendecomposition (a Miura 5x5 flat seed) may
-        differ in its last bits between thread counts, so README guarantees
-        less there."""
+        """``rigidfold fold`` in a fresh process with one BLAS thread and with
+        two: every output but ``manifest.json``, which holds the wall time, is
+        byte-identical.  Two runs: the crane schedule, whose solves are all
+        small, and a Miura 5x5 fold from its flat seed, whose rank-deficient
+        seed solves run in the band (the deflated solve) and every other
+        solve in the certified band sweep.  A large dense
+        eigendecomposition may differ in its last bits between thread
+        counts; no solve here runs one."""
         crane = generate_crane()
-        cpath = tmp_path / "crane.json"
-        cpath.write_text(serialize_pattern(crane))
-        spath = tmp_path / "sched.json"
-        spath.write_text(json.dumps(crane_schedule(crane).to_dict()))
+        miura = generate_miura(5, 5)
+        driven = miura.meta["driven_crease"]
+        runs = {
+            "crane": (crane, crane_schedule(crane).to_dict(), ["--seed-magnitude", "0"]),
+            "miura": (miura, {"stages": [{"controlled": [{"crease": driven, "target": -1.0}],
+                                          "steps": 4}]}, []),
+        }
         src = str(Path(rigidfold.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            subprocess.run(
-                [sys.executable, "-m", "rigidfold.cli", "fold", "--pattern", str(cpath),
-                 "--schedule", str(spath), "--out", str(out), "--seed-magnitude", "0"],
-                env=env, check=True, capture_output=True,
-            )
-            outputs.append({
-                f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
-            })
-        assert len(outputs[0]) == 3 * 36 + 1 + 2  # OBJ frames, angles.csv, residuals.csv
-        assert outputs[0] == outputs[1]
+        for name, (pattern, schedule, extra) in runs.items():
+            cpath = tmp_path / f"{name}.json"
+            cpath.write_text(serialize_pattern(pattern))
+            spath = tmp_path / f"{name}_sched.json"
+            spath.write_text(json.dumps(schedule))
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}_threads{threads}"
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                       "OMP_NUM_THREADS": threads,
+                       "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+                subprocess.run(
+                    [sys.executable, "-m", "rigidfold.cli", "fold", "--pattern", str(cpath),
+                     "--schedule", str(spath), "--out", str(out), *extra],
+                    env=env, check=True, capture_output=True,
+                )
+                outputs.append({
+                    f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+                })
+            frames = 3 * 36 + 1 if name == "crane" else 4 + 1
+            assert len(outputs[0]) == frames + 2, name  # OBJ frames, angles.csv, residuals.csv
+            assert outputs[0] == outputs[1], name
 
 
 class TestRelaxCommand:
@@ -644,6 +656,13 @@ class TestBadInput:
         ("state", {"rho": ["0"] + [0.0] * (N_CREASES - 1)}, "malformed document"),
         ("state", {"rho": [False] + [0.0] * (N_CREASES - 1)}, "malformed document"),
         ("state", {"rho": [math.nan] + [0.0] * (N_CREASES - 1)}, "state angles must be finite"),
+        # a crease named twice used to be read with the last entry winning
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": 0.5},
+                                                 {"crease": DRIVEN, "target": -0.5}]}]},
+         f"crease {DRIVEN} controlled twice in stage 0"),
+        ("springs", {"k_per_length": 1.0, "creases": [{"crease": 0, "rest": 0.5},
+                                                      {"crease": 0, "rest": -0.9}]},
+         "crease 0 has two springs entries"),
     ], ids=[
         "schedule-empty-object", "schedule-list", "schedule-no-target",
         "schedule-null-target", "schedule-string-steps", "schedule-fractional-steps",
@@ -657,7 +676,8 @@ class TestBadInput:
         "schedule-bool-target", "schedule-fractional-hold", "schedule-string-hold",
         "springs-fractional-crease", "springs-bool-crease", "springs-string-rest",
         "springs-string-k", "springs-bool-k-per-length", "state-string-angle",
-        "state-bool-angle", "state-nan-angle",
+        "state-bool-angle", "state-nan-angle", "schedule-duplicate-crease",
+        "springs-duplicate-crease",
     ])
     def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,
                                         message):

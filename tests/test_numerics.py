@@ -4,7 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bordered_solve, gram_blocks, normal_rounding_bound, normal_solve
+from oracles import (
+    bordered_solve,
+    gram_blocks,
+    kept_rounding_bound,
+    kept_solve,
+    normal_rounding_bound,
+    normal_solve,
+)
 from rigidfold import (
     build_vertex_fans,
     generate_crane,
@@ -16,9 +23,11 @@ from rigidfold import (
     vertex_jacobian,
 )
 from rigidfold.kinematics import assemble_global
+from rigidfold import numerics, sequential
 from rigidfold.numerics import (
     DEFAULT_CUTOFF,
     RowBlocks,
+    _band_inertia,
     _band_inf_norm,
     _band_solve,
     _gram_band,
@@ -463,3 +472,202 @@ class TestBlockCertificate(TestFullRankCertificate):
                 assert np.abs(dx - ref).max() <= normal_rounding_bound(c, fixed, ref), ratio
                 certified += 1
         assert certified >= 40
+
+
+def planted(cols, values, rng, span=5):
+    """Tall banded C with one planted direction per entry of ``values``.
+
+    Each row of a random C0 spans ``span`` columns, and the first ``cols``
+    rows cover their own column, which keeps C0 of full rank.  Each planted
+    direction v_i is a unit vector on three consecutive columns of its own
+    window; ``C0 - (C0 V) V^T`` makes every v_i a null vector, and a value
+    ``lam_i > 0`` appends the row ``sqrt(lam_i) v_i^T``, so that ``C^T C
+    v_i = lam_i v_i``.  Returns C and V.
+    """
+    c = np.zeros((3 * cols, cols))
+    for i, row in enumerate(c):
+        j = i % cols
+        lo = rng.integers(max(0, j - span + 1), min(j, cols - span) + 1)
+        row[lo:lo + span] = rng.standard_normal(span)
+    v = np.zeros((cols, len(values)))
+    for i, lo in enumerate(np.linspace(cols // 5, cols - cols // 5 - 3, len(values)).astype(int)):
+        v[lo:lo + 3, i] = rng.standard_normal(3)
+        v[:, i] /= np.linalg.norm(v[:, i])
+    c = c - (c @ v) @ v.T
+    extra = [np.sqrt(lam) * v[:, i] for i, lam in enumerate(values) if lam > 0]
+    return np.vstack([c, *extra]), v
+
+
+class TestDeflatedBandSolve:
+    """The rank-deficient tall solve in the band: null-space deflation with a
+    certified gap, against the SVD oracle, and its fallback to the dense
+    eigendecomposition wherever the gap is not proved."""
+
+    @staticmethod
+    def dense_calls(monkeypatch):
+        """Count the dense kept-eigenvector solves."""
+        calls = []
+        real = numerics._kept_eigh
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_kept_eigh", counting)
+        return calls
+
+    @staticmethod
+    def check_oracle(c, r, fixed, f):
+        """``c`` is a ``RowBlocks`` or a dense array."""
+        dx = free_column_solve(c, r, fixed, f)
+        if isinstance(c, RowBlocks):
+            c = c.dense
+        ref = kept_solve(c, r, fixed, f)
+        assert np.array_equal(dx[fixed], f)
+        assert np.abs(dx - ref).max() <= kept_rounding_bound(c, fixed, ref)
+        return dx
+
+    def test_planted_null_space(self, monkeypatch):
+        """One and two exact null directions, with and without fixed columns:
+        no dense eigendecomposition runs, and the answer is the SVD
+        oracle's, with no component on the null space."""
+        calls = self.dense_calls(monkeypatch)
+        rng = np.random.default_rng(21)
+        for cols, dim, fixed in ((60, 1, []), (60, 2, []), (90, 2, [0, 45, 91]), (45, 1, [44])):
+            c_free, v = planted(cols, [0.0] * dim, rng)
+            n = cols + len(fixed)
+            free = np.setdiff1d(np.arange(n), fixed)
+            c = np.zeros((len(c_free), n))
+            c[:, free] = c_free
+            c[:, fixed] = rng.standard_normal((len(c_free), len(fixed)))
+            band = free_band(c, fixed)
+            assert len(band) >= 3 and not band_certified(band, n, fixed)
+            w = np.linalg.eigvalsh(c_free.T @ c_free)
+            assert np.count_nonzero(w <= DEFAULT_CUTOFF * w[-1] * n) == dim
+            for scale in (0.02, 0.0):
+                r = rng.normal(0.0, scale, len(c))
+                f = rng.normal(0.0, 0.02, len(fixed))
+                dx = self.check_oracle(c, r, fixed, f)
+                assert np.abs(v.T @ dx[free]).max() <= 1e-14 * max(np.abs(dx).max(), 1e-300)
+        assert calls == []
+
+    @pytest.mark.parametrize("cells", [5, 7])
+    def test_miura_flat_seed_iterates(self, cells, monkeypatch):
+        """Every Newton iterate of a Miura flat seed drops one direction, the
+        mechanism's, and is solved in the band within the rounding bound of
+        the SVD oracle."""
+        p = generate_miura(cells, cells)
+        seen = []
+        real = sequential.free_column_solve
+
+        def recording(c, r, fixed, f):
+            seen.append((c, r, np.asarray(fixed, dtype=int), np.asarray(f, dtype=float)))
+            return real(c, r, fixed, f)
+
+        monkeypatch.setattr(sequential, "free_column_solve", recording)
+        flat_state_seed(p, math.radians(1.0))
+        monkeypatch.undo()
+        calls = self.dense_calls(monkeypatch)
+        assert len(seen) >= 3
+        for c, r, fixed, f in seen:
+            n = p.n_creases
+            assert not band_certified(free_band(c, fixed), n, fixed)
+            c_free = np.delete(c.dense, fixed, axis=1)
+            w = np.linalg.eigvalsh(c_free.T @ c_free)
+            assert np.count_nonzero(w <= DEFAULT_CUTOFF * w[-1] * n) == 1
+            # the assembly's blocks (structural band) and the dense C (value band)
+            self.check_oracle(c, r, fixed, f)
+            self.check_oracle(c.dense, r, fixed, f)
+        assert calls == []
+
+    def test_grey_zone_falls_back_to_the_dense_eigh(self, monkeypatch):
+        """A planted eigenvalue between ``tau lam_lo`` and ``2 tau lam_hi``,
+        where neither the Ritz test nor the inertia count proves the rank:
+        one above the cutoff, which the rule keeps, and one at or below it,
+        which the rule drops.  Each solve falls back to the dense eigh and
+        returns its answer, for a zero and a random right-hand side."""
+        rng = np.random.default_rng(8)
+        cases = 0
+        for cols in (48, 60):
+            # the same C0 and v, with v a null vector and then an eigenvector
+            c0, _ = planted(cols, [0.0], np.random.default_rng(cols))
+            n0 = c0.T @ c0
+            lam_max = np.linalg.eigvalsh(n0)[-1]
+            lam_lo = n0.diagonal().max()
+            tau = DEFAULT_CUTOFF * cols
+            assert lam_lo < 0.9 * lam_max
+            for lam in (1.5 * tau * lam_max, tau * np.sqrt(lam_lo * lam_max)):
+                c, _ = planted(cols, [lam], np.random.default_rng(cols))
+                band = free_band(c, [])
+                assert not band_certified(band, cols, [])
+                w = np.linalg.eigvalsh(c.T @ c)
+                assert tau * c.T.dot(c).diagonal().max() < lam < 2 * tau * _band_inf_norm(band)
+                for r in (np.zeros(len(c)), rng.normal(0.0, 0.02, len(c))):
+                    monkeypatch.setattr(numerics, "_deflated_band_solve", lambda *a: None)
+                    ref = free_column_solve(c, r, [], [])
+                    monkeypatch.undo()
+                    calls = self.dense_calls(monkeypatch)
+                    assert np.array_equal(free_column_solve(c, r, [], []), ref)
+                    assert calls == [1]
+                    monkeypatch.undo()
+                cases += 1
+                # the rule keeps the planted direction exactly when it is above the cutoff
+                kept = np.count_nonzero(w > DEFAULT_CUTOFF * w[-1] * cols)
+                assert kept == cols - (lam <= DEFAULT_CUTOFF * w[-1] * cols)
+        assert cases == 4
+
+    def test_slow_refinement_falls_back(self, monkeypatch):
+        """A kept eigenvalue just above the certificate's shift: the gap is
+        proved, but four refinement steps contract the error by no more than
+        ``mu / (lambda + mu)`` each, too little to converge, so the solve
+        falls back to the dense eigh and returns its answer."""
+        cols = 48
+        c0, _ = planted(cols, [0.0, 0.0], np.random.default_rng(cols))
+        lam_hi = _band_inf_norm(free_band(c0, []))
+        c, _ = planted(cols, [0.0, 3.0 * DEFAULT_CUTOFF * cols * lam_hi],
+                       np.random.default_rng(cols))
+        r = np.random.default_rng(1).normal(0.0, 0.02, len(c))
+        monkeypatch.setattr(numerics, "_deflated_band_solve", lambda *a: None)
+        ref = free_column_solve(c, r, [], [])
+        monkeypatch.undo()
+        calls = self.dense_calls(monkeypatch)
+        assert np.array_equal(free_column_solve(c, r, [], []), ref)
+        assert calls == [1]
+        monkeypatch.undo()
+        # the certificate itself holds: one eigenvalue below the shift
+        band = free_band(c, []).copy()
+        blocks, w = band.shape[:2]
+        lam_hi = _band_inf_norm(band)
+        pad = np.arange(cols - (blocks - 1) * w, w)
+        band[-1, pad, pad] = lam_hi
+        assert _band_inertia(band, 2.0 * DEFAULT_CUTOFF * cols * lam_hi)[0] == 1
+
+    def test_inertia_is_the_dense_count(self):
+        """``_band_inertia`` counts the eigenvalues of N below a shift:
+        against ``eigvalsh`` at the certificate's shift and half way between
+        every two consecutive eigenvalues that rounding can tell apart, on
+        planted spectra.  At a shift of zero, on an exact null space, the
+        count may go either way, but only within its stated rounding."""
+        rng = np.random.default_rng(3)
+        for cols, values in ((60, [0.0]), (60, [0.0, 0.0]), (61, [0.0, 1e-9, 0.0]), (75, [])):
+            c, _ = planted(cols, values, rng)
+            band = free_band(c, []).copy()
+            blocks, w = band.shape[:2]
+            lam_hi = _band_inf_norm(band)
+            pad = np.arange(cols - (blocks - 1) * w, w)
+            band[-1, pad, pad] = lam_hi  # as the solves pad the last block
+            eig = np.linalg.eigvalsh(c.T @ c)
+            tau = DEFAULT_CUTOFF * cols
+            count, beta = _band_inertia(band, 2 * tau * lam_hi)
+            assert count == np.count_nonzero(eig < 2 * tau * lam_hi) == len(values)
+            assert 4 * beta < tau * lam_hi
+            for k in np.flatnonzero(np.diff(eig) > 1e-6 * eig[-1]):
+                shift = 0.5 * (eig[k] + eig[k + 1])
+                assert _band_inertia(band, shift)[0] == k + 1, k
+            result = _band_inertia(band, 0.0)
+            if result is not None:
+                count, beta = result
+                assert np.count_nonzero(eig < -4 * beta) <= count
+                assert count <= np.count_nonzero(eig < 4 * beta)
+            # a shift at an eigenvalue of the first pivot makes it singular
+            assert _band_inertia(band, np.linalg.eigvalsh(band[0, :, :w])[2]) is None

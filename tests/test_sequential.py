@@ -95,6 +95,17 @@ class TestControlledStep:
         with pytest.raises(ValueError):
             FoldDirective(controlled=(1, 2), f=[0.1])
 
+    def test_directive_ids_follow_the_id_rule(self):
+        """Controlled ids are never truncated or read from bools."""
+        with pytest.raises(ValueError, match="non-integral index 2.7"):
+            FoldDirective(controlled=(2.7, 1), f=[0.1, 0.2])
+        with pytest.raises(TypeError):
+            FoldDirective(controlled=(2, True), f=[0.1, 0.2])
+        with pytest.raises(TypeError):
+            FoldDirective(controlled=("2",), f=[0.1])
+        d = FoldDirective(controlled=(np.int64(3), 2.0), f=[0.1, 0.2])
+        assert d.controlled == (3, 2) and all(type(i) is int for i in d.controlled)
+
 
 class TestFlatStateSeed:
     def test_signs_match_assignment(self, miura33):
@@ -261,6 +272,20 @@ class TestScheduleJson:
             Stage(targets={1: 0.5}, steps=0)
         with pytest.raises(ValueError):
             Stage(targets={1: 0.5}, hold=(1,))
+
+    def test_stage_ids_follow_the_id_rule(self):
+        """Target and hold ids are never truncated or read from bools."""
+        with pytest.raises(ValueError, match="non-integral index 2.7"):
+            Stage(targets={2.7: 0.5})
+        with pytest.raises(TypeError):
+            Stage(targets={2: 0.5}, hold=(True,))
+        with pytest.raises(TypeError):
+            Stage(targets={"2": 0.5})
+        with pytest.raises(ValueError, match="non-integral index 0.5"):
+            Stage(targets={2: 0.5}, hold=(0.5,))
+        stage = Stage(targets={np.int64(2): 0.5}, hold=(3.0,))
+        assert stage.targets == {2: 0.5} and stage.hold == (3,)
+        assert all(type(i) is int for i in (*stage.targets, *stage.hold))
 
 
 class TestFreeColumnSolve:
