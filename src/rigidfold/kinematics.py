@@ -5,13 +5,14 @@ crease in canonical order.  Valley folds are positive, mountain folds
 negative.  Around each interior vertex the chained sector/fold rotations must
 compose to the identity; the three independent entries of that matrix give a
 residual per vertex, and the analytic derivative gives the constraint rows.
-Assembly keeps the constraint matrix C as it computes it, one 3 x degree
-block per vertex (``numerics.RowBlocks``), and builds the dense C only when
-something asks for it.
+Assembly computes the residual and keeps the closure factors and their
+prefix products; the constraint matrix C follows from them on first access,
+one 3 x degree block per vertex (``numerics.RowBlocks``), so a Newton step
+on a kept factorization pays for the residual alone.  The dense C is built
+only when something asks for it.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,18 +104,33 @@ def vertex_jacobian(fan, rho_fan):
     return jac
 
 
-@dataclass
 class GlobalConstraint:
     """Linearized constraint system C @ drho = -r at the evaluation point.
 
-    ``blocks`` holds C as one group per fan degree n: the crease ids (V, n),
-    the row ids (V, 3) and the entries (V, 3, n) of its V vertices.  The
-    dense ``C`` is built from them on first use and kept.
+    ``r`` is computed by assembly.  ``blocks`` holds C as one group per fan
+    degree n: the crease ids (V, n), the row ids (V, 3) and the entries (V,
+    3, n) of its V vertices, computed on first access from the closure
+    factors and prefix products assembly kept.  The dense ``C`` is built
+    from the blocks on first use and kept.
     """
 
-    blocks: RowBlocks
-    r: np.ndarray
-    rho: np.ndarray
+    def __init__(self, shape, evaluated, r, rho):
+        self.r = r
+        self.rho = rho
+        self._shape = shape
+        self._evaluated = evaluated  # (degree group, what its residual kept)
+        self._blocks = None
+
+    @property
+    def blocks(self):
+        """C as a ``numerics.RowBlocks``, computed on first access and kept."""
+        if self._blocks is None:
+            self._blocks = RowBlocks(self._shape, [
+                (group.rows, group.factor_ids, group.jacobian(*kept))
+                for group, kept in self._evaluated
+            ])
+            self._evaluated = None
+        return self._blocks
 
     @property
     def C(self):
@@ -171,30 +187,39 @@ class _DegreeGroup:
         )
         self.rows = 3 * np.asarray(positions, dtype=np.intp)[:, None] + np.arange(3)
 
-    def evaluate(self, rho):
-        """Jacobian entries (V, 3, n) and residuals (V, 3) of every fan.
-
-        The factors and their prefix and suffix products are multiplied in
-        the same order as in ``vertex_closure_derivatives``, so both give
-        the same numbers.
-        """
+    def residual(self, rho):
+        """Residuals (V, 3) of every fan, and what ``jacobian`` needs: the
+        cosines and sines of the fold angles, the factors and their prefix
+        products."""
         n = self.degree
         angle = rho[self.factor_ids]
         c, s = np.cos(angle), np.sin(angle)
         rx = _stacked(
             angle.shape, {(0, 0): 1.0, (1, 1): c, (1, 2): -s, (2, 1): s, (2, 2): c}
         )
-        drx = _stacked(angle.shape, {(1, 1): -s, (1, 2): -c, (2, 1): c, (2, 2): -s})
         factors = self.rz @ rx
         prefix = np.empty((len(angle), n + 1, 3, 3))
-        suffix = np.empty_like(prefix)
-        prefix[:, 0] = suffix[:, n] = np.eye(3)
+        prefix[:, 0] = np.eye(3)
         for k in range(n):
             prefix[:, k + 1] = prefix[:, k] @ factors[:, k]
+        return prefix[:, n][_INDEPENDENT], (c, s, factors, prefix)
+
+    def jacobian(self, c, s, factors, prefix):
+        """Jacobian entries (V, 3, n) of every fan, from what ``residual``
+        kept.
+
+        The factors and their prefix and suffix products are multiplied in
+        the same order as in ``vertex_closure_derivatives``, so both give
+        the same numbers.
+        """
+        n = self.degree
+        drx = _stacked(c.shape, {(1, 1): -s, (1, 2): -c, (2, 1): c, (2, 2): -s})
+        suffix = np.empty_like(prefix)
+        suffix[:, n] = np.eye(3)
         for k in range(n - 1, -1, -1):
             suffix[:, k] = factors[:, k] @ suffix[:, k + 1]
         derivs = prefix[:, :n] @ (self.rz @ drx) @ suffix[:, 1:]
-        return derivs[_INDEPENDENT].transpose(0, 2, 1), prefix[:, n][_INDEPENDENT]
+        return derivs[_INDEPENDENT].transpose(0, 2, 1)
 
 
 class CompiledPattern:
@@ -232,9 +257,10 @@ def compile_pattern(p):
 def assemble_global(p, rho, fans=None):
     """Every vertex's closure rows and residuals in one global system.
 
-    Evaluated from the pattern's compiled form, one batch per fan degree.
-    ``fans`` is accepted for compatibility and not used; when passed it must
-    be ``build_vertex_fans(p)``.
+    Evaluated from the pattern's compiled form, one batch per fan degree:
+    the residuals now, the constraint blocks on first access of
+    ``blocks``.  ``fans`` is accepted for compatibility and not used; when
+    passed it must be ``build_vertex_fans(p)``.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (p.n_creases,):
@@ -243,13 +269,12 @@ def assemble_global(p, rho, fans=None):
         )
     compiled = compile_pattern(p)
     r = np.zeros(compiled.rows)
-    groups = []
+    evaluated = []
     for group in compiled.groups:
-        jac, res = group.evaluate(rho)
+        res, kept = group.residual(rho)
         r[group.rows] = res
-        groups.append((group.rows, group.factor_ids, jac))
-    c = RowBlocks((compiled.rows, p.n_creases), groups)
-    return GlobalConstraint(blocks=c, r=r, rho=rho.copy())
+        evaluated.append((group, kept))
+    return GlobalConstraint((compiled.rows, p.n_creases), evaluated, r, rho.copy())
 
 
 def dof(constraint, cutoff=1e-9):

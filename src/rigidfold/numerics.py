@@ -18,14 +18,18 @@ least three blocks its diagonal and super-diagonal blocks are formed
 straight from the row blocks.
 
 - Certified band: one sweep of windowed Cholesky factorizations both
-  certifies full rank (on the shifted N, the one certificate) and solves
-  the normal equations (on N, with the right-hand side bordered into each
-  window).
+  certifies full rank (on the shifted N, the one certificate) and factors
+  N.  The factors are kept on the ``RowBlocks`` (every L_k^{-1} and two
+  coupling products), and the normal equations are solved on them by
+  matrix products.  A later solve on the same matrix with the same fixed
+  columns reuses them for its own r and f: the Newton loop in
+  ``sequential`` takes its chord steps this way.
 - Deflated band: when the certificate fails, as at the flat states where
   the closure condition degenerates, the null space of N is deflated in the
-  band: inverse iteration and Rayleigh-Ritz on a kept factorization of a
+  band: inverse iteration and Rayleigh-Ritz on a factorization of a
   slightly shifted N find it, an inertia count proves the gap around the
   cutoff, and refinement on the same factors gives the minimum-norm step.
+  Nothing of it outlives the solve.
 - Tall eigh: with fewer than three blocks, or when the deflated solve
   proves nothing (an eigenvalue near the cutoff, a null space it does not
   capture), the dense C_F is built once and the step is solved on the kept
@@ -92,13 +96,16 @@ class RowBlocks:
     and k columns each: ``vals[v, i, j]`` is the entry at row ``rows[v, i]``
     and column ``cols[v, j]``.  A row lies in at most one block, a block's
     columns are distinct, and every entry outside the blocks is zero.  The
-    dense matrix is built on first use and kept.
+    dense matrix is built on first use and kept, and so is the band
+    factorization of the last ``free_column_solve`` on this matrix that
+    certified full column rank.
     """
 
     def __init__(self, shape, groups, dense=None):
         self.shape = tuple(shape)
         self.groups = tuple(groups)
         self._dense = dense
+        self._kept = {}  # free-column mask bytes: certified band factors
 
     @classmethod
     def from_dense(cls, m):
@@ -144,6 +151,15 @@ class RowBlocks:
             weight.append((y[rows][:, None, :] @ vals).reshape(-1))
         return np.bincount(np.concatenate(index), np.concatenate(weight), minlength=self.shape[1])
 
+    def certified(self, fixed):
+        """Whether a ``free_column_solve`` on this matrix with these fixed
+        columns certified full column rank of C_F in the band.  Its factors
+        are kept, and every later solve with the same fixed columns reuses
+        them."""
+        free = np.ones(self.shape[1], dtype=bool)
+        free[np.asarray(fixed, dtype=int)] = False
+        return free.tobytes() in self._kept
+
     def scale_columns(self, scale):
         """This matrix with column j multiplied by ``scale[j]``."""
         return RowBlocks(self.shape, [
@@ -165,8 +181,10 @@ def free_column_solve(c, r, fixed, f):
     least three blocks, N is formed as its diagonal and super-diagonal
     blocks, and two band solves are tried in turn:
 
-    - ``_band_solve`` certifies in one sweep that none of the eigenvalues
-      counts as zero and solves ``N dx_F = C_F^T b``;
+    - ``_band_factor`` certifies in one sweep that none of the eigenvalues
+      counts as zero and factors N; the factors solve ``N dx_F = C_F^T b``
+      and are kept on ``c`` (``RowBlocks.certified``), so that the next
+      solve on ``c`` with the same fixed columns skips the sweep;
     - if that certificate fails, ``_deflated_band_solve`` proves which
       eigenvalues count as zero, deflates their eigenvectors and solves on
       the rest, refined from the residual of C_F itself.
@@ -204,25 +222,10 @@ def free_column_solve(c, r, fixed, f):
         return dx
     b = -(r + c @ dx)
     if rows >= n_free:
-        # free index of every column of C, -1 for a fixed one
-        pos = np.cumsum(free) - 1
-        pos[fixed] = -1
-        band = _gram_band(c, pos, n_free)
-        if band is not None:
-            g = c.rmatvec(b)[free]
-            x = _band_solve(band, g, n)
-            if x is None:
-
-                def residual(x):
-                    """``C_F^T (b - C_F x)``, from the blocks."""
-                    trial = dx.copy()
-                    trial[free] = x
-                    return -c.rmatvec(r + c @ trial)[free]
-
-                x = _deflated_band_solve(band, g, residual, n)
-            if x is not None:
-                dx[free] = x
-                return dx
+        x = _band_branches(c, r, b, dx, free, n)
+        if x is not None:
+            dx[free] = x
+            return dx
     c_free = c.dense[:, free]
     # Squaring C_F blurs its small kept singular directions; each eigenvector
     # solve below is corrected once from the unsquared residual of C_F.
@@ -240,6 +243,42 @@ def free_column_solve(c, r, fixed, f):
     x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
     dx[free] = x
     return dx
+
+
+def _band_branches(c, r, b, dx, free, n):
+    """dx_F from the two band solves, or None when N has fewer than three
+    blocks or neither solve proves its rank.
+
+    The factors of a certified N are kept on ``c``, keyed by its free
+    columns: a later solve on the same matrix and free columns, whatever its
+    r and f, reuses them instead of factoring N again.  ``dx`` holds f on
+    the fixed columns and zero elsewhere, and ``b = -(r + C_A f)``.
+    """
+    n_free = np.count_nonzero(free)
+    key = free.tobytes()
+    factors = c._kept.get(key)
+    if factors is None:
+        # free index of every column of C, -1 for a fixed one
+        pos = np.cumsum(free) - 1
+        pos[~free] = -1
+        band = _gram_band(c, pos, n_free)
+        if band is None:
+            return None
+        factors = _band_factor(band, n_free, n)
+        if factors is None:
+
+            def residual(x):
+                """``C_F^T (b - C_F x)``, from the blocks."""
+                trial = dx.copy()
+                trial[free] = x
+                return -c.rmatvec(r + c @ trial)[free]
+
+            return _deflated_band_solve(band, c.rmatvec(b)[free], residual, n)
+        c._kept = {key: factors}
+    blocks, w = factors[0].shape[:2]
+    rhs = np.zeros(blocks * w)
+    rhs[:n_free] = c.rmatvec(b)[free]
+    return _band_cholesky_solve(factors, rhs)[:n_free]
 
 
 def _gram_band(c, pos, n_free):
@@ -289,9 +328,9 @@ def _band_inf_norm(band):
     return sums.max()
 
 
-def _band_solve(band, g, n):
-    """``N^{-1} g`` for block-tridiagonal N when its full rank is certified,
-    else None.
+def _band_factor(band, n_free, n):
+    """Kept block Cholesky factors of block-tridiagonal N when its full rank
+    is certified, else None.
 
     N is given by its ``_gram_band``.  The certificate is a block Cholesky
     factorization of ``N - 2 tau lam_hi I``, ``tau = DEFAULT_CUTOFF * n``,
@@ -303,57 +342,44 @@ def _band_solve(band, g, n):
     A failure proves nothing; the caller tries ``_deflated_band_solve``.
 
     ``N = L L^T`` with L block lower-bidiagonal: factors L_k on its
-    diagonal and couplings ``B_k = E_k^T L_k^{-T}`` below it, E_k being the
-    super-diagonal blocks of N.  One sweep factors window k, ``[[S_k, E_k,
-    h_k], [E_k^T, D_{k+1}, g_{k+1}], [h_k^T, g_{k+1}^T, inf]]``, for the
-    shifted and the unshifted N in one stacked Cholesky.  S_k and h_k are
-    what the blocks before k leave of D_k and g_k: the window's own
-    trailing rows minus its couplings' outer product.  The bordered row of
-    the unshifted factor is the forward substitution ``y = L^{-1} g``; its
-    corner stays ``inf`` whatever y is.  The shifted windows are bordered by
-    zeros, so the border never fails the certificate.  One window buffer is
-    reused: each factorization leaves the next window's S and h.  Back
-    substitution ``L^T x = y`` follows, one ``np.linalg.solve`` per block.
-    The last block is padded to w columns by a decoupled diagonal
-    ``lam_hi``, which leaves the other entries of the factors as they are
-    and solves to zero.
+    diagonal and couplings ``E_k^T L_k^{-T}`` below it, E_k being the
+    super-diagonal blocks of N.  One sweep factors window k, ``[[S_k, E_k],
+    [E_k^T, D_{k+1}]]``, for the shifted and the unshifted N in one stacked
+    Cholesky.  S_k is what the blocks before k leave of D_k: the window's
+    own trailing block minus its coupling's outer product.  One window
+    buffer is reused: each factorization leaves the next window's S.  The
+    last block is padded to w columns by a decoupled diagonal ``lam_hi``,
+    which leaves the other entries of the factors as they are and solves to
+    zero.  The unshifted factors are kept as ``_band_cholesky`` keeps them,
+    every L_k^{-1} from one batched inverse plus the two coupling products,
+    so ``_band_cholesky_solve`` serves any number of right-hand sides.
     """
     blocks, w = band.shape[:2]
     lam_hi = _band_inf_norm(band)
     shift = 2.0 * DEFAULT_CUTOFF * n * lam_hi
-    rhs = np.zeros(blocks * w)
-    rhs[:len(g)] = g
-    rhs = rhs.reshape(blocks, w)
     # diagonal blocks of N and of the shifted N
     diag = np.stack([band[:, :, :w], band[:, :, :w] - shift * np.eye(w)])
-    pad = np.arange(len(g) - (blocks - 1) * w, w)
+    pad = np.arange(n_free - (blocks - 1) * w, w)
     diag[:, -1, pad, pad] = lam_hi
     # lower triangle only: np.linalg.cholesky reads nothing else
-    window = np.zeros((2, 2 * w + 1, 2 * w + 1))
+    window = np.zeros((2, 2 * w, 2 * w))
     window[:, :w, :w] = diag[:, 0]
-    window[0, -1, :w] = rhs[0]
-    window[:, -1, -1] = np.inf
-    factors = []
+    low_diag = np.empty((blocks, w, w))
+    below = np.empty((blocks - 1, w, w))
     for k in range(1, blocks):
-        window[:, w:-1, :w] = band[k - 1, :, w:].T
-        window[:, w:-1, w:-1] = diag[:, k]
-        window[0, -1, w:-1] = rhs[k]
+        window[:, w:, :w] = band[k - 1, :, w:].T
+        window[:, w:, w:] = diag[:, k]
         try:
             low = np.linalg.cholesky(window)
         except np.linalg.LinAlgError:
             return None
-        factors.append(low[0])
-        below = low[:, w:, :w]
-        trailing = window[:, w:, w:] - below @ below.transpose(0, 2, 1)
-        window[:, :w, :w] = trailing[:, :w, :w]
-        window[:, -1, :w] = trailing[:, -1, :w]
-    x = np.empty((blocks, w))
-    last = factors[-1]
-    x[-1] = np.linalg.solve(last[w:-1, w:-1].T, last[-1, w:-1])
-    for k in range(blocks - 2, -1, -1):
-        low = factors[k]
-        x[k] = np.linalg.solve(low[:w, :w].T, low[-1, :w] - low[w:-1, :w].T @ x[k + 1])
-    return x.reshape(-1)[:len(g)]
+        low_diag[k - 1] = low[0, :w, :w]
+        below[k - 1] = low[0, w:, :w]
+        coupling = low[:, w:, :w]
+        window[:, :w, :w] = window[:, w:, w:] - coupling @ coupling.transpose(0, 2, 1)
+    low_diag[-1] = low[0, w:, w:]
+    inv = np.linalg.inv(low_diag)
+    return inv, inv[1:] @ below, inv[:-1].transpose(0, 2, 1) @ below.transpose(0, 2, 1)
 
 
 def _band_matmul(band, x):
@@ -490,7 +516,7 @@ def _deflated_band_solve(band, g, residual, n):
 
     Any other outcome, a failed factorization included, proves nothing: the
     caller falls back to the eigenvectors of the dense N.  The last block
-    is padded as in ``_band_solve``.
+    is padded as in ``_band_factor``.
     """
     blocks, w = band.shape[:2]
     n_free = len(g)

@@ -17,7 +17,7 @@ the vertices' first and last free creases).  The solve has four branches:
 - certified band: for a tall C_F with at least three blocks, one sweep of
   windowed Cholesky factorizations of the shifted and the unshifted normal
   matrix certifies that no squared singular value counts as zero and
-  solves for drho_F, without a dense C;
+  factors it, without a dense C; the factors are kept on the blocks;
 - deflated band: where that certificate fails, as at the flat state, where
   the closure condition degenerates and the mechanism's direction becomes
   a null vector, the null space is found by inverse iteration in the band,
@@ -31,7 +31,16 @@ the vertices' first and last free creases).  The solve has four branches:
   the crane's stages, is solved on the eigenvectors of ``C_F C_F^T``.
 
 After the increment, the residual is eliminated by iterating the same solve
-with f = 0, which leaves the controlled angles untouched.
+with f = 0, which leaves the controlled angles untouched.  Only a certified
+band is reused (a chord method, Kelley 2003, ch. 2): its full column rank
+makes the root with the controlled angles fixed isolated, so chord steps
+``-N0^-1 C0_F^T r`` on the kept blocks C0 converge to the same root as
+Newton's.  The Newton loop refactors at an iterate whose residual norm is
+more than ``CHORD_RATIO`` = 0.5 times the one before, and a schedule step
+hands its last kept factorization to the next step's predictor in the same
+stage, whose controlled and held creases are the same.  The deflated and
+eigendecomposition branches, and every solve with no crease controlled
+(seeding, relaxation), solve afresh at every iterate.
 """
 
 import json
@@ -48,6 +57,9 @@ from .pattern import MOUNTAIN, VALLEY, _index, _is_number, _real
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 50
 DEFAULT_MAX_STEP = math.radians(5.0)
+# a Newton loop keeps its factorization while each residual norm is at most
+# this share of the one before (Kelley's chord and Shamanskii rule)
+CHORD_RATIO = 0.5
 
 
 class ConvergenceError(RuntimeError):
@@ -85,6 +97,9 @@ class Stage:
             _index(i, "stage targets"): t for i, t in self.targets.items()
         })
         object.__setattr__(self, "hold", tuple(_index(i, "held creases") for i in self.hold))
+        for k, i in enumerate(self.hold):
+            if i in self.hold[:k]:
+                raise ValueError(f"crease {i} held twice")
         if self.steps is not None and not (_is_number(self.steps, Integral) and self.steps >= 1):
             raise ValueError(f"step count must be an integer >= 1, got {self.steps!r}")
         if not all(math.isfinite(t) for t in self.targets.values()):
@@ -101,8 +116,8 @@ class FoldSchedule:
     @classmethod
     def from_json(cls, document):
         """Schedule document: crease ids are integers, never truncated, each
-        named once per stage, and targets real numbers, never converted from
-        strings or bools."""
+        controlled or held once per stage, and targets real numbers, never
+        converted from strings or bools."""
         data = json.loads(document) if isinstance(document, str) else document
         stages = []
         for k, s in enumerate(data["stages"]):
@@ -112,8 +127,13 @@ class FoldSchedule:
                 if i in targets:
                     raise ValueError(f"crease {i} controlled twice in stage {k}")
                 targets[i] = _real(c["target"], f"target in stage {k}")
-            hold = tuple(_index(i, f"held creases of stage {k}") for i in s.get("hold", ()))
-            stages.append(Stage(targets=targets, steps=s.get("steps"), hold=hold))
+            hold = []
+            for h in s.get("hold", ()):
+                i = _index(h, f"held creases of stage {k}")
+                if i in hold:
+                    raise ValueError(f"crease {i} held twice in stage {k}")
+                hold.append(i)
+            stages.append(Stage(targets=targets, steps=s.get("steps"), hold=tuple(hold)))
         return cls(tuple(stages))
 
     def to_dict(self):
@@ -150,11 +170,39 @@ class FoldTrajectory:
 
 
 def _eliminate_residual(p, rho, controlled, eps, max_iter):
+    """Newton loop with f = 0 until the normalized residual passes eps,
+    starting with no kept factorization (``_newton``).
+
+    Returns the state, its assembly and the iteration count.
+    """
+    return _newton(p, rho, controlled, eps, max_iter)[:3]
+
+
+def _reusable(blocks, controlled):
+    """Whether later steps may reuse the factorization ``blocks`` kept: its
+    solve with these controlled creases certified full column rank of C_F
+    in the band, so the root near it is isolated and the chord steps
+    converge to Newton's.  With no crease controlled the compatible states
+    of a mechanism are never isolated, and a chord iteration could settle
+    elsewhere on them, so nothing is reused."""
+    return bool(controlled) and blocks.certified(controlled)
+
+
+def _newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
     """Newton loop with f = 0 until the normalized residual passes eps.
 
-    Returns the state, its assembly and the iteration count.  A non-finite
-    residual never passes.
+    A chord method (Kelley, Solving Nonlinear Equations with Newton's
+    Method, 2003, ch. 2): blocks C0 that ``_reusable`` accepts are kept with
+    their band factorization, and later iterates step by ``-N0^-1 C0_F^T
+    r`` on them.  An iterate whose normalized residual is more than
+    ``CHORD_RATIO`` times the one before refactors at its own state.  Every
+    other solve (deflated, eigendecomposition, or with no crease
+    controlled) is made afresh at each iterate: plain Newton.  ``kept``
+    hands in blocks kept at an earlier state, and ``previous`` the residual
+    norm before ``rho``.  Returns the state, its assembly, the iteration
+    count and the blocks still kept.  A non-finite residual never passes.
     """
+    f = np.zeros(len(controlled))
     iters = 0
     gc = assemble_global(p, rho)
     while not gc.normalized_residual < eps:
@@ -167,32 +215,45 @@ def _eliminate_residual(p, rho, controlled, eps, max_iter):
             raise ConvergenceError(
                 f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})"
             )
-        drho = free_column_solve(gc.blocks, gc.r, controlled, np.zeros(len(controlled)))
-        rho = rho + drho
+        if kept is None or norm > CHORD_RATIO * previous:
+            kept = gc.blocks
+        rho = rho + free_column_solve(kept, gc.r, controlled, f)
+        if not _reusable(kept, controlled):
+            kept = None
+        previous = norm
         gc = assemble_global(p, rho)
         iters += 1
-    return rho, gc, iters
+    return rho, gc, iters, kept
 
 
 def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
     """One folding step driven by controlled creases; returns the next state."""
-    state, _, _ = _controlled_step(p, rho, directive, eps, max_iter)
+    state, _, _, _ = _controlled_step(p, rho, directive, eps, max_iter)
     return state
 
 
-def _controlled_step(p, rho, directive, eps, max_iter, gc=None):
+def _controlled_step(p, rho, directive, eps, max_iter, gc=None, kept=None):
     """One step from ``rho``, whose assembly ``gc`` is reused when given.
 
-    Returns the next state, its assembly and the Newton iteration count.
+    ``kept`` blocks from an earlier state whose band factorization was
+    certified with the same controlled creases take the predictor step
+    instead of ``gc``'s own, and the Newton loop goes on with them.
+    Returns the next state, its assembly, the Newton iteration count and
+    the blocks the loop still keeps.
     """
     rho = np.asarray(rho, dtype=float)
     if gc is None:
         gc = assemble_global(p, rho)
-    drho = free_column_solve(gc.blocks, gc.r, directive.controlled, directive.f)
-    rho = rho + drho
-    rho, gc, iters = _eliminate_residual(p, rho, directive.controlled, eps, max_iter)
+    if kept is None or not _reusable(kept, directive.controlled):
+        kept = gc.blocks
+    drho = free_column_solve(kept, gc.r, directive.controlled, directive.f)
+    if not _reusable(kept, directive.controlled):
+        kept = None
+    rho, gc, iters, kept = _newton(
+        p, rho + drho, directive.controlled, eps, max_iter, kept, gc.normalized_residual
+    )
     check_fold_range(rho)
-    return rho, gc, iters
+    return rho, gc, iters, kept
 
 
 def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
@@ -235,7 +296,9 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     boundaries land on their targets to solver precision.  Held creases get
     fixed columns with zero increments.  When a stage omits its step count,
     enough steps are used to keep every controlled increment at or below
-    ``max_step``.  A crease id outside the pattern, or a target outside the
+    ``max_step``.  Each step hands the band factorization its Newton loop
+    kept to the next step of the same stage (see the module docstring).
+    A crease id outside the pattern, or a target outside the
     fold-angle range [-pi, pi], raises ``ValueError``: a finite but huge
     target would ask a stage without a step count for endless steps.
     """
@@ -262,12 +325,15 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
             span = float(np.max(np.abs(targets - start))) if ids else 0.0
             steps = max(1, math.ceil(span / max_step - 1e-12))
         controlled = tuple(ids) + tuple(stage.hold)
+        kept = None
         for k in range(1, steps + 1):
             waypoint = start + (targets - start) * (k / steps)
             f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
             directive = FoldDirective(controlled=controlled, f=f)
             try:
-                rho, gc, iters = _controlled_step(p, rho, directive, eps, max_iter, gc)
+                rho, gc, iters, kept = _controlled_step(
+                    p, rho, directive, eps, max_iter, gc, kept
+                )
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"stage {stage_idx}, step {k}/{steps}: {exc}"

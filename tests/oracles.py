@@ -8,12 +8,17 @@ from a full SVD of the bordered multiplier system or, at full column rank,
 from one dense LU solve of its normal equations, whose banded Gram blocks
 are formed from the values of the dense matrix, the spring step from
 the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
-and the embedding from a per-facet loop down the spanning tree.
+and the embedding from a per-facet loop down the spanning tree.  The
+Newton loop that solves afresh at every iterate is the exception: it runs
+the package's assembly and free-column solve, so that it differs from the
+engine's loop only in never reusing a factorization.
 """
 
 import math
 
 import numpy as np
+
+from rigidfold import ConvergenceError, assemble_global, free_column_solve
 
 
 def _rot(axis, angle):
@@ -296,6 +301,40 @@ def bordered_solve(gc, controlled, f, cutoff=1e-12):
     keep = s > cutoff * s[0] * (n + m)
     x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
     return x[:n], int(np.count_nonzero(keep)) - 2 * m
+
+
+def refactoring_newton(p, rho, controlled, eps, max_iter=50):
+    """Residual elimination with f = 0 that solves at every iterate's own
+    state, never on an earlier factorization: plain Newton on the free
+    creases.  Returns the state, its assembly and the iteration count."""
+    iters = 0
+    gc = assemble_global(p, rho)
+    while not gc.normalized_residual < eps:
+        if not math.isfinite(gc.normalized_residual) or iters >= max_iter:
+            raise ConvergenceError(f"residual {gc.normalized_residual:.3e} after {iters}")
+        rho = rho + free_column_solve(gc.blocks, gc.r, controlled, np.zeros(len(controlled)))
+        gc = assemble_global(p, rho)
+        iters += 1
+    return rho, gc, iters
+
+
+def refactoring_stage(p, rho, stage, eps, max_iter=50):
+    """States of one schedule stage with its ``steps`` given: controlled
+    angles moved linearly to their targets, holds fixed, each predictor and
+    every Newton iterate solved at its own state."""
+    ids = sorted(stage.targets)
+    start = rho[ids].copy()
+    targets = np.array([stage.targets[i] for i in ids])
+    controlled = tuple(ids) + tuple(stage.hold)
+    states = [rho]
+    for k in range(1, stage.steps + 1):
+        waypoint = start + (targets - start) * (k / stage.steps)
+        f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
+        gc = assemble_global(p, rho)
+        rho = rho + free_column_solve(gc.blocks, gc.r, controlled, f)
+        rho, _, _ = refactoring_newton(p, rho, controlled, eps, max_iter)
+        states.append(rho)
+    return states
 
 
 def normal_solve(c, r, fixed, f):

@@ -663,6 +663,11 @@ class TestBadInput:
         ("springs", {"k_per_length": 1.0, "creases": [{"crease": 0, "rest": 0.5},
                                                       {"crease": 0, "rest": -0.9}]},
          "crease 0 has two springs entries"),
+        # a crease held twice used to fail only after the stages before it ran
+        ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": -0.5}]},
+                                 {"controlled": [{"crease": DRIVEN, "target": -0.6}],
+                                  "hold": [3, 3]}]},
+         "crease 3 held twice in stage 1"),
     ], ids=[
         "schedule-empty-object", "schedule-list", "schedule-no-target",
         "schedule-null-target", "schedule-string-steps", "schedule-fractional-steps",
@@ -677,7 +682,7 @@ class TestBadInput:
         "springs-fractional-crease", "springs-bool-crease", "springs-string-rest",
         "springs-string-k", "springs-bool-k-per-length", "state-string-angle",
         "state-bool-angle", "state-nan-angle", "schedule-duplicate-crease",
-        "springs-duplicate-crease",
+        "springs-duplicate-crease", "schedule-duplicate-hold",
     ])
     def test_malformed_document_exits_1(self, miura33, tmp_path, capsys, kind, document,
                                         message):

@@ -27,12 +27,13 @@ from rigidfold import numerics, sequential
 from rigidfold.numerics import (
     DEFAULT_CUTOFF,
     RowBlocks,
+    _band_factor,
     _band_inertia,
     _band_inf_norm,
-    _band_solve,
     _gram_band,
     free_column_solve,
 )
+from rigidfold.pattern import VALLEY
 from rigidfold.sequential import flat_state_seed
 
 
@@ -160,8 +161,8 @@ def free_band(c, fixed):
 
 
 def band_certified(band, n, fixed):
-    """The one-sweep certificate, run with a zero right-hand side."""
-    return _band_solve(band, np.zeros(n - len(fixed)), n) is not None
+    """The one-sweep certificate: whether the sweep factors N."""
+    return _band_factor(band, n - len(fixed), n) is not None
 
 
 class TestFullRankCertificate:
@@ -311,6 +312,56 @@ class TestBandedSolve:
         assert np.abs(free_column_solve(c, r, [], []) - ref).max() <= normal_rounding_bound(
             c, [], ref
         )
+
+
+class TestKeptFactorization:
+    """A certified band factorization is kept on its blocks, and every later
+    solve with the same fixed columns reuses it, whatever r and f."""
+
+    @pytest.mark.parametrize("cells", [5, 7])
+    def test_kept_factors_solve_several_right_hand_sides(self, cells, monkeypatch):
+        p = generate_miura(cells, cells)
+        gc = assemble_global(p, flat_state_seed(p, math.radians(30.0)))
+        driven = p.meta["driven_crease"]
+        calls = []
+        real = numerics._band_factor
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_band_factor", counting)
+        rng = np.random.default_rng(cells)
+        blocks = gc.blocks
+        for fixed in ([driven], [0, driven]):
+            assert not blocks.certified(fixed)
+            for k in range(5):
+                r = gc.r if k == 0 else rng.normal(0.0, 0.02, len(gc.r))
+                f = rng.normal(0.0, 0.02, len(fixed))
+                dx = free_column_solve(blocks, r, fixed, f)
+                assert blocks.certified(fixed)
+                ref = normal_solve(gc.C, r, fixed, f)
+                assert np.array_equal(dx[fixed], f)
+                assert np.abs(dx - ref).max() <= normal_rounding_bound(gc.C, fixed, ref)
+        # one factorization per fixed set; the second replaced the first
+        assert len(calls) == 2
+        assert not blocks.certified([driven])
+
+    def test_deflated_solve_keeps_nothing(self, monkeypatch):
+        """At the flat seed's first iterate, with no crease fixed, the
+        mechanism is a null vector of N: the deflated solve runs and leaves
+        nothing to reuse."""
+        p = generate_miura(5, 5)
+        gc = assemble_global(p, np.radians([
+            1.0 if c.assignment == VALLEY else -1.0 for c in p.creases
+        ]))
+        solved = []
+        real = numerics._deflated_band_solve
+        monkeypatch.setattr(numerics, "_deflated_band_solve",
+                            lambda *args: solved.append(real(*args)) or solved[-1])
+        free_column_solve(gc.blocks, gc.r, [], [])
+        assert len(solved) == 1 and solved[0] is not None
+        assert not gc.blocks.certified([])
 
 
 class TestRowBlocks:

@@ -4,24 +4,31 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bordered_solve
+from oracles import bordered_solve, refactoring_newton, refactoring_stage
 from rigidfold import (
     ConvergenceError,
     FoldDirective,
     FoldSchedule,
+    RelaxSettings,
+    SpringConfig,
     Stage,
     assemble_global,
     controlled_step,
     crane_schedule,
     flat_state_seed,
     free_column_solve,
+    generate_crane,
+    generate_miura,
     generate_waterbomb_tessellation,
+    relax,
     run_schedule,
     tachi_projection_step,
     waterbomb_symmetric_oracle,
 )
+from rigidfold import elastic, numerics, sequential
 from rigidfold.numerics import DEFAULT_CUTOFF, pseudoinverse
 from rigidfold.pattern import MOUNTAIN, VALLEY
+from rigidfold.sequential import CHORD_RATIO, _newton
 
 
 def miura_relation_gap(p, s):
@@ -287,6 +294,15 @@ class TestScheduleJson:
         assert stage.targets == {2: 0.5} and stage.hold == (3,)
         assert all(type(i) is int for i in (*stage.targets, *stage.hold))
 
+    def test_crease_held_twice(self):
+        """A duplicate hold is refused when the stage is built, not when a
+        run reaches it."""
+        with pytest.raises(ValueError, match="crease 3 held twice"):
+            Stage(targets={2: 0.5}, hold=(3, 1, 3))
+        with pytest.raises(ValueError, match="crease 3 held twice"):
+            Stage(targets={2: 0.5}, hold=(3.0, np.int64(3)))
+        assert Stage(targets={2: 0.5}, hold=(3, 1)).hold == (3, 1)
+
 
 class TestFreeColumnSolve:
     """The free-column normal equations against the bordered-SVD oracle."""
@@ -395,3 +411,129 @@ def test_miura_relation_everywhere(miura_run, miura33):
     for s in miura_run["traj"].states:
         if abs(math.tan(s[miura_run["rho1"]] / 2)) < 1e6:
             assert miura_relation_gap(miura33, s) < 1e-8
+
+
+def count_factorizations(monkeypatch):
+    """Every band factorization attempt, certified or not, from now on."""
+    calls = []
+    real = numerics._band_factor
+
+    def counting(band, n_free, n):
+        factors = real(band, n_free, n)
+        calls.append(factors is not None)
+        return factors
+
+    monkeypatch.setattr(numerics, "_band_factor", counting)
+    return calls
+
+
+class TestChordNewton:
+    """Newton iterates reuse a certified band factorization (chord steps)
+    while the residual contracts, against the loop that solves afresh at
+    every iterate (``oracles.refactoring_newton``)."""
+
+    EPS = 1e-13
+    STEPS = 35
+
+    @pytest.fixture(scope="class", params=[5, 7])
+    def drive(self, request):
+        p = generate_miura(request.param, request.param)
+        seed = flat_state_seed(p, math.radians(1.0), eps=self.EPS)
+        stage = Stage(targets={p.meta["driven_crease"]: math.radians(-175.0)},
+                      steps=self.STEPS)
+        return p, seed, stage
+
+    def test_drive_matches_refactoring_oracle(self, drive, monkeypatch):
+        """Same state count, every residual below eps, states within 1e-9,
+        and about one band factorization per step."""
+        p, seed, stage = drive
+        calls = count_factorizations(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(calls) <= self.STEPS + 2
+        assert all(calls)
+        ref = refactoring_stage(p, seed, stage, self.EPS)
+        assert len(traj) == len(ref) == self.STEPS + 1
+        assert max(traj.residuals) < self.EPS
+        assert np.abs(np.array(traj.states) - np.array(ref)).max() < 1e-9
+
+    def test_refactors_when_the_ratio_fails(self, drive, monkeypatch):
+        """Within each step, an iterate refactors exactly when its residual
+        norm exceeds ``CHORD_RATIO`` times the one before, the norm of the
+        step's start state counting before the first iterate; the predictor
+        reuses the step before's factorization."""
+        assert CHORD_RATIO == 0.5
+        p, seed, stage = drive
+        calls = count_factorizations(monkeypatch)
+        log = []  # (predictor?, normalized residual, factored?)
+        real = sequential.free_column_solve
+
+        def recording(c, r, fixed, f):
+            before = len(calls)
+            dx = real(c, r, fixed, f)
+            log.append((bool(np.any(f)), np.linalg.norm(r) / len(r), len(calls) > before))
+            return dx
+
+        monkeypatch.setattr(sequential, "free_column_solve", recording)
+        run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        predictors = [k for k, (is_predictor, _, _) in enumerate(log) if is_predictor]
+        assert len(predictors) == self.STEPS
+        refactors = 0
+        for k, (is_predictor, norm, factored) in enumerate(log):
+            if is_predictor:
+                assert factored == (k == 0), k
+                continue
+            assert factored == (norm > CHORD_RATIO * log[k - 1][1]), k
+            refactors += factored
+        assert self.STEPS <= refactors < len(log) - self.STEPS
+
+    def test_stale_factorization_refactors(self, monkeypatch):
+        """A factorization kept with the driven crease 130 degrees away
+        makes a chord step that does not contract; the loop refactors and
+        converges to the oracle's root.  Kept forever, it would not
+        converge in 50 iterations."""
+        p = generate_miura(5, 5)
+        driven = p.meta["driven_crease"]
+        seed = flat_state_seed(p, math.radians(1.0), eps=self.EPS)
+        traj = run_schedule(p, seed, FoldSchedule((
+            Stage(targets={driven: math.radians(-150.0)}, steps=30),
+        )), eps=self.EPS)
+        near, far = traj.states[4], traj.states[-1]
+        kept = assemble_global(p, near).blocks
+        free_column_solve(kept, np.zeros(kept.shape[0]), (driven,), [0.0])
+        assert kept.certified((driven,))
+        start = far.copy()
+        start[np.arange(p.n_creases) != driven] += math.radians(3.0)
+        calls = count_factorizations(monkeypatch)
+        rho, gc, iters, _ = _newton(p, start, (driven,), self.EPS, 50, kept)
+        assert calls and all(calls)
+        assert gc.normalized_residual < self.EPS and iters < 30
+        assert rho[driven] == start[driven]
+        ref, _, _ = refactoring_newton(p, start, (driven,), self.EPS)
+        assert np.abs(rho - ref).max() < 1e-9
+
+    def test_uncontrolled_loops_are_bit_identical(self, monkeypatch):
+        """Loops with no crease controlled solve afresh at every iterate, so
+        the oracle's loop gives the same bits: Miura flat seeds (deflated
+        band), the crane's (dense eigh) and a relaxation (wide eigh).  The
+        Miura 3x3 seed at 0.3 rad passes an iterate that certifies its band,
+        off the compatible states, which are not isolated there; reusing
+        that factorization would settle 0.04 rad elsewhere."""
+        for p, magnitude in ((generate_miura(3, 3), 0.3), (generate_miura(5, 5), 1.0),
+                             (generate_miura(7, 7), 1.0), (generate_crane(), 1.0)):
+            rho = np.zeros(p.n_creases)
+            rho[[c.assignment == VALLEY for c in p.creases]] = magnitude
+            rho[[c.assignment == MOUNTAIN for c in p.creases]] = -magnitude
+            ref, _, _ = refactoring_newton(p, rho, (), sequential.DEFAULT_EPS)
+            assert np.array_equal(flat_state_seed(p, magnitude), ref)
+        p = generate_waterbomb_tessellation(3, 2)
+        rest = np.array([-0.75 * math.pi if c.assignment == MOUNTAIN else 0.75 * math.pi
+                         for c in p.creases])
+        cfg = SpringConfig.per_unit_length(p, 1.0, rest)
+        settings = RelaxSettings(max_steps=20)
+        start = flat_state_seed(p, math.radians(1.0))
+        result = relax(p, cfg, settings, start)
+        monkeypatch.setattr(elastic, "_eliminate_residual", refactoring_newton)
+        ref = relax(p, cfg, settings, start)
+        assert len(result.states) == len(ref.states) > 10
+        assert np.array_equal(np.array(result.states), np.array(ref.states))
+        assert result.energies == ref.energies
