@@ -41,10 +41,25 @@ hands its last kept factorization to the next step's predictor in the same
 stage, whose controlled and held creases are the same.  The deflated and
 eigendecomposition branches, and every solve with no crease controlled
 (seeding, relaxation), solve afresh at every iterate.
+
+Within a stage the waypoints are equally spaced, so the stage's states
+sample one smooth path at equal steps.  Once the stage's last five steps
+each kept a certified factorization, the next step skips the tangent
+predictor solve and starts Newton at the quartic through those five states,
+extrapolated one step (polynomial extrapolation along the continuation
+parameter, Allgower and Georg, Numerical Continuation Methods, 1990,
+ch. 6): ``5 rho_-1 - 10 rho_-2 + 10 rho_-3 - 5 rho_-4 + rho_-5``, with the
+controlled entries set to the waypoint and the held ones to ``rho_-1``.
+Its first Newton iterate refactors.  The history restarts at each stage and
+after any step that keeps no factorization, so extrapolation never spans a
+flat or singular state.  If Newton fails from the extrapolated start, or
+converges farther from it (max norm) than it lies from ``rho_-1``, the step
+is redone from ``rho_-1`` with the tangent predictor.
 """
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -60,15 +75,25 @@ DEFAULT_MAX_STEP = math.radians(5.0)
 # a Newton loop keeps its factorization while each residual norm is at most
 # this share of the one before (Kelley's chord and Shamanskii rule)
 CHORD_RATIO = 0.5
+# weights of the stage's last five states, oldest first, whose sum is the
+# quartic through them extrapolated one equal step
+EXTRAPOLATION = np.array([1.0, -5.0, 10.0, -10.0, 5.0])
 
 
 class ConvergenceError(RuntimeError):
-    """Newton residual elimination failed to reach tolerance."""
+    """Newton residual elimination failed to reach tolerance; ``iters``
+    holds the Newton iterations run, where known."""
+
+    def __init__(self, message, iters=None):
+        super().__init__(message)
+        self.iters = iters
 
 
 @dataclass(frozen=True)
 class FoldDirective:
-    """Controlled crease ids with one prescribed increment per crease."""
+    """Controlled crease ids with one prescribed increment per crease;
+    increments are finite real numbers, never converted from strings or
+    bools."""
 
     controlled: tuple
     f: np.ndarray
@@ -77,11 +102,20 @@ class FoldDirective:
         object.__setattr__(self, "controlled", tuple(
             _index(i, "controlled creases") for i in self.controlled
         ))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float).reshape(-1))
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("controlled crease ids must be distinct")
-        if self.f.shape != (len(self.controlled),):
+        # a numeric array holds only numbers; any other input is read entry
+        # by entry, so that a string, bool or None is never converted
+        numeric = isinstance(self.f, np.ndarray) and self.f.dtype.kind in "fiu"
+        f = np.asarray(self.f, dtype=float if numeric else object).reshape(-1)
+        if f.shape != (len(self.controlled),):
             raise ValueError("one increment per controlled crease required")
+        for i, x in zip(self.controlled, f):
+            if not (numeric or _is_number(x)):
+                raise TypeError(f"increment {x!r} of crease {i} is not a number")
+            if not math.isfinite(x):
+                raise ValueError(f"increment {x!r} of crease {i} is not finite")
+        object.__setattr__(self, "f", f.astype(float))
 
 
 @dataclass(frozen=True)
@@ -93,9 +127,11 @@ class Stage:
     hold: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", {
-            _index(i, "stage targets"): t for i, t in self.targets.items()
-        })
+        targets = {}
+        for i, t in self.targets.items():
+            i = _index(i, "stage targets")
+            targets[i] = _real(t, f"target of crease {i}")
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "hold", tuple(_index(i, "held creases") for i in self.hold))
         for k, i in enumerate(self.hold):
             if i in self.hold[:k]:
@@ -209,11 +245,12 @@ def _newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
         norm = gc.normalized_residual
         if not math.isfinite(norm):
             raise ConvergenceError(
-                f"non-finite residual after {iters} Newton iterations"
+                f"non-finite residual after {iters} Newton iterations", iters
             )
         if iters >= max_iter:
             raise ConvergenceError(
-                f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})"
+                f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})",
+                iters,
             )
         if kept is None or norm > CHORD_RATIO * previous:
             kept = gc.blocks
@@ -254,6 +291,35 @@ def _controlled_step(p, rho, directive, eps, max_iter, gc=None, kept=None):
     )
     check_fold_range(rho)
     return rho, gc, iters, kept
+
+
+def _extrapolated_step(p, history, directive, waypoint, gc, kept, eps, max_iter):
+    """One step from ``history[-1]`` (assembly ``gc``, kept blocks
+    ``kept``) started at the quartic extrapolation of the five states in
+    ``history``, oldest first, whose controlled entries are set to
+    ``waypoint`` and held entries to the last state's.  Falls back to the
+    tangent predictor (``_controlled_step``) when Newton fails from there or
+    lands farther from the start than the start lies from the last state.
+    Returns what ``_controlled_step`` does; the iteration count includes a
+    discarded start's, and a start that needs no iterate keeps ``kept``."""
+    last = history[-1]
+    guess = EXTRAPOLATION @ np.array(history)
+    guess[list(directive.controlled[:len(waypoint)])] = waypoint
+    held = list(directive.controlled[len(waypoint):])
+    guess[held] = last[held]
+    try:
+        rho, gc_next, iters, kept_next = _newton(
+            p, guess, directive.controlled, eps, max_iter, None, gc.normalized_residual
+        )
+    except ConvergenceError as exc:
+        discarded = exc.iters
+    else:
+        if np.abs(rho - guess).max() <= np.abs(guess - last).max():
+            check_fold_range(rho)
+            return rho, gc_next, iters, kept_next if iters else kept
+        discarded = iters
+    rho, gc, iters, kept = _controlled_step(p, last, directive, eps, max_iter, gc, kept)
+    return rho, gc, discarded + iters, kept
 
 
 def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
@@ -297,7 +363,9 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     fixed columns with zero increments.  When a stage omits its step count,
     enough steps are used to keep every controlled increment at or below
     ``max_step``.  Each step hands the band factorization its Newton loop
-    kept to the next step of the same stage (see the module docstring).
+    kept to the next step of the same stage, and a step after five that
+    each kept one starts from their quartic extrapolation (see the module
+    docstring).
     A crease id outside the pattern, or a target outside the
     fold-angle range [-pi, pi], raises ``ValueError``: a finite but huge
     target would ask a stage without a step count for endless steps.
@@ -326,18 +394,30 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
             steps = max(1, math.ceil(span / max_step - 1e-12))
         controlled = tuple(ids) + tuple(stage.hold)
         kept = None
+        # states of this stage's steps since the last that kept nothing
+        history = deque(maxlen=len(EXTRAPOLATION))
         for k in range(1, steps + 1):
             waypoint = start + (targets - start) * (k / steps)
             f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
             directive = FoldDirective(controlled=controlled, f=f)
             try:
-                rho, gc, iters, kept = _controlled_step(
-                    p, rho, directive, eps, max_iter, gc, kept
-                )
+                # a full history means the step before kept a factorization
+                if len(history) == history.maxlen:
+                    rho, gc, iters, kept = _extrapolated_step(
+                        p, history, directive, waypoint, gc, kept, eps, max_iter
+                    )
+                else:
+                    rho, gc, iters, kept = _controlled_step(
+                        p, rho, directive, eps, max_iter, gc, kept
+                    )
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"stage {stage_idx}, step {k}/{steps}: {exc}"
                 ) from exc
+            if kept is None:
+                history.clear()
+            else:
+                history.append(rho)
             traj.append(rho, gc.normalized_residual, iters)
         if ids:
             gap = float(np.max(np.abs(rho[ids] - targets)))

@@ -11,14 +11,18 @@ the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
 and the embedding from a per-facet loop down the spanning tree.  The
 Newton loop that solves afresh at every iterate is the exception: it runs
 the package's assembly and free-column solve, so that it differs from the
-engine's loop only in never reusing a factorization.
+engine's loop only in never reusing a factorization.  So is the schedule
+loop that starts every step from the tangent predictor: it runs the
+package's controlled step, so that it differs from ``run_schedule`` only in
+never starting from an extrapolation.
 """
 
 import math
 
 import numpy as np
 
-from rigidfold import ConvergenceError, assemble_global, free_column_solve
+from rigidfold import ConvergenceError, FoldDirective, assemble_global, free_column_solve
+from rigidfold.sequential import _controlled_step
 
 
 def _rot(axis, angle):
@@ -334,6 +338,29 @@ def refactoring_stage(p, rho, stage, eps, max_iter=50):
         rho = rho + free_column_solve(gc.blocks, gc.r, controlled, f)
         rho, _, _ = refactoring_newton(p, rho, controlled, eps, max_iter)
         states.append(rho)
+    return states
+
+
+def tangent_schedule(p, rho, schedule, eps, max_iter=50):
+    """States of a schedule whose stages all give ``steps``, each step
+    started from the tangent predictor and handing the factorization its
+    Newton loop kept to the next step of its stage: the step loop of
+    ``run_schedule`` with no extrapolated start."""
+    states = [rho]
+    gc = assemble_global(p, rho)
+    for stage in schedule.stages:
+        ids = sorted(stage.targets)
+        start = rho[ids].copy()
+        targets = np.array([stage.targets[i] for i in ids])
+        controlled = tuple(ids) + tuple(stage.hold)
+        kept = None
+        for k in range(1, stage.steps + 1):
+            waypoint = start + (targets - start) * (k / stage.steps)
+            f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
+            rho, gc, _, kept = _controlled_step(
+                p, rho, FoldDirective(controlled=controlled, f=f), eps, max_iter, gc, kept
+            )
+            states.append(rho)
     return states
 
 

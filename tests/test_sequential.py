@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bordered_solve, refactoring_newton, refactoring_stage
+from oracles import bordered_solve, refactoring_newton, refactoring_stage, tangent_schedule
 from rigidfold import (
     ConvergenceError,
+    CreasePattern,
     FoldDirective,
     FoldSchedule,
     RelaxSettings,
@@ -112,6 +113,26 @@ class TestControlledStep:
             FoldDirective(controlled=("2",), f=[0.1])
         d = FoldDirective(controlled=(np.int64(3), 2.0), f=[0.1, 0.2])
         assert d.controlled == (3, 2) and all(type(i) is int for i in d.controlled)
+
+    def test_directive_increments_are_finite_reals(self):
+        """Increments are never read from strings, bools or None, and a
+        non-finite one is refused naming its crease, not left to fail in
+        the solver."""
+        for bad in ("0.5", True, None, np.bool_(True)):
+            with pytest.raises(TypeError, match="of crease 3 is not a number"):
+                FoldDirective(controlled=(3,), f=[bad])
+        with pytest.raises(TypeError, match="True of crease 2 is not a number"):
+            FoldDirective(controlled=(3, 2), f=[0.5, True])
+        with pytest.raises(TypeError, match="of crease 2 is not a number"):
+            FoldDirective(controlled=(3, 2), f=np.array([0.5, True], dtype=object))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="of crease 2 is not finite"):
+                FoldDirective(controlled=(3, 2), f=[0.1, bad])
+        for good in ([np.float32(0.5), 1], np.array([0.5, 1.0]), np.array([0.5, 1.0], dtype=object)):
+            d = FoldDirective(controlled=(3, 2), f=good)
+            assert d.f.dtype == float and d.f.tolist() == [0.5, 1.0]
+        with pytest.raises(ValueError, match="one increment per controlled crease"):
+            FoldDirective(controlled=(3,), f=["0.5", 0.1])
 
 
 class TestFlatStateSeed:
@@ -279,6 +300,16 @@ class TestScheduleJson:
             Stage(targets={1: 0.5}, steps=0)
         with pytest.raises(ValueError):
             Stage(targets={1: 0.5}, hold=(1,))
+
+    def test_stage_targets_are_reals(self):
+        """Targets are never read from strings or bools, as in a schedule
+        document."""
+        for bad in (True, "0.5", None):
+            with pytest.raises(TypeError, match="target of crease 3"):
+                Stage(targets={3: bad})
+        stage = Stage(targets={3: np.float32(0.5), 4: 1})
+        assert stage.targets == {3: 0.5, 4: 1.0}
+        assert all(type(t) is float for t in stage.targets.values())
 
     def test_stage_ids_follow_the_id_rule(self):
         """Target and hold ids are never truncated or read from bools."""
@@ -457,34 +488,51 @@ class TestChordNewton:
         assert np.abs(np.array(traj.states) - np.array(ref)).max() < 1e-9
 
     def test_refactors_when_the_ratio_fails(self, drive, monkeypatch):
-        """Within each step, an iterate refactors exactly when its residual
-        norm exceeds ``CHORD_RATIO`` times the one before, the norm of the
-        step's start state counting before the first iterate; the predictor
-        reuses the step before's factorization."""
+        """Within each Newton loop, an iterate refactors exactly when its
+        residual norm exceeds ``CHORD_RATIO`` times the one before, the norm
+        the loop is handed (the step's start state's) counting before the
+        first iterate.  A predictor solve runs exactly on the steps without
+        a history of five steps that each kept a factorization, and reuses
+        the step before's; the other steps start with nothing kept."""
         assert CHORD_RATIO == 0.5
         p, seed, stage = drive
         calls = count_factorizations(monkeypatch)
-        log = []  # (predictor?, normalized residual, factored?)
-        real = sequential.free_column_solve
+        log = []  # per solve: (predictor?, normalized residual, factored?)
+        loops = []  # per Newton loop: (index of its first solve in log, previous, kept?)
+        real_solve, real_newton = sequential.free_column_solve, sequential._newton
 
         def recording(c, r, fixed, f):
             before = len(calls)
-            dx = real(c, r, fixed, f)
+            dx = real_solve(c, r, fixed, f)
             log.append((bool(np.any(f)), np.linalg.norm(r) / len(r), len(calls) > before))
             return dx
 
+        def newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
+            loops.append((len(log), previous, kept is not None))
+            return real_newton(p, rho, controlled, eps, max_iter, kept, previous)
+
         monkeypatch.setattr(sequential, "free_column_solve", recording)
-        run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        monkeypatch.setattr(sequential, "_newton", newton)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(loops) == len(traj) - 1 == self.STEPS  # no step redone
+        # every step keeps a factorization, so steps 1-5 build the history
+        history = sequential.EXTRAPOLATION.size
+        for step, (first, previous, kept) in enumerate(loops):
+            predicted = first > 0 and log[first - 1][0]
+            assert predicted == (step < history), step
+            assert kept == predicted, step
         predictors = [k for k, (is_predictor, _, _) in enumerate(log) if is_predictor]
-        assert len(predictors) == self.STEPS
+        assert len(predictors) == history
+        starts = {first: previous for first, previous, _ in loops}
         refactors = 0
         for k, (is_predictor, norm, factored) in enumerate(log):
             if is_predictor:
                 assert factored == (k == 0), k
                 continue
-            assert factored == (norm > CHORD_RATIO * log[k - 1][1]), k
+            before = starts[k] if k in starts else log[k - 1][1]
+            assert factored == (norm > CHORD_RATIO * before), k
             refactors += factored
-        assert self.STEPS <= refactors < len(log) - self.STEPS
+        assert self.STEPS <= refactors < len(log) - len(predictors)
 
     def test_stale_factorization_refactors(self, monkeypatch):
         """A factorization kept with the driven crease 130 degrees away
@@ -537,3 +585,169 @@ class TestChordNewton:
         assert len(result.states) == len(ref.states) > 10
         assert np.array_equal(np.array(result.states), np.array(ref.states))
         assert result.energies == ref.energies
+
+
+def count_predictors(monkeypatch):
+    """One entry per tangent predictor solve (a nonzero increment) from now on."""
+    calls = []
+    real = sequential.free_column_solve
+
+    def counting(c, r, fixed, f):
+        if np.any(f):
+            calls.append(len(calls))
+        return real(c, r, fixed, f)
+
+    monkeypatch.setattr(sequential, "free_column_solve", counting)
+    return calls
+
+
+class TestExtrapolatedStart:
+    """A step after five that each kept a certified factorization starts
+    Newton from the quartic extrapolation of their states instead of the
+    tangent predictor; the states are the tangent path's roots."""
+
+    EPS = 1e-13
+
+    @pytest.fixture(scope="class")
+    def miura(self):
+        p = generate_miura(5, 5)
+        return p, flat_state_seed(p, math.radians(1.0), eps=self.EPS)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6])
+    def test_short_stages_use_the_tangent_predictor(self, miura, steps, monkeypatch):
+        """A stage of at most five steps never extrapolates; a sixth step
+        does.  States within 1e-9 of the oracle that solves every iterate
+        afresh."""
+        p, seed = miura
+        stage = Stage(targets={p.meta["driven_crease"]: math.radians(-5.0 * steps)},
+                      steps=steps)
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(predictors) == min(steps, 5)
+        ref = refactoring_stage(p, seed, stage, self.EPS)
+        assert np.abs(np.array(traj.states) - np.array(ref)).max() < 1e-9
+
+    def test_history_restarts_at_each_stage(self, miura, monkeypatch):
+        """Three steps to -30 degrees, then 30 to -175: the second stage
+        runs its own first five steps from the tangent predictor."""
+        p, seed = miura
+        driven = p.meta["driven_crease"]
+        stages = (Stage(targets={driven: math.radians(-30.0)}, steps=3),
+                  Stage(targets={driven: math.radians(-175.0)}, steps=30))
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule(stages), eps=self.EPS)
+        assert len(predictors) == 3 + 5
+        assert traj.stage_ends == [3, 33]
+        first = refactoring_stage(p, seed, stages[0], self.EPS)
+        ref = first + refactoring_stage(p, first[-1], stages[1], self.EPS)[1:]
+        assert np.abs(np.array(traj.states) - np.array(ref)).max() < 1e-9
+        assert max(traj.residuals) < self.EPS
+
+    def test_history_restarts_after_a_step_that_keeps_nothing(self, miura, monkeypatch):
+        """A step whose Newton loop keeps no factorization (the 7th, made to
+        drop it) restarts the history: steps 8-12 use the tangent predictor
+        again, and the states are the oracle's."""
+        p, seed = miura
+        stage = Stage(targets={p.meta["driven_crease"]: math.radians(-70.0)}, steps=14)
+        loops = []
+        real = sequential._newton
+
+        def newton(*args):
+            loops.append(len(loops) + 1)
+            rho, gc, iters, kept = real(*args)
+            return rho, gc, iters, None if len(loops) == 7 else kept
+
+        monkeypatch.setattr(sequential, "_newton", newton)
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(loops) == 14
+        assert len(predictors) == 5 + 5
+        ref = refactoring_stage(p, seed, stage, self.EPS)
+        assert np.abs(np.array(traj.states) - np.array(ref)).max() < 1e-9
+
+    def test_start_on_the_root_keeps_the_history(self, miura, monkeypatch):
+        """At 1 degree steps and eps 1e-9 some extrapolated starts already
+        pass eps; such a step keeps the factorization before it, so the
+        history never restarts and only the first five steps predict."""
+        p, seed = miura
+        stage = Stage(targets={p.meta["driven_crease"]: math.radians(-175.0)}, steps=175)
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=1e-9)
+        assert traj.newton_iters[1:].count(0) > 10
+        assert len(predictors) == 5
+
+    def test_controlled_and_held_entries_exact(self, monkeypatch):
+        """A Miura 5x5 with a hinge crease between two boundary vertices
+        (no constraint row), held while the driven crease moves: every
+        state keeps the hinge's angle bit for bit, and every extrapolated
+        step lands on its waypoint bit for bit."""
+        m = generate_miura(5, 5)
+        creases = [(c.a, c.b, c.assignment) for c in m.creases] + [(1, 11, VALLEY)]
+        p = CreasePattern.from_edges(m.vertices, creases, m.boundary)
+        hinge = p.crease_index[(1, 11)]
+        driven = p.crease_index[m.creases[m.meta["driven_crease"]].key]
+        seed = flat_state_seed(p, math.radians(1.0), eps=self.EPS)
+        target, steps = math.radians(-60.0), 8
+        stage = Stage(targets={driven: target}, steps=steps, hold=(hinge,))
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(predictors) == 5
+        assert all(s[hinge] == seed[hinge] for s in traj.states)
+        for k in range(6, steps + 1):
+            assert traj.states[k][driven] == seed[driven] + (target - seed[driven]) * (k / steps)
+        assert max(traj.residuals) < self.EPS
+
+    @pytest.mark.parametrize("wild", ["diverges", "lands_far"])
+    def test_fallback_reaches_the_tangent_path(self, miura, wild, monkeypatch):
+        """An extrapolated start from which Newton fails (non-finite
+        weights), or lands farther away than the start lies from the last
+        state (a root shifted by 1 rad), is redone from the tangent
+        predictor: states within 1e-9 of the oracle's, the discarded
+        start's iterations counted."""
+        p, seed = miura
+        stage = Stage(targets={p.meta["driven_crease"]: math.radians(-120.0)}, steps=12)
+        loops = []  # per Newton loop that returned: (extrapolated start?, iterations)
+        real = sequential._newton
+        if wild == "diverges":
+            monkeypatch.setattr(sequential, "EXTRAPOLATION",
+                                np.array([math.nan, -5.0, 10.0, -10.0, 5.0]))
+
+        def newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
+            extrapolated = kept is None  # a tangent step's loop gets the predictor's
+            rho, gc, iters, kept = real(p, rho, controlled, eps, max_iter, kept, previous)
+            loops.append((extrapolated, iters))
+            if extrapolated and wild == "lands_far":
+                rho = rho + 1.0
+            return rho, gc, iters, kept
+
+        monkeypatch.setattr(sequential, "_newton", newton)
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(predictors) == 12
+        assert sum(e for e, _ in loops) == (12 - 5 if wild == "lands_far" else 0)
+        assert sum(traj.newton_iters) == sum(i for _, i in loops)
+        ref = refactoring_stage(p, seed, stage, self.EPS)
+        assert np.abs(np.array(traj.states) - np.array(ref)).max() < 1e-9
+        assert max(traj.residuals) < self.EPS
+        tangent = tangent_schedule(p, seed, FoldSchedule((stage,)), self.EPS)
+        assert np.array_equal(np.array(traj.states), np.array(tangent))
+
+    def test_crane_matches_the_tangent_oracle(self, crane_run):
+        """The crane keeps no certified factorization, so none of its steps
+        extrapolates: its states are the tangent-only loop's, bit for bit."""
+        p = generate_crane()
+        ref = tangent_schedule(p, np.zeros(p.n_creases), crane_run["schedule"],
+                               sequential.DEFAULT_EPS)
+        assert np.array_equal(np.array(crane_run["traj"].states), np.array(ref))
+
+    def test_miura_drive_newton_iterations(self, monkeypatch):
+        """The Miura 7x7 drive, 35 steps to -175 degrees at eps 1e-13,
+        takes at most two Newton iterations per step (it took 158-165 from
+        the tangent predictor alone)."""
+        p = generate_miura(7, 7)
+        seed = flat_state_seed(p, math.radians(1.0), eps=self.EPS)
+        stage = Stage(targets={p.meta["driven_crease"]: math.radians(-175.0)}, steps=35)
+        predictors = count_predictors(monkeypatch)
+        traj = run_schedule(p, seed, FoldSchedule((stage,)), eps=self.EPS)
+        assert len(predictors) == 5
+        assert sum(traj.newton_iters) <= 2 * 35
