@@ -114,9 +114,10 @@ def _check_every(every):
 
 
 def _check_seed_magnitude(magnitude):
-    if not (math.isfinite(magnitude) and magnitude >= 0):
+    # degrees; a seed past a straight fold starts outside the fold range
+    if not (math.isfinite(magnitude) and 0 <= magnitude <= 180):
         raise ValueError(
-            f"--seed-magnitude must be finite and non-negative, got {magnitude!r}"
+            f"--seed-magnitude must be finite and in [0, 180], got {magnitude!r}"
         )
 
 
@@ -327,7 +328,7 @@ def build_parser():
     sp.add_argument("--degrees", action="store_true",
                     help="schedule targets and CSV output in degrees")
     sp.add_argument("--seed-magnitude", type=float, default=1.0,
-                    help="assignment seed in degrees; 0 starts exactly flat")
+                    help="assignment seed in degrees, at most 180; 0 starts exactly flat")
     sp.add_argument("--eps", type=float, default=DEFAULT_EPS,
                     help="normalized residual tolerance per step")
     sp.set_defaults(func=cmd_fold)

@@ -15,21 +15,24 @@ The solve has four branches.  For a tall C_F the band w is read from the
 structure: the widest span, first to last free column, of a row block.  Cut
 into blocks of w columns, N = C_F^T C_F is block-tridiagonal, and with at
 least three blocks its diagonal and super-diagonal blocks are formed
-straight from the row blocks.
+straight from the row blocks.  Both band branches run one kernel, a
+windowed sweep that counts the eigenvalues of N below a shift (a block
+LDL^T with a computed rounding bound beta) while it factors a shifted N.
 
-- Certified band: one sweep of windowed Cholesky factorizations both
-  certifies full rank (on the shifted N, the one certificate) and factors
-  N.  The factors are kept on the ``RowBlocks`` (every L_k^{-1} and two
-  coupling products), and the normal equations are solved on them by
-  matrix products.  A later solve on the same matrix with the same fixed
-  columns reuses them for its own r and f: the Newton loop in
-  ``sequential`` takes its chord steps this way.
+- Certified band: one sweep counts below the certificate's shift and
+  factors N; a count of zero, with beta under the margin between the shift
+  and the cutoff, certifies full rank.  The factors are kept on the
+  ``RowBlocks`` (every L_k^{-1} and two coupling products), and the normal
+  equations are solved on them by matrix products.  A later solve on the
+  same matrix with the same fixed columns reuses them for its own r and f:
+  the Newton loop in ``sequential`` takes its chord steps this way.
 - Deflated band: when the certificate fails, as at the flat states where
-  the closure condition degenerates, the null space of N is deflated in the
-  band: inverse iteration and Rayleigh-Ritz on a factorization of a
-  slightly shifted N find it, an inertia count proves the gap around the
-  cutoff, and refinement on the same factors gives the minimum-norm step.
-  Nothing of it outlives the solve.
+  the closure condition degenerates, a second sweep counts at the same
+  shift and factors a slightly shifted N, so a flat-seed iterate sweeps its
+  band twice.  Inverse iteration and Rayleigh-Ritz on those factors find
+  the null space, the count proves the gap around the cutoff, and
+  refinement on the same factors gives the minimum-norm step.  Nothing of
+  it outlives the solve.
 - Tall eigh: with fewer than three blocks, or when the deflated solve
   proves nothing (an eigenvalue near the cutoff, a null space it does not
   capture), the dense C_F is built once and the step is solved on the kept
@@ -328,58 +331,124 @@ def _band_inf_norm(band):
     return sums.max()
 
 
+def _band_sweep(band, n_free, shift, keep):
+    """Count the eigenvalues of N below ``shift`` and factor ``N + keep I``
+    in one sweep over the band of block-tridiagonal N on n_free columns.
+
+    Returns ``(count, beta, factors)``, factors being every L_k and every
+    coupling, or None when rounding could change the count or ``N + keep
+    I`` does not factor.  One stacked Cholesky factors both members, the
+    counted ``N - shift I`` and the kept ``N + keep I``, in window ``[[S_k,
+    E_k], [E_k^T, D_{k+1}]]`` (S_K alone at the end): S_k is what the
+    blocks before k leave of D_k, and the window's coupling ``E_k^T
+    L_k^{-T}`` gives the next S.  The last block is padded to w columns by
+    a decoupled diagonal, the largest row sum of a diagonal block: the pad
+    leaves the other entries of the factors as they are and solves to zero.
+
+    The count is a block LDL^T: by Haynsworth's inertia additivity the
+    negative eigenvalues of the pivots S_k are those of ``N - shift I``.
+    Step k rounds by at most ``beta_k = w^2 eps M_k``, M_k the largest
+    absolute row sum of D_k, plus shift, plus the growth ``tr(E^T |S|^{-1}
+    E)`` carried in from block k - 1, which bounds what formed S_k.  The
+    counted pivot is factored as ``S_k - beta_k I``: a factor proves S_k
+    positive and carries on, the sweep then being exact for D_k moved by
+    beta_k.  From the first window that fails, the kept member carries on
+    alone and the counted one block by block: a pivot that does not factor
+    is eigendecomposed, an eigenvalue within beta_k of zero proves nothing,
+    and the signs of the others are counted.  The count is exact for ``N -
+    shift I + E``, E block tridiagonal with ``||E|| <= 4 beta``, beta the
+    largest beta_k, and no eigenvalue of ``N + E`` is farther than
+    ``||E||`` from one of N (Weyl).
+    """
+    blocks, w = band.shape[:2]
+    eye = np.eye(w)
+    row_sums = np.abs(band[:, :, :w]).sum(axis=2).max(axis=1)
+    # diagonal blocks of the counted and the kept member
+    diag = band[:, :, :w] + np.multiply.outer([-shift, keep], eye)[:, None]
+    pad = np.arange(n_free - (blocks - 1) * w, w)
+    diag[:, -1, pad, pad] += row_sums.max()
+    # lower triangles only: np.linalg.cholesky reads nothing else
+    window = np.zeros((2, 2 * w, 2 * w))
+    window[:, :w, :w] = diag[:, 0]
+    # the diagonal of the counted member's pivot, a view
+    pivot_diagonal = np.einsum("ii->i", window[0, :w, :w])
+    low_diag = np.empty((blocks, w, w))
+    below = np.empty((blocks - 1, w, w))
+    # window[lead:] are the members still factored in windows
+    lead, count, growth, beta = 0, 0, 0.0, 0.0
+    for k in range(blocks):
+        rounding = w * w * _EPS * (row_sums[k] + shift + growth)
+        beta = max(beta, rounding)
+        size = 2 * w if k + 1 < blocks else w
+        if k + 1 < blocks:
+            window[:, w:, :w] = band[k, :, w:].T
+            window[:, w:, w:] = diag[:, k + 1]
+        pivot_diagonal -= rounding
+        while True:
+            try:
+                low = np.linalg.cholesky(window[lead:, :size, :size])
+                break
+            except np.linalg.LinAlgError:
+                if lead:
+                    return None
+                lead = 1
+        low_diag[k] = low[-1, :w, :w]
+        if k + 1 < blocks:
+            coupling = low[:, w:, :w]
+            below[k] = coupling[-1]
+            window[lead:, :w, :w] = window[lead:, w:, w:] - coupling @ coupling.transpose(0, 2, 1)
+            if not lead:
+                growth = float(np.vdot(coupling[0], coupling[0]))
+        if lead:
+            try:
+                y = np.linalg.solve(np.linalg.cholesky(window[0, :w, :w]), band[k, :, w:])
+                lam = np.ones(w)
+            except np.linalg.LinAlgError:
+                lam, q = np.linalg.eigh(window[0, :w, :w] + rounding * eye)
+                if np.abs(lam).min() <= rounding:
+                    return None
+                count += int(np.count_nonzero(lam < 0))
+                y = q.T @ band[k, :, w:]
+            if k + 1 < blocks:
+                window[0, :w, :w] = diag[0, k + 1] - y.T @ (y / lam[:, None])
+                growth = float(np.sum(y * y / np.abs(lam)[:, None]))
+    return count, beta, (low_diag, below)
+
+
+def _solve_form(low_diag, below):
+    """``_band_cholesky_solve``'s form of ``_band_sweep`` factors (numpy has
+    no triangular solve): every L_k^{-1}, from one batched inverse, and
+    ``L_{k+1}^{-1} B_k^T`` and ``L_k^{-T} B_k``, ``B_k = L_k^{-1} E_k``."""
+    inv = np.linalg.inv(low_diag)
+    return inv, inv[1:] @ below, inv[:-1].transpose(0, 2, 1) @ below.transpose(0, 2, 1)
+
+
 def _band_factor(band, n_free, n):
     """Kept block Cholesky factors of block-tridiagonal N when its full rank
     is certified, else None.
 
-    N is given by its ``_gram_band``.  The certificate is a block Cholesky
-    factorization of ``N - 2 tau lam_hi I``, ``tau = DEFAULT_CUTOFF * n``,
-    with ``lam_hi = ||N||_inf >= lambda_max`` summed over a block row.  If
-    it factors, ``lambda_min > 2 tau lambda_max - ||E||``, the backward
-    error E being about ``n^2 eps lambda_max`` at most (less in a band,
-    where no inner product has more than 2w terms), below ``tau lambda_max``
-    for n up to several thousand: no eigenvalue is at or below the cutoff.
-    A failure proves nothing; the caller tries ``_deflated_band_solve``.
-
-    ``N = L L^T`` with L block lower-bidiagonal: factors L_k on its
-    diagonal and couplings ``E_k^T L_k^{-T}`` below it, E_k being the
-    super-diagonal blocks of N.  One sweep factors window k, ``[[S_k, E_k],
-    [E_k^T, D_{k+1}]]``, for the shifted and the unshifted N in one stacked
-    Cholesky.  S_k is what the blocks before k leave of D_k: the window's
-    own trailing block minus its coupling's outer product.  One window
-    buffer is reused: each factorization leaves the next window's S.  The
-    last block is padded to w columns by a decoupled diagonal ``lam_hi``,
-    which leaves the other entries of the factors as they are and solves to
-    zero.  The unshifted factors are kept as ``_band_cholesky`` keeps them,
-    every L_k^{-1} from one batched inverse plus the two coupling products,
-    so ``_band_cholesky_solve`` serves any number of right-hand sides.
+    N is given by its ``_gram_band``.  The certificate is one
+    ``_band_sweep`` that counts the eigenvalues below ``2 tau lam_hi``,
+    ``tau = DEFAULT_CUTOFF * n``, with ``lam_hi = ||N||_inf >=
+    lambda_max``, and keeps N.  A count of zero with the sweep's rounding
+    ``4 beta < tau lam_hi`` proves ``lambda_min > 2 tau lam_hi - 4 beta >
+    tau lambda_max``: no eigenvalue is at or below the cutoff.  Any other
+    outcome proves nothing; the caller tries ``_deflated_band_solve``.
     """
-    blocks, w = band.shape[:2]
     lam_hi = _band_inf_norm(band)
-    shift = 2.0 * DEFAULT_CUTOFF * n * lam_hi
-    # diagonal blocks of N and of the shifted N
-    diag = np.stack([band[:, :, :w], band[:, :, :w] - shift * np.eye(w)])
-    pad = np.arange(n_free - (blocks - 1) * w, w)
-    diag[:, -1, pad, pad] = lam_hi
-    # lower triangle only: np.linalg.cholesky reads nothing else
-    window = np.zeros((2, 2 * w, 2 * w))
-    window[:, :w, :w] = diag[:, 0]
-    low_diag = np.empty((blocks, w, w))
-    below = np.empty((blocks - 1, w, w))
-    for k in range(1, blocks):
-        window[:, w:, :w] = band[k - 1, :, w:].T
-        window[:, w:, w:] = diag[:, k]
-        try:
-            low = np.linalg.cholesky(window)
-        except np.linalg.LinAlgError:
-            return None
-        low_diag[k - 1] = low[0, :w, :w]
-        below[k - 1] = low[0, w:, :w]
-        coupling = low[:, w:, :w]
-        window[:, :w, :w] = window[:, w:, w:] - coupling @ coupling.transpose(0, 2, 1)
-    low_diag[-1] = low[0, w:, w:]
-    inv = np.linalg.inv(low_diag)
-    return inv, inv[1:] @ below, inv[:-1].transpose(0, 2, 1) @ below.transpose(0, 2, 1)
+    tau = DEFAULT_CUTOFF * n
+    swept = _band_sweep(band, n_free, 2.0 * tau * lam_hi, 0.0)
+    if swept is None or swept[0] or 4.0 * swept[1] >= tau * lam_hi:
+        return None
+    return _solve_form(*swept[2])
+
+
+def _band_inertia(band, shift):
+    """``(count, beta)`` of a ``_band_sweep`` of all K w columns, or None.
+    It keeps ``N + 2 ||N||_inf I``, positive definite by Gershgorin's
+    theorem, so that only the count can fail."""
+    swept = _band_sweep(band, band.shape[0] * band.shape[1], shift, 2.0 * _band_inf_norm(band))
+    return None if swept is None else swept[:2]
 
 
 def _band_matmul(band, x):
@@ -394,38 +463,9 @@ def _band_matmul(band, x):
     return y.reshape(x.shape)
 
 
-def _band_cholesky(band, shift):
-    """Kept block Cholesky factors of ``N + shift I``, or None if it fails.
-
-    ``N + shift I = L L^T`` with L block lower-bidiagonal: L_k on the
-    diagonal, ``B_k^T`` below it, ``B_k = L_k^{-1} E_k``.  Each Schur
-    complement ``S_{k+1} = D_{k+1} + shift I - B_k^T B_k`` is factored in
-    turn.  numpy has no triangular solve, so the factors are kept as what a
-    solve applies: every ``L_k^{-1}``, and the products ``L_{k+1}^{-1}
-    B_k^T`` and ``L_k^{-T} B_k`` that the forward and back substitutions
-    subtract, each formed once for all right-hand sides.
-    """
-    blocks, w = band.shape[:2]
-    eye = np.eye(w)
-    inv = np.empty((blocks, w, w))
-    coupling = np.empty((blocks - 1, w, w))
-    schur = band[0, :, :w] + shift * eye
-    for k in range(blocks):
-        try:
-            low = np.linalg.cholesky(schur)
-        except np.linalg.LinAlgError:
-            return None
-        inv[k] = np.linalg.inv(low)
-        if k + 1 < blocks:
-            coupling[k] = inv[k] @ band[k, :, w:]
-            schur = band[k + 1, :, :w] + shift * eye - coupling[k].T @ coupling[k]
-    return (inv, inv[1:] @ coupling.transpose(0, 2, 1),
-            inv[:-1].transpose(0, 2, 1) @ coupling)
-
-
 def _band_cholesky_solve(factors, rhs):
-    """``(N + shift I)^{-1} rhs`` from ``_band_cholesky`` factors; rhs has
-    ``K w`` rows, one or more columns."""
+    """``(N + keep I)^{-1} rhs`` from the kept factors of a ``_band_sweep``;
+    rhs has ``K w`` rows, one or more columns."""
     inv, forward, back = factors
     blocks, w = inv.shape[:2]
     y = inv @ rhs.reshape(blocks, w, -1)
@@ -435,51 +475,6 @@ def _band_cholesky_solve(factors, rhs):
     for k in range(blocks - 2, -1, -1):
         x[k] -= back[k] @ x[k + 1]
     return x.reshape(rhs.shape)
-
-
-def _band_inertia(band, shift):
-    """The number of eigenvalues of N below ``shift``, with the rounding
-    that bounds it, or None when rounding could change the count.
-
-    A block LDL^T of ``N - shift I`` runs over the Schur complements ``S_k``
-    of the block-tridiagonal N: by Haynsworth's inertia additivity the
-    negative eigenvalues of all S_k are those of ``N - shift I``.  The
-    rounding of step k is taken as ``beta_k = w^2 eps M_k``, where M_k (the
-    largest absolute row sum of D_k, plus shift, plus the growth carried in
-    from block k - 1) bounds what formed S_k.  A pivot whose eigenvalues
-    all exceed beta_k is proved so by one Cholesky of ``S_k - beta_k I``,
-    and that factor carries on: the sweep is then the exact factorization
-    of a matrix with D_k moved by beta_k.  Any other pivot is
-    eigendecomposed, ``S_k = Q diag(lam) Q^T``: an eigenvalue within beta_k
-    of zero proves nothing, and the signs of the others are counted.  The
-    growth, the trace of ``E_k^T Q |lam|^{-1} Q^T E_k``, bounds the norm of
-    what S_k passes on.  Returns ``(count, beta)``, beta the largest
-    beta_k: the count is exact for ``N - shift I + E``, where E, the
-    deliberate shifts plus the rounding, is block tridiagonal with ``||E||
-    <= 4 beta``, and no eigenvalue of ``N + E`` is farther than ``||E||``
-    from one of N (Weyl).
-    """
-    blocks, w = band.shape[:2]
-    eye = np.eye(w)
-    row_sums = np.abs(band[:, :, :w]).sum(axis=2).max(axis=1)
-    count, growth, beta = 0, 0.0, 0.0
-    schur = band[0, :, :w] - shift * eye
-    for k in range(blocks):
-        rounding = w * w * _EPS * (row_sums[k] + shift + growth)
-        beta = max(beta, rounding)
-        try:
-            y = np.linalg.solve(np.linalg.cholesky(schur - rounding * eye), band[k, :, w:])
-            pivots = np.ones(w)
-        except np.linalg.LinAlgError:
-            pivots, q = np.linalg.eigh(schur)
-            if np.abs(pivots).min() <= rounding:
-                return None
-            count += int(np.count_nonzero(pivots < 0))
-            y = q.T @ band[k, :, w:]
-        if k + 1 < blocks:
-            schur = band[k + 1, :, :w] - shift * eye - y.T @ (y / pivots[:, None])
-            growth = float(np.sum(y * y / np.abs(pivots)[:, None]))
-    return count, beta
 
 
 def _deflated_band_solve(band, g, residual, n):
@@ -493,19 +488,19 @@ def _deflated_band_solve(band, g, residual, n):
     <= lam_hi`` for ``lam_lo`` the largest diagonal entry of N and ``lam_hi
     = ||N||_inf``.  Null-space deflation with a certified gap (Bjorck,
     Numerical Methods for Least Squares Problems, 1996, sections 2.7 and
-    6.3):
+    6.3), on one ``_band_sweep`` that counts the eigenvalues below the
+    certificate's ``2 tau lam_hi`` and keeps ``N + mu I``, ``mu = 1e-11
+    lam_hi``:
 
-    - ``N + mu I``, ``mu = 1e-11 lam_hi``, is factored once
-      (``_band_cholesky``);
     - three inverse iterations on a deterministic start block of four
       columns (Weyl sequences ``frac(i sqrt(p))``, p = 2, 3, 5, 7), then
       Rayleigh-Ritz on ``Z^T N Z``, keep as Z the Ritz vectors whose values
       are at or below ``tau lam_lo``.  The k-th Ritz value bounds the k-th
       eigenvalue from above, so at least ``len(Z)`` eigenvalues count as
       zero;
-    - ``_band_inertia`` of ``N - 2 tau lam_hi I`` must count exactly
-      ``len(Z)`` eigenvalues with its rounding below ``tau lam_hi / 4``: the
-      rest of the spectrum lies above ``tau lam_hi``, so the rule keeps it;
+    - the sweep must count exactly ``len(Z)`` eigenvalues with its rounding
+      below ``tau lam_hi / 4``: the rest of the spectrum lies above ``tau
+      lam_hi``, so the rule keeps it;
     - ``x = P (N + mu I)^{-1} P g`` with ``P = I - Z Z^T``, then four
       refinement steps ``x <- x + P (N + mu I)^{-1} P (g - N x)``, the
       residual ``g - N x = C_F^T (b - C_F x)`` taken unsquared from
@@ -514,30 +509,28 @@ def _deflated_band_solve(band, g, residual, n):
       + mu)``, so after the last step, dx, at most ``q / (1 - q) ||dx||``
       is left; it must be below ``n_free eps ||x||``.
 
-    Any other outcome, a failed factorization included, proves nothing: the
-    caller falls back to the eigenvectors of the dense N.  The last block
-    is padded as in ``_band_factor``.
+    Any other outcome, ``N + mu I`` failing to factor included, proves
+    nothing: the caller falls back to the eigenvectors of the dense N.
+    With the certificate's own sweep in ``_band_factor``, an iterate that
+    reaches this solve sweeps its band twice.
     """
     blocks, w = band.shape[:2]
     n_free = len(g)
     tau = DEFAULT_CUTOFF * n
-    lam_hi = _band_inf_norm(band)
     lam_lo = band[:, range(w), range(w)].max()
-    band = band.copy()
-    pad = np.arange(n_free - (blocks - 1) * w, w)
-    band[-1, pad, pad] = lam_hi
+    lam_hi = _band_inf_norm(band)
     shift = 1e-11 * lam_hi
-    factors = _band_cholesky(band, shift)
-    if factors is None:
+    swept = _band_sweep(band, n_free, 2.0 * tau * lam_hi, shift)
+    if swept is None or 4.0 * swept[1] >= tau * lam_hi:
         return None
+    count, factors = swept[0], _solve_form(*swept[2])
     z = np.zeros((blocks * w, 4))
     z[:n_free] = np.arange(1, n_free + 1)[:, None] * np.sqrt([2.0, 3.0, 5.0, 7.0]) % 1.0 - 0.5
     for _ in range(3):
         z = np.linalg.qr(_band_cholesky_solve(factors, z))[0]
     theta, u = np.linalg.eigh(z.T @ _band_matmul(band, z))
     null = z @ u[:, theta <= tau * lam_lo]
-    inertia = _band_inertia(band, 2.0 * tau * lam_hi)
-    if inertia is None or inertia[0] != null.shape[1] or 4.0 * inertia[1] >= tau * lam_hi:
+    if count != null.shape[1]:
         return None
 
     def solve(v):

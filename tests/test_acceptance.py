@@ -157,7 +157,7 @@ def test_criterion_3_jacobian_correctness(miura33, waterbomb, miura_run):
     assert len(states) == 100
 
     h = 1e-6
-    worst_fd, worst_sym = 0.0, 0.0
+    worst_fd, worst_global, worst_sym = 0.0, 0.0, 0.0
     for p, s in states:
         for fan in build_vertex_fans(p):
             ids = list(fan.crease_ids)
@@ -172,9 +172,17 @@ def test_criterion_3_jacobian_correctness(miura33, waterbomb, miura_run):
                 worst_fd = max(worst_fd, np.abs(jac[:, j] - fd).max())
             for df in vertex_closure_derivatives(fan, rho_fan):
                 worst_sym = max(worst_sym, np.linalg.norm(df + df.T))
-    ok = worst_fd < 1e-6 and worst_sym < 1e-9
+        # the Jacobian the solvers run, against the residual assembly computes
+        c = assemble_global(p, s).blocks.dense
+        for j in range(p.n_creases):
+            step = np.zeros(p.n_creases)
+            step[j] = h
+            fd = (assemble_global(p, s + step).r - assemble_global(p, s - step).r) / (2 * h)
+            worst_global = max(worst_global, np.abs(c[:, j] - fd).max())
+    ok = worst_fd < 1e-6 and worst_global < 1e-6 and worst_sym < 1e-9
     verdict(3, ok, (
-        f"100 states: FD mismatch {worst_fd:.2e} (<1e-6), "
+        f"100 states: FD mismatch {worst_fd:.2e} per vertex, "
+        f"{worst_global:.2e} assembled (<1e-6), "
         f"antisymmetry defect {worst_sym:.2e} (<1e-9)"
     ))
 

@@ -36,6 +36,24 @@ def waterbomb_file(tmp_path, waterbomb):
     return path
 
 
+def straight_line_pattern():
+    """A sheet whose valley line runs straight through an interior vertex."""
+    return CreasePattern.from_edges(
+        [[0, 0], [2, 0], [2, 1], [0, 1], [1, 0.5], [0.5, 1], [1.5, 1]],
+        [(0, 4, "V"), (4, 2, "V"), (4, 5, "M"), (4, 6, "M")],
+        [(0, 1), (1, 2), (2, 6), (6, 5), (5, 3), (3, 0)],
+    )
+
+
+def run_module(*argv):
+    """``python -m rigidfold.cli`` in a fresh process; its exit code."""
+    src = str(Path(rigidfold.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "rigidfold.cli", *map(str, argv)],
+                          env=env, capture_output=True).returncode
+
+
 class TestValidateCommand:
     def test_ok_pattern(self, miura_file, capsys):
         assert main(["validate", "--pattern", str(miura_file)]) == 0
@@ -89,14 +107,8 @@ class TestInfoCommand:
         assert "warning" in json.loads(capsys.readouterr().out)
 
     def test_straight_crease_line(self, tmp_path, capsys):
-        # a valley line running straight through an interior vertex
-        p = CreasePattern.from_edges(
-            [[0, 0], [2, 0], [2, 1], [0, 1], [1, 0.5], [0.5, 1], [1.5, 1]],
-            [(0, 4, "V"), (4, 2, "V"), (4, 5, "M"), (4, 6, "M")],
-            [(0, 1), (1, 2), (2, 6), (6, 5), (5, 3), (3, 0)],
-        )
         path = tmp_path / "line.json"
-        path.write_text(serialize_pattern(p))
+        path.write_text(serialize_pattern(straight_line_pattern()))
         assert main(["info", "--pattern", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["interior_vertices"] == 1
 
@@ -504,7 +516,7 @@ class TestBadInput:
         assert "--eps must be finite and in (0, 1e-09]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-1", "181", "400"])
     def test_fold_bad_seed_magnitude_exits_1(self, miura_file, tmp_path, capsys,
                                              magnitude):
         assert self.fold(miura_file, {"stages": []}, tmp_path,
@@ -512,7 +524,7 @@ class TestBadInput:
         assert "--seed-magnitude must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-1", "181", "400"])
     def test_relax_bad_seed_magnitude_exits_1(self, waterbomb_file, tmp_path, capsys,
                                               magnitude):
         assert self.relax(waterbomb_file, 8, tmp_path,
@@ -540,7 +552,8 @@ class TestBadInput:
         ["measure", "--state", "{state}"],
         ["export-obj", "--out", "{out}"],
         ["export-obj", "--state", "{state}", "--out", "{out}"],
-    ], ids=["info", "measure", "export-obj", "export-obj-state"])
+        ["export-obj"],
+    ], ids=["info", "measure", "export-obj", "export-obj-state", "export-obj-stdout"])
     def test_invalid_pattern_exits_1_before_embedding(self, tmp_path, capsys, command):
         # vertex 4 lies on no facet: embedding it would write NaN coordinates
         path = tmp_path / "isolated.json"
@@ -759,3 +772,41 @@ class TestFramesUseRecordedResiduals:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(list(out.glob("step_*.obj"))) == manifest["steps"] + 1 > 1
         assert calls == []
+
+
+class TestModuleEntryPoint:
+    """Commands run as ``python -m rigidfold.cli`` in a fresh process,
+    checked by their exit codes.  The bad-input exits are cases of
+    ``TestBadInput``, and a Miura 5x5 fold from its flat seed runs in a
+    fresh process in ``TestFoldCommand``."""
+
+    @pytest.mark.parametrize("pattern", [
+        lambda: generate_miura(3, 3), straight_line_pattern,
+    ], ids=["miura", "straight-line"])
+    def test_validate_exits_0(self, tmp_path, pattern):
+        path = tmp_path / "pattern.json"
+        path.write_text(serialize_pattern(pattern()))
+        assert run_module("validate", "--pattern", path) == 0
+
+    @pytest.mark.parametrize("stages", [
+        [(-175.0, 35)],
+        [(-30.0, 3), (-175.0, 30)],
+    ], ids=["one-stage", "two-stage"])
+    def test_miura7_fold_from_flat_seed_exits_0(self, tmp_path, stages):
+        """The seed's rank-deficient solves run the deflated band solve, the
+        Newton loops take chord steps on kept band factorizations, and the
+        steps after the fifth of a stage start from extrapolated states; a
+        stage of three steps is shorter than that history, and the history
+        restarts at the stage boundary."""
+        p = generate_miura(7, 7)
+        driven = p.meta["driven_crease"]
+        cpath, spath = tmp_path / "miura7.json", tmp_path / "schedule.json"
+        cpath.write_text(serialize_pattern(p))
+        spath.write_text(json.dumps({"stages": [
+            {"controlled": [{"crease": driven, "target": math.radians(target)}],
+             "steps": steps}
+            for target, steps in stages
+        ]}))
+        assert run_module("fold", "--pattern", cpath, "--schedule", spath,
+                          "--eps", "1e-13", "--out", tmp_path / "run") == 0
+

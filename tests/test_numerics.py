@@ -722,3 +722,82 @@ class TestDeflatedBandSolve:
                 assert count <= np.count_nonzero(eig < 4 * beta)
             # a shift at an eigenvalue of the first pivot makes it singular
             assert _band_inertia(band, np.linalg.eigvalsh(band[0, :, :w])[2]) is None
+
+
+class TestBandSweep:
+    """The one sweep behind both band solves: how many run, and the rounding
+    margin of its count."""
+
+    def test_flat_seed_iterate_sweeps_the_band_twice(self, monkeypatch):
+        """The first iterate of a Miura 7x7 flat seed fails the certificate and
+        is solved by the deflated band solve, with no dense eigendecomposition.
+        A sweep over the band begins by factoring its first diagonal block,
+        shifted on the diagonal only: two sweeps begin, the certificate's and
+        the deflated solve's, each counting and factoring at once."""
+        p = generate_miura(7, 7)
+        gc = assemble_global(p, np.radians([
+            1.0 if c.assignment == VALLEY else -1.0 for c in p.creases
+        ]))
+        band = free_band(gc.blocks, [])
+        w = band.shape[1]
+        off = ~np.eye(w, dtype=bool)
+        first = band[0, :, :w][off]
+        starts = []
+        real = np.linalg.cholesky
+
+        def counting(a):
+            tops = np.asarray(a)[..., :w, :w].reshape(-1, w, w)
+            if any(np.array_equal(top[off], first) for top in tops):
+                starts.append(np.shape(a))
+            return real(a)
+
+        calls = TestDeflatedBandSolve.dense_calls(monkeypatch)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        free_column_solve(gc.blocks, gc.r, [], [])
+        assert calls == []
+        assert len(starts) == 2, starts
+
+    def test_count_refuses_a_pivot_within_its_rounding(self):
+        """Block-diagonal N with exact diagonal blocks: a shift within the
+        rounding beta of the first pivot's smallest eigenvalue proves
+        nothing, although a plain Cholesky would factor that pivot; a shift
+        2 beta below or above it counts 0 or 1."""
+        w = 4
+        band = np.zeros((3, w, 2 * w))
+        band[:, range(w), range(w)] = [[1, 2, 3, 4], [2, 3, 4, 5], [2, 3, 4, 5]]
+        count, beta = _band_inertia(band, 0.5)
+        assert count == 0 and 0 < beta < 1e-12
+        assert _band_inertia(band, 1.0 - 0.5 * beta) is None
+        assert _band_inertia(band, 1.0 - 2.0 * beta)[0] == 0
+        assert _band_inertia(band, 1.0 + 2.0 * beta)[0] == 1
+
+    def test_band_solves_need_their_rounding_below_the_margin(self):
+        """Blocks of w = 64 whose coupled pair ``[[I, a I], [a I, (a^2 + 100)
+        I]]`` passes a growth of w a^2 to the second pivot: the count at the
+        certificate's shift is zero, and the smallest eigenvalue of N is 5000
+        times the cutoff, but the computed rounding 4 beta exceeds the margin
+        ``tau lam_hi``, so the certificate proves nothing.  With one diagonal
+        entry of the last block zeroed, the count finds the null direction,
+        but the deflated solve proves nothing either."""
+        w, a = 64, 100.0
+        eye = np.eye(w)
+        band = np.zeros((3, w, 2 * w))
+        band[0, :, :w] = band[2, :, :w] = eye
+        band[0, :, w:] = a * eye
+        band[1, :, :w] = (a * a + 100.0) * eye
+        n = 3 * w
+        tau = DEFAULT_CUTOFF * n
+        lam_hi = _band_inf_norm(band)
+        pair = np.linalg.eigvalsh([[1.0, a], [a, a * a + 100.0]])
+        assert pair[0] > 5000.0 * tau * pair[1]
+        for null in (0, 1):
+            band[2, 0, 0] = 1.0 - null
+            count, beta = _band_inertia(band, 2.0 * tau * lam_hi)
+            assert count == null and 4.0 * beta >= tau * lam_hi
+            assert _band_factor(band, n, n) is None
+            g = np.random.default_rng(null).standard_normal(n)
+
+            def residual(x):
+                return g - numerics._band_matmul(band, x)
+
+            assert numerics._deflated_band_solve(band, g, residual, n) is None
