@@ -200,15 +200,19 @@ def embed(p, rho, root=0, residual=None):
 
 
 def _facet_normal(coords, cycle):
-    """Newell normal of a (near planar) facet, unit length."""
+    """Newell normal of a (near planar) facet, unit length.  The facet is
+    degenerate when the normal's length, twice its area, is at most 1e-12
+    times the sum of its squared sides: the same test at every scale."""
     n = np.zeros(3)
     m = len(cycle)
     for i in range(m):
         u = coords[cycle[i]]
         v = coords[cycle[(i + 1) % m]]
         n += np.cross(u, v)
+    pts = coords[list(cycle)]
+    size = float(np.sum((np.roll(pts, -1, axis=0) - pts) ** 2))
     norm = np.linalg.norm(n)
-    if norm < 1e-12:
+    if norm <= 1e-12 * size:
         raise ValueError("degenerate facet normal")
     return n / norm
 

@@ -34,10 +34,8 @@ def generate_miura(m, n, a=1.0, b=1.0, alpha=math.pi / 3):
     def vid(r, c):
         return r * cols + c
 
-    vertices = np.zeros((rows * cols, 2))
-    for r in range(rows):
-        for c in range(cols):
-            vertices[vid(r, c)] = (c * b + (r % 2) * shift, r * height)
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    vertices = np.column_stack((c * b + (r % 2) * shift, r * height))
 
     creases, boundary = [], []
     for r in range(rows):

@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -95,15 +96,17 @@ class CreasePattern:
 
     The constructor owns the structural checks: finite 2D points, and vertex
     ids that are integers in range; ``validate_pattern`` reports the rest.
+    Ids that are all plain ints in range, and coordinates that are a numeric
+    array or plain floats and ints, skip the per-entry checks.
     """
 
     def __init__(self, vertices, creases, boundary, facets, meta=None):
         self.vertices = _points(vertices)
         n = len(self.vertices)
         self.creases = self._canonical_creases(creases, n)
-        edges = (_indices(e, n, "boundary edge") for e in boundary)
-        self.boundary = sorted((min(a, b), max(a, b)) for a, b in edges)
-        self.facets = self._canonical_facets(facets)
+        edges = _id_lists(boundary, n, "boundary edge")
+        self.boundary = sorted((a, b) if a < b else (b, a) for a, b in edges)
+        self.facets = self._canonical_facets(_id_lists(facets, n, "facet"))
         self.meta = dict(meta or {})
         self._index_edges()
 
@@ -111,41 +114,41 @@ class CreasePattern:
 
     @staticmethod
     def _canonical_creases(creases, n):
+        creases = [
+            (c.a, c.b, c.assignment) if isinstance(c, Crease) else c for c in creases
+        ]
+        plain = _plain_ids(creases, n, 2)
         out = []
         for c in creases:
-            if isinstance(c, Crease):
-                c = (c.a, c.b, c.assignment)
-            a, b = _indices(c[:2], n, "crease")
+            a, b = c[:2] if plain else _indices(c[:2], n, "crease")
             out.append(Crease(a, b, c[2] if len(c) > 2 else UNASSIGNED))
-        out.sort(key=lambda c: c.key)
+        out.sort(key=attrgetter("a", "b"))
         for prev, cur in zip(out, out[1:]):
-            if prev.key == cur.key:
+            if prev.a == cur.a and prev.b == cur.b:
                 raise PatternError(f"duplicate crease {cur.key}")
         return out
 
-    def _canonical_facets(self, facets):
-        out = []
-        for cycle in facets:
-            cycle = _indices(cycle, len(self.vertices), "facet")
+    def _canonical_facets(self, cycles):
+        """Checked id lists as anticlockwise tuples, each started at its
+        smallest id, sorted."""
+        checked = []
+        for cycle in cycles:
             if len(cycle) < 3:
                 raise PatternError(f"facet with fewer than 3 vertices: {cycle}")
-            if self._signed_area(cycle) < 0:
-                cycle = cycle[::-1]
-            k = cycle.index(min(cycle))
-            out.append(tuple(cycle[k:] + cycle[:k]))
-        out.sort()
-        return out
-
-    def _signed_area(self, cycle):
-        return _shoelace(self.vertices[list(cycle)])
+            checked.append(cycle)
+        areas = _signed_areas(self.vertices, checked).tolist()
+        return sorted(
+            _least_first(cycle[::-1] if area < 0 else cycle)
+            for cycle, area in zip(checked, areas)
+        )
 
     def _index_edges(self):
-        self.crease_index = {c.key: i for i, c in enumerate(self.creases)}
+        self.crease_index = {(c.a, c.b): i for i, c in enumerate(self.creases)}
         boundary_vertices = {v for e in self.boundary for v in e}
         incident = {}
-        for i, c in enumerate(self.creases):
-            incident.setdefault(c.a, []).append(i)
-            incident.setdefault(c.b, []).append(i)
+        for i, (a, b) in enumerate(self.crease_index):
+            incident.setdefault(a, []).append(i)
+            incident.setdefault(b, []).append(i)
         self._incident_creases = incident
         self.interior_vertex_ids = sorted(
             v for v in incident if v not in boundary_vertices
@@ -155,8 +158,8 @@ class CreasePattern:
     def from_edges(cls, vertices, creases, boundary, meta=None):
         """Build a pattern from edges alone; facets come from face traversal."""
         p = cls(vertices, creases, boundary, [], meta=meta)
-        edges = [c.key for c in p.creases] + p.boundary
-        p.facets = p._canonical_facets(trace_facets(p.vertices, edges))
+        edges = list(p.crease_index) + p.boundary
+        p.facets = sorted(map(_least_first, trace_facets(p.vertices, edges)))
         return p
 
     # -- basic queries ---------------------------------------------------------
@@ -174,25 +177,37 @@ class CreasePattern:
         return self.vertices[c.b] - self.vertices[c.a]
 
     def crease_lengths(self):
-        return np.array([np.linalg.norm(self.crease_vector(i)) for i in range(self.n_creases)])
+        """Length of every crease, in crease order.
+
+        ``np.matmul`` of each crease vector with itself calls the same BLAS
+        dot per crease as ``np.linalg.norm`` of one vector, so the lengths
+        are the norm's to the last bit (an elementwise ``x*x + y*y`` is not:
+        the dot may fuse its multiply and add)."""
+        ends = np.array(list(self.crease_index), dtype=np.intp).reshape(-1, 2)
+        d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
+        return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
     def facet_edges(self, facet):
-        cycle = self.facets[facet] if isinstance(facet, int) else facet
-        return [
-            (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-        ]
+        cycle = tuple(self.facets[facet] if _is_number(facet, numbers.Integral) else facet)
+        return list(zip(cycle, cycle[1:] + cycle[:1]))
+
+    def _edge_facets(self):
+        """The facets on each edge (min id, max id), edges in order of first
+        appearance along the facet cycles."""
+        by_edge = {}
+        for f, cycle in enumerate(self.facets):
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                by_edge.setdefault((u, v) if u < v else (v, u), []).append(f)
+        return by_edge
 
     def facet_adjacency(self):
         """List of (facet_i, facet_j, crease_id) pairs sharing a crease."""
-        by_edge = {}
-        for f, cycle in enumerate(self.facets):
-            for u, v in self.facet_edges(cycle):
-                by_edge.setdefault(tuple(sorted((u, v))), []).append(f)
-        out = []
-        for key, faces in by_edge.items():
-            if key in self.crease_index and len(faces) == 2:
-                out.append((faces[0], faces[1], self.crease_index[key]))
-        return out
+        index = self.crease_index
+        return [
+            (faces[0], faces[1], index[key])
+            for key, faces in self._edge_facets().items()
+            if key in index and len(faces) == 2
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, CreasePattern):
@@ -207,7 +222,7 @@ class CreasePattern:
 
     def to_dict(self):
         return {
-            "vertices": [[float(x), float(y)] for x, y in self.vertices],
+            "vertices": self.vertices.tolist(),
             "creases": [[c.a, c.b, c.assignment] for c in self.creases],
             "boundary": [[a, b] for a, b in self.boundary],
             "facets": [list(f) for f in self.facets],
@@ -226,6 +241,8 @@ def _is_number(value, kind=numbers.Real):
 def _real(value, what):
     """``value`` as a float, never converted from another type: a string or a
     bool is a TypeError."""
+    if type(value) is float:
+        return value
     if not _is_number(value):
         raise TypeError(f"{what} {value!r} is not a number")
     return float(value)
@@ -235,6 +252,8 @@ def _index(value, what, error=ValueError):
     """``value`` as an int id, never truncated: a non-number (a string, a
     bool) is a TypeError and a fraction ``error``; ``what`` says where the id
     stands."""
+    if type(value) is int:
+        return value
     if not _is_number(value):
         raise TypeError(f"id {value!r} in {what} is not a number")
     if not float(value).is_integer():
@@ -245,15 +264,26 @@ def _index(value, what, error=ValueError):
 def _points(vertices):
     """The vertex list as an (n, 2) float array of finite 2D points, n > 0;
     a coordinate that is not a real number (a string, a bool) is a
-    TypeError, never converted."""
+    TypeError, never converted.  A numeric (n, 2) array, or a list of pairs
+    of plain floats and ints, needs no per-coordinate check."""
     if len(vertices) == 0:
         raise PatternError("empty vertex list")
-    for v in vertices:
-        if len(v) != 2:
-            raise PatternError(f"vertex is not a 2D point: {v}")
-        for x in v:
-            if not _is_number(x):
-                raise TypeError(f"coordinate {x!r} of vertex {v} is not a number")
+    if isinstance(vertices, np.ndarray):
+        plain = vertices.dtype.kind in "fiu" and vertices.shape[1:] == (2,)
+    else:
+        try:
+            plain = {len(v) for v in vertices} == {2} and (
+                {type(x) for v in vertices for x in v} <= {float, int}
+            )
+        except TypeError:
+            plain = False
+    if not plain:
+        for v in vertices:
+            if len(v) != 2:
+                raise PatternError(f"vertex is not a 2D point: {v}")
+            for x in v:
+                if not _is_number(x):
+                    raise TypeError(f"coordinate {x!r} of vertex {v} is not a number")
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or not np.all(np.isfinite(pts)):
         raise PatternError("vertex coordinates must be finite numbers")
@@ -273,13 +303,64 @@ def _indices(entry, n, what):
     return out
 
 
-def _shoelace(pts):
-    """Signed area of the closed polygon ``pts``, positive anticlockwise."""
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _plain_ids(entries, n, width=None):
+    """True when the first ``width`` items of every entry (all of them when
+    None) are plain ints in ``range(n)``, so no id needs ``_indices``."""
+    try:
+        ids = [v for e in entries for v in e[:width]]
+    except (TypeError, KeyError):  # a malformed entry: the per-entry checks report it
+        return False
+    return {type(v) for v in ids} <= {int} and (not ids or 0 <= min(ids) and max(ids) < n)
+
+
+def _id_lists(entries, n, what):
+    """Each entry's vertex ids as a list of ints, in order.  Unless every id
+    is a plain int in range, the entries are checked by ``_indices`` as the
+    caller reads them, so errors come in entry order."""
+    entries = list(entries)
+    if _plain_ids(entries, n):
+        return [list(e) for e in entries]
+    return (_indices(e, n, what) for e in entries)
+
+
+def _least_first(cycle):
+    """The cycle as a tuple started at its smallest id."""
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:] + cycle[:k])
+
+
+def _by_length(seqs):
+    """The indices of the sequences of each length, keyed by length."""
+    groups = {}
+    for k, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(k)
+    return groups
+
+
+def _signed_areas(vertices, cycles):
+    """Signed area of each closed polygon ``vertices[cycle]``, positive
+    anticlockwise; one numpy row sum per cycle length, the same numbers as
+    summing each cycle's own shoelace terms."""
+    areas = np.empty(len(cycles))
+    for ks in _by_length(cycles).values():
+        pts = vertices[np.array([cycles[k] for k in ks], dtype=np.intp)]
+        x, y = pts[..., 0], pts[..., 1]
+        areas[ks] = 0.5 * (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+    return areas
 
 
 # -- planar face traversal -----------------------------------------------------
+
+
+def _rings(xy, center, other, tie):
+    """The order that groups the half-edges ``center -> other`` by center
+    and sorts each group anticlockwise by direction, equal directions by
+    ``tie``; and the sorted directions, libm ``atan2`` of the coordinate
+    differences."""
+    d = xy[other] - xy[center]
+    angle = np.array(list(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist())))
+    order = np.lexsort((tie, angle, center))
+    return order, angle[order]
 
 
 def trace_facets(vertices, edges):
@@ -287,42 +368,48 @@ def trace_facets(vertices, edges):
 
     Standard rotation-system walk: the successor of directed edge (u, v) is
     the edge out of v that is the next one clockwise from (v, u).  The single
-    clockwise outer walk is discarded.
+    clockwise outer walk is discarded.  Faces come in the order the walk
+    first meets them, starting from each edge (a, b) and then (b, a).
     """
-    vertices = np.asarray(vertices, dtype=float)
-    neighbors = {}
-    for a, b in edges:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-    order = {}
-    for v, nbrs in neighbors.items():
-        nbrs = sorted(nbrs)
-        angles = [
-            math.atan2(*(vertices[w] - vertices[v])[::-1]) for w in nbrs
-        ]
-        by_angle = sorted(zip(angles, nbrs))
-        order[v] = [w for _, w in by_angle]
+    xy = np.asarray(vertices, dtype=float)
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
+        return []
+    n = len(xy)
+    if pairs.min() < 0 or pairs.max() >= n:
+        raise PatternError("edge endpoint outside the vertex list")
+    # directed edges u -> v, coded u * n + v: the sorted distinct codes
+    # index them, and ``start`` lists both directions of each edge in turn
+    a, b = pairs.T
+    start = np.column_stack([a * n + b, b * n + a]).ravel()
+    code = np.sort(start)
+    code = code[np.r_[True, code[1:] != code[:-1]]]
+    u, v = np.divmod(code, n)
+    # every vertex's outgoing edges anticlockwise: ring position -> edge
+    order, _ = _rings(xy, u, v, v)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    # the position before each one in its ring, cyclically: next clockwise
+    first = np.flatnonzero(np.r_[True, np.diff(u[order]) != 0])
+    clockwise = np.arange(-1, len(order) - 1)
+    clockwise[first] = np.r_[first[1:], len(order)] - 1
+    # u -> v continues along the edge out of v next clockwise from v -> u
+    reverse = np.searchsorted(code, v * n + u)
+    successor = order[clockwise[position[reverse]]].tolist()
 
-    def successor(u, v):
-        ring = order[v]
-        k = ring.index(u)
-        return v, ring[k - 1]
-
-    visited = set()
-    faces = []
-    for a, b in edges:
-        for u, v in ((a, b), (b, a)):
-            if (u, v) in visited:
-                continue
-            cycle = []
-            e = (u, v)
-            while e not in visited:
-                visited.add(e)
-                cycle.append(e[0])
-                e = successor(*e)
-            if _shoelace(vertices[cycle]) > 0:
-                faces.append(cycle)
-    return faces
+    tail = u.tolist()
+    seen = bytearray(len(code))
+    cycles = []
+    for e in np.searchsorted(code, start).tolist():
+        cycle = []
+        while not seen[e]:
+            seen[e] = 1
+            cycle.append(tail[e])
+            e = successor[e]
+        if cycle:
+            cycles.append(cycle)
+    areas = _signed_areas(xy, cycles).tolist()
+    return [cycle for cycle, area in zip(cycles, areas) if area > 0]
 
 
 # -- JSON I/O --------------------------------------------------------------------
@@ -356,31 +443,39 @@ def serialize_pattern(p):
 # -- validation -------------------------------------------------------------------
 
 
-def _polygon_simple(pts):
-    """True when the closed polygon has no improper self-intersection."""
-    m = len(pts)
+def _simple_facets(vertices, facets):
+    """Whether each facet cycle is a simple polygon: no repeated vertex and
+    no improper self-intersection, tested in one batch per cycle length.
+    Three points count as collinear when their orientation is at most 1e-14
+    times the product of the two tested segments' lengths, so the test reads
+    the same at every scale."""
+    simple = np.ones(len(facets), dtype=bool)
+    for m, fs in _by_length(facets).items():
+        cycles = np.array([facets[f] for f in fs], dtype=np.intp)
+        bad = (np.diff(np.sort(cycles, axis=1), axis=1) == 0).any(axis=1)
+        pairs = [(i, j) for i in range(m) for j in range(i + 2, m if i else m - 1)]
+        if pairs:
+            # segment k runs from p[:, k] to q[:, k]; segments i and j are not adjacent
+            i, j = np.array(pairs).T
+            p = vertices[cycles]
+            q = np.roll(p, -1, axis=1)
+            length = np.hypot(q[..., 0] - p[..., 0], q[..., 1] - p[..., 1])
+            tol = 1e-14 * length[:, i] * length[:, j]
+            p1, p2, q1, q2 = p[:, i], q[:, i], p[:, j], q[:, j]
+            bad |= (
+                (_turn(p1, p2, q1, tol) != _turn(p1, p2, q2, tol))
+                & (_turn(q1, q2, p1, tol) != _turn(q1, q2, p2, tol))
+            ).any(axis=1)
+        simple[fs] = ~bad
+    return simple
 
-    def seg(i):
-        return pts[i], pts[(i + 1) % m]
 
-    def orient(p, q, r):
-        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        if abs(v) < 1e-14:
-            return 0
-        return 1 if v > 0 else -1
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            p1, p2 = seg(i)
-            q1, q2 = seg(j)
-            if (
-                orient(p1, p2, q1) != orient(p1, p2, q2)
-                and orient(q1, q2, p1) != orient(q1, q2, p2)
-            ):
-                return False
-    return True
+def _turn(a, b, c, tol):
+    """Sign of the turn a -> b -> c of stacked 2D points: 0 within ``tol``,
+    else 1 when anticlockwise and -1 otherwise."""
+    v = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+         - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+    return np.where(np.abs(v) <= tol, 0, np.where(v > 0, 1, -1))
 
 
 def validate_pattern(p):
@@ -388,22 +483,17 @@ def validate_pattern(p):
     violations = []
 
     # facet cycles must be simple polygons
-    for f, cycle in enumerate(p.facets):
-        if len(set(cycle)) != len(cycle) or not _polygon_simple(
-            p.vertices[list(cycle)]
-        ):
-            violations.append(Violation("facet-not-simple", f"facet {f}"))
+    for f in np.flatnonzero(~_simple_facets(p.vertices, p.facets)).tolist():
+        violations.append(Violation("facet-not-simple", f"facet {f}"))
 
     # edge / facet incidence
-    count = {}
-    for f, cycle in enumerate(p.facets):
-        for u, v in p.facet_edges(cycle):
-            count[tuple(sorted((u, v)))] = count.get(tuple(sorted((u, v))), 0) + 1
-    for c in p.creases:
-        got = count.pop(c.key, 0)
+    by_edge = p._edge_facets()
+    count = {e: len(faces) for e, faces in by_edge.items()}
+    for key in p.crease_index:
+        got = count.pop(key, 0)
         if got != 2:
             violations.append(
-                Violation("crease-incidence", f"crease {c.key}", float(got))
+                Violation("crease-incidence", f"crease {key}", float(got))
             )
     for e in p.boundary:
         got = count.pop(e, 0)
@@ -417,9 +507,11 @@ def validate_pattern(p):
     # connectivity of the facet graph
     if p.facets:
         adj = {}
-        for fi, fj, _ in p.facet_adjacency():
-            adj.setdefault(fi, set()).add(fj)
-            adj.setdefault(fj, set()).add(fi)
+        for key, faces in by_edge.items():
+            if key in p.crease_index and len(faces) == 2:
+                fi, fj = faces
+                adj.setdefault(fi, set()).add(fj)
+                adj.setdefault(fj, set()).add(fi)
         seen = {0}
         stack = [0]
         while stack:
@@ -435,9 +527,7 @@ def validate_pattern(p):
         violations.append(Violation("no-facets", "pattern has no facets"))
 
     # no interior holes: V - E + F = 1 with the outer region uncounted
-    used = {v for c in p.creases for v in c.key}
-    used |= {v for e in p.boundary for v in e}
-    used |= {v for cycle in p.facets for v in cycle}
+    used = set(p._incident_creases).union(*p.boundary, *p.facets)
     if len(used) != len(p.vertices):
         violations.append(
             Violation("isolated-vertex", f"{len(p.vertices) - len(used)} unused vertices")
@@ -449,45 +539,75 @@ def validate_pattern(p):
     # fan sanity and developability at interior vertices.  min(s, 2*pi - s)
     # is the non-reflex angle of a sector, so the sum reaches 2*pi only
     # when no sector is reflex and the creases wrap the vertex.
+    fan_ids, starts, _, sectors = _fans(p)
+    totals = dict(zip(fan_ids, _nonreflex_sums(sectors, starts)))
+    tight = sectors <= _ZERO_SECTOR
+    zero = {}
+    for v, s in zip(np.repeat(fan_ids, np.diff(starts))[tight].tolist(), sectors[tight].tolist()):
+        zero.setdefault(v, []).append(s)
     for v in p.interior_vertex_ids:
-        degree = len(p._incident_creases[v])
-        if degree < 3:
+        if v not in totals:
+            degree = len(p._incident_creases[v])
             violations.append(Violation("fan-degree", f"vertex {v}", float(degree)))
             continue
-        _, sectors = _fan(p, v)
-        for s in sectors[sectors <= _ZERO_SECTOR]:
-            violations.append(Violation("zero-sector", f"vertex {v}", float(s)))
-        total = float(np.minimum(sectors, 2 * math.pi - sectors).sum())
-        if abs(total - 2 * math.pi) > DEVELOPABILITY_TOL:
-            violations.append(Violation("developability", f"vertex {v}", total))
+        for s in zero.get(v, ()):
+            violations.append(Violation("zero-sector", f"vertex {v}", s))
+        if abs(totals[v] - 2 * math.pi) > DEVELOPABILITY_TOL:
+            violations.append(Violation("developability", f"vertex {v}", totals[v]))
 
     return ValidationReport(tuple(violations))
 
 
-def _fan(p, v):
-    """Crease ids around vertex ``v`` anticlockwise, and the sector from each
-    to the next: ``np.diff`` of the sorted ``atan2`` directions closed by a
-    full turn, so the sectors telescope to 2*pi."""
-    entries = []
-    for i in p._incident_creases[v]:
-        c = p.creases[i]
-        d = p.vertices[c.b if c.a == v else c.a] - p.vertices[v]
-        entries.append((math.atan2(d[1], d[0]), i))
-    entries.sort()
-    angles = [a for a, _ in entries]
-    sectors = np.diff(np.asarray(angles + [angles[0] + 2 * math.pi]))
-    return tuple(i for _, i in entries), sectors
+def _fans(p):
+    """The fan of every interior vertex with at least 3 creases, in vertex
+    order: ``(vertex ids, starts, crease ids, sectors)``.  Fan k's creases,
+    anticlockwise, are ``crease ids[starts[k]:starts[k + 1]]`` and the
+    sector from each to the next the same slice of ``sectors``.
+
+    The sectors are the differences of the sorted directions closed by a
+    full turn, so each fan's telescope to 2*pi; they are the numbers
+    ``np.diff`` gives of one fan's directions."""
+    fan_ids = [v for v in p.interior_vertex_ids if len(p._incident_creases[v]) >= 3]
+    starts = np.cumsum([0] + [len(p._incident_creases[v]) for v in fan_ids])
+    in_fan = np.zeros(len(p.vertices), dtype=bool)
+    in_fan[fan_ids] = True
+    ends = np.array(list(p.crease_index), dtype=np.intp).reshape(-1, 2)
+    center, other = np.concatenate([ends, ends[:, ::-1]]).T
+    crease = np.tile(np.arange(len(ends)), 2)
+    keep = in_fan[center]
+    order, angle = _rings(p.vertices, center[keep], other[keep], crease[keep])
+    following = np.empty_like(angle)
+    following[:-1] = angle[1:]
+    following[starts[1:] - 1] = angle[starts[:-1]] + 2 * math.pi
+    return fan_ids, starts, crease[keep][order], following - angle
+
+
+def _nonreflex_sums(sectors, starts):
+    """``sum(min(s, 2*pi - s))`` over each fan's slice of ``sectors``, one
+    numpy row sum per fan degree: the same pairwise summation, bit for bit,
+    as summing each fan's own array."""
+    nonreflex = np.minimum(sectors, 2 * math.pi - sectors)
+    degree = np.diff(starts)
+    totals = np.empty(len(degree))
+    for d in set(degree.tolist()):
+        ks = np.flatnonzero(degree == d)
+        totals[ks] = nonreflex[starts[ks, None] + np.arange(d)].sum(axis=1)
+    return totals.tolist()
 
 
 def build_vertex_fans(p):
     """One fan per interior vertex: creases anticlockwise plus sector angles,
-    computed from the 2D coordinates."""
-    fans = []
+    computed from the 2D coordinates.  The fans' sector arrays are views of
+    one array."""
+    fan_ids, starts, crease_ids, sectors = _fans(p)
+    coincident = set(np.repeat(fan_ids, np.diff(starts))[sectors <= _ZERO_SECTOR].tolist())
     for v in p.interior_vertex_ids:
         if len(p._incident_creases[v]) < 3:
             raise PatternError(f"interior vertex {v} has fewer than 3 creases")
-        crease_ids, sectors = _fan(p, v)
-        if np.any(sectors <= _ZERO_SECTOR):
+        if v in coincident:
             raise PatternError(f"coincident crease directions at vertex {v}")
-        fans.append(VertexFan(vertex_id=v, crease_ids=crease_ids, sector_angles=sectors))
-    return fans
+    crease_ids, bounds = crease_ids.tolist(), starts.tolist()
+    return [
+        VertexFan(vertex_id=v, crease_ids=tuple(crease_ids[lo:hi]), sector_angles=sectors[lo:hi])
+        for v, lo, hi in zip(fan_ids, bounds, bounds[1:])
+    ]

@@ -14,7 +14,10 @@ the package's assembly and free-column solve, so that it differs from the
 engine's loop only in never reusing a factorization.  So is the schedule
 loop that starts every step from the tangent predictor: it runs the
 package's controlled step, so that it differs from ``run_schedule`` only in
-never starting from an extrapolation.
+never starting from an extrapolation.  The pattern layer's reference is
+its per-face and per-vertex numpy code: face tracing, facet orientation,
+validation, vertex fans and crease lengths computed one facet, vertex or
+crease at a time.
 """
 
 import math
@@ -22,6 +25,14 @@ import math
 import numpy as np
 
 from rigidfold import ConvergenceError, FoldDirective, assemble_global, free_column_solve
+from rigidfold.pattern import (
+    _ZERO_SECTOR,
+    DEVELOPABILITY_TOL,
+    PatternError,
+    ValidationReport,
+    VertexFan,
+    Violation,
+)
 from rigidfold.sequential import _controlled_step
 
 
@@ -509,3 +520,201 @@ def tree_embedding(p, rho, edges, root):
             if np.isnan(coords[v, 0]):
                 coords[v] = rotations[f] @ flat[v] + offsets[f]
     return coords
+
+
+# -- pattern layer, one facet, vertex or crease at a time ------------------------
+
+
+def miura_grid(m, n, a=1.0, b=1.0, alpha=math.pi / 3):
+    """The Miura vertex grid of ``generate_miura``, one vertex at a time."""
+    rows, cols = 2 * m + 1, 2 * n + 1
+    shift = a * math.cos(alpha)
+    height = a * math.sin(alpha)
+    vertices = np.zeros((rows * cols, 2))
+    for r in range(rows):
+        for c in range(cols):
+            vertices[r * cols + c] = (c * b + (r % 2) * shift, r * height)
+    return vertices
+
+
+def shoelace(pts):
+    """Signed area of the closed polygon ``pts``, positive anticlockwise."""
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def trace_facets(vertices, edges):
+    """Interior faces of a planar straight-line graph, counterclockwise, by
+    the rotation-system walk with one numpy difference per neighbour."""
+    vertices = np.asarray(vertices, dtype=float)
+    neighbors = {}
+    for a, b in edges:
+        neighbors.setdefault(a, set()).add(b)
+        neighbors.setdefault(b, set()).add(a)
+    order = {}
+    for v, nbrs in neighbors.items():
+        nbrs = sorted(nbrs)
+        angles = [math.atan2(*(vertices[w] - vertices[v])[::-1]) for w in nbrs]
+        order[v] = [w for _, w in sorted(zip(angles, nbrs))]
+
+    visited = set()
+    faces = []
+    for a, b in edges:
+        for u, v in ((a, b), (b, a)):
+            if (u, v) in visited:
+                continue
+            cycle = []
+            e = (u, v)
+            while e not in visited:
+                visited.add(e)
+                cycle.append(e[0])
+                ring = order[e[1]]
+                e = (e[1], ring[ring.index(e[0]) - 1])
+            if shoelace(vertices[cycle]) > 0:
+                faces.append(cycle)
+    return faces
+
+
+def canonical_facets(vertices, facets):
+    """Facet cycles turned anticlockwise, each started at its smallest id,
+    sorted."""
+    out = []
+    for cycle in facets:
+        cycle = [int(v) for v in cycle]
+        if shoelace(vertices[cycle]) < 0:
+            cycle = cycle[::-1]
+        k = cycle.index(min(cycle))
+        out.append(tuple(cycle[k:] + cycle[:k]))
+    return sorted(out)
+
+
+def crease_lengths(p):
+    """One ``np.linalg.norm`` per crease."""
+    return np.array([np.linalg.norm(p.vertices[c.b] - p.vertices[c.a]) for c in p.creases])
+
+
+def polygon_simple(pts):
+    """True when the closed polygon has no improper self-intersection; an
+    orientation below 1e-14 times the two segments' lengths is collinear."""
+    m = len(pts)
+
+    def seg(i):
+        return pts[i], pts[(i + 1) % m]
+
+    def orient(p, q, r, scale):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        if abs(v) <= 1e-14 * scale:
+            return 0
+        return 1 if v > 0 else -1
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (j + 1) % m == i or (i + 1) % m == j:
+                continue
+            p1, p2 = seg(i)
+            q1, q2 = seg(j)
+            scale = math.hypot(*(p2 - p1)) * math.hypot(*(q2 - q1))
+            if (
+                orient(p1, p2, q1, scale) != orient(p1, p2, q2, scale)
+                and orient(q1, q2, p1, scale) != orient(q1, q2, p2, scale)
+            ):
+                return False
+    return True
+
+
+def fan(p, v):
+    """Crease ids around vertex ``v`` anticlockwise, and ``np.diff`` of their
+    sorted ``atan2`` directions closed by a full turn."""
+    entries = []
+    for i in p._incident_creases[v]:
+        c = p.creases[i]
+        d = p.vertices[c.b if c.a == v else c.a] - p.vertices[v]
+        entries.append((math.atan2(d[1], d[0]), i))
+    entries.sort()
+    angles = [a for a, _ in entries]
+    sectors = np.diff(np.asarray(angles + [angles[0] + 2 * math.pi]))
+    return tuple(i for _, i in entries), sectors
+
+
+def build_vertex_fans(p):
+    """One fan per interior vertex, one ``fan`` call each."""
+    fans = []
+    for v in p.interior_vertex_ids:
+        if len(p._incident_creases[v]) < 3:
+            raise PatternError(f"interior vertex {v} has fewer than 3 creases")
+        crease_ids, sectors = fan(p, v)
+        if np.any(sectors <= _ZERO_SECTOR):
+            raise PatternError(f"coincident crease directions at vertex {v}")
+        fans.append(VertexFan(vertex_id=v, crease_ids=crease_ids, sector_angles=sectors))
+    return fans
+
+
+def validate_pattern(p):
+    """Every pattern check, one facet, edge or vertex at a time."""
+    violations = []
+    for f, cycle in enumerate(p.facets):
+        if len(set(cycle)) != len(cycle) or not polygon_simple(p.vertices[list(cycle)]):
+            violations.append(Violation("facet-not-simple", f"facet {f}"))
+
+    count = {}
+    by_edge = {}
+    for f, cycle in enumerate(p.facets):
+        for k in range(len(cycle)):
+            key = tuple(sorted((cycle[k], cycle[(k + 1) % len(cycle)])))
+            count[key] = count.get(key, 0) + 1
+            by_edge.setdefault(key, []).append(f)
+    for c in p.creases:
+        got = count.pop(c.key, 0)
+        if got != 2:
+            violations.append(Violation("crease-incidence", f"crease {c.key}", float(got)))
+    for e in p.boundary:
+        got = count.pop(e, 0)
+        if got != 1:
+            violations.append(Violation("boundary-incidence", f"edge {e}", float(got)))
+    for e, got in count.items():
+        violations.append(Violation("undeclared-edge", f"edge {e}", float(got)))
+
+    if p.facets:
+        adj = {}
+        for key, faces in by_edge.items():
+            if key in p.crease_index and len(faces) == 2:
+                adj.setdefault(faces[0], set()).add(faces[1])
+                adj.setdefault(faces[1], set()).add(faces[0])
+        seen = {0}
+        stack = [0]
+        while stack:
+            for nxt in adj.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) != len(p.facets):
+            violations.append(
+                Violation("disconnected", f"{len(p.facets) - len(seen)} facets unreachable")
+            )
+    else:
+        violations.append(Violation("no-facets", "pattern has no facets"))
+
+    used = {v for c in p.creases for v in c.key}
+    used |= {v for e in p.boundary for v in e}
+    used |= {v for cycle in p.facets for v in cycle}
+    if len(used) != len(p.vertices):
+        violations.append(
+            Violation("isolated-vertex", f"{len(p.vertices) - len(used)} unused vertices")
+        )
+    euler = len(p.vertices) - (p.n_creases + len(p.boundary)) + len(p.facets)
+    if euler != 1:
+        violations.append(Violation("holes-unsupported", "Euler check", float(euler)))
+
+    for v in p.interior_vertex_ids:
+        degree = len(p._incident_creases[v])
+        if degree < 3:
+            violations.append(Violation("fan-degree", f"vertex {v}", float(degree)))
+            continue
+        _, sectors = fan(p, v)
+        for s in sectors[sectors <= _ZERO_SECTOR]:
+            violations.append(Violation("zero-sector", f"vertex {v}", float(s)))
+        total = float(np.minimum(sectors, 2 * math.pi - sectors).sum())
+        if abs(total - 2 * math.pi) > DEVELOPABILITY_TOL:
+            violations.append(Violation("developability", f"vertex {v}", total))
+
+    return ValidationReport(tuple(violations))

@@ -781,8 +781,8 @@ class TestModuleEntryPoint:
     fresh process in ``TestFoldCommand``."""
 
     @pytest.mark.parametrize("pattern", [
-        lambda: generate_miura(3, 3), straight_line_pattern,
-    ], ids=["miura", "straight-line"])
+        lambda: generate_miura(3, 3), lambda: generate_miura(20, 20), straight_line_pattern,
+    ], ids=["miura", "miura20", "straight-line"])
     def test_validate_exits_0(self, tmp_path, pattern):
         path = tmp_path / "pattern.json"
         path.write_text(serialize_pattern(pattern()))

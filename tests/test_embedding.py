@@ -215,6 +215,23 @@ class TestDihedral:
             gaps = [angle_gap(a, b) for a, b in zip(back, s)]
             assert max(gaps) < 1e-6
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e-4, 1.0, 1e4])
+    def test_round_trip_at_every_scale(self, scale):
+        # the degenerate-normal test once compared the normal with an
+        # absolute 1e-12, which a valid Miura facet falls below at 1e-7 units
+        p = generate_miura(2, 2, a=scale, b=scale)
+        s = run_schedule(p, flat_state_seed(p, math.radians(1.0)), FoldSchedule((Stage(
+            targets={p.meta["driven_crease"]: math.radians(-60.0)}, steps=4,
+        ),))).states[-1]
+        assert np.abs(dihedral_angles(p, embed(p, s)) - s).max() < 1e-6
+
+    def test_degenerate_facet_rejected(self):
+        e = embed(TWO_FACETS, np.zeros(TWO_FACETS.n_creases))
+        e.coords[2] = e.coords[1] + 1e-13 * (e.coords[0] - e.coords[1])
+        e.coords[3] = e.coords[0]
+        with pytest.raises(ValueError, match="degenerate facet normal"):
+            dihedral_angles(TWO_FACETS, e)
+
 
 class TestDimensions:
     def test_flat_extents(self, miura33):

@@ -16,6 +16,7 @@ from rigidfold import (
     serialize_pattern,
     validate_pattern,
 )
+from rigidfold.pattern import _signed_areas, trace_facets
 
 SQUARE_DOC = json.dumps({
     "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -38,7 +39,7 @@ def test_parse_normalizes_orientation():
     doc = json.loads(SQUARE_DOC)
     doc["facets"] = [[3, 2, 1, 0]]  # clockwise on purpose
     p = parse_pattern(json.dumps(doc))
-    assert p._signed_area(p.facets[0]) > 0
+    assert _signed_areas(p.vertices, p.facets)[0] > 0
 
 
 def test_roundtrip_all_generators():
@@ -72,8 +73,8 @@ def test_parse_errors():
         parse_pattern(json.dumps(doc))
 
 
-def test_validator_flags_hole():
-    # annulus-like: square ring of facets with an uncovered middle
+def hole_pattern():
+    """Annulus-like: a square ring of facets with an uncovered middle."""
     verts = [
         [0, 0], [3, 0], [3, 3], [0, 3],
         [1, 1], [2, 1], [2, 2], [1, 2],
@@ -83,35 +84,89 @@ def test_validator_flags_hole():
     ]
     creases = [[1, 5, "U"], [2, 6, "U"], [3, 7, "U"], [0, 4, "U"]]
     boundary = [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 7], [7, 4]]
-    p = CreasePattern(verts, creases, boundary, facets)
-    report = validate_pattern(p)
-    assert not report.ok
-    assert any(v.kind == "holes-unsupported" for v in report.violations)
+    return CreasePattern(verts, creases, boundary, facets)
 
 
-def test_validator_flags_bad_fan():
-    # interior vertex whose creases span less than a full turn
+def bad_fan_pattern():
+    """An interior vertex whose creases span less than a full turn."""
     verts = [[0, 0], [2, 0], [2, 2], [-2, 2], [-2, -1], [1, 1], [0, 1], [-1, 1]]
     creases = [[0, 5, "U"], [0, 6, "U"], [0, 7, "U"]]
     boundary = [[1, 2], [2, 3], [3, 4], [4, 1],
                 [5, 6], [6, 7]]
     # build facets by tracing; vertex 0 fans upward only -> reflex gap below
     edges = [c[:2] for c in creases] + boundary
-    from rigidfold.pattern import trace_facets
     facets = trace_facets(np.asarray(verts, dtype=float), edges)
-    p = CreasePattern(verts, creases, boundary, facets)
-    report = validate_pattern(p)
-    assert any(v.kind == "developability" for v in report.violations)
+    return CreasePattern(verts, creases, boundary, facets)
 
 
-def test_validator_flags_low_degree():
+def wide_bad_fan_pattern():
+    """A degree-8 interior vertex whose creases span 156 degrees: numpy
+    sums its eight non-reflex sectors pairwise, not one by one."""
+    rays = [7, 23, 41, 62, 88, 111, 139, 163]
+    verts = [[0, 0]] + [[math.cos(math.radians(t)), math.sin(math.radians(t))] for t in rays]
+    creases = [(0, k, "U") for k in range(1, 9)]
+    boundary = [(k, k + 1) for k in range(1, 8)] + [(8, 9), (9, 10), (10, 1)]
+    return CreasePattern.from_edges(verts + [[-1, -1], [1, -1]], creases, boundary)
+
+
+def low_degree_pattern():
+    """An interior vertex with two creases."""
     verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
     creases = [[4, 0, "U"], [4, 2, "U"]]
     boundary = [[0, 1], [1, 2], [2, 3], [3, 0]]
     facets = [[0, 1, 2, 4], [0, 4, 2, 3]]
-    p = CreasePattern(verts, creases, boundary, facets)
-    report = validate_pattern(p)
+    return CreasePattern(verts, creases, boundary, facets)
+
+
+def zero_sector_pattern():
+    """Two creases leaving the interior vertex along the same ray."""
+    verts = [[0, 0], [1, 0], [2, 0], [0, 1], [-1, -1], [1, -1]]
+    creases = [[0, 1, "U"], [0, 2, "U"], [0, 3, "U"], [0, 4, "U"]]
+    boundary = [[2, 3], [3, 4], [4, 5], [5, 2]]
+    return CreasePattern.from_edges(verts, creases, boundary)
+
+
+def bow_tie_pattern(scale=1.0):
+    """One self-intersecting quadrilateral facet."""
+    verts = [[0, 0], [scale, scale], [scale, 0], [0, scale]]
+    return CreasePattern(verts, [], [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2, 3]])
+
+
+# every broken pattern above, with the violation it must raise; the property
+# tests compare their reports with the per-face reference
+BROKEN_PATTERNS = {
+    "hole": (hole_pattern, "holes-unsupported"),
+    "bad-fan": (bad_fan_pattern, "developability"),
+    "wide-bad-fan": (wide_bad_fan_pattern, "developability"),
+    "low-degree": (low_degree_pattern, "fan-degree"),
+    "zero-sector": (zero_sector_pattern, "zero-sector"),
+    "bow-tie": (bow_tie_pattern, "facet-not-simple"),
+}
+
+
+def test_validator_flags_hole():
+    report = validate_pattern(hole_pattern())
+    assert not report.ok
+    assert any(v.kind == "holes-unsupported" for v in report.violations)
+
+
+def test_validator_flags_bad_fan():
+    report = validate_pattern(bad_fan_pattern())
+    assert any(v.kind == "developability" for v in report.violations)
+
+
+def test_validator_flags_low_degree():
+    report = validate_pattern(low_degree_pattern())
     assert any(v.kind == "fan-degree" for v in report.violations)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e8])
+def test_simple_facet_test_reads_the_same_at_every_scale(scale):
+    # the orientation test once used an absolute 1e-14, under which every
+    # orientation of a bow-tie at 1e-8 units read as collinear
+    report = validate_pattern(bow_tie_pattern(scale))
+    assert [v.kind for v in report.violations] == ["facet-not-simple"]
+    assert validate_pattern(generate_miura(2, 3, a=scale, b=scale)).ok
 
 
 def test_canonical_crease_order():
@@ -241,11 +296,7 @@ def test_waterbomb_base_flat_foldity_of_sectors(waterbomb):
 
 
 def test_zero_sector_fans_rejected():
-    # two creases leaving the interior vertex along the same ray
-    verts = [[0, 0], [1, 0], [2, 0], [0, 1], [-1, -1], [1, -1]]
-    creases = [[0, 1, "U"], [0, 2, "U"], [0, 3, "U"], [0, 4, "U"]]
-    boundary = [[2, 3], [3, 4], [4, 5], [5, 2]]
-    p = CreasePattern.from_edges(verts, creases, boundary)
+    p = zero_sector_pattern()
     report = validate_pattern(p)
     assert any(v.kind == "zero-sector" for v in report.violations)
     with pytest.raises(PatternError, match="coincident"):
@@ -345,3 +396,34 @@ def test_constructor_checks_dangling_indices():
         CreasePattern(verts, [], [*square[:3], [3, -1]], [[0, 1, 2, 3]])
     with pytest.raises(PatternError, match="dangling index 7 in facet"):
         CreasePattern(verts, [], square, [[0, 1, 7]])
+
+
+def test_facet_edges_accepts_numpy_ids(miura33):
+    # an np.int64 id was once read as a cycle
+    want = miura33.facet_edges(3)
+    assert miura33.facet_edges(np.int64(3)) == want
+    assert miura33.facet_edges(list(miura33.facets[3])) == want
+    assert want[-1] == (miura33.facets[3][-1], miura33.facets[3][0])
+
+
+@pytest.mark.parametrize("facets, error, message", [
+    ([[0, 1, 2, "3"]], TypeError, "id '3' in facet"),
+    ([[0, 1, 2, True]], TypeError, "id True in facet"),
+    ([[0, 1, 2, np.int64(4)]], PatternError, "dangling index"),
+    ([[0, 1, 2]] * 2 + [[0, 1, "x"]], TypeError, "id 'x' in facet"),
+])
+def test_id_checks_keep_their_errors(facets, error, message):
+    # plain ints in range skip the per-id checks; anything else meets them
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    with pytest.raises(error, match=message):
+        CreasePattern(verts, [], [[0, 1], [1, 2], [2, 3], [3, 0]], facets)
+
+
+def test_numpy_ids_accepted():
+    doc = json.loads(SQUARE_DOC)
+    p = CreasePattern(
+        np.array(doc["vertices"], dtype=float), [],
+        np.array(doc["boundary"], dtype=np.int64), np.array(doc["facets"], dtype=np.int32),
+    )
+    assert p == parse_pattern(SQUARE_DOC)
+    assert all(type(v) is int for cycle in p.facets for v in cycle)

@@ -21,10 +21,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from rigidfold import (  # noqa: E402
+    CreasePattern,
     FoldSchedule,
     Stage,
     assemble_global,
+    build_vertex_fans,
     dihedral_angles,
     embed,
     flat_state_seed,
@@ -36,12 +39,15 @@ from rigidfold import (  # noqa: E402
     parse_pattern,
     run_schedule,
     serialize_pattern,
+    validate_pattern,
 )
 from oracles import normal_rounding_bound, normal_solve  # noqa: E402
 from rigidfold.cli import main, parse_obj  # noqa: E402
 from rigidfold.generators import crane_schedule  # noqa: E402
+from rigidfold.kinematics import _DegreeGroup, compile_pattern  # noqa: E402
 from rigidfold.numerics import DEFAULT_CUTOFF, RowBlocks, _gram_band  # noqa: E402
-from rigidfold.pattern import MOUNTAIN  # noqa: E402
+from rigidfold.pattern import MOUNTAIN, trace_facets  # noqa: E402
+from test_pattern import BROKEN_PATTERNS  # noqa: E402
 from rigidfold.sequential import DEFAULT_EPS  # noqa: E402
 
 
@@ -254,6 +260,85 @@ def test_serialize_parse_round_trip(p):
     again = parse_pattern(text)
     assert again == p
     assert serialize_pattern(again) == text
+
+
+layer_patterns = st.one_of(
+    st.builds(generate_miura, st.integers(1, 7), st.integers(1, 7),
+              a=st.sampled_from([1.0, 0.3, 2.5]), b=st.sampled_from([1.0, 0.6, 4.0]),
+              alpha=st.sampled_from([0.1, 0.5, math.pi / 3, 1.2, 1.5])),
+    st.sampled_from([(5, 3), (8, 5)]).map(
+        lambda size: generate_waterbomb_tessellation(*size)),
+    st.builds(generate_crane),
+    st.builds(generate_waterbomb_base),
+)
+
+
+def relabeled(p, perm, traced):
+    """``p`` with vertex i renamed ``perm[i]``: traced from its edges, or
+    built from its facets with every cycle reversed."""
+    vertices = np.empty_like(p.vertices)
+    vertices[perm] = p.vertices
+    creases = [(perm[c.a], perm[c.b], c.assignment) for c in p.creases]
+    boundary = [(perm[a], perm[b]) for a, b in p.boundary]
+    if traced:
+        return CreasePattern.from_edges(vertices, creases, boundary)
+    facets = [[perm[v] for v in reversed(cycle)] for cycle in p.facets]
+    return CreasePattern(vertices.tolist(), creases, boundary, facets)
+
+
+def reference_rz(p):
+    """The compiled sector rotations, grouped as ``compile_pattern`` groups
+    them, from the reference fans."""
+    fans = oracles.build_vertex_fans(p)
+    by_degree = {}
+    for k, fan in enumerate(fans):
+        by_degree.setdefault(fan.degree, []).append(k)
+    return [
+        _DegreeGroup([fans[k] for k in ks], ks).rz.tobytes()
+        for _, ks in sorted(by_degree.items())
+    ]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=layer_patterns, data=st.data())
+def test_pattern_layer_is_the_per_face_reference(p, data):
+    """Facets, fans, sectors, crease lengths, compiled rotations and
+    validation reports are the per-face reference's, bit for bit, on
+    generated patterns, relabeled ones and their parsed documents."""
+    if p.meta["kind"] == "miura":
+        grid = oracles.miura_grid(*(p.meta[k] for k in ("m", "n", "a", "b", "alpha")))
+        assert p.vertices.tobytes() == grid.tobytes()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="relabel"))
+    perm = rng.permutation(len(p.vertices)).tolist()
+    patterns = [p, relabeled(p, perm, traced=True), relabeled(p, perm, traced=False)]
+    for q in patterns + [parse_pattern(serialize_pattern(q)) for q in patterns]:
+        edges = list(q.crease_index) + q.boundary
+        traced = oracles.trace_facets(q.vertices, edges)
+        assert trace_facets(q.vertices, edges) == traced
+        assert q.facets == oracles.canonical_facets(q.vertices, traced)
+        fans, want = build_vertex_fans(q), oracles.build_vertex_fans(q)
+        assert [(f.vertex_id, f.crease_ids) for f in fans] == [
+            (f.vertex_id, f.crease_ids) for f in want]
+        assert all(f.sector_angles.tobytes() == g.sector_angles.tobytes()
+                   for f, g in zip(fans, want))
+        assert q.crease_lengths().tobytes() == oracles.crease_lengths(q).tobytes()
+        assert [g.rz.tobytes() for g in compile_pattern(q).groups] == reference_rz(q)
+        assert validate_pattern(q) == oracles.validate_pattern(q)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(BROKEN_PATTERNS)), data=st.data())
+def test_broken_patterns_report_as_the_per_face_reference(name, data):
+    """Every broken pattern, and a relabeling of it, gets the reference's
+    validation report."""
+    build, kind = BROKEN_PATTERNS[name]
+    p = build()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="relabel"))
+    q = relabeled(p, rng.permutation(len(p.vertices)).tolist(), traced=False)
+    for r in (p, q):
+        report = validate_pattern(r)
+        assert report == oracles.validate_pattern(r)
+        assert any(v.kind == kind for v in report.violations)
 
 
 @lru_cache(maxsize=None)
