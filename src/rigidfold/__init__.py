@@ -34,15 +34,7 @@ from .generators import (
     generate_waterbomb_base,
     generate_waterbomb_tessellation,
 )
-from .kinematics import (
-    GlobalConstraint,
-    assemble_global,
-    crease_transform,
-    dof,
-    loop_closure,
-    vertex_jacobian,
-    vertex_residual,
-)
+from .kinematics import GlobalConstraint, assemble_global, dof
 from .numerics import free_column_solve, min_norm_solve, pseudoinverse, rank
 from .pattern import (
     Crease,

@@ -38,20 +38,6 @@ def export_obj(e, facets):
     return "\n".join(lines) + "\n"
 
 
-def parse_obj(text):
-    """Vertices and triangles back from OBJ text (for round-trip checks)."""
-    vertices, faces = [], []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            vertices.append([float(t) for t in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(t.split("/")[0]) - 1 for t in parts[1:]])
-    return np.array(vertices), faces
-
-
 def _load(path, parse, *args):
     """``parse(text, *args)`` on one input document's text.
 
@@ -106,6 +92,14 @@ def _load_pattern(path):
         print(json.dumps(report.to_dict(), indent=1))
         raise PatternError(f"pattern {path} fails validation")
     return p
+
+
+def _check_root_facet(p, root):
+    # checked before any solve or output; embed would refuse it at the end
+    if not 0 <= root < len(p.facets):
+        raise ValueError(
+            f"--root-facet {root} out of range (pattern has {len(p.facets)} facets)"
+        )
 
 
 def _check_every(every):
@@ -180,6 +174,7 @@ def cmd_fold(args):
     _check_seed_magnitude(args.seed_magnitude)
     _check_tol("--eps", args.eps)
     p = _load_pattern(args.pattern)
+    _check_root_facet(p, args.root_facet)
     schedule = _load(args.schedule, FoldSchedule.from_json)
     if args.degrees:
         schedule = FoldSchedule(tuple(
@@ -226,6 +221,7 @@ def cmd_relax(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
     p = _load_pattern(args.pattern)
+    _check_root_facet(p, args.root_facet)
     cfg = _load(args.springs, lambda text: SpringConfig.from_json(p, text))
     settings = RelaxSettings()
     if args.settings:
@@ -276,6 +272,7 @@ def cmd_relax(args):
 
 def cmd_measure(args):
     p = _load_pattern(args.pattern)
+    _check_root_facet(p, args.root_facet)
     rho = _load(args.state, _parse_state, p.n_creases)
     e = embed(p, rho, root=args.root_facet)
     l, w, h = measure_dimensions(e)
@@ -285,6 +282,7 @@ def cmd_measure(args):
 
 def cmd_export_obj(args):
     p = _load_pattern(args.pattern)
+    _check_root_facet(p, args.root_facet)
     if args.state:
         rho = _load(args.state, _parse_state, p.n_creases)
     else:

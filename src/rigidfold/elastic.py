@@ -50,6 +50,11 @@ class SpringConfig:
     def __post_init__(self):
         object.__setattr__(self, "stiffness", np.asarray(self.stiffness, dtype=float))
         object.__setattr__(self, "rest", np.asarray(self.rest, dtype=float))
+        if self.stiffness.ndim != 1:
+            raise ValueError(
+                f"stiffness must be a 1-D array, one entry per crease; got shape "
+                f"{self.stiffness.shape}"
+            )
         if self.stiffness.shape != self.rest.shape:
             raise ValueError("stiffness and rest angle arrays must match")
         if not np.all((self.stiffness > 0) & np.isfinite(self.stiffness)):
@@ -217,6 +222,11 @@ def relax(p, cfg, settings=None, rho0=None):
     serves the next step and gives the state's recorded residual.
     """
     settings = settings or RelaxSettings()
+    if len(cfg.stiffness) != p.n_creases:
+        raise ValueError(
+            f"spring config has {len(cfg.stiffness)} springs, "
+            f"pattern has {p.n_creases} creases"
+        )
     if settings.characteristic is not None:
         char = int(settings.characteristic)
         if not 0 <= char < p.n_creases:

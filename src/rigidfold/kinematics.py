@@ -22,88 +22,6 @@ from .pattern import build_vertex_fans
 FOLD_RANGE_SLACK = 1e-6
 
 
-def rot_x(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_z(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _drot_x(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
-
-
-def crease_transform(theta_prev, rho):
-    """Local frame change across one crease: Rz(theta_prev) @ Rx(rho)."""
-    return rot_z(theta_prev) @ rot_x(rho)
-
-
-def _chain(fan, rho_fan):
-    """The n factor matrices of the closure product, in order.
-
-    Factor k couples sector k with the fold angle of crease k+1 (cyclic), so
-    the product over k of Rz(theta_k) @ Rx(rho_{k+1}) must be the identity.
-    """
-    n = fan.degree
-    rho_fan = np.asarray(rho_fan, dtype=float)
-    if rho_fan.shape != (n,):
-        raise ValueError(f"expected {n} fold angles, got {rho_fan.shape}")
-    return [
-        crease_transform(fan.sector_angles[k], rho_fan[(k + 1) % n])
-        for k in range(n)
-    ]
-
-
-def loop_closure(fan, rho_fan):
-    """Composed rotation around the vertex; identity iff the state is valid."""
-    f = np.eye(3)
-    for m in _chain(fan, rho_fan):
-        f = f @ m
-    return f
-
-
-def vertex_residual(fan, rho_fan):
-    """Independent entries (3,2), (1,3), (2,1) of the closure matrix."""
-    f = loop_closure(fan, rho_fan)
-    return np.array([f[2, 1], f[0, 2], f[1, 0]])
-
-
-def vertex_closure_derivatives(fan, rho_fan):
-    """Analytic derivative matrices dF/drho_i, one 3x3 matrix per crease.
-
-    Uses cached prefix/suffix products of the chain so the n derivatives cost
-    O(n) matrix multiplies in total.
-    """
-    n = fan.degree
-    rho_fan = np.asarray(rho_fan, dtype=float)
-    chain = _chain(fan, rho_fan)
-    prefix = [np.eye(3)]
-    for m in chain:
-        prefix.append(prefix[-1] @ m)
-    suffix = [np.eye(3)] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = chain[k] @ suffix[k + 1]
-    out = []
-    for i in range(n):
-        k = (i - 1) % n  # factor holding rho_i
-        dfactor = rot_z(fan.sector_angles[k]) @ _drot_x(rho_fan[i])
-        out.append(prefix[k] @ dfactor @ suffix[k + 1])
-    return out
-
-
-def vertex_jacobian(fan, rho_fan):
-    """Rows a_j, b_j, c_j of the analytic closure derivative, one column per crease."""
-    derivs = vertex_closure_derivatives(fan, rho_fan)
-    jac = np.zeros((3, len(derivs)))
-    for i, df in enumerate(derivs):
-        jac[:, i] = (df[2, 1], df[0, 2], df[1, 0])
-    return jac
-
-
 class GlobalConstraint:
     """Linearized constraint system C @ drho = -r at the evaluation point.
 
@@ -209,7 +127,8 @@ class _DegreeGroup:
         kept.
 
         The factors and their prefix and suffix products are multiplied in
-        the same order as in ``vertex_closure_derivatives``, so both give
+        the same order as in the per-vertex reference
+        ``vertex_closure_derivatives`` of ``tests/oracles.py``, so both give
         the same numbers.
         """
         n = self.degree

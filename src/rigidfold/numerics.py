@@ -443,14 +443,6 @@ def _band_factor(band, n_free, n):
     return _solve_form(*swept[2])
 
 
-def _band_inertia(band, shift):
-    """``(count, beta)`` of a ``_band_sweep`` of all K w columns, or None.
-    It keeps ``N + 2 ||N||_inf I``, positive definite by Gershgorin's
-    theorem, so that only the count can fail."""
-    swept = _band_sweep(band, band.shape[0] * band.shape[1], shift, 2.0 * _band_inf_norm(band))
-    return None if swept is None else swept[:2]
-
-
 def _band_matmul(band, x):
     """``N @ x`` for the block-tridiagonal N of ``band``, on the padded
     columns: x has ``K w`` rows, one or more columns."""

@@ -172,10 +172,6 @@ class CreasePattern:
     def n_interior_vertices(self):
         return len(self.interior_vertex_ids)
 
-    def crease_vector(self, i):
-        c = self.creases[i]
-        return self.vertices[c.b] - self.vertices[c.a]
-
     def crease_lengths(self):
         """Length of every crease, in crease order.
 

@@ -17,7 +17,11 @@ package's controlled step, so that it differs from ``run_schedule`` only in
 never starting from an extrapolation.  The pattern layer's reference is
 its per-face and per-vertex numpy code: face tracing, facet orientation,
 validation, vertex fans and crease lengths computed one facet, vertex or
-crease at a time.
+crease at a time.  The closure constraint's reference is the per-vertex
+chain of 3 x 3 rotations and its prefix and suffix products, one vertex at
+a time.  Two helpers are entry points rather than references:
+``_band_inertia`` runs the package's band sweep as an inertia count, and
+``parse_obj`` reads exported OBJ text back for round-trip checks.
 """
 
 import math
@@ -25,6 +29,7 @@ import math
 import numpy as np
 
 from rigidfold import ConvergenceError, FoldDirective, assemble_global, free_column_solve
+from rigidfold.numerics import _band_inf_norm, _band_sweep
 from rigidfold.pattern import (
     _ZERO_SECTOR,
     DEVELOPABILITY_TOL,
@@ -290,6 +295,88 @@ def waterbomb_branch_well(cfg_rest_m, cfg_rest_v, k_m=1.0, k_v=1.0, samples=2000
     return theta, rm, rv, best[0]
 
 
+def rot_x(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _drot_x(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
+
+
+def crease_transform(theta_prev, rho):
+    """Local frame change across one crease: Rz(theta_prev) @ Rx(rho)."""
+    return rot_z(theta_prev) @ rot_x(rho)
+
+
+def _chain(fan, rho_fan):
+    """The n factor matrices of the closure product, in order.
+
+    Factor k couples sector k with the fold angle of crease k+1 (cyclic), so
+    the product over k of Rz(theta_k) @ Rx(rho_{k+1}) must be the identity.
+    """
+    n = fan.degree
+    rho_fan = np.asarray(rho_fan, dtype=float)
+    if rho_fan.shape != (n,):
+        raise ValueError(f"expected {n} fold angles, got {rho_fan.shape}")
+    return [
+        crease_transform(fan.sector_angles[k], rho_fan[(k + 1) % n])
+        for k in range(n)
+    ]
+
+
+def loop_closure(fan, rho_fan):
+    """Composed rotation around the vertex; identity iff the state is valid."""
+    f = np.eye(3)
+    for m in _chain(fan, rho_fan):
+        f = f @ m
+    return f
+
+
+def vertex_residual(fan, rho_fan):
+    """Independent entries (3,2), (1,3), (2,1) of the closure matrix."""
+    f = loop_closure(fan, rho_fan)
+    return np.array([f[2, 1], f[0, 2], f[1, 0]])
+
+
+def vertex_closure_derivatives(fan, rho_fan):
+    """Analytic derivative matrices dF/drho_i, one 3x3 matrix per crease.
+
+    Uses cached prefix/suffix products of the chain so the n derivatives cost
+    O(n) matrix multiplies in total.
+    """
+    n = fan.degree
+    rho_fan = np.asarray(rho_fan, dtype=float)
+    chain = _chain(fan, rho_fan)
+    prefix = [np.eye(3)]
+    for m in chain:
+        prefix.append(prefix[-1] @ m)
+    suffix = [np.eye(3)] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = chain[k] @ suffix[k + 1]
+    out = []
+    for i in range(n):
+        k = (i - 1) % n  # factor holding rho_i
+        dfactor = rot_z(fan.sector_angles[k]) @ _drot_x(rho_fan[i])
+        out.append(prefix[k] @ dfactor @ suffix[k + 1])
+    return out
+
+
+def vertex_jacobian(fan, rho_fan):
+    """Rows a_j, b_j, c_j of the analytic closure derivative, one column per crease."""
+    derivs = vertex_closure_derivatives(fan, rho_fan)
+    jac = np.zeros((3, len(derivs)))
+    for i, df in enumerate(derivs):
+        jac[:, i] = (df[2, 1], df[0, 2], df[1, 0])
+    return jac
+
+
 def bordered_solve(gc, controlled, f, cutoff=1e-12):
     """Controlled increment from the bordered multiplier system.
 
@@ -464,6 +551,14 @@ def gram_blocks(c_free):
     return diag, upper
 
 
+def _band_inertia(band, shift):
+    """``(count, beta)`` of a ``_band_sweep`` of all K w columns, or None.
+    It keeps ``N + 2 ||N||_inf I``, positive definite by Gershgorin's
+    theorem, so that only the count can fail."""
+    swept = _band_sweep(band, band.shape[0] * band.shape[1], shift, 2.0 * _band_inf_norm(band))
+    return None if swept is None else swept[:2]
+
+
 def explicit_inverse_step(c, r, stiffness, d):
     """Spring step from the explicit full-row-rank inverse.
 
@@ -520,6 +615,20 @@ def tree_embedding(p, rho, edges, root):
             if np.isnan(coords[v, 0]):
                 coords[v] = rotations[f] @ flat[v] + offsets[f]
     return coords
+
+
+def parse_obj(text):
+    """Vertices and triangles back from OBJ text (for round-trip checks)."""
+    vertices, faces = [], []
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            vertices.append([float(t) for t in parts[1:4]])
+        elif parts[0] == "f":
+            faces.append([int(t.split("/")[0]) - 1 for t in parts[1:]])
+    return np.array(vertices), faces
 
 
 # -- pattern layer, one facet, vertex or crease at a time ------------------------

@@ -11,9 +11,12 @@ import pytest
 from oracles import (
     bordered_step,
     explicit_inverse_step,
+    loop_closure,
     miura_period_dims,
     miura_poisson,
     period_frame_dims,
+    vertex_closure_derivatives,
+    vertex_jacobian,
     waterbomb_branch_well,
 )
 from rigidfold import (
@@ -25,17 +28,14 @@ from rigidfold import (
     dof,
     embed,
     flat_state_seed,
-    loop_closure,
     measure_dimensions,
     poisson_ratio,
     relax,
     spring_energy,
     spring_gradient,
-    vertex_jacobian,
     waterbomb_symmetric_oracle,
 )
 from rigidfold.elastic import kkt_step, projection_step_uniform
-from rigidfold.kinematics import vertex_closure_derivatives
 from rigidfold.numerics import pseudoinverse, rank
 from rigidfold.sequential import _eliminate_residual
 

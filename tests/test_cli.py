@@ -17,7 +17,8 @@ from rigidfold import (
     serialize_pattern,
     waterbomb_symmetric_oracle,
 )
-from rigidfold.cli import export_obj, main, parse_obj
+from oracles import parse_obj
+from rigidfold.cli import export_obj, main
 from rigidfold.embedding import embed
 from rigidfold.pattern import MOUNTAIN, CreasePattern
 
@@ -531,6 +532,38 @@ class TestBadInput:
                           "--seed-magnitude", magnitude) == 1
         assert "--seed-magnitude must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("root", ["999", "-1"])
+    def test_fold_root_facet_out_of_range_exits_1(self, miura_file, miura33, tmp_path,
+                                                  capsys, root):
+        schedule = {"stages": [{"controlled": [
+            {"crease": miura33.meta["driven_crease"], "target": -0.5}], "steps": 2}]}
+        assert self.fold(miura_file, schedule, tmp_path, "--root-facet", root) == 1
+        assert f"--root-facet {root} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("root", ["999", "-1"])
+    def test_relax_root_facet_out_of_range_exits_1(self, waterbomb_file, tmp_path, capsys,
+                                                   root):
+        assert self.relax(waterbomb_file, 8, tmp_path, "--root-facet", root) == 1
+        assert f"--root-facet {root} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("root", ["999", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["measure", "--state", "{state}"],
+        ["export-obj", "--state", "{state}", "--out", "{out}"],
+    ], ids=["measure", "export-obj"])
+    def test_root_facet_out_of_range_exits_1_before_embedding(
+            self, miura_file, miura33, tmp_path, capsys, command, root):
+        state, out = tmp_path / "state.json", tmp_path / "mesh.obj"
+        state.write_text(json.dumps({"rho": [0.0] * miura33.n_creases}))
+        argv = [a.format(state=state, out=out) for a in command]
+        assert main([*argv, "--pattern", str(miura_file), "--root-facet", root]) == 1
+        captured = capsys.readouterr()
+        assert f"--root-facet {root} out of range" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", [1e-5, 2e-9])
     def test_relax_residual_tol_above_embed_tol_exits_1(self, waterbomb_file, tmp_path,

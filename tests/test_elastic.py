@@ -10,6 +10,7 @@ from rigidfold import (
     SpringConfig,
     assemble_global,
     flat_state_seed,
+    generate_miura,
     generate_waterbomb_tessellation,
     kkt_step,
     projection_step_uniform,
@@ -57,6 +58,21 @@ class TestSpringConfig:
         doc = {"k_per_length": 1.0, "creases": [{"crease": 0, "rest": 0.0}]}
         with pytest.raises(ValueError, match="missing"):
             SpringConfig.from_json(waterbomb, doc)
+
+    def test_rejects_scalar_arrays(self):
+        with pytest.raises(ValueError, match="1-D"):
+            SpringConfig(stiffness=np.array(1.0), rest=np.array(0.0))
+
+    def test_rejects_column_arrays(self):
+        with pytest.raises(ValueError, match=r"1-D.*\(24, 1\)"):
+            SpringConfig(stiffness=np.ones((24, 1)), rest=np.zeros((24, 1)))
+
+    def test_relax_rejects_wrong_spring_count(self):
+        p = generate_miura(2, 2)
+        assert p.n_creases == 24
+        cfg = SpringConfig(stiffness=np.ones(3), rest=np.zeros(3))
+        with pytest.raises(ValueError, match="3 springs, pattern has 24 creases"):
+            relax(p, cfg, rho0=flat_state_seed(p, 0.1))
 
 
 class TestEnergyAndGradient:

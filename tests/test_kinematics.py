@@ -4,18 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import (
+    crease_transform,
+    loop_closure,
+    rot_x,
+    rot_z,
+    vertex_closure_derivatives,
+    vertex_jacobian,
+    vertex_residual,
+)
 from rigidfold import (
     assemble_global,
     build_vertex_fans,
-    crease_transform,
     dof,
     generate_miura,
-    loop_closure,
-    vertex_jacobian,
-    vertex_residual,
     waterbomb_symmetric_oracle,
 )
-from rigidfold.kinematics import rot_x, rot_z, vertex_closure_derivatives
 from rigidfold.pattern import CreasePattern, VertexFan
 from rigidfold.sequential import flat_state_seed
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _band_inertia,
     bordered_solve,
     gram_blocks,
     kept_rounding_bound,
     kept_solve,
     normal_rounding_bound,
     normal_solve,
+    vertex_jacobian,
 )
 from rigidfold import (
     build_vertex_fans,
@@ -20,7 +22,6 @@ from rigidfold import (
     min_norm_solve,
     pseudoinverse,
     rank,
-    vertex_jacobian,
 )
 from rigidfold.kinematics import assemble_global
 from rigidfold import numerics, sequential
@@ -28,7 +29,6 @@ from rigidfold.numerics import (
     DEFAULT_CUTOFF,
     RowBlocks,
     _band_factor,
-    _band_inertia,
     _band_inf_norm,
     _gram_band,
     free_column_solve,

@@ -41,8 +41,8 @@ from rigidfold import (  # noqa: E402
     serialize_pattern,
     validate_pattern,
 )
-from oracles import normal_rounding_bound, normal_solve  # noqa: E402
-from rigidfold.cli import main, parse_obj  # noqa: E402
+from oracles import normal_rounding_bound, normal_solve, parse_obj  # noqa: E402
+from rigidfold.cli import main  # noqa: E402
 from rigidfold.generators import crane_schedule  # noqa: E402
 from rigidfold.kinematics import _DegreeGroup, compile_pattern  # noqa: E402
 from rigidfold.numerics import DEFAULT_CUTOFF, RowBlocks, _gram_band  # noqa: E402
