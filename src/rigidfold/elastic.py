@@ -30,14 +30,15 @@ import numpy as np
 
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
-from .pattern import _index, _is_number, _real
-from .sequential import DEFAULT_EPS, _eliminate_residual
+from .pattern import _index, _is_number, _one_each, _real
+from .sequential import DEFAULT_EPS, _newton
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
 # why a relaxation stopped: step factor below resolution, a step with no
 # angle change, or the step budget spent
 STOP_REASONS = ("step_resolution", "vanishing_step", "max_steps")
+_SPRINGS = "spring config has {} springs"
 
 
 @dataclass(frozen=True)
@@ -170,15 +171,20 @@ class RelaxResult:
         return self.states[-1]
 
 
+def _angles(cfg, rho):
+    """``rho`` as a float vector, refused unless it has one angle per spring."""
+    return _one_each(rho, "state has {} angles", len(cfg.stiffness), _SPRINGS)
+
+
 def spring_energy(cfg, rho):
     """Total spring energy 0.5 * sum k_i (rho_i - rest_i)^2."""
-    d = np.asarray(rho, dtype=float) - cfg.rest
+    d = _angles(cfg, rho) - cfg.rest
     return 0.5 * float(np.dot(cfg.stiffness * d, d))
 
 
 def spring_gradient(cfg, rho):
     """Internal crease moments k_i (rho_i - rest_i)."""
-    return cfg.stiffness * (np.asarray(rho, dtype=float) - cfg.rest)
+    return cfg.stiffness * (_angles(cfg, rho) - cfg.rest)
 
 
 def kkt_step(p, cfg, rho, gc=None):
@@ -188,6 +194,7 @@ def kkt_step(p, cfg, rho, gc=None):
     full-rank and rank-deficient (nearly folded-flat) states alike.  ``gc``
     is the assembly at ``rho`` when the caller already has it.
     """
+    _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
     if gc is None:
         gc = assemble_global(p, rho)
     d = spring_gradient(cfg, gc.rho)
@@ -203,9 +210,9 @@ def projection_step_uniform(p, k0, d, rho, gc=None):
     d is the energy gradient at rho; the increment is the gradient projected
     into the nullspace of the constraint matrix plus the error compensation.
     """
+    d = _one_each(d, "gradient has {} entries", p.n_creases)
     if gc is None:
         gc = assemble_global(p, rho)
-    d = np.asarray(d, dtype=float)
     return -d / k0 - free_column_solve(gc.blocks, gc.blocks @ d / k0 - gc.r, (), [])
 
 
@@ -222,11 +229,7 @@ def relax(p, cfg, settings=None, rho0=None):
     serves the next step and gives the state's recorded residual.
     """
     settings = settings or RelaxSettings()
-    if len(cfg.stiffness) != p.n_creases:
-        raise ValueError(
-            f"spring config has {len(cfg.stiffness)} springs, "
-            f"pattern has {p.n_creases} creases"
-        )
+    _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
     if settings.characteristic is not None:
         char = int(settings.characteristic)
         if not 0 <= char < p.n_creases:
@@ -235,9 +238,7 @@ def relax(p, cfg, settings=None, rho0=None):
                 f"(pattern has {p.n_creases} creases)"
             )
     rho = np.zeros(p.n_creases) if rho0 is None else np.asarray(rho0, dtype=float).copy()
-    rho, gc, _ = _eliminate_residual(
-        p, rho, (), settings.residual_tol, settings.max_newton
-    )
+    rho, gc, _, _ = _newton(p, rho, (), settings.residual_tol, settings.max_newton)
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))
 
@@ -261,7 +262,7 @@ def relax(p, cfg, settings=None, rho0=None):
             c = c / 2.0
         step = c * drho / largest
         new_rho = rho + step
-        new_rho, gc, iters = _eliminate_residual(
+        new_rho, gc, iters, _ = _newton(
             p, new_rho, (), settings.residual_tol, settings.max_newton
         )
         prev_char_move = new_rho[char] - rho[char]

@@ -244,6 +244,17 @@ def _real(value, what):
     return float(value)
 
 
+def _one_each(values, what, n, whole="pattern has {} creases"):
+    """``values`` as a float vector of n entries; any other count is a
+    ValueError that names both, from the templates ``what`` and ``whole``
+    ("spring config has {} springs", "pattern has {} creases")."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        count = len(values) if values.ndim == 1 else values.shape
+        raise ValueError(f"{what.format(count)}, {whole.format(n)}")
+    return values
+
+
 def _index(value, what, error=ValueError):
     """``value`` as an int id, never truncated: a non-number (a string, a
     bool) is a TypeError and a fraction ``error``; ``what`` says where the id

@@ -8,47 +8,30 @@ leaves the normal equations on the free creases F:
     C_F^T C_F drho_F = -C_F^T (r + C_A f)
 
 solved by ``numerics.free_column_solve`` on the assembly's per-vertex
-blocks of C.  Squared singular values of C_F at or below ``1e-12 *
-lambda_max * n_creases`` count as zero.  Each block of C couples only the
-creases of one vertex, so in the canonical crease order C_F is banded and
-its normal matrix block-tridiagonal (Miura k x k cells: band 4k, read from
-the vertices' first and last free creases).  The solve has four branches:
+blocks of C; its docstring says how the rank is decided and which solve
+serves which C_F.
 
-- certified band: for a tall C_F with at least three blocks, one sweep of
-  windowed Cholesky factorizations of the shifted and the unshifted normal
-  matrix certifies that no squared singular value counts as zero and
-  factors it, without a dense C; the factors are kept on the blocks;
-- deflated band: where that certificate fails, as at the flat state, where
-  the closure condition degenerates and the mechanism's direction becomes
-  a null vector, the null space is found by inverse iteration in the band,
-  the gap around the cutoff is proved by an inertia count, and the
-  minimum-norm drho_F is refined on the remaining directions, still
-  without a dense C;
-- tall eigh: with fewer blocks, or when the deflated solve proves nothing
-  (an eigenvalue too near the cutoff), an eigendecomposition of the dense
-  Gram matrix decides the rank and gives the minimum-norm drho_F;
-- wide eigh: a C_F with more creases free than C has rows, as in one of
-  the crane's stages, is solved on the eigenvectors of ``C_F C_F^T``.
-
-After the increment, the residual is eliminated by iterating the same solve
-with f = 0, which leaves the controlled angles untouched.  Only a certified
+A step is one predictor-corrector continuation step (Allgower and Georg,
+Numerical Continuation Methods, 1990, ch. 6), run by one Newton loop
+(``_newton``).  The loop's first solve is the tangent predictor, the solve
+above with the step's f.  Every later solve has f = 0: it eliminates the
+residual and leaves the controlled angles untouched.  Only a certified
 band is reused (a chord method, Kelley 2003, ch. 2): its full column rank
 makes the root with the controlled angles fixed isolated, so chord steps
 ``-N0^-1 C0_F^T r`` on the kept blocks C0 converge to the same root as
-Newton's.  The Newton loop refactors at an iterate whose residual norm is
-more than ``CHORD_RATIO`` = 0.5 times the one before, and a schedule step
-hands its last kept factorization to the next step's predictor in the same
+Newton's.  The loop refactors at an iterate whose residual norm is more
+than ``CHORD_RATIO`` = 0.5 times the one before, and a schedule step hands
+its last kept factorization to the next step's predictor in the same
 stage, whose controlled and held creases are the same.  The deflated and
-eigendecomposition branches, and every solve with no crease controlled
-(seeding, relaxation), solve afresh at every iterate.
+eigendecomposition solves, and every solve with no crease controlled
+(seeding, relaxation), are made afresh at every iterate.
 
 Within a stage the waypoints are equally spaced, so the stage's states
 sample one smooth path at equal steps.  Once the stage's last five steps
-each kept a certified factorization, the next step skips the tangent
-predictor solve and starts Newton at the quartic through those five states,
-extrapolated one step (polynomial extrapolation along the continuation
-parameter, Allgower and Georg, Numerical Continuation Methods, 1990,
-ch. 6): ``5 rho_-1 - 10 rho_-2 + 10 rho_-3 - 5 rho_-4 + rho_-5``, with the
+each kept a certified factorization, the next step starts its loop with no
+predictor, at the quartic through those five states extrapolated one step
+(polynomial extrapolation along the continuation parameter):
+``5 rho_-1 - 10 rho_-2 + 10 rho_-3 - 5 rho_-4 + rho_-5``, with the
 controlled entries set to the waypoint and the held ones to ``rho_-1``.
 Its first Newton iterate refactors.  The history restarts at each stage and
 after any step that keeps no factorization, so extrapolation never spans a
@@ -67,7 +50,7 @@ import numpy as np
 
 from .kinematics import FOLD_RANGE_SLACK, assemble_global, check_fold_range
 from .numerics import free_column_solve
-from .pattern import MOUNTAIN, VALLEY, _index, _is_number, _real
+from .pattern import MOUNTAIN, VALLEY, _index, _is_number, _one_each, _real
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 50
@@ -205,121 +188,80 @@ class FoldTrajectory:
         return len(self.states)
 
 
-def _eliminate_residual(p, rho, controlled, eps, max_iter):
-    """Newton loop with f = 0 until the normalized residual passes eps,
-    starting with no kept factorization (``_newton``).
+def _newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
+    """One step's Newton loop: every solve of a fold step, seed or cleanup.
 
-    Returns the state, its assembly and the iteration count.
-    """
-    return _newton(p, rho, controlled, eps, max_iter)[:3]
-
-
-def _reusable(blocks, controlled):
-    """Whether later steps may reuse the factorization ``blocks`` kept: its
-    solve with these controlled creases certified full column rank of C_F
-    in the band, so the root near it is isolated and the chord steps
-    converge to Newton's.  With no crease controlled the compatible states
-    of a mechanism are never isolated, and a chord iteration could settle
-    elsewhere on them, so nothing is reused."""
-    return bool(controlled) and blocks.certified(controlled)
-
-
-def _newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
-    """Newton loop with f = 0 until the normalized residual passes eps.
+    With ``f`` given, the first solve is the tangent predictor: it moves
+    the controlled creases by ``f`` from ``rho`` and solves on ``kept``
+    when given, else on the blocks of ``gc``, the assembly at ``rho``
+    (assembled when not given).  It is no Newton iteration, and no
+    convergence test precedes it.  Every later solve has f = 0 and runs
+    until the normalized residual passes eps.
 
     A chord method (Kelley, Solving Nonlinear Equations with Newton's
-    Method, 2003, ch. 2): blocks C0 that ``_reusable`` accepts are kept with
-    their band factorization, and later iterates step by ``-N0^-1 C0_F^T
-    r`` on them.  An iterate whose normalized residual is more than
-    ``CHORD_RATIO`` times the one before refactors at its own state.  Every
-    other solve (deflated, eigendecomposition, or with no crease
-    controlled) is made afresh at each iterate: plain Newton.  ``kept``
-    hands in blocks kept at an earlier state, and ``previous`` the residual
-    norm before ``rho``.  Returns the state, its assembly, the iteration
-    count and the blocks still kept.  A non-finite residual never passes.
+    Method, 2003, ch. 2): blocks C0 whose band factorization a solve with
+    these controlled creases certified are kept, and later solves step by
+    ``-N0^-1 C0_F^T r`` on them.  An iterate whose normalized residual is
+    more than ``CHORD_RATIO`` times the one before (the predictor's, for
+    the first) refactors at its own state.  Every other solve (deflated,
+    eigendecomposition, or with no crease controlled, where the compatible
+    states of a mechanism are not isolated and a chord iteration could
+    settle elsewhere on them) is made afresh at each iterate: plain Newton.
+    Returns the state, its assembly, the iteration count and the blocks
+    still kept.  A non-finite residual never passes.
     """
-    f = np.zeros(len(controlled))
+    if gc is None:
+        gc = assemble_global(p, rho)
+    predicting = f is not None
+    zero = np.zeros(len(controlled))
+    previous = math.inf
     iters = 0
-    gc = assemble_global(p, rho)
-    while not gc.normalized_residual < eps:
+    while predicting or not gc.normalized_residual < eps:
         norm = gc.normalized_residual
-        if not math.isfinite(norm):
-            raise ConvergenceError(
-                f"non-finite residual after {iters} Newton iterations", iters
-            )
-        if iters >= max_iter:
-            raise ConvergenceError(
-                f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})",
-                iters,
-            )
+        if not predicting:
+            if not math.isfinite(norm):
+                raise ConvergenceError(
+                    f"non-finite residual after {iters} Newton iterations", iters
+                )
+            if iters >= max_iter:
+                raise ConvergenceError(
+                    f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})",
+                    iters,
+                )
+        # the predictor has no norm before it, so it keeps what it is given
         if kept is None or norm > CHORD_RATIO * previous:
             kept = gc.blocks
-        rho = rho + free_column_solve(kept, gc.r, controlled, f)
-        if not _reusable(kept, controlled):
+        rho = rho + free_column_solve(kept, gc.r, controlled, f if predicting else zero)
+        if not (controlled and kept.certified(controlled)):
             kept = None
         previous = norm
         gc = assemble_global(p, rho)
-        iters += 1
+        iters += not predicting
+        predicting = False
     return rho, gc, iters, kept
+
+
+def _start_state(p, rho):
+    """``rho`` as a float vector, refused before any solve unless it holds
+    one finite angle per crease."""
+    rho = _one_each(rho, "start state has {} angles", p.n_creases)
+    if not np.all(np.isfinite(rho)):
+        bad = np.flatnonzero(~np.isfinite(rho)).tolist()
+        raise ValueError(f"start state has non-finite angles at creases {bad}")
+    return rho
 
 
 def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
-    """One folding step driven by controlled creases; returns the next state."""
-    state, _, _, _ = _controlled_step(p, rho, directive, eps, max_iter)
-    return state
+    """One folding step driven by controlled creases; returns the next state.
 
-
-def _controlled_step(p, rho, directive, eps, max_iter, gc=None, kept=None):
-    """One step from ``rho``, whose assembly ``gc`` is reused when given.
-
-    ``kept`` blocks from an earlier state whose band factorization was
-    certified with the same controlled creases take the predictor step
-    instead of ``gc``'s own, and the Newton loop goes on with them.
-    Returns the next state, its assembly, the Newton iteration count and
-    the blocks the loop still keeps.
+    A start state that is not one finite angle per crease raises
+    ``ValueError`` before any solve.
     """
-    rho = np.asarray(rho, dtype=float)
-    if gc is None:
-        gc = assemble_global(p, rho)
-    if kept is None or not _reusable(kept, directive.controlled):
-        kept = gc.blocks
-    drho = free_column_solve(kept, gc.r, directive.controlled, directive.f)
-    if not _reusable(kept, directive.controlled):
-        kept = None
-    rho, gc, iters, kept = _newton(
-        p, rho + drho, directive.controlled, eps, max_iter, kept, gc.normalized_residual
+    rho, _, _, _ = _newton(
+        p, _start_state(p, rho), directive.controlled, eps, max_iter, directive.f
     )
     check_fold_range(rho)
-    return rho, gc, iters, kept
-
-
-def _extrapolated_step(p, history, directive, waypoint, gc, kept, eps, max_iter):
-    """One step from ``history[-1]`` (assembly ``gc``, kept blocks
-    ``kept``) started at the quartic extrapolation of the five states in
-    ``history``, oldest first, whose controlled entries are set to
-    ``waypoint`` and held entries to the last state's.  Falls back to the
-    tangent predictor (``_controlled_step``) when Newton fails from there or
-    lands farther from the start than the start lies from the last state.
-    Returns what ``_controlled_step`` does; the iteration count includes a
-    discarded start's, and a start that needs no iterate keeps ``kept``."""
-    last = history[-1]
-    guess = EXTRAPOLATION @ np.array(history)
-    guess[list(directive.controlled[:len(waypoint)])] = waypoint
-    held = list(directive.controlled[len(waypoint):])
-    guess[held] = last[held]
-    try:
-        rho, gc_next, iters, kept_next = _newton(
-            p, guess, directive.controlled, eps, max_iter, None, gc.normalized_residual
-        )
-    except ConvergenceError as exc:
-        discarded = exc.iters
-    else:
-        if np.abs(rho - guess).max() <= np.abs(guess - last).max():
-            check_fold_range(rho)
-            return rho, gc_next, iters, kept_next if iters else kept
-        discarded = iters
-    rho, gc, iters, kept = _controlled_step(p, last, directive, eps, max_iter, gc, kept)
-    return rho, gc, discarded + iters, kept
+    return rho
 
 
 def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
@@ -336,7 +278,7 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
             rho[i] = magnitude
         elif c.assignment == MOUNTAIN:
             rho[i] = -magnitude
-    rho, _, _ = _eliminate_residual(p, rho, (), eps, max_iter)
+    rho, _, _, _ = _newton(p, rho, (), eps, max_iter)
     return rho
 
 
@@ -348,7 +290,7 @@ def tachi_projection_step(p, rho, drho0):
     creases are not exactly controlled.
     """
     rho = np.asarray(rho, dtype=float)
-    drho0 = np.asarray(drho0, dtype=float)
+    drho0 = _one_each(drho0, "increment has {} entries", p.n_creases)
     gc = assemble_global(p, rho)
     return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])
 
@@ -366,9 +308,10 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     kept to the next step of the same stage, and a step after five that
     each kept one starts from their quartic extrapolation (see the module
     docstring).
-    A crease id outside the pattern, or a target outside the
-    fold-angle range [-pi, pi], raises ``ValueError``: a finite but huge
-    target would ask a stage without a step count for endless steps.
+    A crease id outside the pattern, a target outside the fold-angle range
+    [-pi, pi], or a start state that is not one finite angle per crease
+    raises ``ValueError`` before any solve: a finite but huge target would
+    ask a stage without a step count for endless steps.
     """
     for stage in schedule.stages:
         for i in (*stage.targets, *stage.hold):
@@ -379,7 +322,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
         for i, target in stage.targets.items():
             if abs(target) > math.pi + FOLD_RANGE_SLACK:
                 raise ValueError(f"target {target!r} of crease {i} outside [-pi, pi]")
-    rho = np.asarray(rho0, dtype=float).copy()
+    rho = _start_state(p, rho0).copy()
     gc = assemble_global(p, rho)
     traj = FoldTrajectory()
     traj.append(rho, gc.normalized_residual, 0)
@@ -392,28 +335,44 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
         if steps is None:
             span = float(np.max(np.abs(targets - start))) if ids else 0.0
             steps = max(1, math.ceil(span / max_step - 1e-12))
-        controlled = tuple(ids) + tuple(stage.hold)
+        held = list(stage.hold)
+        controlled = tuple(ids) + stage.hold
         kept = None
         # states of this stage's steps since the last that kept nothing
         history = deque(maxlen=len(EXTRAPOLATION))
         for k in range(1, steps + 1):
             waypoint = start + (targets - start) * (k / steps)
-            f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
-            directive = FoldDirective(controlled=controlled, f=f)
+            last, extrapolated, discarded = rho, False, 0
             try:
                 # a full history means the step before kept a factorization
                 if len(history) == history.maxlen:
-                    rho, gc, iters, kept = _extrapolated_step(
-                        p, history, directive, waypoint, gc, kept, eps, max_iter
+                    guess = EXTRAPOLATION @ np.array(history)
+                    guess[ids] = waypoint
+                    guess[held] = last[held]
+                    try:
+                        rho, gc_next, iters, kept_next = _newton(
+                            p, guess, controlled, eps, max_iter
+                        )
+                    except ConvergenceError as exc:
+                        discarded = exc.iters
+                    else:
+                        extrapolated = np.abs(rho - guess).max() <= np.abs(guess - last).max()
+                        if extrapolated:
+                            # a start that needs no iterate keeps the factorization before it
+                            gc, kept = gc_next, kept_next if iters else kept
+                        else:
+                            discarded = iters
+                if not extrapolated:
+                    f = np.concatenate([waypoint - last[ids], np.zeros(len(held))])
+                    rho, gc, iters, kept = _newton(
+                        p, last, controlled, eps, max_iter, f, gc, kept
                     )
-                else:
-                    rho, gc, iters, kept = _controlled_step(
-                        p, rho, directive, eps, max_iter, gc, kept
-                    )
+                    iters += discarded
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"stage {stage_idx}, step {k}/{steps}: {exc}"
                 ) from exc
+            check_fold_range(rho)
             if kept is None:
                 history.clear()
             else:

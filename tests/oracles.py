@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from rigidfold import ConvergenceError, FoldDirective, assemble_global, free_column_solve
+from rigidfold import ConvergenceError, assemble_global, free_column_solve
 from rigidfold.numerics import _band_inf_norm, _band_sweep
 from rigidfold.pattern import (
     _ZERO_SECTOR,
@@ -38,7 +38,7 @@ from rigidfold.pattern import (
     VertexFan,
     Violation,
 )
-from rigidfold.sequential import _controlled_step
+from rigidfold.sequential import _newton
 
 
 def _rot(axis, angle):
@@ -455,9 +455,7 @@ def tangent_schedule(p, rho, schedule, eps, max_iter=50):
         for k in range(1, stage.steps + 1):
             waypoint = start + (targets - start) * (k / stage.steps)
             f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
-            rho, gc, _, kept = _controlled_step(
-                p, rho, FoldDirective(controlled=controlled, f=f), eps, max_iter, gc, kept
-            )
+            rho, gc, _, kept = _newton(p, rho, controlled, eps, max_iter, f, gc, kept)
             states.append(rho)
     return states
 

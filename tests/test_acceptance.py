@@ -37,7 +37,7 @@ from rigidfold import (
 )
 from rigidfold.elastic import kkt_step, projection_step_uniform
 from rigidfold.numerics import pseudoinverse, rank
-from rigidfold.sequential import _eliminate_residual
+from rigidfold.sequential import _newton
 
 ALPHA = math.pi / 3
 
@@ -152,7 +152,7 @@ def test_criterion_3_jacobian_correctness(miura33, waterbomb, miura_run):
     ]
     picks = rng.choice(len(usable), size=50, replace=True)
     for k in picks:
-        s, _, _ = _eliminate_residual(miura33, usable[k], (), 1e-12, 50)
+        s, _, _, _ = _newton(miura33, usable[k], (), 1e-12, 50)
         states.append((miura33, s))
     assert len(states) == 100
 

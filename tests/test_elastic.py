@@ -17,6 +17,7 @@ from rigidfold import (
     relax,
     spring_energy,
     spring_gradient,
+    tachi_projection_step,
     waterbomb_symmetric_oracle,
 )
 from rigidfold.elastic import STOP_REASONS
@@ -73,6 +74,34 @@ class TestSpringConfig:
         cfg = SpringConfig(stiffness=np.ones(3), rest=np.zeros(3))
         with pytest.raises(ValueError, match="3 springs, pattern has 24 creases"):
             relax(p, cfg, rho0=flat_state_seed(p, 0.1))
+
+
+# each call gets a Miura 2x2 (24 creases), a compatible state and a vector
+# of n entries where 24 belong; the message names both counts
+LENGTH_CHECKS = {
+    "kkt_step": (lambda p, rho, v: kkt_step(p, SpringConfig(v + 1.0, v), rho),
+                 "spring config has {n} springs, pattern has 24 creases"),
+    "projection_step_uniform": (lambda p, rho, v: projection_step_uniform(p, 1.0, v, rho),
+                                "gradient has {n} entries, pattern has 24 creases"),
+    "spring_energy": (lambda p, rho, v: spring_energy(SpringConfig(v + 1.0, v), rho),
+                      "state has 24 angles, spring config has {n} springs"),
+    "spring_gradient": (lambda p, rho, v: spring_gradient(SpringConfig(v + 1.0, v), rho),
+                        "state has 24 angles, spring config has {n} springs"),
+    "tachi_projection_step": (lambda p, rho, v: tachi_projection_step(p, rho, v),
+                              "increment has {n} entries, pattern has 24 creases"),
+}
+
+
+@pytest.mark.parametrize("n", [3, 27])
+@pytest.mark.parametrize("name", sorted(LENGTH_CHECKS))
+def test_vector_length_checked(name, n):
+    """A spring or increment vector of the wrong length is a ValueError
+    naming both counts, not a numpy broadcasting or index error."""
+    p = generate_miura(2, 2)
+    assert p.n_creases == 24
+    call, message = LENGTH_CHECKS[name]
+    with pytest.raises(ValueError, match=message.format(n=n)):
+        call(p, flat_state_seed(p, 0.1), np.zeros(n))
 
 
 class TestEnergyAndGradient:

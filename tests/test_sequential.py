@@ -278,6 +278,52 @@ class TestRunSchedule:
         with pytest.raises(ValueError, match=r"outside \[-pi, pi\]"):
             run_schedule(miura33, np.zeros(miura33.n_creases), schedule)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "short", "column"])
+    def test_bad_start_state_refused_before_any_solve(self, miura33, bad, monkeypatch):
+        """A start state that is not one finite angle per crease is named as
+        such by ``run_schedule`` and ``controlled_step``, and nothing is
+        solved."""
+        p = miura33
+        driven = p.meta["driven_crease"]
+        start = flat_state_seed(p, math.radians(1.0))
+        if bad == "short":
+            start = start[:-1]
+        elif bad == "column":
+            start = start[:, None]
+        else:
+            start[3] = float(bad)
+        solves = []
+        monkeypatch.setattr(sequential, "free_column_solve",
+                            lambda *args: solves.append(args))
+        schedule = FoldSchedule((Stage(targets={driven: -0.5}, steps=2),))
+        with pytest.raises(ValueError, match="start state"):
+            run_schedule(p, start, schedule)
+        with pytest.raises(ValueError, match="start state"):
+            controlled_step(p, start, FoldDirective(controlled=(driven,), f=[-0.1]))
+        assert solves == []
+
+    def test_one_fold_range_warning_per_accepted_state(self, monkeypatch):
+        """A Miura 3x3 with a hinge crease between two boundary vertices (no
+        closure rows), held at 3.5 rad while the driven crease moves to -60
+        degrees in 8 steps: tangent steps 1-5 and extrapolated steps 6-8
+        each warn once, and so does a single controlled step."""
+        m = generate_miura(3, 3)
+        creases = [(c.a, c.b, c.assignment) for c in m.creases] + [(1, 7, VALLEY)]
+        p = CreasePattern.from_edges(m.vertices, creases, m.boundary)
+        hinge = p.crease_index[(1, 7)]
+        driven = p.crease_index[m.creases[m.meta["driven_crease"]].key]
+        seed = flat_state_seed(p, math.radians(1.0))
+        seed[hinge] = 3.5
+        stage = Stage(targets={driven: math.radians(-60.0)}, steps=8, hold=(hinge,))
+        predictors = count_predictors(monkeypatch)
+        with pytest.warns(UserWarning, match="exceed") as record:
+            traj = run_schedule(p, seed, FoldSchedule((stage,)))
+        assert len(predictors) == 5
+        assert len(record) == len(traj) - 1 == 8
+        with pytest.warns(UserWarning, match="exceed") as record:
+            controlled_step(p, seed, FoldDirective(controlled=(driven, hinge), f=[-0.1, 0.0]))
+        assert len(record) == 1
+
 
 class TestScheduleJson:
     def test_roundtrip(self):
@@ -498,7 +544,9 @@ class TestChordNewton:
         p, seed, stage = drive
         calls = count_factorizations(monkeypatch)
         log = []  # per solve: (predictor?, normalized residual, factored?)
-        loops = []  # per Newton loop: (index of its first solve in log, previous, kept?)
+        # per Newton loop: (index of its first Newton solve in log, kept
+        # before that solve?); a predictor is the solve before it
+        loops = []
         real_solve, real_newton = sequential.free_column_solve, sequential._newton
 
         def recording(c, r, fixed, f):
@@ -507,9 +555,12 @@ class TestChordNewton:
             log.append((bool(np.any(f)), np.linalg.norm(r) / len(r), len(calls) > before))
             return dx
 
-        def newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
-            loops.append((len(log), previous, kept is not None))
-            return real_newton(p, rho, controlled, eps, max_iter, kept, previous)
+        def newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
+            first = len(log) + (f is not None)
+            out = real_newton(p, rho, controlled, eps, max_iter, f, gc, kept)
+            predictor = None if f is None else gc.blocks if kept is None else kept
+            loops.append((first, predictor is not None and predictor.certified(controlled)))
+            return out
 
         monkeypatch.setattr(sequential, "free_column_solve", recording)
         monkeypatch.setattr(sequential, "_newton", newton)
@@ -517,13 +568,14 @@ class TestChordNewton:
         assert len(loops) == len(traj) - 1 == self.STEPS  # no step redone
         # every step keeps a factorization, so steps 1-5 build the history
         history = sequential.EXTRAPOLATION.size
-        for step, (first, previous, kept) in enumerate(loops):
+        for step, (first, kept) in enumerate(loops):
             predicted = first > 0 and log[first - 1][0]
             assert predicted == (step < history), step
             assert kept == predicted, step
         predictors = [k for k, (is_predictor, _, _) in enumerate(log) if is_predictor]
         assert len(predictors) == history
-        starts = {first: previous for first, previous, _ in loops}
+        # the norm before a loop's first Newton solve: its start state's
+        starts = {first: traj.residuals[step] for step, (first, _) in enumerate(loops)}
         refactors = 0
         for k, (is_predictor, norm, factored) in enumerate(log):
             if is_predictor:
@@ -552,7 +604,7 @@ class TestChordNewton:
         start = far.copy()
         start[np.arange(p.n_creases) != driven] += math.radians(3.0)
         calls = count_factorizations(monkeypatch)
-        rho, gc, iters, _ = _newton(p, start, (driven,), self.EPS, 50, kept)
+        rho, gc, iters, _ = _newton(p, start, (driven,), self.EPS, 50, kept=kept)
         assert calls and all(calls)
         assert gc.normalized_residual < self.EPS and iters < 30
         assert rho[driven] == start[driven]
@@ -580,7 +632,8 @@ class TestChordNewton:
         settings = RelaxSettings(max_steps=20)
         start = flat_state_seed(p, math.radians(1.0))
         result = relax(p, cfg, settings, start)
-        monkeypatch.setattr(elastic, "_eliminate_residual", refactoring_newton)
+        monkeypatch.setattr(elastic, "_newton",
+                            lambda *args: (*refactoring_newton(*args), None))
         ref = relax(p, cfg, settings, start)
         assert len(result.states) == len(ref.states) > 10
         assert np.array_equal(np.array(result.states), np.array(ref.states))
@@ -712,9 +765,9 @@ class TestExtrapolatedStart:
             monkeypatch.setattr(sequential, "EXTRAPOLATION",
                                 np.array([math.nan, -5.0, 10.0, -10.0, 5.0]))
 
-        def newton(p, rho, controlled, eps, max_iter, kept=None, previous=math.inf):
-            extrapolated = kept is None  # a tangent step's loop gets the predictor's
-            rho, gc, iters, kept = real(p, rho, controlled, eps, max_iter, kept, previous)
+        def newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
+            extrapolated = f is None  # a tangent step's loop starts with the predictor
+            rho, gc, iters, kept = real(p, rho, controlled, eps, max_iter, f, gc, kept)
             loops.append((extrapolated, iters))
             if extrapolated and wild == "lands_far":
                 rho = rho + 1.0
