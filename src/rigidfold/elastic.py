@@ -31,7 +31,7 @@ import numpy as np
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
 from .pattern import _index, _is_number, _one_each, _real
-from .sequential import DEFAULT_EPS, _newton
+from .sequential import DEFAULT_EPS, _newton, _start_state
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
@@ -192,11 +192,12 @@ def kkt_step(p, cfg, rho, gc=None):
 
     The minimum-norm solve on the stiffness-scaled columns C H^-1/2 serves
     full-rank and rank-deficient (nearly folded-flat) states alike.  ``gc``
-    is the assembly at ``rho`` when the caller already has it.
+    is the assembly at ``rho`` when the caller already has it; without it, a
+    ``rho`` that is not one finite angle per crease raises ``ValueError``.
     """
     _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
     if gc is None:
-        gc = assemble_global(p, rho)
+        gc = assemble_global(p, _start_state(p, rho))
     d = spring_gradient(cfg, gc.rho)
     scale = 1.0 / np.sqrt(cfg.stiffness)
     hinv_d = d / cfg.stiffness
@@ -209,10 +210,13 @@ def projection_step_uniform(p, k0, d, rho, gc=None):
 
     d is the energy gradient at rho; the increment is the gradient projected
     into the nullspace of the constraint matrix plus the error compensation.
+    ``gc`` is the assembly at ``rho`` when the caller already has it; without
+    it, a ``rho`` that is not one finite angle per crease raises
+    ``ValueError``.
     """
     d = _one_each(d, "gradient has {} entries", p.n_creases)
     if gc is None:
-        gc = assemble_global(p, rho)
+        gc = assemble_global(p, _start_state(p, rho))
     return -d / k0 - free_column_solve(gc.blocks, gc.blocks @ d / k0 - gc.r, (), [])
 
 
@@ -226,7 +230,9 @@ def relax(p, cfg, settings=None, rho0=None):
     these stopped it as ``stop_reason``.  Whatever stopped it, the result is
     converged only if the final state is stationary: its projected gradient
     is below ``STATIONARY_TOL``.  Each cleanup's last assembly
-    serves the next step and gives the state's recorded residual.
+    serves the next step and gives the state's recorded residual.  A
+    ``rho0`` that is not one finite angle per crease raises ``ValueError``
+    before any solve.
     """
     settings = settings or RelaxSettings()
     _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
@@ -237,7 +243,7 @@ def relax(p, cfg, settings=None, rho0=None):
                 f"characteristic crease {char} out of range "
                 f"(pattern has {p.n_creases} creases)"
             )
-    rho = np.zeros(p.n_creases) if rho0 is None else np.asarray(rho0, dtype=float).copy()
+    rho = np.zeros(p.n_creases) if rho0 is None else _start_state(p, rho0).copy()
     rho, gc, _, _ = _newton(p, rho, (), settings.residual_tol, settings.max_newton)
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))

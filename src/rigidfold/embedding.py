@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import assemble_global, compile_pattern
-from .pattern import MOUNTAIN, VALLEY
+from .pattern import MOUNTAIN, VALLEY, _facet_tree, _one_each
 from .sequential import DEFAULT_EPS
 
 # SHA-256 from the interpreter's builtin module when it has one: hashlib
@@ -69,34 +69,18 @@ class Embedding3D:
 
 
 def build_spanning_tree(p, root=0):
-    """Breadth-first spanning tree over facet adjacency, rooted at a facet."""
+    """Breadth-first spanning tree over facet adjacency, rooted at a facet.
+
+    Each axis runs along the shared crease clockwise around the parent: the
+    reverse of the direction in which the parent's cycle runs the crease.
+    """
     if not 0 <= root < len(p.facets):
         raise ValueError(f"root facet {root} out of range")
-    adjacency = {}
-    for fi, fj, crease in p.facet_adjacency():
-        adjacency.setdefault(fi, []).append((fj, crease))
-        adjacency.setdefault(fj, []).append((fi, crease))
-    for neighbors in adjacency.values():
-        neighbors.sort()
     edges = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        parent = queue.pop(0)
-        for child, crease in adjacency.get(parent, ()):
-            if child in seen:
-                continue
-            seen.add(child)
-            queue.append(child)
-            edges.append(
-                TreeEdge(
-                    facet=child,
-                    parent=parent,
-                    crease=crease,
-                    axis=_clockwise_axis(p, parent, crease),
-                )
-            )
-    if len(seen) != len(p.facets):
+    for facet, parent, crease, forward in _facet_tree(p, p._edge_facets(), root):
+        key = p.creases[crease].key
+        edges.append(TreeEdge(facet, parent, crease, key[::-1] if forward else key))
+    if len(edges) + 1 != len(p.facets):
         raise ValueError("facet adjacency graph is disconnected")
 
     flat = compile_pattern(p).flat
@@ -111,23 +95,6 @@ def build_spanning_tree(p, root=0):
     for a in arrays:
         a.flags.writeable = False
     return SpanningTree(root, tuple(edges), *arrays)
-
-
-def _clockwise_axis(p, parent, crease):
-    """Axis (a, b) of a crease, clockwise around the parent facet.
-
-    The parent's counterclockwise cycle traverses the shared edge in one
-    direction; the rotation axis is the reverse of that direction.
-    """
-    u, v = p.creases[crease].key
-    cycle = p.facets[parent]
-    n = len(cycle)
-    for i in range(n):
-        if cycle[i] == u and cycle[(i + 1) % n] == v:
-            return (v, u)
-        if cycle[i] == v and cycle[(i + 1) % n] == u:
-            return (u, v)
-    raise ValueError(f"crease {crease} not on facet {parent}")
 
 
 def _skew(axis):
@@ -154,7 +121,8 @@ def embed(p, rho, root=0, residual=None):
     drops the loop constraints, so embedding an incompatible state would tear
     the mesh.  ``residual`` is the state's normalized closure residual when
     the caller has measured it, as the solvers do for every state they
-    accept; without it the state is assembled here.
+    accept; without it the state is assembled here.  A state that is not
+    one angle per crease is refused either way.
 
     The flat coordinates and each root's spanning tree, with its constant
     geometry, are built once and kept on the pattern's compiled form.  Per
@@ -162,7 +130,7 @@ def embed(p, rho, root=0, residual=None):
     onto its parent facet's pose, and one stacked product places every
     vertex by its owning facet's pose.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = _one_each(rho, "fold state has {} angles", p.n_creases)
     if not np.all(np.isfinite(rho)):
         raise ValueError("fold state has non-finite angles")
     if residual is None:
@@ -224,25 +192,17 @@ def dihedral_angles(p, e):
     ambiguous; the stored assignment then decides the sign.
     """
     coords = e.coords
-    left = {}
-    right = {}
-    for f, cycle in enumerate(p.facets):
-        n = len(cycle)
-        for i in range(n):
-            u, v = cycle[i], cycle[(i + 1) % n]
-            key = tuple(sorted((u, v)))
-            if key in p.crease_index:
-                if (u, v) == key:
-                    left[key] = f
-                else:
-                    right[key] = f
+    by_edge = p._edge_facets()
+    creased = {f for key in p.crease_index for f, _ in by_edge[key]}
+    normals = {f: _facet_normal(coords, p.facets[f]) for f in creased}
     rho = np.zeros(p.n_creases)
     for key, idx in p.crease_index.items():
         a, b = key
         axis = coords[b] - coords[a]
         axis = axis / np.linalg.norm(axis)
-        n_left = _facet_normal(coords, p.facets[left[key]])
-        n_right = _facet_normal(coords, p.facets[right[key]])
+        # the side whose cycle runs a -> b lies left of the crease
+        side = {forward: normals[f] for f, forward in by_edge[key]}
+        n_left, n_right = side[True], side[False]
         cos_rho = float(np.clip(np.dot(n_left, n_right), -1.0, 1.0))
         sin_rho = float(np.dot(np.cross(n_right, n_left), axis))
         if abs(sin_rho) < 1e-9 and cos_rho < 0:

@@ -188,21 +188,23 @@ class CreasePattern:
         return list(zip(cycle, cycle[1:] + cycle[:1]))
 
     def _edge_facets(self):
-        """The facets on each edge (min id, max id), edges in order of first
-        appearance along the facet cycles."""
+        """The sides of each edge (min id, max id): one ``(facet, forward)``
+        per facet on it, in facet order, ``forward`` when the facet's cycle
+        runs the edge from the lower to the higher id.  Edges come in order
+        of first appearance along the facet cycles."""
         by_edge = {}
         for f, cycle in enumerate(self.facets):
             for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-                by_edge.setdefault((u, v) if u < v else (v, u), []).append(f)
+                by_edge.setdefault((u, v) if u < v else (v, u), []).append((f, u < v))
         return by_edge
 
     def facet_adjacency(self):
         """List of (facet_i, facet_j, crease_id) pairs sharing a crease."""
         index = self.crease_index
         return [
-            (faces[0], faces[1], index[key])
-            for key, faces in self._edge_facets().items()
-            if key in index and len(faces) == 2
+            (sides[0][0], sides[1][0], index[key])
+            for key, sides in self._edge_facets().items()
+            if key in index and len(sides) == 2
         ]
 
     def __eq__(self, other):
@@ -485,6 +487,33 @@ def _turn(a, b, c, tol):
     return np.where(np.abs(v) <= tol, 0, np.where(v > 0, 1, -1))
 
 
+def _facet_tree(p, by_edge, root):
+    """The breadth-first facet tree from ``root``: one ``(facet, parent,
+    crease, forward)`` per tree edge, in walk order, ``forward`` being the
+    parent's side of the crease.  The walk crosses every crease to which
+    ``by_edge``, the pattern's ``_edge_facets``, gives two sides, and visits
+    each facet's neighbours in (facet, crease) order.  Facets out of reach
+    get no edge."""
+    neighbours = [[] for _ in p.facets]
+    for key, sides in by_edge.items():
+        if len(sides) == 2 and key in p.crease_index:
+            crease = p.crease_index[key]
+            (f, f_forward), (g, g_forward) = sides
+            neighbours[f].append((g, crease, f_forward))
+            neighbours[g].append((f, crease, g_forward))
+    edges = []
+    seen = bytearray(len(p.facets))
+    seen[root] = 1
+    queue = [root]
+    for parent in queue:  # grows as the walk goes
+        for child, crease, forward in sorted(neighbours[parent]):
+            if not seen[child]:
+                seen[child] = 1
+                queue.append(child)
+                edges.append((child, parent, crease, forward))
+    return edges
+
+
 def validate_pattern(p):
     """Check every CreasePattern invariant; violations are data, not errors."""
     violations = []
@@ -495,7 +524,7 @@ def validate_pattern(p):
 
     # edge / facet incidence
     by_edge = p._edge_facets()
-    count = {e: len(faces) for e, faces in by_edge.items()}
+    count = {e: len(sides) for e, sides in by_edge.items()}
     for key in p.crease_index:
         got = count.pop(key, 0)
         if got != 2:
@@ -513,23 +542,9 @@ def validate_pattern(p):
 
     # connectivity of the facet graph
     if p.facets:
-        adj = {}
-        for key, faces in by_edge.items():
-            if key in p.crease_index and len(faces) == 2:
-                fi, fj = faces
-                adj.setdefault(fi, set()).add(fj)
-                adj.setdefault(fj, set()).add(fi)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(p.facets):
-            violations.append(
-                Violation("disconnected", f"{len(p.facets) - len(seen)} facets unreachable")
-            )
+        unreachable = len(p.facets) - 1 - len(_facet_tree(p, by_edge, 0))
+        if unreachable:
+            violations.append(Violation("disconnected", f"{unreachable} facets unreachable"))
     else:
         violations.append(Violation("no-facets", "pattern has no facets"))
 

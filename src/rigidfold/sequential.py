@@ -287,9 +287,10 @@ def tachi_projection_step(p, rho, drho0):
 
     Projects the intended increment into the nullspace of C and compensates
     the current residual in one shot; no iteration, so increments of specific
-    creases are not exactly controlled.
+    creases are not exactly controlled.  A ``rho`` that is not one finite
+    angle per crease raises ``ValueError`` before any solve.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = _start_state(p, rho)
     drho0 = _one_each(drho0, "increment has {} entries", p.n_creases)
     gc = assemble_global(p, rho)
     return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])

@@ -104,6 +104,32 @@ def test_vector_length_checked(name, n):
         call(p, flat_state_seed(p, 0.1), np.zeros(n))
 
 
+# each call gets a Miura 2x2 (24 creases) and a bad state, with a
+# well-formed spring config, gradient or increment
+START_STATE_CHECKS = {
+    "relax": lambda p, rho: relax(p, SpringConfig(np.ones(24), np.zeros(24)), rho0=rho),
+    "kkt_step": lambda p, rho: kkt_step(p, SpringConfig(np.ones(24), np.zeros(24)), rho),
+    "projection_step_uniform": lambda p, rho: projection_step_uniform(p, 1.0, np.ones(24), rho),
+    "tachi_projection_step": lambda p, rho: tachi_projection_step(p, rho, np.zeros(24)),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+@pytest.mark.parametrize("name", sorted(START_STATE_CHECKS))
+def test_bad_start_state_refused(name, bad):
+    """A state that is not one finite angle per crease is a ValueError
+    naming the start state, raised before any solve: never a solver
+    failure or a numerics error about its matrix."""
+    p = generate_miura(2, 2)
+    rho = flat_state_seed(p, 0.1)
+    if bad == "short":
+        rho = rho[:-1]
+    else:
+        rho[5] = float(bad)
+    with pytest.raises(ValueError, match="start state"):
+        START_STATE_CHECKS[name](p, rho)
+
+
 class TestEnergyAndGradient:
     def test_zero_at_rest(self, waterbomb):
         rest = wb_state(waterbomb, 5 * math.pi / 8)
@@ -239,9 +265,10 @@ class TestRelax:
         with pytest.raises(ValueError):
             RelaxSettings(initial_step=math.pi / 10)
 
-    def test_nan_start_never_converges(self, waterbomb):
+    def test_nan_start_is_refused(self, waterbomb):
+        # bad input, not a solver failure: no ConvergenceError
         cfg = SpringConfig.per_unit_length(waterbomb, 1.0, np.zeros(8))
-        with pytest.raises(ConvergenceError, match="non-finite"):
+        with pytest.raises(ValueError, match="start state has non-finite angles"):
             relax(waterbomb, cfg, RelaxSettings(), np.full(8, np.nan))
 
     def test_rest_compatible_start_immediate(self, waterbomb):

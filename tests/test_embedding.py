@@ -19,6 +19,7 @@ from rigidfold import (
     waterbomb_theta,
 )
 from rigidfold.sequential import FoldSchedule, Stage, run_schedule
+from test_pattern import split_square_pattern
 
 TWO_FACETS = CreasePattern.from_edges(
     [(0, 0), (1, 0), (1, 1), (0, 1), (1, -1), (0, -1)],
@@ -63,6 +64,10 @@ class TestSpanningTree:
     def test_bad_root(self, miura33):
         with pytest.raises(ValueError):
             build_spanning_tree(miura33, 99)
+
+    def test_disconnected(self):
+        with pytest.raises(ValueError, match="facet adjacency graph is disconnected"):
+            build_spanning_tree(split_square_pattern(), 0)
 
 
 class TestRodrigues:
@@ -164,6 +169,13 @@ class TestEmbed:
     def test_nan_rejected_at_zero_residual(self, miura33):
         with pytest.raises(ValueError, match="non-finite"):
             embed(miura33, np.full(miura33.n_creases, np.nan), residual=0.0)
+
+    @pytest.mark.parametrize("n", [21, 25])
+    def test_state_length_checked_at_recorded_residual(self, n):
+        # a given residual skips assembly, so embed checks the length itself
+        p = generate_miura(2, 2)
+        with pytest.raises(ValueError, match=f"fold state has {n} angles, pattern has 24"):
+            embed(p, np.zeros(n), residual=0.0)
 
     def test_residual_measured_only_when_not_given(self, miura33, monkeypatch):
         import rigidfold.embedding as embedding

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rigidfold import (
     serialize_pattern,
     validate_pattern,
 )
-from rigidfold.pattern import _signed_areas, trace_facets
+from rigidfold.pattern import Violation, _signed_areas, trace_facets
 
 SQUARE_DOC = json.dumps({
     "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -132,6 +133,14 @@ def bow_tie_pattern(scale=1.0):
     return CreasePattern(verts, [], [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2, 3]])
 
 
+def split_square_pattern(diagonal_declared=True):
+    """The unit square cut along its diagonal into two triangles, with the
+    diagonal declared as a boundary edge or nowhere: no crease joins them."""
+    boundary = [[0, 1], [1, 2], [2, 3], [3, 0]] + ([[0, 2]] if diagonal_declared else [])
+    return CreasePattern([[0, 0], [1, 0], [1, 1], [0, 1]], [], boundary,
+                         [[0, 1, 2], [0, 2, 3]])
+
+
 # every broken pattern above, with the violation it must raise; the property
 # tests compare their reports with the per-face reference
 BROKEN_PATTERNS = {
@@ -141,6 +150,8 @@ BROKEN_PATTERNS = {
     "low-degree": (low_degree_pattern, "fan-degree"),
     "zero-sector": (zero_sector_pattern, "zero-sector"),
     "bow-tie": (bow_tie_pattern, "facet-not-simple"),
+    "split-square": (split_square_pattern, "boundary-incidence"),
+    "undeclared-diagonal": (partial(split_square_pattern, False), "undeclared-edge"),
 }
 
 
@@ -158,6 +169,19 @@ def test_validator_flags_bad_fan():
 def test_validator_flags_low_degree():
     report = validate_pattern(low_degree_pattern())
     assert any(v.kind == "fan-degree" for v in report.violations)
+
+
+def test_validator_flags_split_square():
+    assert validate_pattern(split_square_pattern()).violations == (
+        Violation("boundary-incidence", "edge (0, 2)", 2.0),
+        Violation("disconnected", "1 facets unreachable"),
+    )
+    report = validate_pattern(split_square_pattern(diagonal_declared=False))
+    assert [(v.kind, v.where) for v in report.violations] == [
+        ("undeclared-edge", "edge (0, 2)"),
+        ("disconnected", "1 facets unreachable"),
+        ("holes-unsupported", "Euler check"),
+    ]
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e8])

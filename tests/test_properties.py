@@ -27,6 +27,7 @@ from rigidfold import (  # noqa: E402
     FoldSchedule,
     Stage,
     assemble_global,
+    build_spanning_tree,
     build_vertex_fans,
     dihedral_angles,
     embed,
@@ -324,6 +325,26 @@ def test_pattern_layer_is_the_per_face_reference(p, data):
         assert q.crease_lengths().tobytes() == oracles.crease_lengths(q).tobytes()
         assert [g.rz.tobytes() for g in compile_pattern(q).groups] == reference_rz(q)
         assert validate_pattern(q) == oracles.validate_pattern(q)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(p=layer_patterns)
+def test_tree_axes_run_clockwise_around_the_parent(p):
+    """Rooted at the first, the middle and the last facet, a spanning tree
+    holds every facet once and each parent before its children, and each
+    axis runs along its crease against the parent's anticlockwise cycle:
+    the cycle holds (axis[1], axis[0]) as consecutive vertices."""
+    n = len(p.facets)
+    for root in (0, n // 2, n - 1):
+        tree = build_spanning_tree(p, root)
+        order = [root] + [e.facet for e in tree.edges]
+        assert sorted(order) == list(range(n))
+        position = {f: k for k, f in enumerate(order)}
+        for e in tree.edges:
+            assert position[e.parent] < position[e.facet]
+            assert sorted(e.axis) == list(p.creases[e.crease].key)
+            cycle = p.facets[e.parent]
+            assert (e.axis[1], e.axis[0]) in zip(cycle, cycle[1:] + cycle[:1])
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
