@@ -24,8 +24,6 @@ from .embedding import (
     embed,
     measure_dimensions,
     poisson_ratio,
-    rodrigues,
-    waterbomb_theta,
 )
 from .generators import (
     crane_schedule,

@@ -198,7 +198,7 @@ def kkt_step(p, cfg, rho, gc=None):
     _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
     if gc is None:
         gc = assemble_global(p, _start_state(p, rho))
-    d = spring_gradient(cfg, gc.rho)
+    d = spring_gradient(cfg, rho)
     scale = 1.0 / np.sqrt(cfg.stiffness)
     hinv_d = d / cfg.stiffness
     u = free_column_solve(gc.blocks.scale_columns(scale), gc.r - gc.blocks @ hinv_d, (), [])

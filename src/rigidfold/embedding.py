@@ -13,20 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import assemble_global, compile_pattern
-from .pattern import MOUNTAIN, VALLEY, _facet_tree, _one_each
+from .pattern import MOUNTAIN, VALLEY, _by_length, _facet_tree, _one_each
 from .sequential import DEFAULT_EPS
 
-# SHA-256 from the interpreter's builtin module when it has one: hashlib
-# loads OpenSSL, which adds about 3.6 MB to the resident size of the process.
-try:
-    from _sha2 import sha256  # Python 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
-
 EMBED_RESIDUAL_TOL = DEFAULT_EPS  # the solvers' acceptance tolerance
+_SIGNS = {VALLEY: 1.0, MOUNTAIN: -1.0}  # an unassigned crease keeps its sine's sign
 
 
 @dataclass(frozen=True)
@@ -56,16 +47,11 @@ class SpanningTree:
     anchors: np.ndarray = field(compare=False, repr=False)
     owners: np.ndarray = field(compare=False, repr=False)
 
-    @property
-    def n_facets(self):
-        return len(self.edges) + 1
-
 
 @dataclass(frozen=True)
 class Embedding3D:
     coords: np.ndarray  # (n_vertices, 3)
     root: int
-    provenance: dict = field(default_factory=dict)
 
 
 def build_spanning_tree(p, root=0):
@@ -101,17 +87,6 @@ def _skew(axis):
     """Cross-product matrix K of a 3-vector: K @ x = axis x x."""
     kx, ky, kz = axis
     return np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-
-
-def rodrigues(angle, axis):
-    """Proper rotation by ``angle`` about the unit 3-vector ``axis``."""
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"rotation axis is not unit length (|e| = {norm})")
-    c, s = math.cos(angle), math.sin(angle)
-    k = _skew(axis)
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
 def embed(p, rho, root=0, residual=None):
@@ -157,61 +132,66 @@ def embed(p, rho, root=0, residual=None):
         offsets[edge.facet] = r_parent @ moved[i] + offsets[edge.parent]
     owners = tree.owners
     coords = (rotations[owners] @ compiled.flat[:, :, None])[:, :, 0] + offsets[owners]
-    return Embedding3D(
-        coords=coords,
-        root=root,
-        provenance={
-            "root": root,
-            "state_hash": sha256(rho.tobytes()).hexdigest(),
-        },
-    )
+    return Embedding3D(coords, root)
 
 
-def _facet_normal(coords, cycle):
-    """Newell normal of a (near planar) facet, unit length.  The facet is
-    degenerate when the normal's length, twice its area, is at most 1e-12
-    times the sum of its squared sides: the same test at every scale."""
-    n = np.zeros(3)
-    m = len(cycle)
-    for i in range(m):
-        u = coords[cycle[i]]
-        v = coords[cycle[(i + 1) % m]]
-        n += np.cross(u, v)
-    pts = coords[list(cycle)]
-    size = float(np.sum((np.roll(pts, -1, axis=0) - pts) ** 2))
-    norm = np.linalg.norm(n)
-    if norm <= 1e-12 * size:
-        raise ValueError("degenerate facet normal")
-    return n / norm
+def _dots(x, y):
+    """Row-wise dot products: ``np.matmul`` calls the same BLAS dot per row
+    as ``np.dot`` and ``np.linalg.norm`` of one vector, to the last bit."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
 def dihedral_angles(p, e):
     """Fold angle per crease measured from an embedding, valley positive.
 
-    Near the fully folded state the sine of the angle is numerically
-    ambiguous; the stored assignment then decides the sign.
+    Each crease reads its left facet (whose cycle runs it from the lower to
+    the higher id) and its right facet off the pattern's recorded sides; a
+    crease without one facet on each side is a ValueError.  The Newell
+    normal of each facet on a crease is summed in cycle order, one batch per
+    cycle length; the facet is degenerate when the normal's length, twice
+    its area, is at most 1e-12 times the sum of its squared sides, the same
+    test at every scale.  Near the fully folded state the sine of the angle
+    is numerically ambiguous; the stored assignment then decides the sign.
     """
-    coords = e.coords
     by_edge = p._edge_facets()
-    creased = {f for key in p.crease_index for f, _ in by_edge[key]}
-    normals = {f: _facet_normal(coords, p.facets[f]) for f in creased}
-    rho = np.zeros(p.n_creases)
-    for key, idx in p.crease_index.items():
-        a, b = key
-        axis = coords[b] - coords[a]
-        axis = axis / np.linalg.norm(axis)
-        # the side whose cycle runs a -> b lies left of the crease
-        side = {forward: normals[f] for f, forward in by_edge[key]}
-        n_left, n_right = side[True], side[False]
-        cos_rho = float(np.clip(np.dot(n_left, n_right), -1.0, 1.0))
-        sin_rho = float(np.dot(np.cross(n_right, n_left), axis))
-        if abs(sin_rho) < 1e-9 and cos_rho < 0:
-            kind = p.creases[idx].assignment
-            sign = 1.0 if kind == VALLEY else -1.0 if kind == MOUNTAIN else math.copysign(1.0, sin_rho)
-            rho[idx] = sign * math.acos(cos_rho)
+    left, right = [], []
+    for key in p.crease_index:  # crease order
+        sides = by_edge.get(key, ())
+        if sorted(forward for _, forward in sides) != [False, True]:
+            raise ValueError(f"crease {key} does not have one facet on each side")
+        (f, forward), (g, _) = sides
+        left.append(f if forward else g)
+        right.append(g if forward else f)
+
+    coords = e.coords
+    creased = sorted(set(left + right))
+    normals = np.empty((len(p.facets), 3))
+    for m, ks in _by_length([p.facets[f] for f in creased]).items():
+        fs = [creased[k] for k in ks]
+        pts = coords[np.array([p.facets[f] for f in fs], dtype=np.intp)]
+        n = np.zeros((len(fs), 3))
+        for i in range(m):
+            n += np.cross(pts[:, i], pts[:, (i + 1) % m])
+        size = ((np.roll(pts, -1, axis=1) - pts) ** 2).reshape(len(fs), -1).sum(axis=1)
+        norm = np.sqrt(_dots(n, n))
+        if np.any(norm <= 1e-12 * size):
+            raise ValueError("degenerate facet normal")
+        normals[fs] = n / norm[:, None]
+
+    ends = np.array(list(p.crease_index), dtype=np.intp).reshape(-1, 2)
+    axis = coords[ends[:, 1]] - coords[ends[:, 0]]
+    axis = axis / np.sqrt(_dots(axis, axis))[:, None]
+    n_left, n_right = normals[left], normals[right]
+    cos = np.clip(_dots(n_left, n_right), -1.0, 1.0).tolist()
+    sin = _dots(np.cross(n_right, n_left), axis).tolist()
+    rho = []
+    for s, c, crease in zip(sin, cos, p.creases):
+        if abs(s) < 1e-9 and c < 0:
+            sign = _SIGNS.get(crease.assignment, math.copysign(1.0, s))
+            rho.append(sign * math.acos(c))
         else:
-            rho[idx] = math.atan2(sin_rho, cos_rho)
-    return rho
+            rho.append(math.atan2(s, c))
+    return np.array(rho)
 
 
 def measure_dimensions(e):
@@ -237,55 +217,3 @@ def poisson_ratio(history):
             out.append(-((l2 - l1) / l1) / dw)
     return out
 
-
-def waterbomb_theta(p, e):
-    """Apex angle of a symmetric eight-crease base measured from an embedding.
-
-    Returns the angle theta parametrizing the symmetric folding branches.
-    Under this engine's orientation convention that is the polar angle of
-    the valley-class crease directions about the symmetry axis; the mirror
-    ambiguity of the axis is resolved by matching measured dihedrals against
-    the closed-form branch values.
-    """
-    from .elastic import waterbomb_symmetric_oracle
-
-    center = p.meta.get("center")
-    mountains = p.meta.get("mountains")
-    valleys = p.meta.get("valleys")
-    if center is None or mountains is None:
-        raise ValueError("pattern does not identify a waterbomb base apex")
-    o = e.coords[center]
-
-    def directions(ids):
-        out = []
-        for i in ids:
-            c = p.creases[i]
-            other = c.b if c.a == center else c.a
-            d = e.coords[other] - o
-            out.append(d / np.linalg.norm(d))
-        return np.array(out)
-
-    v_tips = directions(valleys)
-    # symmetry axis: normal of the better-spread crease-direction ring (one
-    # ring collapses to a point at the compactly folded states)
-    axis, spread = None, -1.0
-    for ring in (v_tips, directions(mountains)):
-        sv = np.linalg.svd(ring - ring.mean(axis=0), compute_uv=False)
-        if sv[1] > spread:
-            spread = sv[1]
-            _, _, vt = np.linalg.svd(ring - ring.mean(axis=0))
-            axis = vt[-1]
-    x = math.acos(float(np.clip(np.dot(axis, v_tips[0]), -1.0, 1.0)))
-    measured = dihedral_angles(p, e)
-    rho_m = float(np.mean(measured[mountains]))
-    rho_v = float(np.mean(measured[valleys]))
-    best, best_err = None, math.inf
-    for theta in (x, math.pi - x):
-        if theta < -1e-9 or theta > 3 * math.pi / 4 + 1e-9:
-            continue
-        theta = min(max(theta, 0.0), 3 * math.pi / 4)
-        om, ov = waterbomb_symmetric_oracle(theta)
-        err = abs(om - rho_m) + abs(ov - rho_v)
-        if err < best_err:
-            best, best_err = theta, err
-    return best

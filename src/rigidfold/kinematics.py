@@ -32,9 +32,8 @@ class GlobalConstraint:
     from the blocks on first use and kept.
     """
 
-    def __init__(self, shape, evaluated, r, rho):
+    def __init__(self, shape, evaluated, r):
         self.r = r
-        self.rho = rho
         self._shape = shape
         self._evaluated = evaluated  # (degree group, what its residual kept)
         self._blocks = None
@@ -193,7 +192,7 @@ def assemble_global(p, rho, fans=None):
         res, kept = group.residual(rho)
         r[group.rows] = res
         evaluated.append((group, kept))
-    return GlobalConstraint((compiled.rows, p.n_creases), evaluated, r, rho.copy())
+    return GlobalConstraint((compiled.rows, p.n_creases), evaluated, r)
 
 
 def dof(constraint, cutoff=1e-9):

@@ -183,10 +183,6 @@ class CreasePattern:
         d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
         return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
-    def facet_edges(self, facet):
-        cycle = tuple(self.facets[facet] if _is_number(facet, numbers.Integral) else facet)
-        return list(zip(cycle, cycle[1:] + cycle[:1]))
-
     def _edge_facets(self):
         """The sides of each edge (min id, max id): one ``(facet, forward)``
         per facet on it, in facet order, ``forward`` when the facet's cycle
@@ -197,15 +193,6 @@ class CreasePattern:
             for u, v in zip(cycle, cycle[1:] + cycle[:1]):
                 by_edge.setdefault((u, v) if u < v else (v, u), []).append((f, u < v))
         return by_edge
-
-    def facet_adjacency(self):
-        """List of (facet_i, facet_j, crease_id) pairs sharing a crease."""
-        index = self.crease_index
-        return [
-            (sides[0][0], sides[1][0], index[key])
-            for key, sides in self._edge_facets().items()
-            if key in index and len(sides) == 2
-        ]
 
     def __eq__(self, other):
         if not isinstance(other, CreasePattern):

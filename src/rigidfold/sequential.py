@@ -271,7 +271,10 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
     Valleys start at +magnitude, mountains at -magnitude, unassigned creases
     at zero; pure residual elimination (no controlled creases) then restores
     compatibility, which selects the folding branch matching the assignment.
+    A non-finite magnitude raises ``ValueError`` before any solve.
     """
+    if not math.isfinite(magnitude):
+        raise ValueError(f"seed magnitude {magnitude!r} is not finite")
     rho = np.zeros(p.n_creases)
     for i, c in enumerate(p.creases):
         if c.assignment == VALLEY:

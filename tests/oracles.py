@@ -8,7 +8,8 @@ from a full SVD of the bordered multiplier system or, at full column rank,
 from one dense LU solve of its normal equations, whose banded Gram blocks
 are formed from the values of the dense matrix, the spring step from
 the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
-and the embedding from a per-facet loop down the spanning tree.  The
+the embedding from a per-facet loop down the spanning tree, and the
+dihedral angles from one facet normal and one crease at a time.  The
 Newton loop that solves afresh at every iterate is the exception: it runs
 the package's assembly and free-column solve, so that it differs from the
 engine's loop only in never reusing a factorization.  So is the schedule
@@ -33,6 +34,8 @@ from rigidfold.numerics import _band_inf_norm, _band_sweep
 from rigidfold.pattern import (
     _ZERO_SECTOR,
     DEVELOPABILITY_TOL,
+    MOUNTAIN,
+    VALLEY,
     PatternError,
     ValidationReport,
     VertexFan,
@@ -613,6 +616,53 @@ def tree_embedding(p, rho, edges, root):
             if np.isnan(coords[v, 0]):
                 coords[v] = rotations[f] @ flat[v] + offsets[f]
     return coords
+
+
+def _facet_normal(coords, cycle):
+    """Newell normal of a (near planar) facet, unit length.  The facet is
+    degenerate when the normal's length, twice its area, is at most 1e-12
+    times the sum of its squared sides: the same test at every scale."""
+    n = np.zeros(3)
+    m = len(cycle)
+    for i in range(m):
+        u = coords[cycle[i]]
+        v = coords[cycle[(i + 1) % m]]
+        n += np.cross(u, v)
+    pts = coords[list(cycle)]
+    size = float(np.sum((np.roll(pts, -1, axis=0) - pts) ** 2))
+    norm = np.linalg.norm(n)
+    if norm <= 1e-12 * size:
+        raise ValueError("degenerate facet normal")
+    return n / norm
+
+
+def dihedral_angles(p, e):
+    """Fold angle per crease measured from an embedding, valley positive.
+
+    Near the fully folded state the sine of the angle is numerically
+    ambiguous; the stored assignment then decides the sign.
+    """
+    coords = e.coords
+    by_edge = p._edge_facets()
+    creased = {f for key in p.crease_index for f, _ in by_edge[key]}
+    normals = {f: _facet_normal(coords, p.facets[f]) for f in creased}
+    rho = np.zeros(p.n_creases)
+    for key, idx in p.crease_index.items():
+        a, b = key
+        axis = coords[b] - coords[a]
+        axis = axis / np.linalg.norm(axis)
+        # the side whose cycle runs a -> b lies left of the crease
+        side = {forward: normals[f] for f, forward in by_edge[key]}
+        n_left, n_right = side[True], side[False]
+        cos_rho = float(np.clip(np.dot(n_left, n_right), -1.0, 1.0))
+        sin_rho = float(np.dot(np.cross(n_right, n_left), axis))
+        if abs(sin_rho) < 1e-9 and cos_rho < 0:
+            kind = p.creases[idx].assignment
+            sign = 1.0 if kind == VALLEY else -1.0 if kind == MOUNTAIN else math.copysign(1.0, sin_rho)
+            rho[idx] = sign * math.acos(cos_rho)
+        else:
+            rho[idx] = math.atan2(sin_rho, cos_rho)
+    return rho
 
 
 def parse_obj(text):

@@ -422,14 +422,6 @@ def test_constructor_checks_dangling_indices():
         CreasePattern(verts, [], square, [[0, 1, 7]])
 
 
-def test_facet_edges_accepts_numpy_ids(miura33):
-    # an np.int64 id was once read as a cycle
-    want = miura33.facet_edges(3)
-    assert miura33.facet_edges(np.int64(3)) == want
-    assert miura33.facet_edges(list(miura33.facets[3])) == want
-    assert want[-1] == (miura33.facets[3][-1], miura33.facets[3][0])
-
-
 @pytest.mark.parametrize("facets, error, message", [
     ([[0, 1, 2, "3"]], TypeError, "id '3' in facet"),
     ([[0, 1, 2, True]], TypeError, "id True in facet"),

@@ -179,6 +179,7 @@ def test_embedding_is_an_isometry_with_the_state_s_dihedrals(cells, alpha_deg, s
     creases = [c.key for c in p.creases]
     assert np.max(np.abs(lengths(coords, creases) - p.crease_lengths())) < 1e-12
     assert np.max(np.abs(dihedral_angles(p, e) - rho)) < 1e-9
+    assert np.array_equal(dihedral_angles(p, e), oracles.dihedral_angles(p, e))
     cycle = list(p.facets[root])
     assert np.array_equal(coords[cycle], flat[cycle])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,8 +158,12 @@ class TestFlatStateSeed:
         assert int((s < 0).sum()) == 4
 
     def test_nan_start_never_converges(self, miura33):
-        with pytest.raises(ConvergenceError, match="non-finite"):
-            flat_state_seed(miura33, math.nan)
+        # refused before any solve: no ConvergenceError, no numpy warning
+        for bad in (math.nan, math.inf, -math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"seed magnitude {bad!r} is not finite"):
+                    flat_state_seed(miura33, bad)
 
 
 class TestTachiProjection:
