@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, relax
-from .embedding import EMBED_RESIDUAL_TOL, embed, measure_dimensions
+from .embedding import EMBED_RESIDUAL_TOL, _checked, _place, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, _real, parse_pattern, validate_pattern
 from .sequential import DEFAULT_EPS, ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
@@ -26,16 +26,39 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_SOLVER = 3
 
+# One %-template per output line: "%.17g" writes a float as format(x, ".17g")
+# does, and one template call costs less than formatting number by number.
+_VERTEX_LINE = "v %.17g %.17g %.17g\n"
+_RESIDUAL_ROW = "%d,%.17g,%d\n"
+_ENERGY_ROW = "%d,%.17g,%.17g\n"
+
+# Vertex and facet poses placed per embedding call.  The stacked
+# intermediates take about 170 bytes per pose, so a call stays near 11 MB
+# however long the run: the crane's 109 frames go in one call, a Miura 20x20
+# run 19 frames at a time.
+_POSES_PER_CALL = 1 << 16
+
 
 def export_obj(e, facets):
     """Wavefront OBJ text: 17-significant-digit vertices, fan-triangulated."""
-    lines = []
-    for x, y, z in e.coords:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for cycle in facets:
-        for k in range(1, len(cycle) - 1):
-            lines.append(f"f {cycle[0] + 1} {cycle[k] + 1} {cycle[k + 1] + 1}")
-    return "\n".join(lines) + "\n"
+    return _obj_text(e.coords, _obj_faces(facets))
+
+
+def _obj_faces(facets):
+    """The OBJ face lines of ``facets``, each cycle fanned from its first
+    vertex, with 1-based ids."""
+    return "".join(
+        f"f {cycle[0] + 1} {cycle[k] + 1} {cycle[k + 1] + 1}\n"
+        for cycle in facets
+        for k in range(1, len(cycle) - 1)
+    )
+
+
+def _obj_text(coords, faces):
+    """OBJ text of vertex coordinates (V, 3) and the face lines ``faces``,
+    every vertex line from one template.  Empty text is one newline."""
+    text = _VERTEX_LINE * len(coords) % tuple(coords.ravel().tolist()) + faces
+    return text or "\n"
 
 
 def _load(path, parse, *args):
@@ -77,9 +100,9 @@ def _write_angle_csv(path, states, degrees):
     with open(path, "w") as fh:
         n = len(states[0])
         fh.write("step," + ",".join(f"rho_{i}" for i in range(n)) + "\n")
+        row = "%d" + ",%.17g" * n + "\n"
         for k, s in enumerate(states):
-            row = _angles_out(s, degrees)
-            fh.write(str(k) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(row % (k, *_angles_out(s, degrees)))
 
 
 def _load_pattern(path):
@@ -126,13 +149,21 @@ def _check_tol(name, tol):
 def _write_run(out, p, states, residuals, args, manifest):
     """OBJ frames of every ``--every``-th state and the last, then the manifest.
 
-    Each frame is embedded at the residual the solver recorded for it.
+    Every frame is checked first, at the residual the solver recorded for
+    it, so that a frame ``embed`` would refuse stops the run before any OBJ
+    is written.  The frames are then embedded a batch at a time, all of
+    them in one call unless the run is long for its pattern's size, and
+    each is written with the run's one block of face lines.
     """
     last = len(states) - 1
-    for k, (s, residual) in enumerate(zip(states, residuals)):
-        if k % args.every == 0 or k == last:
-            e = embed(p, s, root=args.root_facet, residual=residual)
-            (out / f"step_{k:04d}.obj").write_text(export_obj(e, p.facets))
+    frames = [k for k in range(len(states)) if k % args.every == 0 or k == last]
+    checked = [_checked(p, states[k], residuals[k]) for k in frames]
+    faces = _obj_faces(p.facets)
+    per_call = max(1, _POSES_PER_CALL // (len(p.vertices) + len(p.facets)))
+    for lo in range(0, len(frames), per_call):
+        coords = _place(p, np.array(checked[lo:lo + per_call]), args.root_facet)
+        for k, frame in zip(frames[lo:lo + per_call], coords):
+            (out / f"step_{k:04d}.obj").write_text(_obj_text(frame, faces))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     print(json.dumps(manifest, indent=1))
 
@@ -197,7 +228,7 @@ def cmd_fold(args):
     with open(out / "residuals.csv", "w") as fh:
         fh.write("step,residual,newton_iters\n")
         for k, (r, it) in enumerate(zip(traj.residuals, traj.newton_iters)):
-            fh.write(f"{k},{r:.17g},{it}\n")
+            fh.write(_RESIDUAL_ROW % (k, r, it))
     manifest = {
         "command": "fold",
         "pattern": str(args.pattern),
@@ -242,7 +273,7 @@ def cmd_relax(args):
     with open(out / "energy.csv", "w") as fh:
         fh.write("step,energy,characteristic_angle\n")
         for k, (u, s) in enumerate(zip(result.energies, result.states)):
-            fh.write(f"{k},{u:.17g},{s[result.characteristic]:.17g}\n")
+            fh.write(_ENERGY_ROW % (k, u, s[result.characteristic]))
     (out / "final_state.json").write_text(
         json.dumps({"rho": list(result.final)}, indent=1)
     )

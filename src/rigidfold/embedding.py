@@ -36,7 +36,9 @@ class SpanningTree:
     ``==`` ignores them.  Per tree edge: the crease id, the skew matrix K of
     the unit axis, K @ K and the anchor ``flat[a]``.  ``owners`` maps each
     vertex to the first facet holding it in ``[root] + BFS`` order, or one
-    past the last facet for a vertex on no facet.
+    past the last facet for a vertex on no facet.  ``levels`` holds, per
+    breadth-first depth, the positions of that depth's edges in ``edges``,
+    their child facets and their parent facets.
     """
 
     root: int
@@ -46,6 +48,7 @@ class SpanningTree:
     skew_sq: np.ndarray = field(compare=False, repr=False)
     anchors: np.ndarray = field(compare=False, repr=False)
     owners: np.ndarray = field(compare=False, repr=False)
+    levels: tuple = field(compare=False, repr=False)  # (positions, children, parents)
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,16 @@ def build_spanning_tree(p, root=0):
 
     Each axis runs along the shared crease clockwise around the parent: the
     reverse of the direction in which the parent's cycle runs the crease.
+    The edges are grouped by depth, so that a facet's pose is composed after
+    its parent's, one level at a time.
     """
     if not 0 <= root < len(p.facets):
         raise ValueError(f"root facet {root} out of range")
-    edges = []
-    for facet, parent, crease, forward in _facet_tree(p, p._edge_facets(), root):
+    edges, depth, by_level = [], {root: 0}, {}
+    for facet, parent, crease, forward in _facet_tree(p, root):
         key = p.creases[crease].key
+        depth[facet] = depth[parent] + 1
+        by_level.setdefault(depth[facet], []).append(len(edges))
         edges.append(TreeEdge(facet, parent, crease, key[::-1] if forward else key))
     if len(edges) + 1 != len(p.facets):
         raise ValueError("facet adjacency graph is disconnected")
@@ -73,14 +80,19 @@ def build_spanning_tree(p, root=0):
     anchors = flat[[e.axis[0] for e in edges]]
     directions = flat[[e.axis[1] for e in edges]] - anchors
     skew = np.array([_skew(d / np.linalg.norm(d)) for d in directions]).reshape(-1, 3, 3)
+    levels = tuple(
+        (np.array(ks, dtype=np.intp), np.array([edges[k].facet for k in ks], dtype=np.intp),
+         np.array([edges[k].parent for k in ks], dtype=np.intp))
+        for ks in by_level.values()
+    )
     owners = np.full(len(p.vertices), len(p.facets))
     for f in reversed([root] + [e.facet for e in edges]):  # first facet wins
         owners[list(p.facets[f])] = f
     arrays = (np.array([e.crease for e in edges], dtype=np.intp), skew, skew @ skew,
               anchors, owners)
-    for a in arrays:
+    for a in arrays + sum(levels, ()):
         a.flags.writeable = False
-    return SpanningTree(root, tuple(edges), *arrays)
+    return SpanningTree(root, tuple(edges), *arrays, levels)
 
 
 def _skew(axis):
@@ -99,12 +111,17 @@ def embed(p, rho, root=0, residual=None):
     accept; without it the state is assembled here.  A state that is not
     one angle per crease is refused either way.
 
-    The flat coordinates and each root's spanning tree, with its constant
-    geometry, are built once and kept on the pattern's compiled form.  Per
-    state, each tree edge's rotation I + sin K + (1 - cos) K^2 is composed
-    onto its parent facet's pose, and one stacked product places every
-    vertex by its owning facet's pose.
+    The state is placed as a stack of one by ``_place``, which the CLI calls
+    with a batch of a run's frames at a time.
     """
+    rho = _checked(p, rho, residual)
+    return Embedding3D(_place(p, rho[None], root)[0], root)
+
+
+def _checked(p, rho, residual):
+    """``rho`` as a float vector, refused unless it is one finite angle per
+    crease whose normalized residual (``residual``, or assembled here when
+    None) is below ``EMBED_RESIDUAL_TOL``."""
     rho = _one_each(rho, "fold state has {} angles", p.n_creases)
     if not np.all(np.isfinite(rho)):
         raise ValueError("fold state has non-finite angles")
@@ -112,27 +129,41 @@ def embed(p, rho, root=0, residual=None):
         residual = assemble_global(p, rho).normalized_residual
     if not residual < EMBED_RESIDUAL_TOL:
         raise ValueError(f"fold state incompatible (residual {residual:.3e})")
+    return rho
+
+
+def _place(p, states, root):
+    """Vertex coordinates (F, V, 3) of a stack of checked states (F, n).
+
+    The flat coordinates and each root's spanning tree, with its constant
+    geometry, are built once and kept on the pattern's compiled form.  Each
+    tree edge's rotation I + sin K + (1 - cos) K^2 is composed onto its
+    parent facet's pose, one batched product per tree level over every
+    frame, in the same order per edge as a loop over the edges; one stacked
+    product then places every vertex by its owning facet's pose.
+    """
     compiled = compile_pattern(p)
     tree = compiled.trees.get(root)
     if tree is None:
         tree = compiled.trees[root] = build_spanning_tree(p, root)
-    angles = rho[tree.creases].tolist()
-    cos = np.array([math.cos(x) for x in angles])[:, None, None]
-    sin = np.array([math.sin(x) for x in angles])[:, None, None]
+    n_frames = len(states)
+    angles = states[:, tree.creases].ravel().tolist()
+    shape = (n_frames, len(tree.edges), 1, 1)
+    cos = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(shape)
+    sin = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(shape)
     local = np.eye(3) + sin * tree.skew + (1.0 - cos) * tree.skew_sq
-    moved = tree.anchors - (local @ tree.anchors[:, :, None])[:, :, 0]
+    moved = tree.anchors[..., None] - local @ tree.anchors[:, :, None]
     # one pose per facet, and a NaN pose for vertices on no facet
-    rotations = np.empty((len(p.facets) + 1, 3, 3))
-    offsets = np.empty((len(p.facets) + 1, 3))
-    rotations[root], offsets[root] = np.eye(3), 0.0
-    rotations[-1], offsets[-1] = np.nan, np.nan
-    for i, edge in enumerate(tree.edges):
-        r_parent = rotations[edge.parent]
-        rotations[edge.facet] = r_parent @ local[i]
-        offsets[edge.facet] = r_parent @ moved[i] + offsets[edge.parent]
+    rotations = np.empty((n_frames, len(p.facets) + 1, 3, 3))
+    offsets = np.empty((n_frames, len(p.facets) + 1, 3, 1))
+    rotations[:, root], offsets[:, root] = np.eye(3), 0.0
+    rotations[:, -1], offsets[:, -1] = np.nan, np.nan
+    for positions, children, parents in tree.levels:
+        r_parent = rotations[:, parents]
+        rotations[:, children] = r_parent @ local[:, positions]
+        offsets[:, children] = r_parent @ moved[:, positions] + offsets[:, parents]
     owners = tree.owners
-    coords = (rotations[owners] @ compiled.flat[:, :, None])[:, :, 0] + offsets[owners]
-    return Embedding3D(coords, root)
+    return (rotations[:, owners] @ compiled.flat[:, :, None] + offsets[:, owners])[..., 0]
 
 
 def _dots(x, y):
@@ -153,7 +184,7 @@ def dihedral_angles(p, e):
     test at every scale.  Near the fully folded state the sine of the angle
     is numerically ambiguous; the stored assignment then decides the sign.
     """
-    by_edge = p._edge_facets()
+    by_edge = p._edge_facets
     left, right = [], []
     for key in p.crease_index:  # crease order
         sides = by_edge.get(key, ())

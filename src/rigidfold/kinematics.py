@@ -25,15 +25,18 @@ FOLD_RANGE_SLACK = 1e-6
 class GlobalConstraint:
     """Linearized constraint system C @ drho = -r at the evaluation point.
 
-    ``r`` is computed by assembly.  ``blocks`` holds C as one group per fan
-    degree n: the crease ids (V, n), the row ids (V, 3) and the entries (V,
-    3, n) of its V vertices, computed on first access from the closure
-    factors and prefix products assembly kept.  The dense ``C`` is built
-    from the blocks on first use and kept.
+    ``r`` is computed by assembly, and with it ``normalized_residual``, its
+    norm over the row count; nothing changes ``r`` later.  ``blocks`` holds
+    C as one group per fan degree n: the crease ids (V, n), the row ids (V,
+    3) and the entries (V, 3, n) of its V vertices, computed on first access
+    from the closure factors and prefix products assembly kept.  The dense
+    ``C`` is built from the blocks on first use and kept.
     """
 
     def __init__(self, shape, evaluated, r):
         self.r = r
+        rows = len(r)
+        self.normalized_residual = float(np.linalg.norm(r)) / rows if rows else 0.0
         self._shape = shape
         self._evaluated = evaluated  # (degree group, what its residual kept)
         self._blocks = None
@@ -53,11 +56,6 @@ class GlobalConstraint:
     def C(self):
         """The dense constraint matrix, built on first use and kept."""
         return self.blocks.dense
-
-    @property
-    def normalized_residual(self):
-        rows = len(self.r)
-        return float(np.linalg.norm(self.r)) / rows if rows else 0.0
 
 
 def check_fold_range(rho):

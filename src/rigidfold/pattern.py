@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -183,16 +184,18 @@ class CreasePattern:
         d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
         return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
+    @cached_property
     def _edge_facets(self):
-        """The sides of each edge (min id, max id): one ``(facet, forward)``
-        per facet on it, in facet order, ``forward`` when the facet's cycle
-        runs the edge from the lower to the higher id.  Edges come in order
-        of first appearance along the facet cycles."""
+        """The sides of each edge (min id, max id): a tuple of one ``(facet,
+        forward)`` per facet on it, in facet order, ``forward`` when the
+        facet's cycle runs the edge from the lower to the higher id.  Edges
+        come in order of first appearance along the facet cycles.  Built on
+        first use, after ``from_edges`` has set the facets, and kept."""
         by_edge = {}
         for f, cycle in enumerate(self.facets):
             for u, v in zip(cycle, cycle[1:] + cycle[:1]):
                 by_edge.setdefault((u, v) if u < v else (v, u), []).append((f, u < v))
-        return by_edge
+        return {key: tuple(sides) for key, sides in by_edge.items()}
 
     def __eq__(self, other):
         if not isinstance(other, CreasePattern):
@@ -474,15 +477,14 @@ def _turn(a, b, c, tol):
     return np.where(np.abs(v) <= tol, 0, np.where(v > 0, 1, -1))
 
 
-def _facet_tree(p, by_edge, root):
+def _facet_tree(p, root):
     """The breadth-first facet tree from ``root``: one ``(facet, parent,
     crease, forward)`` per tree edge, in walk order, ``forward`` being the
-    parent's side of the crease.  The walk crosses every crease to which
-    ``by_edge``, the pattern's ``_edge_facets``, gives two sides, and visits
-    each facet's neighbours in (facet, crease) order.  Facets out of reach
-    get no edge."""
+    parent's side of the crease.  The walk crosses every crease to which the
+    pattern's ``_edge_facets`` gives two sides, and visits each facet's
+    neighbours in (facet, crease) order.  Facets out of reach get no edge."""
     neighbours = [[] for _ in p.facets]
-    for key, sides in by_edge.items():
+    for key, sides in p._edge_facets.items():
         if len(sides) == 2 and key in p.crease_index:
             crease = p.crease_index[key]
             (f, f_forward), (g, g_forward) = sides
@@ -510,8 +512,7 @@ def validate_pattern(p):
         violations.append(Violation("facet-not-simple", f"facet {f}"))
 
     # edge / facet incidence
-    by_edge = p._edge_facets()
-    count = {e: len(sides) for e, sides in by_edge.items()}
+    count = {e: len(sides) for e, sides in p._edge_facets.items()}
     for key in p.crease_index:
         got = count.pop(key, 0)
         if got != 2:
@@ -529,7 +530,7 @@ def validate_pattern(p):
 
     # connectivity of the facet graph
     if p.facets:
-        unreachable = len(p.facets) - 1 - len(_facet_tree(p, by_edge, 0))
+        unreachable = len(p.facets) - 1 - len(_facet_tree(p, 0))
         if unreachable:
             violations.append(Violation("disconnected", f"{unreachable} facets unreachable"))
     else:

@@ -8,8 +8,10 @@ from a full SVD of the bordered multiplier system or, at full column rank,
 from one dense LU solve of its normal equations, whose banded Gram blocks
 are formed from the values of the dense matrix, the spring step from
 the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
-the embedding from a per-facet loop down the spanning tree, and the
-dihedral angles from one facet normal and one crease at a time.  The
+the embedding from a per-facet loop down the spanning tree (and the
+engine's stacked arrays composed one tree edge at a time), the dihedral
+angles from one facet normal and one crease at a time, and the OBJ and CSV
+text from one f-string per number.  The
 Newton loop that solves afresh at every iterate is the exception: it runs
 the package's assembly and free-column solve, so that it differs from the
 engine's loop only in never reusing a factorization.  So is the schedule
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from rigidfold import ConvergenceError, assemble_global, free_column_solve
+from rigidfold import ConvergenceError, assemble_global, build_spanning_tree, free_column_solve
 from rigidfold.numerics import _band_inf_norm, _band_sweep
 from rigidfold.pattern import (
     _ZERO_SECTOR,
@@ -618,6 +620,30 @@ def tree_embedding(p, rho, edges, root):
     return coords
 
 
+def edge_loop_embedding(p, rho, root):
+    """Vertex coordinates from the spanning tree's stacked arrays, composed
+    one tree edge at a time in breadth-first order: each edge's rotation
+    ``R_parent @ local`` and offset ``R_parent @ moved + offset_parent``,
+    the order the engine's per-level products keep."""
+    tree = build_spanning_tree(p, root)
+    flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
+    angles = np.asarray(rho, dtype=float)[tree.creases].tolist()
+    cos = np.array([math.cos(x) for x in angles])[:, None, None]
+    sin = np.array([math.sin(x) for x in angles])[:, None, None]
+    local = np.eye(3) + sin * tree.skew + (1.0 - cos) * tree.skew_sq
+    moved = tree.anchors - (local @ tree.anchors[:, :, None])[:, :, 0]
+    rotations = np.empty((len(p.facets) + 1, 3, 3))
+    offsets = np.empty((len(p.facets) + 1, 3))
+    rotations[root], offsets[root] = np.eye(3), 0.0
+    rotations[-1], offsets[-1] = np.nan, np.nan
+    for i, edge in enumerate(tree.edges):
+        r_parent = rotations[edge.parent]
+        rotations[edge.facet] = r_parent @ local[i]
+        offsets[edge.facet] = r_parent @ moved[i] + offsets[edge.parent]
+    owners = tree.owners
+    return (rotations[owners] @ flat[:, :, None])[:, :, 0] + offsets[owners]
+
+
 def _facet_normal(coords, cycle):
     """Newell normal of a (near planar) facet, unit length.  The facet is
     degenerate when the normal's length, twice its area, is at most 1e-12
@@ -643,7 +669,7 @@ def dihedral_angles(p, e):
     ambiguous; the stored assignment then decides the sign.
     """
     coords = e.coords
-    by_edge = p._edge_facets()
+    by_edge = p._edge_facets
     creased = {f for key in p.crease_index for f, _ in by_edge[key]}
     normals = {f: _facet_normal(coords, p.facets[f]) for f in creased}
     rho = np.zeros(p.n_creases)
@@ -677,6 +703,37 @@ def parse_obj(text):
         elif parts[0] == "f":
             faces.append([int(t.split("/")[0]) - 1 for t in parts[1:]])
     return np.array(vertices), faces
+
+
+def fstring_obj(coords, facets):
+    """OBJ text with one f-string per vertex and per triangle."""
+    lines = []
+    for x, y, z in coords:
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for cycle in facets:
+        for k in range(1, len(cycle) - 1):
+            lines.append(f"f {cycle[0] + 1} {cycle[k] + 1} {cycle[k + 1] + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def fstring_angle_csv(states, degrees):
+    """``angles.csv`` text, one f-string per number."""
+    n = len(states[0])
+    text = "step," + ",".join(f"rho_{i}" for i in range(n)) + "\n"
+    for k, s in enumerate(states):
+        row = [math.degrees(v) for v in s] if degrees else list(s)
+        text += str(k) + "," + ",".join(f"{v:.17g}" for v in row) + "\n"
+    return text
+
+
+def fstring_residual_row(k, r, iters):
+    """One ``residuals.csv`` row."""
+    return f"{k},{r:.17g},{iters}\n"
+
+
+def fstring_energy_row(k, u, angle):
+    """One ``energy.csv`` row."""
+    return f"{k},{u:.17g},{angle:.17g}\n"
 
 
 # -- pattern layer, one facet, vertex or crease at a time ------------------------

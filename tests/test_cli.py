@@ -17,9 +17,23 @@ from rigidfold import (
     serialize_pattern,
     waterbomb_symmetric_oracle,
 )
-from oracles import parse_obj
-from rigidfold.cli import export_obj, main
-from rigidfold.embedding import embed
+from oracles import (
+    edge_loop_embedding,
+    fstring_angle_csv,
+    fstring_energy_row,
+    fstring_obj,
+    fstring_residual_row,
+    parse_obj,
+)
+from rigidfold.cli import (
+    _ENERGY_ROW,
+    _RESIDUAL_ROW,
+    _write_angle_csv,
+    export_obj,
+    main,
+)
+from rigidfold.elastic import RelaxSettings, SpringConfig, relax
+from rigidfold.embedding import Embedding3D, embed
 from rigidfold.pattern import MOUNTAIN, CreasePattern
 
 
@@ -213,6 +227,30 @@ class TestFoldCommand:
             "--out", str(tmp_path / "run"),
         ]) == 1
         assert "fold state incompatible" in capsys.readouterr().err
+        # every frame is checked before the first is written
+        assert list((tmp_path / "run").glob("step_*.obj")) == []
+
+    @pytest.mark.parametrize("poses", [1, 170])
+    def test_frames_embedded_in_batches(self, miura_file, miura33, tmp_path, capsys,
+                                        monkeypatch, poses):
+        """A run embedded one frame per call (1 pose), or two (170 poses, the
+        sheet has 49 vertices and 36 facets), writes the bytes of a run
+        embedded in one call."""
+        import rigidfold.cli as cli
+
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"stages": [{"controlled": [
+            {"crease": miura33.meta["driven_crease"], "target": -1.0}], "steps": 6}]}))
+        outs = {}
+        for name in ("one", "batched"):
+            if name == "batched":
+                monkeypatch.setattr(cli, "_POSES_PER_CALL", poses)
+            out = tmp_path / name
+            assert main(["fold", "--pattern", str(miura_file), "--schedule", str(spath),
+                         "--out", str(out), "--every", "1"]) == 0
+            outs[name] = {f.name: f.read_bytes() for f in out.glob("step_*.obj")}
+        assert len(outs["one"]) == 7
+        assert outs["batched"] == outs["one"]
 
     def test_determinism_byte_identical(self, miura_file, miura33, tmp_path, capsys):
         i1 = miura33.meta["driven_crease"]
@@ -426,6 +464,71 @@ class TestObjExport:
         verts, faces = parse_obj(out.read_text())
         assert len(verts) == 9
         assert len(faces) == 8
+
+
+# signed zero, the least subnormal, a huge, an inexact and integer-valued floats
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1, 1.0, -3.0, 42.0,
+           2.0**53, 1 / 3, math.pi]
+
+
+class TestTemplates:
+    """The %-templates write the bytes of one f-string per number."""
+
+    def test_obj_text(self, crane):
+        values = np.array(AWKWARD * 3).reshape(-1, 3)
+        for coords in (values, values[::-1], np.zeros((0, 3))):
+            e = Embedding3D(coords, 0)
+            for facets in (crane.facets[:len(coords)], []):
+                assert export_obj(e, facets) == fstring_obj(coords, facets)
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_angle_csv(self, tmp_path, degrees):
+        states = [np.array(AWKWARD), np.array(AWKWARD[::-1]), np.zeros(len(AWKWARD))]
+        path = tmp_path / "angles.csv"
+        _write_angle_csv(path, states, degrees)
+        assert path.read_text() == fstring_angle_csv(states, degrees)
+
+    def test_residual_and_energy_rows(self):
+        for k, (a, b) in enumerate(zip(AWKWARD, AWKWARD[::-1])):
+            assert _RESIDUAL_ROW % (k, a, k + 3) == fstring_residual_row(k, a, k + 3)
+            assert _ENERGY_ROW % (k, a, b) == fstring_energy_row(k, a, b)
+            a64, b64 = np.float64(a), np.float64(b)
+            assert _ENERGY_ROW % (k, a64, b64) == fstring_energy_row(k, a64, b64)
+
+    def test_relax_files_unchanged(self, waterbomb_file, waterbomb, tmp_path, capsys):
+        """``rigidfold relax`` on the waterbomb base writes the energy rows,
+        the final state and every OBJ frame that one f-string per number and
+        the per-edge embedding give for the same relaxation."""
+        rm, rv = waterbomb_symmetric_oracle(5 * math.pi / 8)
+        springs = {"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None,
+             "rest": rm if i in waterbomb.meta["mountains"] else rv}
+            for i in range(8)
+        ]}
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps(springs))
+        out = tmp_path / "run"
+        assert main(["relax", "--pattern", str(waterbomb_file), "--springs", str(spath),
+                     "--out", str(out), "--every", "3", "--root-facet", "5"]) == 0
+        cfg = SpringConfig.from_json(waterbomb, json.dumps(springs))
+        rho0 = rigidfold.flat_state_seed(waterbomb, math.radians(1.0))
+        result = relax(waterbomb, cfg, RelaxSettings(), rho0)
+        energy = "step,energy,characteristic_angle\n" + "".join(
+            fstring_energy_row(k, u, s[result.characteristic])
+            for k, (u, s) in enumerate(zip(result.energies, result.states))
+        )
+        expected = {
+            "energy.csv": energy,
+            "final_state.json": json.dumps({"rho": list(result.final)}, indent=1),
+        }
+        last = len(result.states) - 1
+        for k, s in enumerate(result.states):
+            if k % 3 == 0 or k == last:
+                coords = edge_loop_embedding(waterbomb, s, 5)
+                expected[f"step_{k:04d}.obj"] = fstring_obj(coords, waterbomb.facets)
+        written = {f.name: f.read_text() for f in out.iterdir() if f.name != "manifest.json"}
+        assert last > 3
+        assert written == expected
 
 
 class TestMeasureCommand:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import miura_period_dims, period_frame_dims, tree_embedding
+from conftest import drive_miura_to_flat_fold
+from oracles import edge_loop_embedding, miura_period_dims, period_frame_dims, tree_embedding
 from rigidfold import (
     CreasePattern,
     build_spanning_tree,
@@ -15,6 +16,7 @@ from rigidfold import (
     measure_dimensions,
     poisson_ratio,
 )
+from rigidfold.embedding import _place
 from rigidfold.sequential import FoldSchedule, Stage, run_schedule
 from test_pattern import split_square_pattern
 
@@ -57,6 +59,24 @@ class TestSpanningTree:
         with pytest.raises(ValueError, match="facet adjacency graph is disconnected"):
             build_spanning_tree(split_square_pattern(), 0)
 
+    @pytest.mark.parametrize("pattern, depth", [("crane", 6), ("miura20", 78)])
+    def test_levels_partition_edges_by_depth(self, crane, pattern, depth):
+        p = crane if pattern == "crane" else generate_miura(20, 20)
+        for root in (0, len(p.facets) - 1):
+            tree = build_spanning_tree(p, root)
+            placed = {root}
+            positions = []
+            for level, children, parents in tree.levels:
+                assert not level.flags.writeable
+                assert children.tolist() == [tree.edges[k].facet for k in level]
+                assert parents.tolist() == [tree.edges[k].parent for k in level]
+                assert placed.issuperset(parents.tolist())  # parents placed first
+                placed.update(children.tolist())
+                positions += level.tolist()
+            assert positions == list(range(len(tree.edges)))
+            if root == 0:
+                assert len(tree.levels) == depth
+
 
 class TestEmbed:
     def test_flat_is_pattern(self, miura33):
@@ -81,6 +101,30 @@ class TestEmbed:
             edges = build_spanning_tree(p, root).edges
             expected = tree_embedding(p, s, edges, root)
             assert np.array_equal(embed(p, s, root=root).coords, expected)
+
+    @pytest.fixture(scope="class")
+    def miura77_states(self):
+        p = generate_miura(7, 7)
+        _, traj = drive_miura_to_flat_fold(p, 1.0, 11)
+        return p, traj.states
+
+    @pytest.mark.parametrize("case", ["crane", "miura33", "miura77"])
+    def test_batched_matches_edge_loop(self, case, crane, crane_run, miura33, miura_run,
+                                       miura77_states):
+        """Every frame of a run placed at once, one product per tree level,
+        is the per-edge loop's, bit for bit, at the first and last root."""
+        if case == "crane":
+            p, states = crane, crane_run["traj"].states
+            assert len(states) == 109
+        elif case == "miura33":
+            p, states = miura33, miura_run["traj"].states
+        else:
+            p, states = miura77_states
+        for root in (0, len(p.facets) - 1):
+            batched = _place(p, np.array(states), root)
+            assert batched.shape == (len(states), len(p.vertices), 3)
+            for coords, s in zip(batched, states):
+                assert np.array_equal(coords, edge_loop_embedding(p, s, root))
 
     def test_isometry(self, miura33, miura_run):
         s = miura_run["traj"].states[18]

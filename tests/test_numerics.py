@@ -385,6 +385,7 @@ class TestRowBlocks:
                 assert np.array_equal(gc.C, ref)
                 assert gc.C is gc.C  # built once
                 assert gc.normalized_residual == np.linalg.norm(gc.r) / len(ref)
+                assert "normalized_residual" in vars(gc)  # computed with r, not per read
 
     def test_products_are_the_dense_products(self, patterns):
         """``blocks @ x`` and ``blocks.rmatvec(y)`` against ``dense @ x`` and

@@ -193,6 +193,24 @@ def test_simple_facet_test_reads_the_same_at_every_scale(scale):
     assert validate_pattern(generate_miura(2, 3, a=scale, b=scale)).ok
 
 
+def test_edge_facets_built_once_after_from_edges(miura33):
+    p = CreasePattern.from_edges(
+        miura33.vertices, miura33.creases, miura33.boundary
+    )
+    by_edge = p._edge_facets
+    assert by_edge is p._edge_facets  # kept
+    assert by_edge == miura33._edge_facets  # read after from_edges set the facets
+    assert len(by_edge) == p.n_creases + len(p.boundary)
+    for key, sides in by_edge.items():
+        assert isinstance(sides, tuple)
+        assert sides == tuple(
+            (f, cycle[i] < cycle[(i + 1) % len(cycle)])
+            for f, cycle in enumerate(p.facets)
+            for i in range(len(cycle))
+            if tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)]))) == key
+        )
+
+
 def test_canonical_crease_order():
     p = generate_miura(2, 2)
     keys = [c.key for c in p.creases]
