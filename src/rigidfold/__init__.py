@@ -17,7 +17,6 @@ from .elastic import (
     waterbomb_symmetric_oracle,
 )
 from .embedding import (
-    Embedding3D,
     SpanningTree,
     build_spanning_tree,
     dihedral_angles,

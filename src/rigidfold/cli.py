@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, relax
-from .embedding import EMBED_RESIDUAL_TOL, _checked, _place, embed, measure_dimensions
+from .embedding import EMBED_RESIDUAL_TOL, build_spanning_tree, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, _real, parse_pattern, validate_pattern
 from .sequential import DEFAULT_EPS, ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
@@ -32,16 +32,11 @@ _VERTEX_LINE = "v %.17g %.17g %.17g\n"
 _RESIDUAL_ROW = "%d,%.17g,%d\n"
 _ENERGY_ROW = "%d,%.17g,%.17g\n"
 
-# Vertex and facet poses placed per embedding call.  The stacked
-# intermediates take about 170 bytes per pose, so a call stays near 11 MB
-# however long the run: the crane's 109 frames go in one call, a Miura 20x20
-# run 19 frames at a time.
-_POSES_PER_CALL = 1 << 16
 
-
-def export_obj(e, facets):
-    """Wavefront OBJ text: 17-significant-digit vertices, fan-triangulated."""
-    return _obj_text(e.coords, _obj_faces(facets))
+def export_obj(coords, facets):
+    """Wavefront OBJ text of embedded coordinates (V, 3): 17-significant-digit
+    vertices, fan-triangulated facets."""
+    return _obj_text(coords, _obj_faces(facets))
 
 
 def _obj_faces(facets):
@@ -105,24 +100,20 @@ def _write_angle_csv(path, states, degrees):
             fh.write(row % (k, *_angles_out(s, degrees)))
 
 
-def _load_pattern(path):
+def _load_pattern(path, root=None):
     """The pattern at ``path``; a broken one has its validation report printed
     and raises PatternError (exit 1).  Every command but ``validate`` loads
-    its pattern here, before it solves, embeds or writes anything."""
+    its pattern here, before it solves, embeds or writes anything, and the
+    commands that embed build the spanning tree from ``root`` here too, so
+    a root facet out of range exits 1 first."""
     p = _load(path, parse_pattern)
     report = validate_pattern(p)
     if not report.ok:
         print(json.dumps(report.to_dict(), indent=1))
         raise PatternError(f"pattern {path} fails validation")
+    if root is not None:
+        build_spanning_tree(p, root)
     return p
-
-
-def _check_root_facet(p, root):
-    # checked before any solve or output; embed would refuse it at the end
-    if not 0 <= root < len(p.facets):
-        raise ValueError(
-            f"--root-facet {root} out of range (pattern has {len(p.facets)} facets)"
-        )
 
 
 def _check_every(every):
@@ -149,21 +140,18 @@ def _check_tol(name, tol):
 def _write_run(out, p, states, residuals, args, manifest):
     """OBJ frames of every ``--every``-th state and the last, then the manifest.
 
-    Every frame is checked first, at the residual the solver recorded for
-    it, so that a frame ``embed`` would refuse stops the run before any OBJ
-    is written.  The frames are then embedded a batch at a time, all of
-    them in one call unless the run is long for its pattern's size, and
-    each is written with the run's one block of face lines.
+    The frames are embedded in one ``embed`` call at the residuals the
+    solver recorded, which checks every frame before it places any, so a
+    frame it refuses stops the run before any OBJ is written.  Each frame
+    is written with the run's one block of face lines.
     """
     last = len(states) - 1
     frames = [k for k in range(len(states)) if k % args.every == 0 or k == last]
-    checked = [_checked(p, states[k], residuals[k]) for k in frames]
+    coords = embed(p, np.array([states[k] for k in frames]), args.root_facet,
+                   [residuals[k] for k in frames])
     faces = _obj_faces(p.facets)
-    per_call = max(1, _POSES_PER_CALL // (len(p.vertices) + len(p.facets)))
-    for lo in range(0, len(frames), per_call):
-        coords = _place(p, np.array(checked[lo:lo + per_call]), args.root_facet)
-        for k, frame in zip(frames[lo:lo + per_call], coords):
-            (out / f"step_{k:04d}.obj").write_text(_obj_text(frame, faces))
+    for k, frame in zip(frames, coords):
+        (out / f"step_{k:04d}.obj").write_text(_obj_text(frame, faces))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     print(json.dumps(manifest, indent=1))
 
@@ -204,8 +192,7 @@ def cmd_fold(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
     _check_tol("--eps", args.eps)
-    p = _load_pattern(args.pattern)
-    _check_root_facet(p, args.root_facet)
+    p = _load_pattern(args.pattern, args.root_facet)
     schedule = _load(args.schedule, FoldSchedule.from_json)
     if args.degrees:
         schedule = FoldSchedule(tuple(
@@ -251,8 +238,7 @@ def cmd_fold(args):
 def cmd_relax(args):
     _check_every(args.every)
     _check_seed_magnitude(args.seed_magnitude)
-    p = _load_pattern(args.pattern)
-    _check_root_facet(p, args.root_facet)
+    p = _load_pattern(args.pattern, args.root_facet)
     cfg = _load(args.springs, lambda text: SpringConfig.from_json(p, text))
     settings = RelaxSettings()
     if args.settings:
@@ -302,24 +288,20 @@ def cmd_relax(args):
 
 
 def cmd_measure(args):
-    p = _load_pattern(args.pattern)
-    _check_root_facet(p, args.root_facet)
+    p = _load_pattern(args.pattern, args.root_facet)
     rho = _load(args.state, _parse_state, p.n_creases)
-    e = embed(p, rho, root=args.root_facet)
-    l, w, h = measure_dimensions(e)
+    l, w, h = measure_dimensions(embed(p, rho, root=args.root_facet))
     print(json.dumps({"L": l, "W": w, "H": h}, indent=1))
     return EXIT_OK
 
 
 def cmd_export_obj(args):
-    p = _load_pattern(args.pattern)
-    _check_root_facet(p, args.root_facet)
+    p = _load_pattern(args.pattern, args.root_facet)
     if args.state:
         rho = _load(args.state, _parse_state, p.n_creases)
     else:
         rho = np.zeros(p.n_creases)
-    e = embed(p, rho, root=args.root_facet)
-    text = export_obj(e, p.facets)
+    text = export_obj(embed(p, rho, root=args.root_facet), p.facets)
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -31,7 +31,7 @@ import numpy as np
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
 from .pattern import _index, _is_number, _one_each, _real
-from .sequential import DEFAULT_EPS, _newton, _start_state
+from .sequential import DEFAULT_EPS, _fold_state, _newton
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
@@ -197,7 +197,7 @@ def kkt_step(p, cfg, rho, gc=None):
     """
     _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
     if gc is None:
-        gc = assemble_global(p, _start_state(p, rho))
+        gc = assemble_global(p, _fold_state(p, rho))
     d = spring_gradient(cfg, rho)
     scale = 1.0 / np.sqrt(cfg.stiffness)
     hinv_d = d / cfg.stiffness
@@ -216,7 +216,7 @@ def projection_step_uniform(p, k0, d, rho, gc=None):
     """
     d = _one_each(d, "gradient has {} entries", p.n_creases)
     if gc is None:
-        gc = assemble_global(p, _start_state(p, rho))
+        gc = assemble_global(p, _fold_state(p, rho))
     return -d / k0 - free_column_solve(gc.blocks, gc.blocks @ d / k0 - gc.r, (), [])
 
 
@@ -243,7 +243,7 @@ def relax(p, cfg, settings=None, rho0=None):
                 f"characteristic crease {char} out of range "
                 f"(pattern has {p.n_creases} creases)"
             )
-    rho = np.zeros(p.n_creases) if rho0 is None else _start_state(p, rho0).copy()
+    rho = np.zeros(p.n_creases) if rho0 is None else _fold_state(p, rho0).copy()
     rho, gc, _, _ = _newton(p, rho, (), settings.residual_tol, settings.max_newton)
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))

@@ -13,11 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import assemble_global, compile_pattern
-from .pattern import MOUNTAIN, VALLEY, _by_length, _facet_tree, _one_each
-from .sequential import DEFAULT_EPS
+from .pattern import MOUNTAIN, VALLEY, _by_length, _facet_tree, _index, _one_each
+from .sequential import DEFAULT_EPS, _fold_state
 
 EMBED_RESIDUAL_TOL = DEFAULT_EPS  # the solvers' acceptance tolerance
 _SIGNS = {VALLEY: 1.0, MOUNTAIN: -1.0}  # an unassigned crease keeps its sine's sign
+
+# Vertex and facet poses placed per ``_place`` call.  The stacked
+# intermediates take about 170 bytes per pose, so a call stays near 11 MB
+# however long the run: the crane's 109 frames go in one call, a Miura 20x20
+# run 19 frames at a time.
+_POSES_PER_CALL = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,22 +57,24 @@ class SpanningTree:
     levels: tuple = field(compare=False, repr=False)  # (positions, children, parents)
 
 
-@dataclass(frozen=True)
-class Embedding3D:
-    coords: np.ndarray  # (n_vertices, 3)
-    root: int
-
-
 def build_spanning_tree(p, root=0):
     """Breadth-first spanning tree over facet adjacency, rooted at a facet.
 
     Each axis runs along the shared crease clockwise around the parent: the
     reverse of the direction in which the parent's cycle runs the crease.
     The edges are grouped by depth, so that a facet's pose is composed after
-    its parent's, one level at a time.
+    its parent's, one level at a time.  ``root`` is a facet id: a whole
+    number in range (``2.0`` is facet 2), never a string or a bool.  The
+    tree is built once per root and kept on the pattern's compiled form.
     """
+    root = _index(root, "root facet")
     if not 0 <= root < len(p.facets):
-        raise ValueError(f"root facet {root} out of range")
+        raise ValueError(
+            f"root facet {root} out of range (pattern has {len(p.facets)} facets)"
+        )
+    compiled = compile_pattern(p)
+    if root in compiled.trees:
+        return compiled.trees[root]
     edges, depth, by_level = [], {root: 0}, {}
     for facet, parent, crease, forward in _facet_tree(p, root):
         key = p.creases[crease].key
@@ -76,7 +84,7 @@ def build_spanning_tree(p, root=0):
     if len(edges) + 1 != len(p.facets):
         raise ValueError("facet adjacency graph is disconnected")
 
-    flat = compile_pattern(p).flat
+    flat = compiled.flat
     anchors = flat[[e.axis[0] for e in edges]]
     directions = flat[[e.axis[1] for e in edges]] - anchors
     skew = np.array([_skew(d / np.linalg.norm(d)) for d in directions]).reshape(-1, 3, 3)
@@ -92,7 +100,8 @@ def build_spanning_tree(p, root=0):
               anchors, owners)
     for a in arrays + sum(levels, ()):
         a.flags.writeable = False
-    return SpanningTree(root, tuple(edges), *arrays, levels)
+    tree = compiled.trees[root] = SpanningTree(root, tuple(edges), *arrays, levels)
+    return tree
 
 
 def _skew(axis):
@@ -102,50 +111,52 @@ def _skew(axis):
 
 
 def embed(p, rho, root=0, residual=None):
-    """Isometric 3D embedding of a compatible fold state.
+    """Isometric 3D embedding of compatible fold states.
 
-    Rejects incompatible and non-finite states: the spanning tree silently
-    drops the loop constraints, so embedding an incompatible state would tear
-    the mesh.  ``residual`` is the state's normalized closure residual when
-    the caller has measured it, as the solvers do for every state they
-    accept; without it the state is assembled here.  A state that is not
-    one angle per crease is refused either way.
+    One state (n,) gives its vertex coordinates (V, 3); a stack of states
+    (F, n) gives one set per state, (F, V, 3).  ``residual`` is None, one
+    number for every state, or one number per state: the normalized closure
+    residual the caller measured, as the solvers do for every state they
+    accept; a state without one is assembled here.
 
-    The state is placed as a stack of one by ``_place``, which the CLI calls
-    with a batch of a run's frames at a time.
+    Every state is checked before any is placed: a state that is not one
+    finite angle per crease, or whose residual is not below
+    ``EMBED_RESIDUAL_TOL``, is a ValueError, because the spanning tree
+    silently drops the loop constraints and an incompatible state would
+    tear the mesh.  The states are then placed ``_POSES_PER_CALL`` poses at
+    a time, so memory stays bounded however long the stack.
     """
-    rho = _checked(p, rho, residual)
-    return Embedding3D(_place(p, rho[None], root)[0], root)
+    tree = build_spanning_tree(p, root)
+    rho = np.asarray(rho, dtype=float)
+    stack = rho if rho.ndim == 2 else rho[None]
+    if np.ndim(residual) == 0:  # None, or one number for every state
+        residual = [residual] * len(stack)
+    else:
+        residual = _one_each(
+            residual, "residual has {} entries", len(stack), "stack has {} states"
+        )
+    for state, r in zip(stack, residual):
+        _fold_state(p, state)
+        if r is None:
+            r = assemble_global(p, state).normalized_residual
+        if not r < EMBED_RESIDUAL_TOL:
+            raise ValueError(f"fold state incompatible (residual {r:.3e})")
+    coords = np.empty((len(stack), len(p.vertices), 3))
+    per_call = max(1, _POSES_PER_CALL // (len(p.vertices) + len(p.facets)))
+    for lo in range(0, len(stack), per_call):
+        coords[lo:lo + per_call] = _place(p, stack[lo:lo + per_call], tree)
+    return coords if rho.ndim == 2 else coords[0]
 
 
-def _checked(p, rho, residual):
-    """``rho`` as a float vector, refused unless it is one finite angle per
-    crease whose normalized residual (``residual``, or assembled here when
-    None) is below ``EMBED_RESIDUAL_TOL``."""
-    rho = _one_each(rho, "fold state has {} angles", p.n_creases)
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("fold state has non-finite angles")
-    if residual is None:
-        residual = assemble_global(p, rho).normalized_residual
-    if not residual < EMBED_RESIDUAL_TOL:
-        raise ValueError(f"fold state incompatible (residual {residual:.3e})")
-    return rho
+def _place(p, states, tree):
+    """Vertex coordinates (F, V, 3) of a stack of checked states (F, n),
+    placed down ``tree``.
 
-
-def _place(p, states, root):
-    """Vertex coordinates (F, V, 3) of a stack of checked states (F, n).
-
-    The flat coordinates and each root's spanning tree, with its constant
-    geometry, are built once and kept on the pattern's compiled form.  Each
-    tree edge's rotation I + sin K + (1 - cos) K^2 is composed onto its
+    Each tree edge's rotation I + sin K + (1 - cos) K^2 is composed onto its
     parent facet's pose, one batched product per tree level over every
     frame, in the same order per edge as a loop over the edges; one stacked
     product then places every vertex by its owning facet's pose.
     """
-    compiled = compile_pattern(p)
-    tree = compiled.trees.get(root)
-    if tree is None:
-        tree = compiled.trees[root] = build_spanning_tree(p, root)
     n_frames = len(states)
     angles = states[:, tree.creases].ravel().tolist()
     shape = (n_frames, len(tree.edges), 1, 1)
@@ -156,14 +167,15 @@ def _place(p, states, root):
     # one pose per facet, and a NaN pose for vertices on no facet
     rotations = np.empty((n_frames, len(p.facets) + 1, 3, 3))
     offsets = np.empty((n_frames, len(p.facets) + 1, 3, 1))
-    rotations[:, root], offsets[:, root] = np.eye(3), 0.0
+    rotations[:, tree.root], offsets[:, tree.root] = np.eye(3), 0.0
     rotations[:, -1], offsets[:, -1] = np.nan, np.nan
     for positions, children, parents in tree.levels:
         r_parent = rotations[:, parents]
         rotations[:, children] = r_parent @ local[:, positions]
         offsets[:, children] = r_parent @ moved[:, positions] + offsets[:, parents]
     owners = tree.owners
-    return (rotations[:, owners] @ compiled.flat[:, :, None] + offsets[:, owners])[..., 0]
+    flat = compile_pattern(p).flat
+    return (rotations[:, owners] @ flat[:, :, None] + offsets[:, owners])[..., 0]
 
 
 def _dots(x, y):
@@ -172,8 +184,9 @@ def _dots(x, y):
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def dihedral_angles(p, e):
-    """Fold angle per crease measured from an embedding, valley positive.
+def dihedral_angles(p, coords):
+    """Fold angle per crease measured from embedded coordinates (V, 3),
+    valley positive.
 
     Each crease reads its left facet (whose cycle runs it from the lower to
     the higher id) and its right facet off the pattern's recorded sides; a
@@ -194,7 +207,6 @@ def dihedral_angles(p, e):
         left.append(f if forward else g)
         right.append(g if forward else f)
 
-    coords = e.coords
     creased = sorted(set(left + right))
     normals = np.empty((len(p.facets), 3))
     for m, ks in _by_length([p.facets[f] for f in creased]).items():
@@ -225,9 +237,9 @@ def dihedral_angles(p, e):
     return np.array(rho)
 
 
-def measure_dimensions(e):
-    """Axis-aligned bounding box extents (L, W, H) of the embedded form."""
-    spans = e.coords.max(axis=0) - e.coords.min(axis=0)
+def measure_dimensions(coords):
+    """Axis-aligned bounding box extents (L, W, H) of embedded coordinates (V, 3)."""
+    spans = coords.max(axis=0) - coords.min(axis=0)
     return float(spans[0]), float(spans[1]), float(spans[2])
 
 

@@ -20,6 +20,7 @@ from .numerics import RowBlocks, rank
 from .pattern import build_vertex_fans
 
 FOLD_RANGE_SLACK = 1e-6
+DOF_CUTOFF = 1e-9  # relative singular-value cutoff of ``dof``'s rank count
 
 
 class GlobalConstraint:
@@ -193,9 +194,9 @@ def assemble_global(p, rho, fans=None):
     return GlobalConstraint((compiled.rows, p.n_creases), evaluated, r)
 
 
-def dof(constraint, cutoff=1e-9):
+def dof(constraint):
     """Kinematic degrees of freedom: nullity of the constraint matrix."""
     n = constraint.C.shape[1]
     if n == 0:
         return 0
-    return n - rank(constraint.C, cutoff)
+    return n - rank(constraint.C, DOF_CUTOFF)

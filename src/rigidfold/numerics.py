@@ -67,17 +67,17 @@ def _svd(m, cutoff):
     return u, s, vt, keep
 
 
-def pseudoinverse(m, cutoff=DEFAULT_CUTOFF):
+def pseudoinverse(m):
     """Moore-Penrose pseudoinverse of ``m`` with the shared cutoff policy."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     _check_finite(m)
-    u, s, vt, keep = _svd(m, cutoff)
+    u, s, vt, keep = _svd(m, DEFAULT_CUTOFF)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
 
 
-def min_norm_solve(m, b, cutoff=DEFAULT_CUTOFF):
+def min_norm_solve(m, b):
     """Minimum-Euclidean-norm least-squares solution of ``m @ x = b``."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -85,7 +85,7 @@ def min_norm_solve(m, b, cutoff=DEFAULT_CUTOFF):
     _check_finite(b)
     if b.shape[0] != m.shape[0]:
         raise ValueError(f"shape mismatch: {m.shape} @ x = {b.shape}")
-    u, s, vt, keep = _svd(m, cutoff)
+    u, s, vt, keep = _svd(m, DEFAULT_CUTOFF)
     coeff = u.T @ b
     coeff[~keep] = 0.0
     coeff[keep] /= s[keep]

@@ -54,7 +54,7 @@ from .pattern import MOUNTAIN, VALLEY, _index, _is_number, _one_each, _real
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 50
-DEFAULT_MAX_STEP = math.radians(5.0)
+MAX_STEP = math.radians(5.0)
 # a Newton loop keeps its factorization while each residual norm is at most
 # this share of the one before (Kelley's chord and Shamanskii rule)
 CHORD_RATIO = 0.5
@@ -241,13 +241,14 @@ def _newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
     return rho, gc, iters, kept
 
 
-def _start_state(p, rho):
-    """``rho`` as a float vector, refused before any solve unless it holds
-    one finite angle per crease."""
-    rho = _one_each(rho, "start state has {} angles", p.n_creases)
+def _fold_state(p, rho):
+    """``rho`` as a float vector, refused unless it holds one finite angle
+    per crease: the solvers check their start state with it before any
+    solve, and ``embed`` every state before it places any."""
+    rho = _one_each(rho, "fold state has {} angles", p.n_creases)
     if not np.all(np.isfinite(rho)):
         bad = np.flatnonzero(~np.isfinite(rho)).tolist()
-        raise ValueError(f"start state has non-finite angles at creases {bad}")
+        raise ValueError(f"fold state has non-finite angles at creases {bad}")
     return rho
 
 
@@ -258,7 +259,7 @@ def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITE
     ``ValueError`` before any solve.
     """
     rho, _, _, _ = _newton(
-        p, _start_state(p, rho), directive.controlled, eps, max_iter, directive.f
+        p, _fold_state(p, rho), directive.controlled, eps, max_iter, directive.f
     )
     check_fold_range(rho)
     return rho
@@ -293,14 +294,13 @@ def tachi_projection_step(p, rho, drho0):
     creases are not exactly controlled.  A ``rho`` that is not one finite
     angle per crease raises ``ValueError`` before any solve.
     """
-    rho = _start_state(p, rho)
+    rho = _fold_state(p, rho)
     drho0 = _one_each(drho0, "increment has {} entries", p.n_creases)
     gc = assemble_global(p, rho)
     return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])
 
 
-def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
-                 max_step=DEFAULT_MAX_STEP):
+def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
     """Execute schedule stages in order, returning the full trajectory.
 
     Within a stage the controlled angles move linearly from their entry value
@@ -308,10 +308,10 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
     boundaries land on their targets to solver precision.  Held creases get
     fixed columns with zero increments.  When a stage omits its step count,
     enough steps are used to keep every controlled increment at or below
-    ``max_step``.  Each step hands the band factorization its Newton loop
-    kept to the next step of the same stage, and a step after five that
-    each kept one starts from their quartic extrapolation (see the module
-    docstring).
+    ``MAX_STEP`` (5 degrees).  Each step hands the band factorization its
+    Newton loop kept to the next step of the same stage, and a step after
+    five that each kept one starts from their quartic extrapolation (see the
+    module docstring).
     A crease id outside the pattern, a target outside the fold-angle range
     [-pi, pi], or a start state that is not one finite angle per crease
     raises ``ValueError`` before any solve: a finite but huge target would
@@ -326,7 +326,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
         for i, target in stage.targets.items():
             if abs(target) > math.pi + FOLD_RANGE_SLACK:
                 raise ValueError(f"target {target!r} of crease {i} outside [-pi, pi]")
-    rho = _start_state(p, rho0).copy()
+    rho = _fold_state(p, rho0).copy()
     gc = assemble_global(p, rho)
     traj = FoldTrajectory()
     traj.append(rho, gc.normalized_residual, 0)
@@ -338,7 +338,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER,
         steps = stage.steps
         if steps is None:
             span = float(np.max(np.abs(targets - start))) if ids else 0.0
-            steps = max(1, math.ceil(span / max_step - 1e-12))
+            steps = max(1, math.ceil(span / MAX_STEP - 1e-12))
         held = list(stage.hold)
         controlled = tuple(ids) + stage.hold
         kept = None

@@ -662,13 +662,13 @@ def _facet_normal(coords, cycle):
     return n / norm
 
 
-def dihedral_angles(p, e):
-    """Fold angle per crease measured from an embedding, valley positive.
+def dihedral_angles(p, coords):
+    """Fold angle per crease measured from embedded coordinates, valley
+    positive.
 
     Near the fully folded state the sine of the angle is numerically
     ambiguous; the stored assignment then decides the sign.
     """
-    coords = e.coords
     by_edge = p._edge_facets
     creased = {f for key in p.crease_index for f, _ in by_edge[key]}
     normals = {f: _facet_normal(coords, p.facets[f]) for f in creased}

@@ -95,7 +95,7 @@ def _dims_and_nu_errors(p, traj, i1, coarse):
     worst_lw = 0.0
     solved = {}  # oracle continuation points shared across neighbouring angles
     for s in traj.states:
-        l, w, _ = period_frame_dims(embed(p, s).coords, 3, 3)
+        l, w, _ = period_frame_dims(embed(p, s), 3, 3)
         lo, wo, _ = miura_period_dims(3, 3, 1.0, 1.0, ALPHA, s[i1], solved)
         worst_lw = max(worst_lw, abs(l - lo) / lo, abs(w - wo) / wo)
         hist.append((l, w, s[i1]))
@@ -361,10 +361,10 @@ def test_criterion_10_embedding_invariants(
             # the embedding tear stays below the geometric tolerances being
             # verified (states near the compactly folded corner floor higher)
             s = _project_best(p, fans, s)
-            e = embed(p, s)
+            coords = embed(p, s)
             for a, b in edges:
                 flat = np.linalg.norm(flat3[b] - flat3[a])
-                folded = np.linalg.norm(e.coords[b] - e.coords[a])
+                folded = np.linalg.norm(coords[b] - coords[a])
                 worst_edge = max(worst_edge, abs(folded - flat) / flat)
             for o, u, v in corners:
                 def corner_angle(coords):
@@ -373,9 +373,9 @@ def test_criterion_10_embedding_invariants(
                         np.linalg.norm(np.cross(d1, d2)), np.dot(d1, d2)
                     )
                 worst_sector = max(
-                    worst_sector, abs(corner_angle(e.coords) - corner_angle(flat3))
+                    worst_sector, abs(corner_angle(coords) - corner_angle(flat3))
                 )
-            back = dihedral_angles(p, e)
+            back = dihedral_angles(p, coords)
             worst_dihedral = max(
                 worst_dihedral,
                 max(angle_gap(a, b) for a, b in zip(back, s)),

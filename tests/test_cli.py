@@ -33,7 +33,7 @@ from rigidfold.cli import (
     main,
 )
 from rigidfold.elastic import RelaxSettings, SpringConfig, relax
-from rigidfold.embedding import Embedding3D, embed
+from rigidfold.embedding import embed
 from rigidfold.pattern import MOUNTAIN, CreasePattern
 
 
@@ -233,10 +233,10 @@ class TestFoldCommand:
     @pytest.mark.parametrize("poses", [1, 170])
     def test_frames_embedded_in_batches(self, miura_file, miura33, tmp_path, capsys,
                                         monkeypatch, poses):
-        """A run embedded one frame per call (1 pose), or two (170 poses, the
+        """A run placed one frame per call (1 pose), or two (170 poses, the
         sheet has 49 vertices and 36 facets), writes the bytes of a run
-        embedded in one call."""
-        import rigidfold.cli as cli
+        placed in one call."""
+        import rigidfold.embedding as embedding
 
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps({"stages": [{"controlled": [
@@ -244,7 +244,7 @@ class TestFoldCommand:
         outs = {}
         for name in ("one", "batched"):
             if name == "batched":
-                monkeypatch.setattr(cli, "_POSES_PER_CALL", poses)
+                monkeypatch.setattr(embedding, "_POSES_PER_CALL", poses)
             out = tmp_path / name
             assert main(["fold", "--pattern", str(miura_file), "--schedule", str(spath),
                          "--out", str(out), "--every", "1"]) == 0
@@ -425,27 +425,26 @@ class TestObjExport:
             [[0, 0], [1, 0], [1, 1], [0, 1]], [],
             [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2, 3]],
         )
-        e = embed(p, np.zeros(0))
-        text = export_obj(e, p.facets)
+        text = export_obj(embed(p, np.zeros(0)), p.facets)
         lines = text.strip().splitlines()
         assert sum(1 for t in lines if t.startswith("v ")) == 4
         assert sum(1 for t in lines if t.startswith("f ")) == 2  # fan split
 
     def test_roundtrip_distances(self, miura33, miura_run):
         s = miura_run["traj"].states[12]
-        e = embed(miura33, s)
-        verts, faces = parse_obj(export_obj(e, miura33.facets))
-        assert verts.shape == e.coords.shape
+        coords = embed(miura33, s)
+        verts, faces = parse_obj(export_obj(coords, miura33.facets))
+        assert verts.shape == coords.shape
         rng = np.random.default_rng(41)
         idx = rng.integers(0, len(verts), size=(30, 2))
         for i, j in idx:
             d1 = np.linalg.norm(verts[i] - verts[j])
-            d2 = np.linalg.norm(e.coords[i] - e.coords[j])
+            d2 = np.linalg.norm(coords[i] - coords[j])
             assert abs(d1 - d2) < 1e-12
 
     def test_obj_grammar(self, miura33):
-        e = embed(miura33, np.zeros(miura33.n_creases))
-        for line in export_obj(e, miura33.facets).strip().splitlines():
+        coords = embed(miura33, np.zeros(miura33.n_creases))
+        for line in export_obj(coords, miura33.facets).strip().splitlines():
             parts = line.split()
             assert parts[0] in ("v", "f")
             if parts[0] == "v":
@@ -454,7 +453,7 @@ class TestObjExport:
             else:
                 assert len(parts) == 4
                 ids = [int(x) for x in parts[1:]]
-                assert all(1 <= i <= len(e.coords) for i in ids)
+                assert all(1 <= i <= len(coords) for i in ids)
 
     def test_export_command(self, waterbomb_file, tmp_path, capsys):
         out = tmp_path / "wb.obj"
@@ -477,9 +476,8 @@ class TestTemplates:
     def test_obj_text(self, crane):
         values = np.array(AWKWARD * 3).reshape(-1, 3)
         for coords in (values, values[::-1], np.zeros((0, 3))):
-            e = Embedding3D(coords, 0)
             for facets in (crane.facets[:len(coords)], []):
-                assert export_obj(e, facets) == fstring_obj(coords, facets)
+                assert export_obj(coords, facets) == fstring_obj(coords, facets)
 
     @pytest.mark.parametrize("degrees", [False, True])
     def test_angle_csv(self, tmp_path, degrees):
@@ -642,14 +640,14 @@ class TestBadInput:
         schedule = {"stages": [{"controlled": [
             {"crease": miura33.meta["driven_crease"], "target": -0.5}], "steps": 2}]}
         assert self.fold(miura_file, schedule, tmp_path, "--root-facet", root) == 1
-        assert f"--root-facet {root} out of range" in capsys.readouterr().err
+        assert f"root facet {root} out of range" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("root", ["999", "-1"])
     def test_relax_root_facet_out_of_range_exits_1(self, waterbomb_file, tmp_path, capsys,
                                                    root):
         assert self.relax(waterbomb_file, 8, tmp_path, "--root-facet", root) == 1
-        assert f"--root-facet {root} out of range" in capsys.readouterr().err
+        assert f"root facet {root} out of range" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("root", ["999", "-1"])
@@ -664,7 +662,7 @@ class TestBadInput:
         argv = [a.format(state=state, out=out) for a in command]
         assert main([*argv, "--pattern", str(miura_file), "--root-facet", root]) == 1
         captured = capsys.readouterr()
-        assert f"--root-facet {root} out of range" in captured.err
+        assert f"root facet {root} out of range" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

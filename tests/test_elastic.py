@@ -118,7 +118,7 @@ START_STATE_CHECKS = {
 @pytest.mark.parametrize("name", sorted(START_STATE_CHECKS))
 def test_bad_start_state_refused(name, bad):
     """A state that is not one finite angle per crease is a ValueError
-    naming the start state, raised before any solve: never a solver
+    naming the fold state, raised before any solve: never a solver
     failure or a numerics error about its matrix."""
     p = generate_miura(2, 2)
     rho = flat_state_seed(p, 0.1)
@@ -126,7 +126,7 @@ def test_bad_start_state_refused(name, bad):
         rho = rho[:-1]
     else:
         rho[5] = float(bad)
-    with pytest.raises(ValueError, match="start state"):
+    with pytest.raises(ValueError, match="fold state"):
         START_STATE_CHECKS[name](p, rho)
 
 
@@ -268,7 +268,7 @@ class TestRelax:
     def test_nan_start_is_refused(self, waterbomb):
         # bad input, not a solver failure: no ConvergenceError
         cfg = SpringConfig.per_unit_length(waterbomb, 1.0, np.zeros(8))
-        with pytest.raises(ValueError, match="start state has non-finite angles"):
+        with pytest.raises(ValueError, match="fold state has non-finite angles"):
             relax(waterbomb, cfg, RelaxSettings(), np.full(8, np.nan))
 
     def test_rest_compatible_start_immediate(self, waterbomb):

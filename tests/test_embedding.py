@@ -16,7 +16,7 @@ from rigidfold import (
     measure_dimensions,
     poisson_ratio,
 )
-from rigidfold.embedding import _place
+from rigidfold.kinematics import compile_pattern
 from rigidfold.sequential import FoldSchedule, Stage, run_schedule
 from test_pattern import split_square_pattern
 
@@ -52,8 +52,37 @@ class TestSpanningTree:
         assert t0.edges[0].axis == tuple(reversed(t1.edges[0].axis))
 
     def test_bad_root(self, miura33):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"root facet 99 out of range \(pattern has 36"):
             build_spanning_tree(miura33, 99)
+
+    @pytest.mark.parametrize("root, error, message", [
+        (2.0, None, None),
+        (np.int64(2), None, None),
+        (1.5, ValueError, "non-integral index 1.5 in root facet"),
+        (True, TypeError, "id True in root facet is not a number"),
+        ("3", TypeError, "id '3' in root facet is not a number"),
+    ], ids=["float", "numpy-int", "fraction", "bool", "string"])
+    def test_root_is_a_facet_id(self, root, error, message):
+        """A root facet follows the id rule: a whole number is its facet, a
+        fraction, a bool or a string is refused, in ``embed`` as here."""
+        p = generate_miura(2, 2)
+        rho = np.zeros(p.n_creases)
+        if error is None:
+            tree = build_spanning_tree(p, root)
+            assert tree is build_spanning_tree(p, 2)
+            assert tree.root == 2 and type(tree.root) is int
+            assert list(compile_pattern(p).trees) == [2]
+            assert np.array_equal(embed(p, rho, root), embed(p, rho, 2))
+        else:
+            for call in (build_spanning_tree, lambda p, root: embed(p, rho, root)):
+                with pytest.raises(error, match=message):
+                    call(p, root)
+            assert compile_pattern(p).trees == {}
+
+    def test_built_once_per_root(self, crane):
+        tree = build_spanning_tree(crane, len(crane.facets) - 1)
+        assert build_spanning_tree(crane, len(crane.facets) - 1) is tree
+        assert build_spanning_tree(crane, 0) is not tree
 
     def test_disconnected(self):
         with pytest.raises(ValueError, match="facet adjacency graph is disconnected"):
@@ -80,15 +109,15 @@ class TestSpanningTree:
 
 class TestEmbed:
     def test_flat_is_pattern(self, miura33):
-        e = embed(miura33, np.zeros(miura33.n_creases))
-        assert np.allclose(e.coords[:, :2], miura33.vertices, atol=1e-12)
-        assert np.allclose(e.coords[:, 2], 0.0, atol=1e-12)
+        coords = embed(miura33, np.zeros(miura33.n_creases))
+        assert np.allclose(coords[:, :2], miura33.vertices, atol=1e-12)
+        assert np.allclose(coords[:, 2], 0.0, atol=1e-12)
 
     def test_valley_sign_convention(self):
-        e = embed(TWO_FACETS, np.array([math.pi / 2]))
+        coords = embed(TWO_FACETS, np.array([math.pi / 2]))
         # the moving facet rotates toward +z for a positive (valley) fold
-        assert e.coords[4][2] > 0.9
-        assert e.coords[5][2] > 0.9
+        assert coords[4][2] > 0.9
+        assert coords[5][2] > 0.9
 
     def test_matches_per_facet_loop(self, miura33, miura_run, crane, crane_run):
         cases = [(crane, s, 0) for s in crane_run["traj"].states]
@@ -100,47 +129,82 @@ class TestEmbed:
         for p, s, root in cases:
             edges = build_spanning_tree(p, root).edges
             expected = tree_embedding(p, s, edges, root)
-            assert np.array_equal(embed(p, s, root=root).coords, expected)
+            assert np.array_equal(embed(p, s, root=root), expected)
 
     @pytest.fixture(scope="class")
-    def miura77_states(self):
+    def miura77_run(self):
         p = generate_miura(7, 7)
         _, traj = drive_miura_to_flat_fold(p, 1.0, 11)
-        return p, traj.states
+        return p, traj
 
     @pytest.mark.parametrize("case", ["crane", "miura33", "miura77"])
     def test_batched_matches_edge_loop(self, case, crane, crane_run, miura33, miura_run,
-                                       miura77_states):
-        """Every frame of a run placed at once, one product per tree level,
-        is the per-edge loop's, bit for bit, at the first and last root."""
+                                       miura77_run):
+        """Every frame of a run embedded in one call, one product per tree
+        level, is the frame embedded alone and the per-edge loop's, bit for
+        bit, at the first and last root."""
         if case == "crane":
-            p, states = crane, crane_run["traj"].states
-            assert len(states) == 109
+            p, traj = crane, crane_run["traj"]
+            assert len(traj) == 109
         elif case == "miura33":
-            p, states = miura33, miura_run["traj"].states
+            p, traj = miura33, miura_run["traj"]
         else:
-            p, states = miura77_states
+            p, traj = miura77_run
         for root in (0, len(p.facets) - 1):
-            batched = _place(p, np.array(states), root)
-            assert batched.shape == (len(states), len(p.vertices), 3)
-            for coords, s in zip(batched, states):
+            stack = embed(p, np.array(traj.states), root, traj.residuals)
+            assert stack.shape == (len(traj), len(p.vertices), 3)
+            for coords, s, r in zip(stack, traj.states, traj.residuals):
+                assert np.array_equal(coords, embed(p, s, root, r))
                 assert np.array_equal(coords, edge_loop_embedding(p, s, root))
+
+    @pytest.mark.parametrize("bad", ["nan", "short", "incompatible", "residual",
+                                     "residual-count"])
+    def test_stack_with_one_bad_frame_places_none(self, miura33, miura_run, monkeypatch,
+                                                  bad):
+        """One bad frame, or residuals that are not one per frame, refuses the
+        whole stack before any frame is placed."""
+        import rigidfold.embedding as embedding
+
+        placed = []
+        monkeypatch.setattr(embedding, "_place", lambda *args: placed.append(args))
+        traj = miura_run["traj"]
+        states = [s.copy() for s in traj.states[:6]]
+        residuals = list(traj.residuals[:6])
+        if bad == "nan":
+            states[4][2] = np.nan
+        elif bad == "short":
+            states = np.array(states)[:, :-1]
+        elif bad == "incompatible":
+            states[4][0] += 0.3
+            residuals = None
+        elif bad == "residual":
+            residuals[4] = 2e-9
+        else:
+            residuals = residuals[:5]
+        message = {"nan": r"fold state has non-finite angles at creases \[2\]",
+                   "short": "fold state has 59 angles, pattern has 60",
+                   "incompatible": "fold state incompatible",
+                   "residual": r"fold state incompatible \(residual 2\.000e-09\)",
+                   "residual-count": "residual has 5 entries, stack has 6 states"}[bad]
+        with pytest.raises(ValueError, match=message):
+            embed(miura33, np.array(states), residual=residuals)
+        assert placed == []
 
     def test_isometry(self, miura33, miura_run):
         s = miura_run["traj"].states[18]
-        e = embed(miura33, s)
+        coords = embed(miura33, s)
         for c in miura33.creases:
             flat = np.linalg.norm(miura33.vertices[c.b] - miura33.vertices[c.a])
-            folded = np.linalg.norm(e.coords[c.b] - e.coords[c.a])
+            folded = np.linalg.norm(coords[c.b] - coords[c.a])
             assert abs(folded - flat) / flat < 1e-9
         for a, b in miura33.boundary:
             flat = np.linalg.norm(miura33.vertices[b] - miura33.vertices[a])
-            folded = np.linalg.norm(e.coords[b] - e.coords[a])
+            folded = np.linalg.norm(coords[b] - coords[a])
             assert abs(folded - flat) / flat < 1e-9
 
     def test_sector_rigidity(self, miura33, miura_run):
         s = miura_run["traj"].states[24]
-        e = embed(miura33, s)
+        coords = embed(miura33, s)
         for cycle in miura33.facets:
             k = len(cycle)
             for i in range(k):
@@ -155,7 +219,7 @@ class TestEmbed:
                     )
                     return math.acos(np.clip(cosang, -1, 1))
                 flat3 = np.hstack([miura33.vertices, np.zeros((49, 1))])
-                assert abs(corner(e.coords) - corner(flat3)) < 1e-9
+                assert abs(corner(coords) - corner(flat3)) < 1e-9
 
     def test_incompatible_rejected(self, miura33):
         bad = flat_state_seed(miura33, math.radians(1.0)).copy()
@@ -199,24 +263,24 @@ class TestEmbed:
         assert calls == []
         measured = embed(miura33, s)
         assert calls == [1]
-        assert np.array_equal(given.coords, measured.coords)
+        assert np.array_equal(given, measured)
 
     def test_root_invariance(self, miura33, miura_run):
         s = miura_run["traj"].states[12]
-        e0 = embed(miura33, s, root=0)
-        e7 = embed(miura33, s, root=7)
+        coords0 = embed(miura33, s, root=0)
+        coords7 = embed(miura33, s, root=7)
         rng = np.random.default_rng(37)
-        idx = rng.integers(0, len(e0.coords), size=(40, 2))
+        idx = rng.integers(0, len(coords0), size=(40, 2))
         for i, j in idx:
-            d0 = np.linalg.norm(e0.coords[i] - e0.coords[j])
-            d7 = np.linalg.norm(e7.coords[i] - e7.coords[j])
+            d0 = np.linalg.norm(coords0[i] - coords0[j])
+            d7 = np.linalg.norm(coords7[i] - coords7[j])
             assert abs(d0 - d7) < 1e-9
 
 
 class TestDihedral:
     def test_flat_zeros(self, miura33):
-        e = embed(miura33, np.zeros(miura33.n_creases))
-        assert np.allclose(dihedral_angles(miura33, e), 0.0, atol=1e-12)
+        coords = embed(miura33, np.zeros(miura33.n_creases))
+        assert np.allclose(dihedral_angles(miura33, coords), 0.0, atol=1e-12)
 
     def test_round_trip(self, miura33, miura_run):
         for k in (1, 10, 20, 30):
@@ -227,9 +291,9 @@ class TestDihedral:
     def test_round_trip_flat_folded_crane(self, crane, crane_run):
         for end in crane_run["traj"].stage_ends:
             s = crane_run["traj"].states[end]
-            e = embed(crane, s)
-            back = dihedral_angles(crane, e)
-            assert np.array_equal(back, oracles.dihedral_angles(crane, e))
+            coords = embed(crane, s)
+            back = dihedral_angles(crane, coords)
+            assert np.array_equal(back, oracles.dihedral_angles(crane, coords))
             gaps = [angle_gap(a, b) for a, b in zip(back, s)]
             assert max(gaps) < 1e-6
 
@@ -244,25 +308,25 @@ class TestDihedral:
         assert np.abs(dihedral_angles(p, embed(p, s)) - s).max() < 1e-6
 
     def test_degenerate_facet_rejected(self):
-        e = embed(TWO_FACETS, np.zeros(TWO_FACETS.n_creases))
-        e.coords[2] = e.coords[1] + 1e-13 * (e.coords[0] - e.coords[1])
-        e.coords[3] = e.coords[0]
+        coords = embed(TWO_FACETS, np.zeros(TWO_FACETS.n_creases))
+        coords[2] = coords[1] + 1e-13 * (coords[0] - coords[1])
+        coords[3] = coords[0]
         with pytest.raises(ValueError, match="degenerate facet normal"):
-            dihedral_angles(TWO_FACETS, e)
+            dihedral_angles(TWO_FACETS, coords)
 
     def test_one_sided_crease_rejected(self):
         p = CreasePattern(
             TWO_FACETS.vertices, TWO_FACETS.creases, TWO_FACETS.boundary, [[0, 1, 2, 3]]
         )
-        e = embed(p, np.zeros(p.n_creases))
+        coords = embed(p, np.zeros(p.n_creases))
         with pytest.raises(ValueError, match=r"crease \(0, 1\) does not have one facet on each side"):
-            dihedral_angles(p, e)
+            dihedral_angles(p, coords)
 
 
 class TestDimensions:
     def test_flat_extents(self, miura33):
-        e = embed(miura33, np.zeros(miura33.n_creases))
-        l, w, h = measure_dimensions(e)
+        coords = embed(miura33, np.zeros(miura33.n_creases))
+        l, w, h = measure_dimensions(coords)
         flat = miura33.vertices
         assert l == pytest.approx(flat[:, 0].max() - flat[:, 0].min(), abs=1e-12)
         assert w == pytest.approx(flat[:, 1].max() - flat[:, 1].min(), abs=1e-12)
@@ -270,7 +334,7 @@ class TestDimensions:
 
     def test_flat_folded_height_zero(self, miura33, miura_run):
         s = miura_run["traj"].states[-1]
-        _, _, h = period_frame_dims(embed(miura33, s).coords, 3, 3)
+        _, _, h = period_frame_dims(embed(miura33, s), 3, 3)
         assert h < 1e-3
 
     def test_matches_oracle_at_minus_90(self, miura33, miura_run):
@@ -279,7 +343,7 @@ class TestDimensions:
             miura_run["traj"].states,
             key=lambda st: abs(st[i1] + math.pi / 2),
         )
-        got = period_frame_dims(embed(miura33, s).coords, 3, 3)
+        got = period_frame_dims(embed(miura33, s), 3, 3)
         want = miura_period_dims(3, 3, 1.0, 1.0, math.pi / 3, s[i1])
         for g, w in zip(got[:2], want[:2]):
             assert abs(g - w) / w < 1e-8
@@ -289,7 +353,7 @@ class TestDimensions:
         # degenerates and the frame fallback relabels the in-plane axes
         states = miura_run["traj"].states[:-1]
         widths = [
-            period_frame_dims(embed(miura33, s).coords, 3, 3)[1]
+            period_frame_dims(embed(miura33, s), 3, 3)[1]
             for s in states
         ]
         assert all(b < a for a, b in zip(widths, widths[1:]))

@@ -166,8 +166,7 @@ def test_embedding_is_an_isometry_with_the_state_s_dihedrals(cells, alpha_deg, s
     p, states = miura_drive(cells, alpha_deg, eps=1e-15)
     rho = states[step]
     root = data.draw(st.integers(0, len(p.facets) - 1), label="root")
-    e = embed(p, rho, root=root)
-    coords = e.coords
+    coords = embed(p, rho, root=root)
     flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
 
     def lengths(x, pairs):
@@ -178,8 +177,8 @@ def test_embedding_is_an_isometry_with_the_state_s_dihedrals(cells, alpha_deg, s
     assert np.max(np.abs(lengths(coords, sides) - lengths(flat, sides))) < 1e-12
     creases = [c.key for c in p.creases]
     assert np.max(np.abs(lengths(coords, creases) - p.crease_lengths())) < 1e-12
-    assert np.max(np.abs(dihedral_angles(p, e) - rho)) < 1e-9
-    assert np.array_equal(dihedral_angles(p, e), oracles.dihedral_angles(p, e))
+    assert np.max(np.abs(dihedral_angles(p, coords) - rho)) < 1e-9
+    assert np.array_equal(dihedral_angles(p, coords), oracles.dihedral_angles(p, coords))
     cycle = list(p.facets[root])
     assert np.array_equal(coords[cycle], flat[cycle])
 

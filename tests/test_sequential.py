@@ -285,9 +285,9 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "short", "column"])
     def test_bad_start_state_refused_before_any_solve(self, miura33, bad, monkeypatch):
-        """A start state that is not one finite angle per crease is named as
-        such by ``run_schedule`` and ``controlled_step``, and nothing is
-        solved."""
+        """A start state that is not one finite angle per crease is refused
+        as a bad fold state by ``run_schedule`` and ``controlled_step``, and
+        nothing is solved."""
         p = miura33
         driven = p.meta["driven_crease"]
         start = flat_state_seed(p, math.radians(1.0))
@@ -301,9 +301,9 @@ class TestRunSchedule:
         monkeypatch.setattr(sequential, "free_column_solve",
                             lambda *args: solves.append(args))
         schedule = FoldSchedule((Stage(targets={driven: -0.5}, steps=2),))
-        with pytest.raises(ValueError, match="start state"):
+        with pytest.raises(ValueError, match="fold state"):
             run_schedule(p, start, schedule)
-        with pytest.raises(ValueError, match="start state"):
+        with pytest.raises(ValueError, match="fold state"):
             controlled_step(p, start, FoldDirective(controlled=(driven,), f=[-0.1]))
         assert solves == []
 
