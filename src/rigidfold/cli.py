@@ -168,7 +168,7 @@ def cmd_info(args):
     warn = None
     if args.state:
         rho = _load(args.state, _parse_state, p.n_creases)
-    elif any(c.assignment != "U" for c in p.creases):
+    elif p._fold_signs.any():
         rho = flat_state_seed(p, math.radians(1.0))
     else:
         rho = np.zeros(p.n_creases)

@@ -31,7 +31,7 @@ import numpy as np
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
 from .pattern import _index, _is_number, _one_each, _real
-from .sequential import DEFAULT_EPS, _fold_state, _newton
+from .sequential import DEFAULT_EPS, MAX_ITER, _fold_state, _newton
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
@@ -108,7 +108,7 @@ class RelaxSettings:
     residual_tol: float = DEFAULT_EPS
     characteristic: int | None = None
     max_steps: int = 5000
-    max_newton: int = 50
+    max_newton: int = MAX_ITER
 
     def __post_init__(self):
         for name in ("initial_step", "step_resolution", "residual_tol"):

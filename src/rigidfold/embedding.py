@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import assemble_global, compile_pattern
-from .pattern import MOUNTAIN, VALLEY, _by_length, _facet_tree, _index, _one_each
+from .pattern import _by_length, _facet_tree, _index, _one_each
 from .sequential import DEFAULT_EPS, _fold_state
 
 EMBED_RESIDUAL_TOL = DEFAULT_EPS  # the solvers' acceptance tolerance
-_SIGNS = {VALLEY: 1.0, MOUNTAIN: -1.0}  # an unassigned crease keeps its sine's sign
 
 # Vertex and facet poses placed per ``_place`` call.  The stacked
 # intermediates take about 170 bytes per pose, so a call stays near 11 MB
@@ -195,7 +194,8 @@ def dihedral_angles(p, coords):
     cycle length; the facet is degenerate when the normal's length, twice
     its area, is at most 1e-12 times the sum of its squared sides, the same
     test at every scale.  Near the fully folded state the sine of the angle
-    is numerically ambiguous; the stored assignment then decides the sign.
+    is numerically ambiguous; the stored assignment then decides the sign,
+    and an unassigned crease keeps its sine's sign.
     """
     by_edge = p._edge_facets
     left, right = [], []
@@ -221,17 +221,16 @@ def dihedral_angles(p, coords):
             raise ValueError("degenerate facet normal")
         normals[fs] = n / norm[:, None]
 
-    ends = np.array(list(p.crease_index), dtype=np.intp).reshape(-1, 2)
+    ends = p._crease_ends
     axis = coords[ends[:, 1]] - coords[ends[:, 0]]
     axis = axis / np.sqrt(_dots(axis, axis))[:, None]
     n_left, n_right = normals[left], normals[right]
     cos = np.clip(_dots(n_left, n_right), -1.0, 1.0).tolist()
     sin = _dots(np.cross(n_right, n_left), axis).tolist()
     rho = []
-    for s, c, crease in zip(sin, cos, p.creases):
+    for s, c, sign in zip(sin, cos, p._fold_signs.tolist()):
         if abs(s) < 1e-9 and c < 0:
-            sign = _SIGNS.get(crease.assignment, math.copysign(1.0, s))
-            rho.append(sign * math.acos(c))
+            rho.append((sign or math.copysign(1.0, s)) * math.acos(c))
         else:
             rho.append(math.atan2(s, c))
     return np.array(rho)

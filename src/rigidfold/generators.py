@@ -90,8 +90,8 @@ def generate_waterbomb_base(radius=1.0):
         vertices, creases, boundary,
         meta={"kind": "waterbomb-base", "radius": radius, "center": 0},
     )
-    p.meta["mountains"] = [i for i, c in enumerate(p.creases) if c.assignment == MOUNTAIN]
-    p.meta["valleys"] = [i for i, c in enumerate(p.creases) if c.assignment == VALLEY]
+    p.meta["mountains"] = np.flatnonzero(p._fold_signs < 0).tolist()
+    p.meta["valleys"] = np.flatnonzero(p._fold_signs > 0).tolist()
     return p
 
 

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .numerics import RowBlocks, rank
-from .pattern import build_vertex_fans
+from .pattern import _one_each, build_vertex_fans
 
 FOLD_RANGE_SLACK = 1e-6
 DOF_CUTOFF = 1e-9  # relative singular-value cutoff of ``dof``'s rank count
@@ -179,11 +179,7 @@ def assemble_global(p, rho, fans=None):
     ``blocks``.  ``fans`` is accepted for compatibility and not used; when
     passed it must be ``build_vertex_fans(p)``.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (p.n_creases,):
-        raise ValueError(
-            f"fold state has {rho.shape} entries, pattern has {p.n_creases} creases"
-        )
+    rho = _one_each(rho, "fold state has {} angles", p.n_creases)
     compiled = compile_pattern(p)
     r = np.zeros(compiled.rows)
     evaluated = []

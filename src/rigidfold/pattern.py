@@ -21,6 +21,8 @@ VALLEY = "V"
 UNASSIGNED = "U"
 
 _ASSIGNMENTS = (MOUNTAIN, VALLEY, UNASSIGNED)
+# the fold sign of each assignment: the side a flat crease folds to first
+_SIGN = {VALLEY: 1.0, MOUNTAIN: -1.0, UNASSIGNED: 0.0}
 
 # tolerance for the non-reflex sector sum around an interior vertex
 DEVELOPABILITY_TOL = 1e-9
@@ -144,7 +146,12 @@ class CreasePattern:
         )
 
     def _index_edges(self):
+        """Crease and vertex lookups, and two read-only arrays in crease order:
+        the ends ``_crease_ends`` (n, 2) and the ``_fold_signs`` (n,)."""
         self.crease_index = {(c.a, c.b): i for i, c in enumerate(self.creases)}
+        self._crease_ends = np.array(list(self.crease_index), dtype=np.intp).reshape(-1, 2)
+        self._fold_signs = np.array([_SIGN[c.assignment] for c in self.creases])
+        self._crease_ends.flags.writeable = self._fold_signs.flags.writeable = False
         boundary_vertices = {v for e in self.boundary for v in e}
         incident = {}
         for i, (a, b) in enumerate(self.crease_index):
@@ -180,7 +187,7 @@ class CreasePattern:
         dot per crease as ``np.linalg.norm`` of one vector, so the lengths
         are the norm's to the last bit (an elementwise ``x*x + y*y`` is not:
         the dot may fuse its multiply and add)."""
-        ends = np.array(list(self.crease_index), dtype=np.intp).reshape(-1, 2)
+        ends = self._crease_ends
         d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
         return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
@@ -581,7 +588,7 @@ def _fans(p):
     starts = np.cumsum([0] + [len(p._incident_creases[v]) for v in fan_ids])
     in_fan = np.zeros(len(p.vertices), dtype=bool)
     in_fan[fan_ids] = True
-    ends = np.array(list(p.crease_index), dtype=np.intp).reshape(-1, 2)
+    ends = p._crease_ends
     center, other = np.concatenate([ends, ends[:, ::-1]]).T
     crease = np.tile(np.arange(len(ends)), 2)
     keep = in_fan[center]

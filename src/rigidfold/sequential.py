@@ -50,10 +50,10 @@ import numpy as np
 
 from .kinematics import FOLD_RANGE_SLACK, assemble_global, check_fold_range
 from .numerics import free_column_solve
-from .pattern import MOUNTAIN, VALLEY, _index, _is_number, _one_each, _real
+from .pattern import _index, _is_number, _one_each, _real
 
 DEFAULT_EPS = 1e-9
-DEFAULT_MAX_ITER = 50
+MAX_ITER = 50  # Newton iterations a solve may take before it fails
 MAX_STEP = math.radians(5.0)
 # a Newton loop keeps its factorization while each residual norm is at most
 # this share of the one before (Kelley's chord and Shamanskii rule)
@@ -75,8 +75,8 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class FoldDirective:
     """Controlled crease ids with one prescribed increment per crease;
-    increments are finite real numbers, never converted from strings or
-    bools."""
+    increments are finite real numbers, each checked on its own, never
+    converted from strings or bools."""
 
     controlled: tuple
     f: np.ndarray
@@ -87,14 +87,11 @@ class FoldDirective:
         ))
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("controlled crease ids must be distinct")
-        # a numeric array holds only numbers; any other input is read entry
-        # by entry, so that a string, bool or None is never converted
-        numeric = isinstance(self.f, np.ndarray) and self.f.dtype.kind in "fiu"
-        f = np.asarray(self.f, dtype=float if numeric else object).reshape(-1)
+        f = np.asarray(self.f, dtype=object).reshape(-1)
         if f.shape != (len(self.controlled),):
             raise ValueError("one increment per controlled crease required")
         for i, x in zip(self.controlled, f):
-            if not (numeric or _is_number(x)):
+            if not _is_number(x):
                 raise TypeError(f"increment {x!r} of crease {i} is not a number")
             if not math.isfinite(x):
                 raise ValueError(f"increment {x!r} of crease {i} is not finite")
@@ -252,37 +249,32 @@ def _fold_state(p, rho):
     return rho
 
 
-def controlled_step(p, rho, directive, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
-    """One folding step driven by controlled creases; returns the next state.
+def controlled_step(p, rho, directive):
+    """One folding step driven by controlled creases, to ``DEFAULT_EPS`` in
+    at most ``MAX_ITER`` Newton iterations; returns the next state.
 
     A start state that is not one finite angle per crease raises
     ``ValueError`` before any solve.
     """
     rho, _, _, _ = _newton(
-        p, _fold_state(p, rho), directive.controlled, eps, max_iter, directive.f
+        p, _fold_state(p, rho), directive.controlled, DEFAULT_EPS, MAX_ITER, directive.f
     )
     check_fold_range(rho)
     return rho
 
 
-def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS,
-                    max_iter=DEFAULT_MAX_ITER):
+def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS):
     """Assignment-signed near-flat state projected onto the constraint set.
 
     Valleys start at +magnitude, mountains at -magnitude, unassigned creases
-    at zero; pure residual elimination (no controlled creases) then restores
+    at +0.0; pure residual elimination (no controlled creases) then restores
     compatibility, which selects the folding branch matching the assignment.
     A non-finite magnitude raises ``ValueError`` before any solve.
     """
     if not math.isfinite(magnitude):
         raise ValueError(f"seed magnitude {magnitude!r} is not finite")
-    rho = np.zeros(p.n_creases)
-    for i, c in enumerate(p.creases):
-        if c.assignment == VALLEY:
-            rho[i] = magnitude
-        elif c.assignment == MOUNTAIN:
-            rho[i] = -magnitude
-    rho, _, _, _ = _newton(p, rho, (), eps, max_iter)
+    rho = np.where(p._fold_signs != 0, magnitude * p._fold_signs, 0.0)
+    rho, _, _, _ = _newton(p, rho, (), eps, MAX_ITER)
     return rho
 
 
@@ -300,7 +292,7 @@ def tachi_projection_step(p, rho, drho0):
     return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])
 
 
-def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
+def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
     """Execute schedule stages in order, returning the full trajectory.
 
     Within a stage the controlled angles move linearly from their entry value
@@ -355,7 +347,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
                     guess[held] = last[held]
                     try:
                         rho, gc_next, iters, kept_next = _newton(
-                            p, guess, controlled, eps, max_iter
+                            p, guess, controlled, eps, MAX_ITER
                         )
                     except ConvergenceError as exc:
                         discarded = exc.iters
@@ -369,7 +361,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
                 if not extrapolated:
                     f = np.concatenate([waypoint - last[ids], np.zeros(len(held))])
                     rho, gc, iters, kept = _newton(
-                        p, last, controlled, eps, max_iter, f, gc, kept
+                        p, last, controlled, eps, MAX_ITER, f, gc, kept
                     )
                     iters += discarded
             except ConvergenceError as exc:

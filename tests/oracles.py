@@ -17,7 +17,8 @@ the package's assembly and free-column solve, so that it differs from the
 engine's loop only in never reusing a factorization.  So is the schedule
 loop that starts every step from the tangent predictor: it runs the
 package's controlled step, so that it differs from ``run_schedule`` only in
-never starting from an extrapolation.  The pattern layer's reference is
+never starting from an extrapolation.  The flat-state seed's start is set
+one crease at a time from its assignment.  The pattern layer's reference is
 its per-face and per-vertex numpy code: face tracing, facet orientation,
 validation, vertex fans and crease lengths computed one facet, vertex or
 crease at a time.  The closure constraint's reference is the per-vertex
@@ -408,6 +409,19 @@ def bordered_solve(gc, controlled, f, cutoff=1e-12):
     keep = s > cutoff * s[0] * (n + m)
     x = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
     return x[:n], int(np.count_nonzero(keep)) - 2 * m
+
+
+def assignment_seed(p, magnitude):
+    """The start state of ``flat_state_seed``, set one crease at a time:
+    valleys at +magnitude, mountains at -magnitude, unassigned creases at
+    +0.0."""
+    rho = np.zeros(p.n_creases)
+    for i, c in enumerate(p.creases):
+        if c.assignment == VALLEY:
+            rho[i] = magnitude
+        elif c.assignment == MOUNTAIN:
+            rho[i] = -magnitude
+    return rho
 
 
 def refactoring_newton(p, rho, controlled, eps, max_iter=50):

@@ -110,16 +110,37 @@ class TestInfoCommand:
         assert main(["info", "--pattern", str(miura_file)]) == 0
         assert json.loads(capsys.readouterr().out)["dof"] == 1
 
-    def test_flat_unassigned_warns(self, tmp_path, capsys):
+    @staticmethod
+    def _info(tmp_path, monkeypatch, valleys):
+        """``info`` on a Miura 1x1 whose first ``valleys`` creases are
+        valleys and the rest unassigned; returns the magnitude of every
+        flat-state seed it asked for."""
         p = generate_miura(1, 1)
-        stripped = CreasePattern(
-            p.vertices, [(c.a, c.b, "U") for c in p.creases],
+        kinds = ["V"] * valleys + ["U"] * (p.n_creases - valleys)
+        path = tmp_path / "p.json"
+        path.write_text(serialize_pattern(CreasePattern(
+            p.vertices, [(c.a, c.b, k) for c, k in zip(p.creases, kinds)],
             p.boundary, p.facets,
-        )
-        path = tmp_path / "u.json"
-        path.write_text(serialize_pattern(stripped))
+        )))
+        seeds = []
+
+        def seed(p, magnitude):
+            seeds.append(magnitude)
+            return rigidfold.flat_state_seed(p, magnitude)
+
+        monkeypatch.setattr("rigidfold.cli.flat_state_seed", seed)
         assert main(["info", "--pattern", str(path)]) == 0
-        assert "warning" in json.loads(capsys.readouterr().out)
+        return seeds
+
+    def test_flat_unassigned_warns(self, tmp_path, capsys, monkeypatch):
+        """An all-unassigned pattern is measured flat, unseeded."""
+        assert self._info(tmp_path, monkeypatch, 0) == []
+        info = json.loads(capsys.readouterr().out)
+        assert info["warning"].startswith("flat state: constraint rows degenerate")
+
+    def test_one_assigned_crease_seeds(self, tmp_path, capsys, monkeypatch):
+        assert self._info(tmp_path, monkeypatch, 1) == [math.radians(1.0)]
+        assert "warning" not in json.loads(capsys.readouterr().out)
 
     def test_straight_crease_line(self, tmp_path, capsys):
         path = tmp_path / "line.json"

@@ -178,9 +178,12 @@ class TestAssembleGlobal:
         assert np.allclose(gc.r, 0.0, atol=1e-15)
         assert gc.normalized_residual < 1e-15
 
-    def test_size_mismatch(self, miura33):
-        with pytest.raises(ValueError):
+    def test_size_mismatch(self, miura33, crane):
+        """Worded as the solvers' start-state check words it."""
+        with pytest.raises(ValueError, match=r"^fold state has 59 angles, pattern has 60 creases$"):
             assemble_global(miura33, np.zeros(59))
+        with pytest.raises(ValueError, match=r"^fold state has 21 angles, pattern has 20 creases$"):
+            assemble_global(crane, np.zeros(21))
 
     def test_permutation_equivariance(self, miura11):
         p = miura11

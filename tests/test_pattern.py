@@ -43,6 +43,26 @@ def test_parse_normalizes_orientation():
     assert _signed_areas(p.vertices, p.facets)[0] > 0
 
 
+def test_crease_arrays_follow_crease_order(crane):
+    """The crease ends and fold signs are read-only, in crease order."""
+    sign = {"V": 1.0, "M": -1.0, "U": 0.0}
+    assert crane._crease_ends.tolist() == [list(c.key) for c in crane.creases]
+    assert crane._fold_signs.tolist() == [sign[c.assignment] for c in crane.creases]
+    assert set(crane._fold_signs.tolist()) == {1.0, -1.0, 0.0}
+    for a in (crane._crease_ends, crane._fold_signs):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_waterbomb_base_meta_lists(radius):
+    p = generate_waterbomb_base(radius)
+    assert p.meta["mountains"] == [0, 2, 4, 6]
+    assert p.meta["valleys"] == [1, 3, 5, 7]
+    assert p.meta["mountains"] == [i for i, c in enumerate(p.creases) if c.assignment == "M"]
+    assert p.meta["valleys"] == [i for i, c in enumerate(p.creases) if c.assignment == "V"]
+    assert {type(i) for i in p.meta["mountains"] + p.meta["valleys"]} == {int}
+
+
 def test_roundtrip_all_generators():
     for p in (
         generate_miura(3, 3),

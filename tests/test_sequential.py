@@ -5,7 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bordered_solve, refactoring_newton, refactoring_stage, tangent_schedule
+from oracles import (
+    assignment_seed,
+    bordered_solve,
+    refactoring_newton,
+    refactoring_stage,
+    tangent_schedule,
+)
 from rigidfold import (
     ConvergenceError,
     CreasePattern,
@@ -29,7 +35,7 @@ from rigidfold import (
 )
 from rigidfold import elastic, numerics, sequential
 from rigidfold.numerics import DEFAULT_CUTOFF, pseudoinverse
-from rigidfold.pattern import MOUNTAIN, VALLEY
+from rigidfold.pattern import MOUNTAIN, UNASSIGNED, VALLEY
 from rigidfold.sequential import CHORD_RATIO, _newton
 
 
@@ -88,14 +94,14 @@ class TestControlledStep:
             assert gc.normalized_residual < 1e-9
         assert np.allclose(s, branch_state(5 * math.pi / 8), atol=1e-9)
 
-    def test_nonconvergence_raises(self, miura33):
+    def test_nonconvergence_raises(self, miura33, monkeypatch):
         p = miura33
         i1 = p.meta["driven_crease"]
         s = flat_state_seed(p, math.radians(1.0))
+        monkeypatch.setattr(sequential, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             controlled_step(
-                p, s, FoldDirective(controlled=(i1,), f=[math.radians(-120.0)]),
-                max_iter=1,
+                p, s, FoldDirective(controlled=(i1,), f=[math.radians(-120.0)])
             )
 
     def test_directive_validation(self):
@@ -146,6 +152,31 @@ class TestFlatStateSeed:
                 assert s[i] > 0
             elif c.assignment == MOUNTAIN:
                 assert s[i] < 0
+
+    @pytest.mark.parametrize("degrees", [1.0, 0.0, -1.0])
+    def test_matches_per_crease_seed(self, degrees, miura33, waterbomb, wb_tess, crane,
+                                     monkeypatch):
+        """The start vector equals the per-crease loop's bit for bit (so an
+        unassigned crease starts at +0.0, a mountain at -0.0 when the
+        magnitude is 0), and the seed equals that loop's start run through
+        the same Newton loop."""
+        starts = []
+
+        def newton(p, rho, *args):
+            starts.append(rho.copy())
+            return _newton(p, rho, *args)
+
+        monkeypatch.setattr(sequential, "_newton", newton)
+        magnitude = math.radians(degrees)
+        for p in (miura33, waterbomb, wb_tess, crane):
+            starts.clear()
+            got = flat_state_seed(p, magnitude)
+            want = assignment_seed(p, magnitude)
+            assert [s.tobytes() for s in starts] == [want.tobytes()]
+            unassigned = [c.assignment == UNASSIGNED for c in p.creases]
+            assert not np.signbit(starts[0][unassigned]).any()
+            ref, _, _, _ = _newton(p, want, (), sequential.DEFAULT_EPS, sequential.MAX_ITER)
+            assert got.tobytes() == ref.tobytes()
 
     def test_zero_magnitude_flat(self, miura33):
         assert np.array_equal(
