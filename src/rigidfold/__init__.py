@@ -10,11 +10,9 @@ from .elastic import (
     RelaxSettings,
     SpringConfig,
     kkt_step,
-    projection_step_uniform,
     relax,
     spring_energy,
     spring_gradient,
-    waterbomb_symmetric_oracle,
 )
 from .embedding import (
     SpanningTree,
@@ -22,7 +20,6 @@ from .embedding import (
     dihedral_angles,
     embed,
     measure_dimensions,
-    poisson_ratio,
 )
 from .generators import (
     crane_schedule,
@@ -46,14 +43,11 @@ from .pattern import (
 )
 from .sequential import (
     ConvergenceError,
-    FoldDirective,
     FoldSchedule,
     FoldTrajectory,
     Stage,
-    controlled_step,
     flat_state_seed,
     run_schedule,
-    tachi_projection_step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,12 +3,16 @@
 Exit codes: 0 success, 1 domain violation (including a malformed input
 document), 2 a file that could not be read or written, 3 solver
 non-convergence (including a relaxation that stops short of stationary).
+A reader that closes stdout early changes none of them: the command
+finishes its work, writes its files and exits with the code that work
+earned.
 """
 
 import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -54,6 +58,19 @@ def _obj_text(coords, faces):
     every vertex line from one template.  Empty text is one newline."""
     text = _VERTEX_LINE * len(coords) % tuple(coords.ravel().tolist()) + faces
     return text or "\n"
+
+
+def _stdout(text):
+    """Write ``text`` to stdout.  A reader that closed the pipe chose to stop
+    reading: fd 1 is pointed at the null device, so the rest of the output,
+    and the interpreter's flush at exit, go nowhere and report nothing."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _load(path, parse, *args):
@@ -109,7 +126,7 @@ def _load_pattern(path, root=None):
     p = _load(path, parse_pattern)
     report = validate_pattern(p)
     if not report.ok:
-        print(json.dumps(report.to_dict(), indent=1))
+        _stdout(json.dumps(report.to_dict(), indent=1) + "\n")
         raise PatternError(f"pattern {path} fails validation")
     if root is not None:
         build_spanning_tree(p, root)
@@ -152,14 +169,15 @@ def _write_run(out, p, states, residuals, args, manifest):
     faces = _obj_faces(p.facets)
     for k, frame in zip(frames, coords):
         (out / f"step_{k:04d}.obj").write_text(_obj_text(frame, faces))
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    print(json.dumps(manifest, indent=1))
+    text = json.dumps(manifest, indent=1)
+    (out / "manifest.json").write_text(text)
+    _stdout(text + "\n")
 
 
 def cmd_validate(args):
     p = _load(args.pattern, parse_pattern)
     report = validate_pattern(p)
-    print(json.dumps(report.to_dict(), indent=1))
+    _stdout(json.dumps(report.to_dict(), indent=1) + "\n")
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
@@ -184,7 +202,7 @@ def cmd_info(args):
     }
     if warn:
         info["warning"] = warn
-    print(json.dumps(info, indent=1))
+    _stdout(json.dumps(info, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -291,7 +309,7 @@ def cmd_measure(args):
     p = _load_pattern(args.pattern, args.root_facet)
     rho = _load(args.state, _parse_state, p.n_creases)
     l, w, h = measure_dimensions(embed(p, rho, root=args.root_facet))
-    print(json.dumps({"L": l, "W": w, "H": h}, indent=1))
+    _stdout(json.dumps({"L": l, "W": w, "H": h}, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -305,7 +323,7 @@ def cmd_export_obj(args):
     if args.out:
         Path(args.out).write_text(text)
     else:
-        sys.stdout.write(text)
+        _stdout(text)
     return EXIT_OK
 
 

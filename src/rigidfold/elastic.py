@@ -205,21 +205,6 @@ def kkt_step(p, cfg, rho, gc=None):
     return scale * u - hinv_d
 
 
-def projection_step_uniform(p, k0, d, rho, gc=None):
-    """Projected steepest-descent increment for uniform stiffness k0.
-
-    d is the energy gradient at rho; the increment is the gradient projected
-    into the nullspace of the constraint matrix plus the error compensation.
-    ``gc`` is the assembly at ``rho`` when the caller already has it; without
-    it, a ``rho`` that is not one finite angle per crease raises
-    ``ValueError``.
-    """
-    d = _one_each(d, "gradient has {} entries", p.n_creases)
-    if gc is None:
-        gc = assemble_global(p, _fold_state(p, rho))
-    return -d / k0 - free_column_solve(gc.blocks, gc.blocks @ d / k0 - gc.r, (), [])
-
-
 def relax(p, cfg, settings=None, rho0=None):
     """Drive the state to a constrained spring-energy minimum.
 
@@ -289,24 +274,3 @@ def relax(p, cfg, settings=None, rho0=None):
     )
     result.converged = result.projected_gradient < STATIONARY_TOL
     return result
-
-
-def waterbomb_symmetric_oracle(theta):
-    """Mountain and valley fold angles of the symmetric eight-crease base.
-
-    Closed-form folding branches parametrized by the apex angle theta,
-    valid for 0 <= theta <= 3*pi/4: theta = pi/2 is flat, the ends are the
-    two compactly folded states.
-    """
-    if theta < -1e-12 or theta > 3 * math.pi / 4 + 1e-12:
-        raise ValueError(f"theta {theta} outside [0, 3*pi/4]")
-    s2 = math.sqrt(2.0)
-    if theta < math.pi / 2:
-        rho_m = 2 * theta - math.pi
-        arg = s2 * math.cos(theta) / (-2.0 - s2 * math.sin(theta))
-        rho_v = 2 * math.acos(max(-1.0, min(1.0, arg))) - math.pi
-    else:
-        rho_m = math.pi - 2 * theta
-        arg = s2 * math.cos(theta) / (2.0 - s2 * math.sin(theta))
-        rho_v = 2 * math.acos(max(-1.0, min(1.0, arg))) - math.pi
-    return rho_m, rho_v

@@ -240,22 +240,3 @@ def measure_dimensions(coords):
     """Axis-aligned bounding box extents (L, W, H) of embedded coordinates (V, 3)."""
     spans = coords.max(axis=0) - coords.min(axis=0)
     return float(spans[0]), float(spans[1]), float(spans[2])
-
-
-def poisson_ratio(history):
-    """Discrete in-plane Poisson ratio series from (L, W) samples.
-
-    Each consecutive pair yields -((L2-L1)/L1) / ((W2-W1)/W1); a vanishing
-    width change produces a gap marker (None) instead of a number.
-    """
-    if len(history) < 2:
-        raise ValueError("need at least two (L, W) samples")
-    out = []
-    for (l1, w1), (l2, w2) in zip(history, history[1:]):
-        dw = (w2 - w1) / w1
-        if dw == 0.0:
-            out.append(None)
-        else:
-            out.append(-((l2 - l1) / l1) / dw)
-    return out
-

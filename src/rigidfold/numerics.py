@@ -1,15 +1,14 @@
 """Minimum-norm constrained solves, and the SVD routines kept beside them.
 
 ``free_column_solve`` is the one solve of both solvers: controlled folding
-steps, residual elimination, spring relaxation and the Tachi projection
-step.  It takes the constraint matrix as ``RowBlocks``: dense row blocks,
-each on its own short list of columns, which is how assembly produces C
-(one 3 x degree block per vertex).  A plain 2-D array is converted on
-entry, each row a block on its nonzero columns.  Products ``C @ x`` and
-``C^T @ y`` are summed from the blocks.  Rank is decided on the Gram matrix
-of the free columns C_F, whose eigenvalues are the squared singular values
-of C_F: eigenvalues at or below ``DEFAULT_CUTOFF * lambda_max * n`` count
-as zero, with n the column count of C.
+steps, residual elimination and spring relaxation.  It takes the
+constraint matrix as ``RowBlocks`` only: dense row blocks, each on its own
+short list of columns, which is how assembly produces C (one 3 x degree
+block per vertex).  Products ``C @ x`` and ``C^T @ y`` are summed from the
+blocks.  Rank is decided on the Gram matrix of the free columns C_F, whose
+eigenvalues are the squared singular values of C_F: eigenvalues at or
+below ``DEFAULT_CUTOFF * lambda_max * n`` count as zero, with n the column
+count of C.
 
 The solve has four branches.  For a tall C_F the band w is read from the
 structure: the widest span, first to last free column, of a row block.  Cut
@@ -104,27 +103,11 @@ class RowBlocks:
     certified full column rank.
     """
 
-    def __init__(self, shape, groups, dense=None):
+    def __init__(self, shape, groups):
         self.shape = tuple(shape)
         self.groups = tuple(groups)
-        self._dense = dense
+        self._dense = None
         self._kept = {}  # free-column mask bytes: certified band factors
-
-    @classmethod
-    def from_dense(cls, m):
-        """Each row of ``m`` one block on its nonzero columns, grouped by
-        their count; the given array serves as the dense matrix."""
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"constraint matrix must be 2-D, got shape {m.shape}")
-        nz = m != 0
-        counts = nz.sum(axis=1)
-        groups = []
-        for k in np.unique(counts[counts > 0]):
-            rows = np.flatnonzero(counts == k)[:, None]
-            cols = np.nonzero(nz[rows[:, 0]])[1].reshape(-1, k)
-            groups.append((rows, cols, m[rows, cols][:, None, :]))
-        return cls(m.shape, groups, dense=m)
 
     @property
     def dense(self):
@@ -173,11 +156,12 @@ class RowBlocks:
 def free_column_solve(c, r, fixed, f):
     """Least-squares increment for ``c @ dx = -r`` with ``dx[fixed] = f`` exactly.
 
-    ``c`` is a ``RowBlocks`` or a 2-D array.  dx_F on the free columns F is
-    the minimum-norm least-squares solution of ``C_F dx_F = b`` with ``b =
-    -(r + C_A f)``, A being the fixed columns; b is formed once, from the
-    blocks.  Rank is decided on the Gram matrix of C_F: eigenvalues at or
-    below ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.
+    ``c`` is a ``RowBlocks``; anything else raises ``TypeError`` before any
+    check or solve.  dx_F on the free columns F is the minimum-norm
+    least-squares solution of ``C_F dx_F = b`` with ``b = -(r + C_A f)``, A
+    being the fixed columns; b is formed once, from the blocks.  Rank is
+    decided on the Gram matrix of C_F: eigenvalues at or below
+    ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.
 
     When C_F has at least as many rows as columns, the Gram matrix is ``N =
     C_F^T C_F``.  If its band (``_gram_band``) cuts the free columns into at
@@ -201,7 +185,7 @@ def free_column_solve(c, r, fixed, f):
     columns or no rows, dx_F is zero.
     """
     if not isinstance(c, RowBlocks):
-        c = RowBlocks.from_dense(c)
+        raise TypeError(f"constraint matrix must be RowBlocks, got {type(c).__name__}")
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
     fixed = np.asarray(fixed, dtype=int).reshape(-1)

@@ -73,32 +73,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FoldDirective:
-    """Controlled crease ids with one prescribed increment per crease;
-    increments are finite real numbers, each checked on its own, never
-    converted from strings or bools."""
-
-    controlled: tuple
-    f: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "controlled", tuple(
-            _index(i, "controlled creases") for i in self.controlled
-        ))
-        if len(set(self.controlled)) != len(self.controlled):
-            raise ValueError("controlled crease ids must be distinct")
-        f = np.asarray(self.f, dtype=object).reshape(-1)
-        if f.shape != (len(self.controlled),):
-            raise ValueError("one increment per controlled crease required")
-        for i, x in zip(self.controlled, f):
-            if not _is_number(x):
-                raise TypeError(f"increment {x!r} of crease {i} is not a number")
-            if not math.isfinite(x):
-                raise ValueError(f"increment {x!r} of crease {i} is not finite")
-        object.__setattr__(self, "f", f.astype(float))
-
-
-@dataclass(frozen=True)
 class Stage:
     """One schedule stage: absolute targets for controlled creases plus holds."""
 
@@ -249,20 +223,6 @@ def _fold_state(p, rho):
     return rho
 
 
-def controlled_step(p, rho, directive):
-    """One folding step driven by controlled creases, to ``DEFAULT_EPS`` in
-    at most ``MAX_ITER`` Newton iterations; returns the next state.
-
-    A start state that is not one finite angle per crease raises
-    ``ValueError`` before any solve.
-    """
-    rho, _, _, _ = _newton(
-        p, _fold_state(p, rho), directive.controlled, DEFAULT_EPS, MAX_ITER, directive.f
-    )
-    check_fold_range(rho)
-    return rho
-
-
 def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS):
     """Assignment-signed near-flat state projected onto the constraint set.
 
@@ -276,20 +236,6 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS):
     rho = np.where(p._fold_signs != 0, magnitude * p._fold_signs, 0.0)
     rho, _, _, _ = _newton(p, rho, (), eps, MAX_ITER)
     return rho
-
-
-def tachi_projection_step(p, rho, drho0):
-    """Baseline single-shot Euler step: nullspace projection plus error term.
-
-    Projects the intended increment into the nullspace of C and compensates
-    the current residual in one shot; no iteration, so increments of specific
-    creases are not exactly controlled.  A ``rho`` that is not one finite
-    angle per crease raises ``ValueError`` before any solve.
-    """
-    rho = _fold_state(p, rho)
-    drho0 = _one_each(drho0, "increment has {} entries", p.n_creases)
-    gc = assemble_global(p, rho)
-    return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])
 
 
 def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):

@@ -17,8 +17,8 @@ from rigidfold import (
     generate_waterbomb_tessellation,
     relax,
     run_schedule,
-    waterbomb_symmetric_oracle,
 )
+from oracles import waterbomb_symmetric_oracle
 from rigidfold.pattern import MOUNTAIN
 
 

@@ -23,17 +23,30 @@ its per-face and per-vertex numpy code: face tracing, facet orientation,
 validation, vertex fans and crease lengths computed one facet, vertex or
 crease at a time.  The closure constraint's reference is the per-vertex
 chain of 3 x 3 rotations and its prefix and suffix products, one vertex at
-a time.  Two helpers are entry points rather than references:
+a time.
+
+Five references that only the tests run live here rather than in the
+package: the symmetric waterbomb's closed-form branch
+(``waterbomb_symmetric_oracle``), the Miura sheet's discrete Poisson-ratio
+series (``poisson_ratio``), and three steps that run the package's
+assembly and free-column solve: ``controlled_step`` with its
+``FoldDirective`` (one Newton loop of ``sequential._newton``), Tachi's
+nullspace-projection step (``tachi_projection_step``) and the
+uniform-stiffness projection step (``projection_step_uniform``).  Three
+helpers are entry points rather than references: ``row_blocks`` builds the
+solve's ``RowBlocks`` from a dense array, one block per row,
 ``_band_inertia`` runs the package's band sweep as an inertia count, and
 ``parse_obj`` reads exported OBJ text back for round-trip checks.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from rigidfold import ConvergenceError, assemble_global, build_spanning_tree, free_column_solve
-from rigidfold.numerics import _band_inf_norm, _band_sweep
+from rigidfold.kinematics import check_fold_range
+from rigidfold.numerics import RowBlocks, _band_inf_norm, _band_sweep
 from rigidfold.pattern import (
     _ZERO_SECTOR,
     DEVELOPABILITY_TOL,
@@ -43,8 +56,12 @@ from rigidfold.pattern import (
     ValidationReport,
     VertexFan,
     Violation,
+    _index,
+    _is_number,
+    _one_each,
 )
-from rigidfold.sequential import _newton
+from rigidfold import sequential
+from rigidfold.sequential import _fold_state, _newton
 
 
 def _rot(axis, angle):
@@ -282,14 +299,51 @@ def miura_poisson(m, n, a, b, alpha, rho1, fd=1e-6, solved=None):
     return -(dl / l_mid) / (dw / w_mid)
 
 
+def poisson_ratio(history):
+    """Discrete in-plane Poisson ratio series from (L, W) samples.
+
+    Each consecutive pair yields -((L2-L1)/L1) / ((W2-W1)/W1); a vanishing
+    width change produces a gap marker (None) instead of a number.
+    """
+    if len(history) < 2:
+        raise ValueError("need at least two (L, W) samples")
+    out = []
+    for (l1, w1), (l2, w2) in zip(history, history[1:]):
+        dw = (w2 - w1) / w1
+        if dw == 0.0:
+            out.append(None)
+        else:
+            out.append(-((l2 - l1) / l1) / dw)
+    return out
+
+
+def waterbomb_symmetric_oracle(theta):
+    """Mountain and valley fold angles of the symmetric eight-crease base.
+
+    Closed-form folding branches parametrized by the apex angle theta,
+    valid for 0 <= theta <= 3*pi/4: theta = pi/2 is flat, the ends are the
+    two compactly folded states.
+    """
+    if theta < -1e-12 or theta > 3 * math.pi / 4 + 1e-12:
+        raise ValueError(f"theta {theta} outside [0, 3*pi/4]")
+    s2 = math.sqrt(2.0)
+    if theta < math.pi / 2:
+        rho_m = 2 * theta - math.pi
+        arg = s2 * math.cos(theta) / (-2.0 - s2 * math.sin(theta))
+        rho_v = 2 * math.acos(max(-1.0, min(1.0, arg))) - math.pi
+    else:
+        rho_m = math.pi - 2 * theta
+        arg = s2 * math.cos(theta) / (2.0 - s2 * math.sin(theta))
+        rho_v = 2 * math.acos(max(-1.0, min(1.0, arg))) - math.pi
+    return rho_m, rho_v
+
+
 def waterbomb_branch_well(cfg_rest_m, cfg_rest_v, k_m=1.0, k_v=1.0, samples=200001):
     """Brute-force 1-D minimization of spring energy along the theta < pi/2 branch.
 
     Returns (theta*, rho_m*, rho_v*, energy*) for four mountain and four
     valley springs with the given rest angles.
     """
-    from rigidfold.elastic import waterbomb_symmetric_oracle
-
     best = (math.inf, None)
     for theta in np.linspace(0.0, math.pi / 2 - 1e-9, samples):
         rm, rv = waterbomb_symmetric_oracle(theta)
@@ -538,6 +592,22 @@ def kept_rounding_bound(c, fixed, x, cutoff=1e-12):
     return 10 * free.size * np.finfo(float).eps * (kept[0] / kept[-1]) ** 2 * np.abs(x).max()
 
 
+def row_blocks(m):
+    """``RowBlocks`` of a dense 2-D array: each row of ``m`` one block on its
+    nonzero columns, grouped by their count."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"constraint matrix must be 2-D, got shape {m.shape}")
+    nz = m != 0
+    counts = nz.sum(axis=1)
+    groups = []
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)[:, None]
+        cols = np.nonzero(nz[rows[:, 0]])[1].reshape(-1, k)
+        groups.append((rows, cols, m[rows, cols][:, None, :]))
+    return RowBlocks(m.shape, groups)
+
+
 def gram_blocks(c_free):
     """Diagonal and super-diagonal blocks of ``N = C_F^T C_F`` from the dense
     C_F, in blocks of its band read from the values.
@@ -574,6 +644,77 @@ def _band_inertia(band, shift):
     theorem, so that only the count can fail."""
     swept = _band_sweep(band, band.shape[0] * band.shape[1], shift, 2.0 * _band_inf_norm(band))
     return None if swept is None else swept[:2]
+
+
+@dataclass(frozen=True)
+class FoldDirective:
+    """Controlled crease ids with one prescribed increment per crease;
+    increments are finite real numbers, each checked on its own, never
+    converted from strings or bools."""
+
+    controlled: tuple
+    f: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "controlled", tuple(
+            _index(i, "controlled creases") for i in self.controlled
+        ))
+        if len(set(self.controlled)) != len(self.controlled):
+            raise ValueError("controlled crease ids must be distinct")
+        f = np.asarray(self.f, dtype=object).reshape(-1)
+        if f.shape != (len(self.controlled),):
+            raise ValueError("one increment per controlled crease required")
+        for i, x in zip(self.controlled, f):
+            if not _is_number(x):
+                raise TypeError(f"increment {x!r} of crease {i} is not a number")
+            if not math.isfinite(x):
+                raise ValueError(f"increment {x!r} of crease {i} is not finite")
+        object.__setattr__(self, "f", f.astype(float))
+
+
+def controlled_step(p, rho, directive):
+    """One folding step driven by controlled creases, to ``DEFAULT_EPS`` in
+    at most ``MAX_ITER`` Newton iterations, both read from ``sequential`` at
+    the call; returns the next state.
+
+    A start state that is not one finite angle per crease raises
+    ``ValueError`` before any solve.
+    """
+    rho, _, _, _ = _newton(
+        p, _fold_state(p, rho), directive.controlled, sequential.DEFAULT_EPS,
+        sequential.MAX_ITER, directive.f,
+    )
+    check_fold_range(rho)
+    return rho
+
+
+def tachi_projection_step(p, rho, drho0):
+    """Baseline single-shot Euler step: nullspace projection plus error term.
+
+    Projects the intended increment into the nullspace of C and compensates
+    the current residual in one shot; no iteration, so increments of specific
+    creases are not exactly controlled.  A ``rho`` that is not one finite
+    angle per crease raises ``ValueError`` before any solve.
+    """
+    rho = _fold_state(p, rho)
+    drho0 = _one_each(drho0, "increment has {} entries", p.n_creases)
+    gc = assemble_global(p, rho)
+    return rho + drho0 + free_column_solve(gc.blocks, gc.blocks @ drho0 + gc.r, (), [])
+
+
+def projection_step_uniform(p, k0, d, rho, gc=None):
+    """Projected steepest-descent increment for uniform stiffness k0.
+
+    d is the energy gradient at rho; the increment is the gradient projected
+    into the nullspace of the constraint matrix plus the error compensation.
+    ``gc`` is the assembly at ``rho`` when the caller already has it; without
+    it, a ``rho`` that is not one finite angle per crease raises
+    ``ValueError``.
+    """
+    d = _one_each(d, "gradient has {} entries", p.n_creases)
+    if gc is None:
+        gc = assemble_global(p, _fold_state(p, rho))
+    return -d / k0 - free_column_solve(gc.blocks, gc.blocks @ d / k0 - gc.r, (), [])
 
 
 def explicit_inverse_step(c, r, stiffness, d):

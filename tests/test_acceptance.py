@@ -15,9 +15,12 @@ from oracles import (
     miura_period_dims,
     miura_poisson,
     period_frame_dims,
+    poisson_ratio,
+    projection_step_uniform,
     vertex_closure_derivatives,
     vertex_jacobian,
     waterbomb_branch_well,
+    waterbomb_symmetric_oracle,
 )
 from rigidfold import (
     RelaxSettings,
@@ -29,13 +32,11 @@ from rigidfold import (
     embed,
     flat_state_seed,
     measure_dimensions,
-    poisson_ratio,
     relax,
     spring_energy,
     spring_gradient,
-    waterbomb_symmetric_oracle,
 )
-from rigidfold.elastic import kkt_step, projection_step_uniform
+from rigidfold.elastic import kkt_step
 from rigidfold.numerics import pseudoinverse, rank
 from rigidfold.sequential import _newton
 

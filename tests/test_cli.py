@@ -15,7 +15,6 @@ from rigidfold import (
     generate_miura,
     generate_waterbomb_base,
     serialize_pattern,
-    waterbomb_symmetric_oracle,
 )
 from oracles import (
     edge_loop_embedding,
@@ -24,6 +23,7 @@ from oracles import (
     fstring_obj,
     fstring_residual_row,
     parse_obj,
+    waterbomb_symmetric_oracle,
 )
 from rigidfold.cli import (
     _ENERGY_ROW,
@@ -60,13 +60,20 @@ def straight_line_pattern():
     )
 
 
-def run_module(*argv):
-    """``python -m rigidfold.cli`` in a fresh process; its exit code."""
+def spawn_module(argv, env=None, **kwargs):
+    """``python -m rigidfold.cli`` in a fresh process, with the package's
+    source first on its path; ``env`` adds to or overrides the environment."""
     src = str(Path(rigidfold.__file__).resolve().parents[1])
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **(env or {})}
     return subprocess.run([sys.executable, "-m", "rigidfold.cli", *map(str, argv)],
-                          env=env, capture_output=True).returncode
+                          env=env, **kwargs)
+
+
+def run_module(*argv):
+    """``python -m rigidfold.cli`` in a fresh process; its exit code."""
+    return spawn_module(argv, capture_output=True).returncode
 
 
 class TestValidateCommand:
@@ -965,3 +972,87 @@ class TestModuleEntryPoint:
         assert run_module("fold", "--pattern", cpath, "--schedule", spath,
                           "--eps", "1e-13", "--out", tmp_path / "run") == 0
 
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``rigidfold info | grep -q``
+    does once it matched: the command finishes its work, writes every file,
+    and exits with the code that work earned, with nothing on stderr about
+    the pipe.  Each run's stdout is a pipe whose read end is closed before
+    the spawn, so every write to it fails with EPIPE; the runs are
+    unbuffered (each write fails at once) and block-buffered (the write
+    fails at the first flush)."""
+
+    @staticmethod
+    def spawn_unread(buffered, *argv):
+        """Exit code and stderr of ``python -m rigidfold.cli`` with no reader
+        on its stdout."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = spawn_module(argv, {"PYTHONUNBUFFERED": "" if buffered else "1"},
+                               stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert "Broken pipe" not in run.stderr
+        assert "Exception ignored" not in run.stderr
+        return run.returncode, run.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_info_exits_0(self, crane, tmp_path, buffered):
+        path = tmp_path / "crane.json"
+        path.write_text(serialize_pattern(crane))
+        assert self.spawn_unread(buffered, "info", "--pattern", path) == (0, "")
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_broken_pattern_exits_1(self, tmp_path, buffered):
+        """``validate`` prints the report and exits 1; ``info`` prints it
+        while loading the pattern and exits 1 on its error line."""
+        p = CreasePattern.from_edges(
+            [[0, 0], [1, 0], [1, 1], [0, 1]], [],
+            [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]],
+        )
+        path = tmp_path / "split.json"
+        path.write_text(serialize_pattern(p))
+        assert self.spawn_unread(buffered, "validate", "--pattern", path) == (1, "")
+        code, err = self.spawn_unread(buffered, "info", "--pattern", path)
+        assert code == 1
+        assert err.startswith("error: pattern") and "fails validation" in err
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_export_obj_to_stdout_exits_0(self, miura_file, buffered):
+        assert self.spawn_unread(buffered, "export-obj", "--pattern", miura_file) == (0, "")
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_non_stationary_relax_exits_3_with_every_file(self, waterbomb_file, waterbomb,
+                                                          tmp_path, capsys, buffered):
+        """The coarse step resolution case of ``TestRelaxCommand``: exit 3
+        with its one error line, and every file the same bytes as the
+        in-process run's but for the manifest's wall time."""
+        springs = {"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None,
+             "rest": -0.75 * math.pi if c.assignment == MOUNTAIN else 0.75 * math.pi}
+            for i, c in enumerate(waterbomb.creases)
+        ]}
+        spath = tmp_path / "springs.json"
+        spath.write_text(json.dumps(springs))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"step_resolution": 0.05}))
+        argv = ["relax", "--pattern", waterbomb_file, "--springs", spath,
+                "--settings", settings, "--out"]
+        assert main([*map(str, argv), str(tmp_path / "here")]) == 3
+        capsys.readouterr()
+        code, err = self.spawn_unread(buffered, *argv, tmp_path / "there")
+        assert code == 3
+        assert err.startswith("error: relaxation not stationary")
+        assert len(err.strip().splitlines()) == 1
+        here = sorted(f.name for f in (tmp_path / "here").iterdir())
+        assert sorted(f.name for f in (tmp_path / "there").iterdir()) == here
+        assert {"energy.csv", "final_state.json", "manifest.json"} <= set(here)
+        for name in here:
+            a, b = (tmp_path / d / name for d in ("here", "there"))
+            if name == "manifest.json":
+                a, b = json.loads(a.read_text()), json.loads(b.read_text())
+                assert a.pop("wall_time_s") >= 0 and b.pop("wall_time_s") >= 0
+                assert a == b
+            else:
+                assert a.read_bytes() == b.read_bytes(), name

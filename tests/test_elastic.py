@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bordered_step, explicit_inverse_step, waterbomb_branch_well
+from oracles import (
+    bordered_step,
+    explicit_inverse_step,
+    projection_step_uniform,
+    tachi_projection_step,
+    waterbomb_branch_well,
+    waterbomb_symmetric_oracle,
+)
 from rigidfold import (
     ConvergenceError,
     RelaxSettings,
@@ -13,12 +20,9 @@ from rigidfold import (
     generate_miura,
     generate_waterbomb_tessellation,
     kkt_step,
-    projection_step_uniform,
     relax,
     spring_energy,
     spring_gradient,
-    tachi_projection_step,
-    waterbomb_symmetric_oracle,
 )
 from rigidfold.elastic import STOP_REASONS
 from rigidfold.numerics import rank

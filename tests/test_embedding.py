@@ -5,7 +5,13 @@ import pytest
 
 import oracles
 from conftest import drive_miura_to_flat_fold
-from oracles import edge_loop_embedding, miura_period_dims, period_frame_dims, tree_embedding
+from oracles import (
+    edge_loop_embedding,
+    miura_period_dims,
+    period_frame_dims,
+    poisson_ratio,
+    tree_embedding,
+)
 from rigidfold import (
     CreasePattern,
     build_spanning_tree,
@@ -14,7 +20,6 @@ from rigidfold import (
     flat_state_seed,
     generate_miura,
     measure_dimensions,
-    poisson_ratio,
 )
 from rigidfold.kinematics import compile_pattern
 from rigidfold.sequential import FoldSchedule, Stage, run_schedule

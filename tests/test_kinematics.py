@@ -12,13 +12,13 @@ from oracles import (
     vertex_closure_derivatives,
     vertex_jacobian,
     vertex_residual,
+    waterbomb_symmetric_oracle,
 )
 from rigidfold import (
     assemble_global,
     build_vertex_fans,
     dof,
     generate_miura,
-    waterbomb_symmetric_oracle,
 )
 from rigidfold.pattern import CreasePattern, VertexFan
 from rigidfold.sequential import flat_state_seed

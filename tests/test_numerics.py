@@ -12,6 +12,7 @@ from oracles import (
     kept_solve,
     normal_rounding_bound,
     normal_solve,
+    row_blocks,
     vertex_jacobian,
 )
 from rigidfold import (
@@ -152,7 +153,7 @@ def free_band(c, fixed):
     """The Gram band the free-column solve forms for C_F, None for one dense
     block; ``c`` is a ``RowBlocks`` or a dense array."""
     if not isinstance(c, RowBlocks):
-        c = RowBlocks.from_dense(c)
+        c = row_blocks(c)
     free = np.ones(c.shape[1], dtype=bool)
     free[fixed] = False
     pos = np.cumsum(free) - 1
@@ -226,7 +227,7 @@ class TestFullRankCertificate:
         gray = 0
         for ratio, c, r, fixed, f in self.cases():
             n = c.shape[1]
-            dx = free_column_solve(c, r, fixed, f)
+            dx = free_column_solve(row_blocks(c), r, fixed, f)
             assert np.array_equal(dx[fixed], f), ratio
             # ratio 1 sits on the cutoff itself, where rounding picks the rank
             if fixed.size or ratio <= 1.0 or self.certified(c, fixed):
@@ -257,7 +258,7 @@ class TestBandedSolve:
     def check(gc, fixed, f):
         n = gc.C.shape[1]
         ref = normal_solve(gc.C, gc.r, fixed, f)
-        for c in (gc.blocks, gc.C):
+        for c in (gc.blocks, row_blocks(gc.C)):
             band = free_band(c, fixed)
             assert len(band) > 2
             assert band_certified(band, n, fixed)
@@ -292,7 +293,7 @@ class TestBandedSolve:
             r = rng.normal(0.0, 0.02, rows)
             f = rng.normal(0.0, 0.02, len(fixed))
             assert free_band(c, fixed) is None
-            dx = free_column_solve(c, r, fixed, f)
+            dx = free_column_solve(row_blocks(c), r, fixed, f)
             ref = normal_solve(c, r, fixed, f)
             assert np.array_equal(dx[fixed], f)
             assert np.abs(dx - ref).max() <= normal_rounding_bound(c, fixed, ref)
@@ -309,7 +310,7 @@ class TestBandedSolve:
         assert len(gram_blocks(c)[0]) == 2
         r = rng.normal(0.0, 0.02, 40)
         ref = normal_solve(c, r, [], [])
-        assert np.abs(free_column_solve(c, r, [], []) - ref).max() <= normal_rounding_bound(
+        assert np.abs(free_column_solve(row_blocks(c), r, [], []) - ref).max() <= normal_rounding_bound(
             c, [], ref
         )
 
@@ -420,7 +421,7 @@ class TestRowBlocks:
         for shape in ((9, 7), (30, 45), (45, 30)):
             m = rng.standard_normal(shape) * (rng.random(shape) < 0.4)
             m[3] = 0.0
-            check(RowBlocks.from_dense(m))
+            check(row_blocks(m))
         assert np.array_equal(RowBlocks((4, 3), []) @ np.ones(3), np.zeros(4))
         assert np.array_equal(RowBlocks((4, 3), []).rmatvec(np.ones(4)), np.zeros(3))
 
@@ -428,8 +429,8 @@ class TestRowBlocks:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.4)
         m[3] = 0.0
-        blocks = RowBlocks.from_dense(m)
-        assert blocks.dense is m
+        blocks = row_blocks(m)
+        assert np.array_equal(blocks.dense, m)
         assert np.array_equal(RowBlocks(m.shape, blocks.groups).dense, m)
         scale = rng.uniform(0.5, 2.0, 7)
         assert np.array_equal(blocks.scale_columns(scale).dense, m * scale)
@@ -519,7 +520,7 @@ class TestBlockCertificate(TestFullRankCertificate):
         certified = 0
         for ratio, c, r, fixed, f in self.cases():
             if self.certified(c, fixed):
-                dx = free_column_solve(c, r, fixed, f)
+                dx = free_column_solve(row_blocks(c), r, fixed, f)
                 ref = normal_solve(c, r, fixed, f)
                 assert np.abs(dx - ref).max() <= normal_rounding_bound(c, fixed, ref), ratio
                 certified += 1
@@ -571,9 +572,10 @@ class TestDeflatedBandSolve:
     @staticmethod
     def check_oracle(c, r, fixed, f):
         """``c`` is a ``RowBlocks`` or a dense array."""
+        if not isinstance(c, RowBlocks):
+            c = row_blocks(c)
         dx = free_column_solve(c, r, fixed, f)
-        if isinstance(c, RowBlocks):
-            c = c.dense
+        c = c.dense
         ref = kept_solve(c, r, fixed, f)
         assert np.array_equal(dx[fixed], f)
         assert np.abs(dx - ref).max() <= kept_rounding_bound(c, fixed, ref)
@@ -656,10 +658,10 @@ class TestDeflatedBandSolve:
                 assert tau * c.T.dot(c).diagonal().max() < lam < 2 * tau * _band_inf_norm(band)
                 for r in (np.zeros(len(c)), rng.normal(0.0, 0.02, len(c))):
                     monkeypatch.setattr(numerics, "_deflated_band_solve", lambda *a: None)
-                    ref = free_column_solve(c, r, [], [])
+                    ref = free_column_solve(row_blocks(c), r, [], [])
                     monkeypatch.undo()
                     calls = self.dense_calls(monkeypatch)
-                    assert np.array_equal(free_column_solve(c, r, [], []), ref)
+                    assert np.array_equal(free_column_solve(row_blocks(c), r, [], []), ref)
                     assert calls == [1]
                     monkeypatch.undo()
                 cases += 1
@@ -680,10 +682,10 @@ class TestDeflatedBandSolve:
                        np.random.default_rng(cols))
         r = np.random.default_rng(1).normal(0.0, 0.02, len(c))
         monkeypatch.setattr(numerics, "_deflated_band_solve", lambda *a: None)
-        ref = free_column_solve(c, r, [], [])
+        ref = free_column_solve(row_blocks(c), r, [], [])
         monkeypatch.undo()
         calls = self.dense_calls(monkeypatch)
-        assert np.array_equal(free_column_solve(c, r, [], []), ref)
+        assert np.array_equal(free_column_solve(row_blocks(c), r, [], []), ref)
         assert calls == [1]
         monkeypatch.undo()
         # the certificate itself holds: one eigenvalue below the shift

@@ -42,7 +42,7 @@ from rigidfold import (  # noqa: E402
     serialize_pattern,
     validate_pattern,
 )
-from oracles import normal_rounding_bound, normal_solve, parse_obj  # noqa: E402
+from oracles import normal_rounding_bound, normal_solve, parse_obj, row_blocks  # noqa: E402
 from rigidfold.cli import main  # noqa: E402
 from rigidfold.generators import crane_schedule  # noqa: E402
 from rigidfold.kinematics import _DegreeGroup, compile_pattern  # noqa: E402
@@ -71,9 +71,9 @@ def check_lu_normal_solve(c, r, fixed, f):
     the kept eigenvectors of the dense N.  ``c`` is a dense array or
     ``RowBlocks``.  Returns the number of blocks, 0 when the rule drops a
     direction or C_F is wide."""
-    dx = free_column_solve(c, r, fixed, f)
     if not isinstance(c, RowBlocks):
-        c = RowBlocks.from_dense(c)
+        c = row_blocks(c)
+    dx = free_column_solve(c, r, fixed, f)
     assert np.array_equal(dx[fixed], f)
     n = c.shape[1]
     free = np.ones(n, dtype=bool)

@@ -6,22 +6,25 @@ import numpy as np
 import pytest
 
 from oracles import (
+    FoldDirective,
     assignment_seed,
     bordered_solve,
+    controlled_step,
     refactoring_newton,
     refactoring_stage,
+    row_blocks,
+    tachi_projection_step,
     tangent_schedule,
+    waterbomb_symmetric_oracle,
 )
 from rigidfold import (
     ConvergenceError,
     CreasePattern,
-    FoldDirective,
     FoldSchedule,
     RelaxSettings,
     SpringConfig,
     Stage,
     assemble_global,
-    controlled_step,
     crane_schedule,
     flat_state_seed,
     free_column_solve,
@@ -30,8 +33,6 @@ from rigidfold import (
     generate_waterbomb_tessellation,
     relax,
     run_schedule,
-    tachi_projection_step,
-    waterbomb_symmetric_oracle,
 )
 from rigidfold import elastic, numerics, sequential
 from rigidfold.numerics import DEFAULT_CUTOFF, pseudoinverse
@@ -452,7 +453,7 @@ class TestFreeColumnSolve:
 
     def check(self, p, label, state, fixed, f):
         gc = assemble_global(p, state)
-        dx = free_column_solve(gc.C, gc.r, fixed, f)
+        dx = free_column_solve(row_blocks(gc.C), gc.r, fixed, f)
         ref, ref_rank = bordered_solve(gc, fixed, f)
         rank = self.kept_eigenvalues(gc.C, fixed)
         assert np.array_equal(dx[list(fixed)], f), label
@@ -493,7 +494,7 @@ class TestFreeColumnSolve:
 
     def test_zero_row_matrix(self):
         gc = SimpleNamespace(C=np.zeros((0, 5)), r=np.zeros(0))
-        dx = free_column_solve(gc.C, gc.r, (1, 3), [0.3, -0.2])
+        dx = free_column_solve(row_blocks(gc.C), gc.r, (1, 3), [0.3, -0.2])
         assert np.array_equal(dx, [0.0, 0.3, 0.0, -0.2, 0.0])
         ref, ref_rank = bordered_solve(gc, (1, 3), [0.3, -0.2])
         assert ref_rank == 0
@@ -502,7 +503,7 @@ class TestFreeColumnSolve:
     def test_all_fixed_returns_f(self, miura33):
         gc = assemble_global(miura33, flat_state_seed(miura33, math.radians(3.0)))
         f = np.linspace(-0.1, 0.1, miura33.n_creases)
-        dx = free_column_solve(gc.C, gc.r, tuple(range(miura33.n_creases)), f)
+        dx = free_column_solve(row_blocks(gc.C), gc.r, tuple(range(miura33.n_creases)), f)
         assert np.array_equal(dx, f)
 
     @pytest.mark.parametrize("which", ["C", "r", "f"])
@@ -511,13 +512,13 @@ class TestFreeColumnSolve:
         args = {"C": gc.C.copy(), "r": gc.r.copy(), "f": np.array([0.1])}
         args[which].flat[0] = math.nan
         with pytest.raises(ValueError, match="non-finite"):
-            free_column_solve(args["C"], args["r"], (0,), args["f"])
+            free_column_solve(row_blocks(args["C"]), args["r"], (0,), args["f"])
 
     @pytest.mark.parametrize("fixed", [(2, 2), (-1,), (10_000,)])
     def test_bad_fixed_columns_raise(self, miura33, fixed):
         gc = assemble_global(miura33, np.zeros(miura33.n_creases))
         with pytest.raises(ValueError, match="distinct"):
-            free_column_solve(gc.C, gc.r, fixed, np.zeros(len(fixed)))
+            free_column_solve(row_blocks(gc.C), gc.r, fixed, np.zeros(len(fixed)))
 
 
 def test_miura_relation_everywhere(miura_run, miura33):
