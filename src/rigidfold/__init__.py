@@ -29,7 +29,7 @@ from .generators import (
     generate_waterbomb_tessellation,
 )
 from .kinematics import GlobalConstraint, assemble_global, dof
-from .numerics import free_column_solve, min_norm_solve, pseudoinverse, rank
+from .numerics import free_column_solve
 from .pattern import (
     Crease,
     CreasePattern,
@@ -50,5 +50,14 @@ from .sequential import (
     run_schedule,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConvergenceError", "Crease", "CreasePattern", "FoldSchedule", "FoldTrajectory",
+    "GlobalConstraint", "PatternError", "RelaxResult", "RelaxSettings", "SpanningTree",
+    "SpringConfig", "Stage", "ValidationReport", "VertexFan", "assemble_global",
+    "build_spanning_tree", "build_vertex_fans", "crane_schedule", "dihedral_angles", "dof",
+    "embed", "flat_state_seed", "free_column_solve", "generate_crane", "generate_miura",
+    "generate_waterbomb_base", "generate_waterbomb_tessellation", "kkt_step",
+    "measure_dimensions", "parse_pattern", "relax", "run_schedule", "serialize_pattern",
+    "spring_energy", "spring_gradient", "validate_pattern",
+]
 __version__ = "0.1.0"

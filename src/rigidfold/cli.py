@@ -5,7 +5,7 @@ document), 2 a file that could not be read or written, 3 solver
 non-convergence (including a relaxation that stops short of stationary).
 A reader that closes stdout early changes none of them: the command
 finishes its work, writes its files and exits with the code that work
-earned.
+earned; ``--help`` exits 0.
 """
 
 import argparse
@@ -384,7 +384,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        # --help leaves its text in stdout's buffer before argparse exits:
+        # flush it here, where a closed stdout is handled, not at exit
+        _stdout("")
+        raise
     try:
         return args.func(args)
     except PatternError as exc:

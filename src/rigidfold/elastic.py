@@ -108,7 +108,6 @@ class RelaxSettings:
     residual_tol: float = DEFAULT_EPS
     characteristic: int | None = None
     max_steps: int = 5000
-    max_newton: int = MAX_ITER
 
     def __post_init__(self):
         for name in ("initial_step", "step_resolution", "residual_tol"):
@@ -118,12 +117,10 @@ class RelaxSettings:
         for name in ("step_resolution", "residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"relax setting {name} must be positive")
-        for name in ("max_steps", "max_newton"):
-            value = getattr(self, name)
-            if not (_is_number(value, Integral) and value >= 0):
-                raise ValueError(
-                    f"relax setting {name} must be a non-negative integer, got {value!r}"
-                )
+        if not (_is_number(self.max_steps, Integral) and self.max_steps >= 0):
+            raise ValueError(
+                f"relax setting max_steps must be a non-negative integer, got {self.max_steps!r}"
+            )
         if not (self.characteristic is None or _is_number(self.characteristic, Integral)):
             raise ValueError(
                 f"relax setting characteristic must be a crease id, got {self.characteristic!r}"
@@ -208,9 +205,10 @@ def kkt_step(p, cfg, rho, gc=None):
 def relax(p, cfg, settings=None, rho0=None):
     """Drive the state to a constrained spring-energy minimum.
 
-    Follows the step rule rho += c * drho / max|drho| with residual cleanup
-    after every move; halves c whenever the characteristic angle's increment
-    reverses direction, and stops when c drops below the step resolution,
+    Follows the step rule rho += c * drho / max|drho| with a residual cleanup
+    of at most ``MAX_ITER`` Newton iterations after every move; halves c
+    whenever the characteristic angle's increment reverses direction, and
+    stops when c drops below the step resolution,
     when the step vanishes or after ``max_steps``, and records which of
     these stopped it as ``stop_reason``.  Whatever stopped it, the result is
     converged only if the final state is stationary: its projected gradient
@@ -229,7 +227,7 @@ def relax(p, cfg, settings=None, rho0=None):
                 f"(pattern has {p.n_creases} creases)"
             )
     rho = np.zeros(p.n_creases) if rho0 is None else _fold_state(p, rho0).copy()
-    rho, gc, _, _ = _newton(p, rho, (), settings.residual_tol, settings.max_newton)
+    rho, gc, _, _ = _newton(p, rho, (), settings.residual_tol, MAX_ITER)
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))
 
@@ -253,9 +251,7 @@ def relax(p, cfg, settings=None, rho0=None):
             c = c / 2.0
         step = c * drho / largest
         new_rho = rho + step
-        new_rho, gc, iters, _ = _newton(
-            p, new_rho, (), settings.residual_tol, settings.max_newton
-        )
+        new_rho, gc, iters, _ = _newton(p, new_rho, (), settings.residual_tol, MAX_ITER)
         prev_char_move = new_rho[char] - rho[char]
         rho = new_rho
         check_fold_range(rho)

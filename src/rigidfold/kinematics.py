@@ -9,18 +9,19 @@ Assembly computes the residual and keeps the closure factors and their
 prefix products; the constraint matrix C follows from them on first access,
 one 3 x degree block per vertex (``numerics.RowBlocks``), so a Newton step
 on a kept factorization pays for the residual alone.  The dense C is built
-only when something asks for it.
+only when something asks for it.  ``dof`` counts the degrees of freedom with
+the free-column solve's rank rule, the one rule of the engine, so no path
+here calls an SVD.
 """
 
 import warnings
 
 import numpy as np
 
-from .numerics import RowBlocks, rank
+from .numerics import RowBlocks, _kept
 from .pattern import _one_each, build_vertex_fans
 
 FOLD_RANGE_SLACK = 1e-6
-DOF_CUTOFF = 1e-9  # relative singular-value cutoff of ``dof``'s rank count
 
 
 class GlobalConstraint:
@@ -191,8 +192,14 @@ def assemble_global(p, rho, fans=None):
 
 
 def dof(constraint):
-    """Kinematic degrees of freedom: nullity of the constraint matrix."""
-    n = constraint.C.shape[1]
-    if n == 0:
-        return 0
-    return n - rank(constraint.C, DOF_CUTOFF)
+    """Kinematic degrees of freedom: nullity of the constraint matrix.
+
+    The rank is counted with the free-column solve's rule, every column
+    free: the eigenvalues of the smaller Gram matrix of C (``C C^T`` when C
+    has fewer rows than columns, else ``C^T C``) that ``numerics._kept``
+    keeps.
+    """
+    c = constraint.C
+    rows, n = c.shape
+    gram = c @ c.T if rows < n else c.T @ c
+    return n - int(np.count_nonzero(_kept(np.linalg.eigvalsh(gram), n)))

@@ -8,7 +8,8 @@ block per vertex).  Products ``C @ x`` and ``C^T @ y`` are summed from the
 blocks.  Rank is decided on the Gram matrix of the free columns C_F, whose
 eigenvalues are the squared singular values of C_F: eigenvalues at or
 below ``DEFAULT_CUTOFF * lambda_max * n`` count as zero, with n the column
-count of C.
+count of C.  This is the engine's one rank rule, written once in
+``_kept``: ``kinematics.dof`` counts with it too, every column free.
 
 The solve has four branches.  For a tall C_F the band w is read from the
 structure: the widest span, first to last free column, of a row block.  Cut
@@ -39,11 +40,13 @@ LDL^T with a computed rounding bound beta) while it factors a shifted N.
 - Wide eigh: a C_F with fewer rows than columns is solved on the kept
   eigenvectors of C_F C_F^T.
 
-Only the two eigenvector solves read a dense C.  The SVD routines
-(pseudoinverse, minimum-norm solve, rank) use their own policy: singular
-values below ``cutoff * sigma_max * max(rows, cols)`` count as zero.
-Constraint matrices here are expressed in radians, so a tight relative
-cutoff is safe.
+Only the two eigenvector solves read a dense C.  Constraint matrices here
+are expressed in radians, so a tight relative cutoff is safe.
+
+No engine path calls an SVD.  The SVD routines (pseudoinverse,
+minimum-norm solve, rank) are kept only for the benchmark's tracer, which
+looks them up by name, and for the tests' references; they cut singular
+values below ``cutoff * sigma_max * max(rows, cols)``.
 """
 
 import numpy as np
@@ -526,10 +529,19 @@ def _deflated_band_solve(band, g, residual, n):
     return x
 
 
+def _kept(w, n):
+    """Which of the ascending eigenvalues ``w`` of a Gram matrix of C the
+    solves keep: those above ``DEFAULT_CUTOFF * lambda_max * n``, n the
+    column count of C.  An empty spectrum keeps nothing."""
+    if not w.size:
+        return np.zeros(0, dtype=bool)
+    return w > DEFAULT_CUTOFF * w[-1] * n
+
+
 def _kept_eigh(gram, n):
-    """Eigenpairs of ``gram`` above ``DEFAULT_CUTOFF * lambda_max * n``."""
+    """Eigenpairs of ``gram`` that ``_kept`` keeps."""
     w, v = np.linalg.eigh(gram)
-    keep = w > DEFAULT_CUTOFF * w[-1] * n
+    keep = _kept(w, n)
     return w[keep], v[:, keep]
 
 

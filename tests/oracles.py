@@ -8,6 +8,7 @@ from a full SVD of the bordered multiplier system or, at full column rank,
 from one dense LU solve of its normal equations, whose banded Gram blocks
 are formed from the values of the dense matrix, the spring step from
 the explicit full-row-rank inverse or a full SVD of its bordered KKT system,
+the degrees of freedom from a full SVD of the constraint matrix,
 the embedding from a per-facet loop down the spanning tree (and the
 engine's stacked arrays composed one tree edge at a time), the dihedral
 angles from one facet normal and one crease at a time, and the OBJ and CSV
@@ -590,6 +591,19 @@ def kept_rounding_bound(c, fixed, x, cutoff=1e-12):
     s = np.linalg.svd(c[:, free], compute_uv=False)
     kept = s[s**2 > cutoff * s[0] ** 2 * c.shape[1]]
     return 10 * free.size * np.finfo(float).eps * (kept[0] / kept[-1]) ** 2 * np.abs(x).max()
+
+
+def svd_dof(c, cutoff=1e-12):
+    """Degrees of freedom of a dense C from its full SVD: ``n - #{sigma :
+    sigma^2 > cutoff sigma_max^2 n}``, n the column count of C, which is
+    the eigenvalue rule ``free_column_solve`` applies with every column
+    free."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[1]
+    s = np.linalg.svd(c, compute_uv=False)
+    if not s.size:
+        return n
+    return n - int(np.count_nonzero(s**2 > cutoff * s[0] ** 2 * n))
 
 
 def row_blocks(m):

@@ -9,6 +9,7 @@ from oracles import (
     loop_closure,
     rot_x,
     rot_z,
+    svd_dof,
     vertex_closure_derivatives,
     vertex_jacobian,
     vertex_residual,
@@ -18,7 +19,10 @@ from rigidfold import (
     assemble_global,
     build_vertex_fans,
     dof,
+    generate_crane,
     generate_miura,
+    generate_waterbomb_base,
+    generate_waterbomb_tessellation,
 )
 from rigidfold.pattern import CreasePattern, VertexFan
 from rigidfold.sequential import flat_state_seed
@@ -220,7 +224,39 @@ class TestAssembleGlobal:
                 )
 
 
+# pattern, seed magnitude in degrees (0: exactly flat) and the DOF there
+DOF_CASES = {
+    "miura3x3-flat": (lambda: generate_miura(3, 3), 0, 10),
+    "miura3x3-1deg": (lambda: generate_miura(3, 3), 1, 1),
+    "waterbomb-1deg": (generate_waterbomb_base, 1, 5),
+    "crane-1deg": (generate_crane, 1, 5),
+    "tess2x2-1deg": (lambda: generate_waterbomb_tessellation(2, 2), 1, 8),
+    "tess2x2-10deg": (lambda: generate_waterbomb_tessellation(2, 2), 10, 9),
+}
+
+
 class TestDof:
+    @pytest.mark.parametrize("case", DOF_CASES)
+    def test_matches_svd_count(self, case):
+        """The solve's eigenvalue rule, counted on the Gram matrix, against
+        the same rule on the singular values of a dense SVD."""
+        build, degrees, expected = DOF_CASES[case]
+        p = build()
+        rho = flat_state_seed(p, math.radians(degrees)) if degrees else np.zeros(p.n_creases)
+        gc = assemble_global(p, rho)
+        assert dof(gc) == svd_dof(gc.C) == expected
+
+    def test_no_rows(self):
+        """A crease with no interior vertex: C has no rows, so every crease
+        is free."""
+        p = CreasePattern(
+            [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 2, "V"]],
+            [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2], [0, 2, 3]],
+        )
+        gc = assemble_global(p, np.zeros(1))
+        assert gc.C.shape == (0, 1)
+        assert dof(gc) == svd_dof(gc.C) == 1
+
     def test_miura_single_dof(self, miura33):
         rho = flat_state_seed(miura33, math.radians(1.0))
         assert dof(assemble_global(miura33, rho)) == 1

@@ -15,15 +15,22 @@ from oracles import (
     row_blocks,
     vertex_jacobian,
 )
+from oracles import waterbomb_symmetric_oracle
 from rigidfold import (
+    FoldSchedule,
+    SpringConfig,
+    Stage,
     build_vertex_fans,
+    crane_schedule,
+    embed,
     generate_crane,
     generate_miura,
     generate_waterbomb_tessellation,
-    min_norm_solve,
-    pseudoinverse,
-    rank,
+    relax,
+    run_schedule,
+    serialize_pattern,
 )
+from rigidfold.cli import main
 from rigidfold.kinematics import assemble_global
 from rigidfold import numerics, sequential
 from rigidfold.numerics import (
@@ -33,6 +40,9 @@ from rigidfold.numerics import (
     _band_inf_norm,
     _gram_band,
     free_column_solve,
+    min_norm_solve,
+    pseudoinverse,
+    rank,
 )
 from rigidfold.pattern import VALLEY
 from rigidfold.sequential import flat_state_seed
@@ -147,6 +157,40 @@ def test_rank_permutation_invariant():
     pr = rng.permutation(5)
     pc = rng.permutation(8)
     assert rank(m[pr][:, pc]) == r
+
+
+def test_no_engine_path_calls_an_svd(monkeypatch, tmp_path, capsys, miura33, crane, waterbomb):
+    """Seeding, schedules, relaxation, embedding and ``rigidfold info`` run
+    with numpy's SVD raising: the engine decides every rank on Gram
+    eigenvalues.  ``pinv`` and ``matrix_rank`` reach the SVD through the
+    implementation module, so it is patched there too."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(getattr(np.linalg, "_linalg", np.linalg), "svd", refuse)
+    driven = miura33.meta["driven_crease"]
+    for p, schedule in (
+        (miura33, FoldSchedule((Stage(targets={driven: math.radians(-60.0)}, steps=6),))),
+        (crane, crane_schedule(crane)),
+    ):
+        seed = flat_state_seed(p, math.radians(1.0))
+        traj = run_schedule(p, seed, schedule)
+        assert embed(p, np.array(traj.states)).shape == (len(traj.states), len(p.vertices), 3)
+    rm, rv = waterbomb_symmetric_oracle(5 * math.pi / 8)
+    rest = np.zeros(8)
+    rest[waterbomb.meta["mountains"]] = rm
+    rest[waterbomb.meta["valleys"]] = rv
+    cfg = SpringConfig.per_unit_length(waterbomb, 1.0, rest)
+    result = relax(waterbomb, cfg, rho0=flat_state_seed(waterbomb, math.radians(1.0)))
+    assert result.converged
+    for name, p in (("crane", crane), ("miura", miura33)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_pattern(p))
+        assert main(["info", "--pattern", str(path)]) == 0
+    with pytest.raises(AssertionError, match="svd called"):
+        rank(np.eye(2))
 
 
 def free_band(c, fixed):
