@@ -17,7 +17,6 @@ from .elastic import (
 from .embedding import (
     SpanningTree,
     build_spanning_tree,
-    dihedral_angles,
     embed,
     measure_dimensions,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "ConvergenceError", "Crease", "CreasePattern", "FoldSchedule", "FoldTrajectory",
     "GlobalConstraint", "PatternError", "RelaxResult", "RelaxSettings", "SpanningTree",
     "SpringConfig", "Stage", "ValidationReport", "VertexFan", "assemble_global",
-    "build_spanning_tree", "build_vertex_fans", "crane_schedule", "dihedral_angles", "dof",
+    "build_spanning_tree", "build_vertex_fans", "crane_schedule", "dof",
     "embed", "flat_state_seed", "free_column_solve", "generate_crane", "generate_miura",
     "generate_waterbomb_base", "generate_waterbomb_tessellation", "kkt_step",
     "measure_dimensions", "parse_pattern", "relax", "run_schedule", "serialize_pattern",

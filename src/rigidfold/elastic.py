@@ -31,7 +31,7 @@ import numpy as np
 from .kinematics import assemble_global, check_fold_range
 from .numerics import free_column_solve
 from .pattern import _index, _is_number, _one_each, _real
-from .sequential import DEFAULT_EPS, MAX_ITER, _fold_state, _newton
+from .sequential import DEFAULT_EPS, _fold_state, _newton
 
 MAX_STEP_FACTOR = math.pi / 36.0
 STATIONARY_TOL = 1e-4  # projected gradient below which a relaxation converged
@@ -206,13 +206,14 @@ def relax(p, cfg, settings=None, rho0=None):
     """Drive the state to a constrained spring-energy minimum.
 
     Follows the step rule rho += c * drho / max|drho| with a residual cleanup
-    of at most ``MAX_ITER`` Newton iterations after every move; halves c
-    whenever the characteristic angle's increment reverses direction, and
-    stops when c drops below the step resolution,
-    when the step vanishes or after ``max_steps``, and records which of
+    of at most ``sequential.MAX_ITER`` Newton iterations after every move;
+    halves c whenever the characteristic angle's increment reverses
+    direction, and stops when c drops below the step resolution, when the
+    step vanishes or after ``max_steps``, and records which of
     these stopped it as ``stop_reason``.  Whatever stopped it, the result is
     converged only if the final state is stationary: its projected gradient
-    is below ``STATIONARY_TOL``.  Each cleanup's last assembly
+    is below ``STATIONARY_TOL``.  Each cleanup, the start state's included,
+    gives the state's recorded Newton iterations, and its last assembly
     serves the next step and gives the state's recorded residual.  A
     ``rho0`` that is not one finite angle per crease raises ``ValueError``
     before any solve.
@@ -227,14 +228,14 @@ def relax(p, cfg, settings=None, rho0=None):
                 f"(pattern has {p.n_creases} creases)"
             )
     rho = np.zeros(p.n_creases) if rho0 is None else _fold_state(p, rho0).copy()
-    rho, gc, _, _ = _newton(p, rho, (), settings.residual_tol, MAX_ITER)
+    rho, gc, iters, _ = _newton(p, rho, (), settings.residual_tol)
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))
 
     result = RelaxResult(characteristic=char)
     result.states.append(rho.copy())
     result.energies.append(spring_energy(cfg, rho))
-    result.newton_iters.append(0)
+    result.newton_iters.append(iters)
     result.residuals.append(gc.normalized_residual)
 
     c = settings.initial_step
@@ -251,7 +252,7 @@ def relax(p, cfg, settings=None, rho0=None):
             c = c / 2.0
         step = c * drho / largest
         new_rho = rho + step
-        new_rho, gc, iters, _ = _newton(p, new_rho, (), settings.residual_tol, MAX_ITER)
+        new_rho, gc, iters, _ = _newton(p, new_rho, (), settings.residual_tol)
         prev_char_move = new_rho[char] - rho[char]
         rho = new_rho
         check_fold_range(rho)

@@ -8,12 +8,12 @@ toward +z for a counterclockwise parent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import assemble_global, compile_pattern
-from .pattern import _by_length, _facet_tree, _index, _one_each
+from .pattern import _facet_tree, _index, _one_each
 from .sequential import DEFAULT_EPS, _fold_state
 
 EMBED_RESIDUAL_TOL = DEFAULT_EPS  # the solvers' acceptance tolerance
@@ -25,35 +25,29 @@ EMBED_RESIDUAL_TOL = DEFAULT_EPS  # the solvers' acceptance tolerance
 _POSES_PER_CALL = 1 << 16
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    facet: int
-    parent: int
-    crease: int
-    axis: tuple  # (a, b): rotation axis from vertex a to vertex b, flat coords
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SpanningTree:
     """A breadth-first facet tree and the constant geometry embedding needs.
 
-    The read-only arrays follow from ``root``, ``edges`` and the pattern, so
-    ``==`` ignores them.  Per tree edge: the crease id, the skew matrix K of
-    the unit axis, K @ K and the anchor ``flat[a]``.  ``owners`` maps each
-    vertex to the first facet holding it in ``[root] + BFS`` order, or one
-    past the last facet for a vertex on no facet.  ``levels`` holds, per
-    breadth-first depth, the positions of that depth's edges in ``edges``,
-    their child facets and their parent facets.
+    One read-only array entry per tree edge, in breadth-first order: the
+    child facet, its parent facet, the crease between them, the axis ends
+    (a, b) that run along it, the skew matrix K of the unit axis, K @ K and
+    the anchor ``flat[a]``.  Each depth's edges are contiguous and start at
+    their entry of ``depth_starts``.  ``owners`` maps each vertex to the
+    first facet holding it in ``[root] + children`` order, or one past the
+    last facet for a vertex on no facet.
     """
 
     root: int
-    edges: tuple  # TreeEdge in breadth-first order
-    creases: np.ndarray = field(compare=False, repr=False)
-    skew: np.ndarray = field(compare=False, repr=False)
-    skew_sq: np.ndarray = field(compare=False, repr=False)
-    anchors: np.ndarray = field(compare=False, repr=False)
-    owners: np.ndarray = field(compare=False, repr=False)
-    levels: tuple = field(compare=False, repr=False)  # (positions, children, parents)
+    children: np.ndarray
+    parents: np.ndarray
+    creases: np.ndarray
+    axes: np.ndarray  # (E, 2): rotation axis from vertex a to vertex b, flat coords
+    skew: np.ndarray
+    skew_sq: np.ndarray
+    anchors: np.ndarray
+    owners: np.ndarray
+    depth_starts: tuple
 
 
 def build_spanning_tree(p, root=0):
@@ -61,10 +55,11 @@ def build_spanning_tree(p, root=0):
 
     Each axis runs along the shared crease clockwise around the parent: the
     reverse of the direction in which the parent's cycle runs the crease.
-    The edges are grouped by depth, so that a facet's pose is composed after
-    its parent's, one level at a time.  ``root`` is a facet id: a whole
-    number in range (``2.0`` is facet 2), never a string or a bool.  The
-    tree is built once per root and kept on the pattern's compiled form.
+    The walk is breadth-first, so each depth's edges are contiguous and a
+    facet's pose is composed after its parent's, one depth at a time.
+    ``root`` is a facet id: a whole number in range (``2.0`` is facet 2),
+    never a string or a bool.  The tree is built once per root and kept on
+    the pattern's compiled form.
     """
     root = _index(root, "root facet")
     if not 0 <= root < len(p.facets):
@@ -74,32 +69,29 @@ def build_spanning_tree(p, root=0):
     compiled = compile_pattern(p)
     if root in compiled.trees:
         return compiled.trees[root]
-    edges, depth, by_level = [], {root: 0}, {}
+    edges, depth, depth_starts = [], {root: 0}, []
     for facet, parent, crease, forward in _facet_tree(p, root):
-        key = p.creases[crease].key
         depth[facet] = depth[parent] + 1
-        by_level.setdefault(depth[facet], []).append(len(edges))
-        edges.append(TreeEdge(facet, parent, crease, key[::-1] if forward else key))
+        if depth[facet] > len(depth_starts):  # the first edge of a new depth
+            depth_starts.append(len(edges))
+        key = p.creases[crease].key
+        edges.append((facet, parent, crease, *(key[::-1] if forward else key)))
     if len(edges) + 1 != len(p.facets):
         raise ValueError("facet adjacency graph is disconnected")
 
+    children, parents, creases, a, b = np.array(edges, dtype=np.intp).reshape(-1, 5).T.copy()
     flat = compiled.flat
-    anchors = flat[[e.axis[0] for e in edges]]
-    directions = flat[[e.axis[1] for e in edges]] - anchors
+    anchors = flat[a]
+    directions = flat[b] - anchors
     skew = np.array([_skew(d / np.linalg.norm(d)) for d in directions]).reshape(-1, 3, 3)
-    levels = tuple(
-        (np.array(ks, dtype=np.intp), np.array([edges[k].facet for k in ks], dtype=np.intp),
-         np.array([edges[k].parent for k in ks], dtype=np.intp))
-        for ks in by_level.values()
-    )
     owners = np.full(len(p.vertices), len(p.facets))
-    for f in reversed([root] + [e.facet for e in edges]):  # first facet wins
+    for f in reversed([root] + children.tolist()):  # first facet wins
         owners[list(p.facets[f])] = f
-    arrays = (np.array([e.crease for e in edges], dtype=np.intp), skew, skew @ skew,
+    arrays = (children, parents, creases, np.stack([a, b], axis=1), skew, skew @ skew,
               anchors, owners)
-    for a in arrays + sum(levels, ()):
-        a.flags.writeable = False
-    tree = compiled.trees[root] = SpanningTree(root, tuple(edges), *arrays, levels)
+    for x in arrays:
+        x.flags.writeable = False
+    tree = compiled.trees[root] = SpanningTree(root, *arrays, tuple(depth_starts))
     return tree
 
 
@@ -152,13 +144,13 @@ def _place(p, states, tree):
     placed down ``tree``.
 
     Each tree edge's rotation I + sin K + (1 - cos) K^2 is composed onto its
-    parent facet's pose, one batched product per tree level over every
+    parent facet's pose, one batched product per tree depth over every
     frame, in the same order per edge as a loop over the edges; one stacked
     product then places every vertex by its owning facet's pose.
     """
-    n_frames = len(states)
+    n_frames, n_edges = len(states), len(tree.creases)
     angles = states[:, tree.creases].ravel().tolist()
-    shape = (n_frames, len(tree.edges), 1, 1)
+    shape = (n_frames, n_edges, 1, 1)
     cos = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(shape)
     sin = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(shape)
     local = np.eye(3) + sin * tree.skew + (1.0 - cos) * tree.skew_sq
@@ -168,72 +160,15 @@ def _place(p, states, tree):
     offsets = np.empty((n_frames, len(p.facets) + 1, 3, 1))
     rotations[:, tree.root], offsets[:, tree.root] = np.eye(3), 0.0
     rotations[:, -1], offsets[:, -1] = np.nan, np.nan
-    for positions, children, parents in tree.levels:
+    starts = tree.depth_starts
+    for lo, hi in zip(starts, starts[1:] + (n_edges,)):
+        children, parents = tree.children[lo:hi], tree.parents[lo:hi]
         r_parent = rotations[:, parents]
-        rotations[:, children] = r_parent @ local[:, positions]
-        offsets[:, children] = r_parent @ moved[:, positions] + offsets[:, parents]
+        rotations[:, children] = r_parent @ local[:, lo:hi]
+        offsets[:, children] = r_parent @ moved[:, lo:hi] + offsets[:, parents]
     owners = tree.owners
     flat = compile_pattern(p).flat
     return (rotations[:, owners] @ flat[:, :, None] + offsets[:, owners])[..., 0]
-
-
-def _dots(x, y):
-    """Row-wise dot products: ``np.matmul`` calls the same BLAS dot per row
-    as ``np.dot`` and ``np.linalg.norm`` of one vector, to the last bit."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def dihedral_angles(p, coords):
-    """Fold angle per crease measured from embedded coordinates (V, 3),
-    valley positive.
-
-    Each crease reads its left facet (whose cycle runs it from the lower to
-    the higher id) and its right facet off the pattern's recorded sides; a
-    crease without one facet on each side is a ValueError.  The Newell
-    normal of each facet on a crease is summed in cycle order, one batch per
-    cycle length; the facet is degenerate when the normal's length, twice
-    its area, is at most 1e-12 times the sum of its squared sides, the same
-    test at every scale.  Near the fully folded state the sine of the angle
-    is numerically ambiguous; the stored assignment then decides the sign,
-    and an unassigned crease keeps its sine's sign.
-    """
-    by_edge = p._edge_facets
-    left, right = [], []
-    for key in p.crease_index:  # crease order
-        sides = by_edge.get(key, ())
-        if sorted(forward for _, forward in sides) != [False, True]:
-            raise ValueError(f"crease {key} does not have one facet on each side")
-        (f, forward), (g, _) = sides
-        left.append(f if forward else g)
-        right.append(g if forward else f)
-
-    creased = sorted(set(left + right))
-    normals = np.empty((len(p.facets), 3))
-    for m, ks in _by_length([p.facets[f] for f in creased]).items():
-        fs = [creased[k] for k in ks]
-        pts = coords[np.array([p.facets[f] for f in fs], dtype=np.intp)]
-        n = np.zeros((len(fs), 3))
-        for i in range(m):
-            n += np.cross(pts[:, i], pts[:, (i + 1) % m])
-        size = ((np.roll(pts, -1, axis=1) - pts) ** 2).reshape(len(fs), -1).sum(axis=1)
-        norm = np.sqrt(_dots(n, n))
-        if np.any(norm <= 1e-12 * size):
-            raise ValueError("degenerate facet normal")
-        normals[fs] = n / norm[:, None]
-
-    ends = p._crease_ends
-    axis = coords[ends[:, 1]] - coords[ends[:, 0]]
-    axis = axis / np.sqrt(_dots(axis, axis))[:, None]
-    n_left, n_right = normals[left], normals[right]
-    cos = np.clip(_dots(n_left, n_right), -1.0, 1.0).tolist()
-    sin = _dots(np.cross(n_right, n_left), axis).tolist()
-    rho = []
-    for s, c, sign in zip(sin, cos, p._fold_signs.tolist()):
-        if abs(s) < 1e-9 and c < 0:
-            rho.append((sign or math.copysign(1.0, s)) * math.acos(c))
-        else:
-            rho.append(math.atan2(s, c))
-    return np.array(rho)
 
 
 def measure_dimensions(coords):

@@ -159,7 +159,7 @@ class FoldTrajectory:
         return len(self.states)
 
 
-def _newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
+def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
     """One step's Newton loop: every solve of a fold step, seed or cleanup.
 
     With ``f`` given, the first solve is the tangent predictor: it moves
@@ -167,7 +167,8 @@ def _newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
     when given, else on the blocks of ``gc``, the assembly at ``rho``
     (assembled when not given).  It is no Newton iteration, and no
     convergence test precedes it.  Every later solve has f = 0 and runs
-    until the normalized residual passes eps.
+    until the normalized residual passes eps; a loop that needs more than
+    ``MAX_ITER`` Newton iterations raises ``ConvergenceError``.
 
     A chord method (Kelley, Solving Nonlinear Equations with Newton's
     Method, 2003, ch. 2): blocks C0 whose band factorization a solve with
@@ -194,7 +195,7 @@ def _newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
                 raise ConvergenceError(
                     f"non-finite residual after {iters} Newton iterations", iters
                 )
-            if iters >= max_iter:
+            if iters >= MAX_ITER:
                 raise ConvergenceError(
                     f"residual {norm:.3e} after {iters} Newton iterations (eps={eps:.1e})",
                     iters,
@@ -234,7 +235,7 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS):
     if not math.isfinite(magnitude):
         raise ValueError(f"seed magnitude {magnitude!r} is not finite")
     rho = np.where(p._fold_signs != 0, magnitude * p._fold_signs, 0.0)
-    rho, _, _, _ = _newton(p, rho, (), eps, MAX_ITER)
+    rho, _, _, _ = _newton(p, rho, (), eps)
     return rho
 
 
@@ -292,9 +293,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
                     guess[ids] = waypoint
                     guess[held] = last[held]
                     try:
-                        rho, gc_next, iters, kept_next = _newton(
-                            p, guess, controlled, eps, MAX_ITER
-                        )
+                        rho, gc_next, iters, kept_next = _newton(p, guess, controlled, eps)
                     except ConvergenceError as exc:
                         discarded = exc.iters
                     else:
@@ -306,13 +305,11 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
                             discarded = iters
                 if not extrapolated:
                     f = np.concatenate([waypoint - last[ids], np.zeros(len(held))])
-                    rho, gc, iters, kept = _newton(
-                        p, last, controlled, eps, MAX_ITER, f, gc, kept
-                    )
+                    rho, gc, iters, kept = _newton(p, last, controlled, eps, f, gc, kept)
                     iters += discarded
             except ConvergenceError as exc:
                 raise ConvergenceError(
-                    f"stage {stage_idx}, step {k}/{steps}: {exc}"
+                    f"stage {stage_idx}, step {k}/{steps}: {exc}", exc.iters
                 ) from exc
             check_fold_range(rho)
             if kept is None:

@@ -513,7 +513,7 @@ def refactoring_stage(p, rho, stage, eps, max_iter=50):
     return states
 
 
-def tangent_schedule(p, rho, schedule, eps, max_iter=50):
+def tangent_schedule(p, rho, schedule, eps):
     """States of a schedule whose stages all give ``steps``, each step
     started from the tangent predictor and handing the factorization its
     Newton loop kept to the next step of its stage: the step loop of
@@ -529,7 +529,7 @@ def tangent_schedule(p, rho, schedule, eps, max_iter=50):
         for k in range(1, stage.steps + 1):
             waypoint = start + (targets - start) * (k / stage.steps)
             f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
-            rho, gc, _, kept = _newton(p, rho, controlled, eps, max_iter, f, gc, kept)
+            rho, gc, _, kept = _newton(p, rho, controlled, eps, f, gc, kept)
             states.append(rho)
     return states
 
@@ -688,15 +688,14 @@ class FoldDirective:
 
 def controlled_step(p, rho, directive):
     """One folding step driven by controlled creases, to ``DEFAULT_EPS`` in
-    at most ``MAX_ITER`` Newton iterations, both read from ``sequential`` at
-    the call; returns the next state.
+    at most ``MAX_ITER`` Newton iterations, both read from ``sequential``
+    when the step runs; returns the next state.
 
     A start state that is not one finite angle per crease raises
     ``ValueError`` before any solve.
     """
     rho, _, _, _ = _newton(
-        p, _fold_state(p, rho), directive.controlled, sequential.DEFAULT_EPS,
-        sequential.MAX_ITER, directive.f,
+        p, _fold_state(p, rho), directive.controlled, sequential.DEFAULT_EPS, directive.f,
     )
     check_fold_range(rho)
     return rho
@@ -765,24 +764,27 @@ def bordered_step(c, r, stiffness, d, cutoff=1e-12):
     return x[:n]
 
 
-def tree_embedding(p, rho, edges, root):
+def tree_embedding(p, rho, tree):
     """Vertex coordinates placed facet by facet down a spanning tree.
 
     One rotation per tree edge about its own normalized axis, poses kept per
-    facet, and each vertex placed by the first facet of ``[root] + edges``
-    that holds it: the same arithmetic, step for step, as the engine's
-    stacked embedding, so the two agree bit for bit.
+    facet, and each vertex placed by the first facet of ``[root] +
+    children`` that holds it: the same arithmetic, step for step, as the
+    engine's stacked embedding, so the two agree bit for bit.  Only the
+    tree's edges are read: its child, parent, crease and axis ends.
     """
     flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
+    root, children = tree.root, tree.children.tolist()
     rotations, offsets = {root: np.eye(3)}, {root: np.zeros(3)}
-    for e in edges:
-        a, b = e.axis
-        local = _rot(flat[b] - flat[a], rho[e.crease])
-        r, t = rotations[e.parent], offsets[e.parent]
-        rotations[e.facet] = r @ local
-        offsets[e.facet] = r @ (flat[a] - local @ flat[a]) + t
+    for facet, parent, crease, (a, b) in zip(
+        children, tree.parents.tolist(), tree.creases.tolist(), tree.axes.tolist()
+    ):
+        local = _rot(flat[b] - flat[a], rho[crease])
+        r, t = rotations[parent], offsets[parent]
+        rotations[facet] = r @ local
+        offsets[facet] = r @ (flat[a] - local @ flat[a]) + t
     coords = np.full((len(p.vertices), 3), np.nan)
-    for f in [root] + [e.facet for e in edges]:
+    for f in [root] + children:
         for v in p.facets[f]:
             if np.isnan(coords[v, 0]):
                 coords[v] = rotations[f] @ flat[v] + offsets[f]
@@ -805,10 +807,10 @@ def edge_loop_embedding(p, rho, root):
     offsets = np.empty((len(p.facets) + 1, 3))
     rotations[root], offsets[root] = np.eye(3), 0.0
     rotations[-1], offsets[-1] = np.nan, np.nan
-    for i, edge in enumerate(tree.edges):
-        r_parent = rotations[edge.parent]
-        rotations[edge.facet] = r_parent @ local[i]
-        offsets[edge.facet] = r_parent @ moved[i] + offsets[edge.parent]
+    for i, (facet, parent) in enumerate(zip(tree.children.tolist(), tree.parents.tolist())):
+        r_parent = rotations[parent]
+        rotations[facet] = r_parent @ local[i]
+        offsets[facet] = r_parent @ moved[i] + offsets[parent]
     owners = tree.owners
     return (rotations[owners] @ flat[:, :, None])[:, :, 0] + offsets[owners]
 

@@ -7,6 +7,7 @@ from oracles import (
     bordered_step,
     explicit_inverse_step,
     projection_step_uniform,
+    refactoring_newton,
     tachi_projection_step,
     waterbomb_branch_well,
     waterbomb_symmetric_oracle,
@@ -283,6 +284,18 @@ class TestRelax:
         assert len(result.states) <= 2
         assert np.allclose(result.final, rest, atol=1e-9)
         assert result.stop_reason == "vanishing_step"
+
+    def test_start_cleanup_iterations_recorded(self, waterbomb):
+        """The start state's cleanup counts its Newton iterations like every
+        later one: 0.05 rad off the 30 degree seed, plain Newton's 3."""
+        start = flat_state_seed(waterbomb, math.radians(30.0)) + 0.05
+        settings = RelaxSettings(max_steps=2)
+        _, _, iters = refactoring_newton(waterbomb, start, (), settings.residual_tol)
+        cfg = SpringConfig.per_unit_length(waterbomb, 1.0, np.zeros(8))
+        result = relax(waterbomb, cfg, settings, start)
+        assert iters == 3
+        assert result.newton_iters[0] == iters
+        assert len(result.newton_iters) == len(result.states) == 3
 
     def test_bistable_upward_reaches_rest(self, wb_bistability):
         res = wb_bistability["upward"]

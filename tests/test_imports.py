@@ -49,7 +49,7 @@ PUBLIC = [
     "ConvergenceError", "Crease", "CreasePattern", "FoldSchedule", "FoldTrajectory",
     "GlobalConstraint", "PatternError", "RelaxResult", "RelaxSettings", "SpanningTree",
     "SpringConfig", "Stage", "ValidationReport", "VertexFan", "assemble_global",
-    "build_spanning_tree", "build_vertex_fans", "crane_schedule", "dihedral_angles", "dof",
+    "build_spanning_tree", "build_vertex_fans", "crane_schedule", "dof",
     "embed", "flat_state_seed", "free_column_solve", "generate_crane", "generate_miura",
     "generate_waterbomb_base", "generate_waterbomb_tessellation", "kkt_step",
     "measure_dimensions", "parse_pattern", "relax", "run_schedule", "serialize_pattern",
@@ -65,6 +65,7 @@ MOVED = {
     "controlled_step": "sequential",
     "FoldDirective": "sequential",
     "poisson_ratio": "embedding",
+    "dihedral_angles": "embedding",
 }
 
 

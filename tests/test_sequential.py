@@ -176,7 +176,7 @@ class TestFlatStateSeed:
             assert [s.tobytes() for s in starts] == [want.tobytes()]
             unassigned = [c.assignment == UNASSIGNED for c in p.creases]
             assert not np.signbit(starts[0][unassigned]).any()
-            ref, _, _, _ = _newton(p, want, (), sequential.DEFAULT_EPS, sequential.MAX_ITER)
+            ref, _, _, _ = _newton(p, want, (), sequential.DEFAULT_EPS)
             assert got.tobytes() == ref.tobytes()
 
     def test_zero_magnitude_flat(self, miura33):
@@ -360,6 +360,18 @@ class TestRunSchedule:
         with pytest.warns(UserWarning, match="exceed") as record:
             controlled_step(p, seed, FoldDirective(controlled=(driven, hinge), f=[-0.1, 0.0]))
         assert len(record) == 1
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_failed_step_keeps_its_iteration_count(self, miura33, max_iter, monkeypatch):
+        """A step whose Newton loop fails is raised again with its stage and
+        step named, and with the iterations the loop ran."""
+        p = miura33
+        seed = flat_state_seed(p, math.radians(1.0))
+        monkeypatch.setattr(sequential, "MAX_ITER", max_iter)
+        stage = Stage(targets={p.meta["driven_crease"]: -1.0}, steps=2)
+        with pytest.raises(ConvergenceError, match=r"^stage 0, step 1/2: residual") as info:
+            run_schedule(p, seed, FoldSchedule((stage,)))
+        assert info.value.iters == info.value.__cause__.iters == max_iter
 
 
 class TestScheduleJson:
@@ -592,9 +604,9 @@ class TestChordNewton:
             log.append((bool(np.any(f)), np.linalg.norm(r) / len(r), len(calls) > before))
             return dx
 
-        def newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
+        def newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
             first = len(log) + (f is not None)
-            out = real_newton(p, rho, controlled, eps, max_iter, f, gc, kept)
+            out = real_newton(p, rho, controlled, eps, f, gc, kept)
             predictor = None if f is None else gc.blocks if kept is None else kept
             loops.append((first, predictor is not None and predictor.certified(controlled)))
             return out
@@ -641,7 +653,7 @@ class TestChordNewton:
         start = far.copy()
         start[np.arange(p.n_creases) != driven] += math.radians(3.0)
         calls = count_factorizations(monkeypatch)
-        rho, gc, iters, _ = _newton(p, start, (driven,), self.EPS, 50, kept=kept)
+        rho, gc, iters, _ = _newton(p, start, (driven,), self.EPS, kept=kept)
         assert calls and all(calls)
         assert gc.normalized_residual < self.EPS and iters < 30
         assert rho[driven] == start[driven]
@@ -802,9 +814,9 @@ class TestExtrapolatedStart:
             monkeypatch.setattr(sequential, "EXTRAPOLATION",
                                 np.array([math.nan, -5.0, 10.0, -10.0, 5.0]))
 
-        def newton(p, rho, controlled, eps, max_iter, f=None, gc=None, kept=None):
+        def newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
             extrapolated = f is None  # a tangent step's loop starts with the predictor
-            rho, gc, iters, kept = real(p, rho, controlled, eps, max_iter, f, gc, kept)
+            rho, gc, iters, kept = real(p, rho, controlled, eps, f, gc, kept)
             loops.append((extrapolated, iters))
             if extrapolated and wild == "lands_far":
                 rho = rho + 1.0
