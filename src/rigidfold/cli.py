@@ -23,7 +23,8 @@ from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, relax
 from .embedding import EMBED_RESIDUAL_TOL, build_spanning_tree, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, _real, parse_pattern, validate_pattern
-from .sequential import DEFAULT_EPS, ConvergenceError, FoldSchedule, flat_state_seed, run_schedule
+from .sequential import (DEFAULT_EPS, ConvergenceError, FoldSchedule, _fold_state,
+                          flat_state_seed, run_schedule)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -89,18 +90,14 @@ def _load(path, parse, *args):
         raise ValueError(f"malformed document {path}: {exc!r}") from exc
 
 
-def _parse_state(text, n):
-    """The n fold angles of a state document: finite real numbers, never
-    converted from strings or bools."""
+def _parse_state(text, p):
+    """The ``_fold_state`` of a state document for ``p``, each angle a real
+    number, never converted from a string or a bool."""
     data = json.loads(text)
     values = data["rho"] if isinstance(data, dict) else data
-    rho = np.asarray(values, dtype=float)
-    if rho.shape != (n,):
-        raise PatternError(f"state has {rho.size} angles, pattern has {n} creases")
+    rho = _fold_state(p, values)
     for v in values:
         _real(v, "state angle")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("state angles must be finite")
     return rho
 
 
@@ -185,7 +182,7 @@ def cmd_info(args):
     p = _load_pattern(args.pattern)
     warn = None
     if args.state:
-        rho = _load(args.state, _parse_state, p.n_creases)
+        rho = _load(args.state, _parse_state, p)
     elif p._fold_signs.any():
         rho = flat_state_seed(p, math.radians(1.0))
     else:
@@ -265,7 +262,7 @@ def cmd_relax(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.state:
-        rho0 = _load(args.state, _parse_state, p.n_creases)
+        rho0 = _load(args.state, _parse_state, p)
     elif args.seed_magnitude > 0:
         rho0 = flat_state_seed(p, math.radians(args.seed_magnitude))
     else:
@@ -307,7 +304,7 @@ def cmd_relax(args):
 
 def cmd_measure(args):
     p = _load_pattern(args.pattern, args.root_facet)
-    rho = _load(args.state, _parse_state, p.n_creases)
+    rho = _load(args.state, _parse_state, p)
     l, w, h = measure_dimensions(embed(p, rho, root=args.root_facet))
     _stdout(json.dumps({"L": l, "W": w, "H": h}, indent=1) + "\n")
     return EXIT_OK
@@ -316,7 +313,7 @@ def cmd_measure(args):
 def cmd_export_obj(args):
     p = _load_pattern(args.pattern, args.root_facet)
     if args.state:
-        rho = _load(args.state, _parse_state, p.n_creases)
+        rho = _load(args.state, _parse_state, p)
     else:
         rho = np.zeros(p.n_creases)
     text = export_obj(embed(p, rho, root=args.root_facet), p.facets)
@@ -393,9 +390,6 @@ def main(argv=None):
         raise
     try:
         return args.func(args)
-    except PatternError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

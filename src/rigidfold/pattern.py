@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,21 +35,12 @@ class PatternError(ValueError):
     """Structurally invalid pattern document or construction input."""
 
 
-@dataclass(frozen=True)
-class Crease:
+class Crease(NamedTuple):
+    """The vertex ids and assignment of a crease; a pattern's have ``a < b``."""
+
     a: int
     b: int
     assignment: str = UNASSIGNED
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise PatternError(f"degenerate crease ({self.a}, {self.b})")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
-        if self.assignment not in _ASSIGNMENTS:
-            raise PatternError(f"unknown assignment {self.assignment!r}")
 
     @property
     def key(self):
@@ -97,19 +88,19 @@ class VertexFan:
 class CreasePattern:
     """Immutable crease pattern; derived combinatorics computed on build.
 
-    The constructor owns the structural checks: finite 2D points, and vertex
-    ids that are integers in range; ``validate_pattern`` reports the rest.
-    Ids that are all plain ints in range, and coordinates that are a numeric
-    array or plain floats and ints, skip the per-entry checks.
+    The constructor owns the structural checks: finite 2D points, vertex
+    ids that are integers in range, and creases that join two different
+    vertices, carry an assignment M, V or U and are given once (either end
+    first); ``validate_pattern`` reports the rest.
     """
 
     def __init__(self, vertices, creases, boundary, facets, meta=None):
         self.vertices = _points(vertices)
         n = len(self.vertices)
         self.creases = self._canonical_creases(creases, n)
-        edges = _id_lists(boundary, n, "boundary edge")
+        edges = (_indices(e, n, "boundary edge") for e in boundary)
         self.boundary = sorted((a, b) if a < b else (b, a) for a, b in edges)
-        self.facets = self._canonical_facets(_id_lists(facets, n, "facet"))
+        self.facets = self._canonical_facets(_indices(f, n, "facet") for f in facets)
         self.meta = dict(meta or {})
         self._index_edges()
 
@@ -117,17 +108,20 @@ class CreasePattern:
 
     @staticmethod
     def _canonical_creases(creases, n):
-        creases = [
-            (c.a, c.b, c.assignment) if isinstance(c, Crease) else c for c in creases
-        ]
-        plain = _plain_ids(creases, n, 2)
+        """The ``(a, b[, assignment])`` entries as sorted Creases, a < b; a
+        self-loop, an assignment not M, V or U, or a repeat is a PatternError."""
         out = []
         for c in creases:
-            a, b = c[:2] if plain else _indices(c[:2], n, "crease")
-            out.append(Crease(a, b, c[2] if len(c) > 2 else UNASSIGNED))
-        out.sort(key=attrgetter("a", "b"))
+            a, b = _indices(c[:2], n, "crease")
+            kind = c[2] if len(c) > 2 else UNASSIGNED
+            if a == b:
+                raise PatternError(f"degenerate crease ({a}, {b})")
+            if kind not in _ASSIGNMENTS:
+                raise PatternError(f"unknown assignment {kind!r}")
+            out.append(Crease(a, b, kind) if a < b else Crease(b, a, kind))
+        out.sort()
         for prev, cur in zip(out, out[1:]):
-            if prev.a == cur.a and prev.b == cur.b:
+            if prev.key == cur.key:
                 raise PatternError(f"duplicate crease {cur.key}")
         return out
 
@@ -249,7 +243,7 @@ def _one_each(values, what, n, whole="pattern has {} creases"):
     ("spring config has {} springs", "pattern has {} creases")."""
     values = np.asarray(values, dtype=float)
     if values.shape != (n,):
-        count = len(values) if values.ndim == 1 else values.shape
+        count = values.size if values.ndim <= 1 else values.shape
         raise ValueError(f"{what.format(count)}, {whole.format(n)}")
     return values
 
@@ -268,30 +262,19 @@ def _index(value, what, error=ValueError):
 
 
 def _points(vertices):
-    """The vertex list as an (n, 2) float array of finite 2D points, n > 0;
-    a coordinate that is not a real number (a string, a bool) is a
-    TypeError, never converted.  A numeric (n, 2) array, or a list of pairs
-    of plain floats and ints, needs no per-coordinate check."""
+    """The vertex list (an array is read as its ``tolist``) as an (n, 2)
+    float array of finite 2D points, n > 0; a coordinate that is not a real
+    number (a string, a bool) is a TypeError, never converted."""
     if len(vertices) == 0:
         raise PatternError("empty vertex list")
-    if isinstance(vertices, np.ndarray):
-        plain = vertices.dtype.kind in "fiu" and vertices.shape[1:] == (2,)
-    else:
-        try:
-            plain = {len(v) for v in vertices} == {2} and (
-                {type(x) for v in vertices for x in v} <= {float, int}
-            )
-        except TypeError:
-            plain = False
-    if not plain:
-        for v in vertices:
-            if len(v) != 2:
-                raise PatternError(f"vertex is not a 2D point: {v}")
-            for x in v:
-                if not _is_number(x):
-                    raise TypeError(f"coordinate {x!r} of vertex {v} is not a number")
+    for v in vertices.tolist() if isinstance(vertices, np.ndarray) else vertices:
+        if len(v) != 2:
+            raise PatternError(f"vertex is not a 2D point: {v}")
+        for x in v:
+            if type(x) is not float and not _is_number(x):
+                raise TypeError(f"coordinate {x!r} of vertex {v} is not a number")
     pts = np.asarray(vertices, dtype=float)
-    if pts.ndim != 2 or not np.all(np.isfinite(pts)):
+    if not np.all(np.isfinite(pts)):
         raise PatternError("vertex coordinates must be finite numbers")
     return pts
 
@@ -302,31 +285,12 @@ def _indices(entry, n, what):
     PatternError."""
     out = []
     for v in entry:
-        i = _index(v, f"{what} {entry}", PatternError)
+        # the message's place is formatted only for an id that is no plain int
+        i = v if type(v) is int else _index(v, f"{what} {entry}", PatternError)
         if not 0 <= i < n:
             raise PatternError(f"dangling index {v!r} in {what} {entry}")
         out.append(i)
     return out
-
-
-def _plain_ids(entries, n, width=None):
-    """True when the first ``width`` items of every entry (all of them when
-    None) are plain ints in ``range(n)``, so no id needs ``_indices``."""
-    try:
-        ids = [v for e in entries for v in e[:width]]
-    except (TypeError, KeyError):  # a malformed entry: the per-entry checks report it
-        return False
-    return {type(v) for v in ids} <= {int} and (not ids or 0 <= min(ids) and max(ids) < n)
-
-
-def _id_lists(entries, n, what):
-    """Each entry's vertex ids as a list of ints, in order.  Unless every id
-    is a plain int in range, the entries are checked by ``_indices`` as the
-    caller reads them, so errors come in entry order."""
-    entries = list(entries)
-    if _plain_ids(entries, n):
-        return [list(e) for e in entries]
-    return (_indices(e, n, what) for e in entries)
 
 
 def _least_first(cycle):

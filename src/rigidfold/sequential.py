@@ -168,7 +168,8 @@ def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
     (assembled when not given).  It is no Newton iteration, and no
     convergence test precedes it.  Every later solve has f = 0 and runs
     until the normalized residual passes eps; a loop that needs more than
-    ``MAX_ITER`` Newton iterations raises ``ConvergenceError``.
+    ``MAX_ITER`` Newton iterations raises ``ConvergenceError``.  An eps that
+    is not finite and positive is a ValueError before any solve.
 
     A chord method (Kelley, Solving Nonlinear Equations with Newton's
     Method, 2003, ch. 2): blocks C0 whose band factorization a solve with
@@ -182,6 +183,8 @@ def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
     Returns the state, its assembly, the iteration count and the blocks
     still kept.  A non-finite residual never passes.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if gc is None:
         gc = assemble_global(p, rho)
     predicting = f is not None
@@ -230,7 +233,8 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS):
     Valleys start at +magnitude, mountains at -magnitude, unassigned creases
     at +0.0; pure residual elimination (no controlled creases) then restores
     compatibility, which selects the folding branch matching the assignment.
-    A non-finite magnitude raises ``ValueError`` before any solve.
+    A non-finite magnitude, or an ``eps`` that is not finite and positive,
+    raises ``ValueError`` before any solve.
     """
     if not math.isfinite(magnitude):
         raise ValueError(f"seed magnitude {magnitude!r} is not finite")
@@ -252,9 +256,10 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
     five that each kept one starts from their quartic extrapolation (see the
     module docstring).
     A crease id outside the pattern, a target outside the fold-angle range
-    [-pi, pi], or a start state that is not one finite angle per crease
-    raises ``ValueError`` before any solve: a finite but huge target would
-    ask a stage without a step count for endless steps.
+    [-pi, pi], a start state that is not one finite angle per crease, or an
+    ``eps`` that is not finite and positive raises ``ValueError`` before any
+    solve: a finite but huge target would ask a stage without a step count
+    for endless steps.
     """
     for stage in schedule.stages:
         for i in (*stage.targets, *stage.hold):

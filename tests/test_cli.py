@@ -35,6 +35,7 @@ from rigidfold.cli import (
 from rigidfold.elastic import RelaxSettings, SpringConfig, relax
 from rigidfold.embedding import embed
 from rigidfold.pattern import MOUNTAIN, CreasePattern
+from test_pattern import CREASE_RULES
 
 
 @pytest.fixture()
@@ -98,6 +99,16 @@ class TestValidateCommand:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--pattern", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("crease, message", CREASE_RULES)
+    def test_broken_crease_exits_1(self, tmp_path, capsys, crease, message):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "creases": [crease],
+            "boundary": [[0, 1], [1, 2], [2, 3], [3, 0]], "facets": [[0, 1, 2], [0, 2, 3]],
+        }))
+        assert main(["validate", "--pattern", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -830,7 +841,8 @@ class TestBadInput:
          "malformed document"),
         ("state", {"rho": ["0"] + [0.0] * (N_CREASES - 1)}, "malformed document"),
         ("state", {"rho": [False] + [0.0] * (N_CREASES - 1)}, "malformed document"),
-        ("state", {"rho": [math.nan] + [0.0] * (N_CREASES - 1)}, "state angles must be finite"),
+        ("state", {"rho": [math.nan] + [0.0] * (N_CREASES - 1)},
+         "fold state has non-finite angles at creases [0]"),
         # a crease named twice used to be read with the last entry winning
         ("schedule", {"stages": [{"controlled": [{"crease": DRIVEN, "target": 0.5},
                                                  {"crease": DRIVEN, "target": -0.5}]}]},

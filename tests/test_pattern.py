@@ -94,6 +94,37 @@ def test_parse_errors():
         parse_pattern(json.dumps(doc))
 
 
+# a crease must join two different vertices and carry M, V or U; the
+# lower-case "m" is no assignment
+CREASE_RULES = [
+    ([1, 1, "M"], "degenerate crease (1, 1)"),
+    ([0, 2, "X"], "unknown assignment 'X'"),
+    ([0, 2, "m"], "unknown assignment 'm'"),
+]
+
+
+@pytest.mark.parametrize("crease, message", CREASE_RULES)
+def test_crease_rules(crease, message):
+    doc = json.loads(SQUARE_DOC)
+    doc["creases"] = [[0, 2, "V"], crease]
+    for build in (lambda: parse_pattern(json.dumps(doc)),
+                  lambda: CreasePattern(doc["vertices"], doc["creases"], doc["boundary"],
+                                        doc["facets"])):
+        with pytest.raises(PatternError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_crease_ends_either_way_round():
+    doc = json.loads(SQUARE_DOC)
+    doc["creases"] = [[0, 2, "V"]]
+    reversed_ends = parse_pattern(json.dumps({**doc, "creases": [[2, 0, "V"]]}))
+    assert reversed_ends == parse_pattern(json.dumps(doc))
+    assert [c.key for c in reversed_ends.creases] == [(0, 2)]
+    for p in (generate_crane(), generate_miura(3, 3), generate_waterbomb_tessellation(2, 2)):
+        assert CreasePattern(p.vertices, p.creases, p.boundary, p.facets) == p
+
+
 def hole_pattern():
     """Annulus-like: a square ring of facets with an uncovered middle."""
     verts = [
@@ -467,7 +498,6 @@ def test_constructor_checks_dangling_indices():
     ([[0, 1, 2]] * 2 + [[0, 1, "x"]], TypeError, "id 'x' in facet"),
 ])
 def test_id_checks_keep_their_errors(facets, error, message):
-    # plain ints in range skip the per-id checks; anything else meets them
     verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
     with pytest.raises(error, match=message):
         CreasePattern(verts, [], [[0, 1], [1, 2], [2, 3], [3, 0]], facets)

@@ -261,6 +261,35 @@ def test_serialize_parse_round_trip(p):
     assert serialize_pattern(again) == text
 
 
+ID_SPELLINGS = (int, float, np.int64, np.int32)
+COORDINATE_SPELLINGS = (float, np.float64)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=generated_patterns, seed=st.integers(0, 2**32 - 1))
+def test_every_id_and_coordinate_spelling_builds_the_same_pattern(p, seed):
+    """Each id of a pattern's document spelled as an int, an integral float
+    or a numpy int, and each coordinate as a float or a numpy float, mixed
+    within one document, builds the same pattern with plain int ids."""
+    rng = np.random.default_rng(seed)
+    doc = p.to_dict()
+
+    def respell(values, spellings):
+        picks = rng.integers(len(spellings), size=len(values))
+        return [spellings[k](v) for v, k in zip(values, picks)]
+
+    again = CreasePattern(
+        [respell(v, COORDINATE_SPELLINGS) for v in doc["vertices"]],
+        [[*respell(c[:2], ID_SPELLINGS), c[2]] for c in doc["creases"]],
+        [respell(e, ID_SPELLINGS) for e in doc["boundary"]],
+        [respell(f, ID_SPELLINGS) for f in doc["facets"]],
+    )
+    assert again == p
+    ids = [v for c in again.creases for v in c.key]
+    ids += [v for e in again.boundary for v in e] + [v for f in again.facets for v in f]
+    assert {type(v) for v in ids} == {int}
+
+
 layer_patterns = st.one_of(
     st.builds(generate_miura, st.integers(1, 7), st.integers(1, 7),
               a=st.sampled_from([1.0, 0.3, 2.5]), b=st.sampled_from([1.0, 0.6, 4.0]),

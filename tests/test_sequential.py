@@ -26,6 +26,7 @@ from rigidfold import (
     Stage,
     assemble_global,
     crane_schedule,
+    embed,
     flat_state_seed,
     free_column_solve,
     generate_crane,
@@ -339,6 +340,22 @@ class TestRunSchedule:
             controlled_step(p, start, FoldDirective(controlled=(driven,), f=[-0.1]))
         assert solves == []
 
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_eps_refused_before_any_solve(self, miura33, eps, monkeypatch):
+        """An eps no residual can pass (NaN, zero or less) used to run all
+        MAX_ITER Newton iterations and then blame the residual; an infinite
+        one passes any residual.  Both entry points refuse it unsolved."""
+        solves = []
+        monkeypatch.setattr(sequential, "free_column_solve",
+                            lambda *args: solves.append(args))
+        schedule = FoldSchedule((Stage(targets={miura33.meta["driven_crease"]: -0.5}, steps=2),))
+        message = f"eps must be finite and positive, got {eps!r}"
+        with pytest.raises(ValueError, match=message):
+            flat_state_seed(miura33, math.radians(1.0), eps=eps)
+        with pytest.raises(ValueError, match=message):
+            run_schedule(miura33, np.zeros(miura33.n_creases), schedule, eps=eps)
+        assert solves == []
+
     def test_one_fold_range_warning_per_accepted_state(self, monkeypatch):
         """A Miura 3x3 with a hinge crease between two boundary vertices (no
         closure rows), held at 3.5 rad while the driven crease moves to -60
@@ -372,6 +389,18 @@ class TestRunSchedule:
         with pytest.raises(ConvergenceError, match=r"^stage 0, step 1/2: residual") as info:
             run_schedule(p, seed, FoldSchedule((stage,)))
         assert info.value.iters == info.value.__cause__.iters == max_iter
+
+
+def test_scalar_state_counts_as_one_angle():
+    """A number where a state belongs is one angle, not a shape ``()``."""
+    p = generate_miura(2, 2)
+    cfg = SpringConfig.per_unit_length(p, 1.0, np.zeros(p.n_creases))
+    schedule = FoldSchedule((Stage(targets={0: 0.1}, steps=1),))
+    for call in (lambda: embed(p, 0.5), lambda: assemble_global(p, 0.5),
+                 lambda: relax(p, cfg, RelaxSettings(), rho0=0.5),
+                 lambda: run_schedule(p, 0.5, schedule)):
+        with pytest.raises(ValueError, match=r"^fold state has 1 angles, pattern has 24 creases$"):
+            call()
 
 
 class TestScheduleJson:
