@@ -91,14 +91,15 @@ def _load(path, parse, *args):
 
 
 def _parse_state(text, p):
-    """The ``_fold_state`` of a state document for ``p``, each angle a real
-    number, never converted from a string or a bool."""
+    """The ``_fold_state`` of a state document for ``p``: a list of angles,
+    bare or as the object's ``rho``, each angle a real number, never
+    converted from a string or a bool.  Anything else is a TypeError, which
+    ``_load`` reports as a malformed document."""
     data = json.loads(text)
     values = data["rho"] if isinstance(data, dict) else data
-    rho = _fold_state(p, values)
-    for v in values:
-        _real(v, "state angle")
-    return rho
+    if not isinstance(values, list):
+        raise TypeError(f"state angles {values!r} are not a list")
+    return _fold_state(p, [_real(v, "state angle") for v in values])
 
 
 def _angles_out(values, degrees):

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .numerics import RowBlocks, _kept
+from .numerics import RowBlocks, _kept, _Layout
 from .pattern import _one_each, build_vertex_fans
 
 FOLD_RANGE_SLACK = 1e-6
@@ -35,12 +35,13 @@ class GlobalConstraint:
     ``C`` is built from the blocks on first use and kept.
     """
 
-    def __init__(self, shape, evaluated, r):
+    def __init__(self, shape, evaluated, r, layout):
         self.r = r
         rows = len(r)
         self.normalized_residual = float(np.linalg.norm(r)) / rows if rows else 0.0
         self._shape = shape
         self._evaluated = evaluated  # (degree group, what its residual kept)
+        self._layout = layout
         self._blocks = None
 
     @property
@@ -50,7 +51,7 @@ class GlobalConstraint:
             self._blocks = RowBlocks(self._shape, [
                 (group.rows, group.factor_ids, group.jacobian(*kept))
                 for group, kept in self._evaluated
-            ])
+            ], self._layout)
             self._evaluated = None
         return self._blocks
 
@@ -75,13 +76,12 @@ def check_fold_range(rho):
 # index of the three independent entries (3,2), (1,3), (2,1) in a matrix stack
 _INDEPENDENT = (..., [2, 0, 1], [1, 2, 0])
 
-
-def _stacked(shape, entries):
-    """Stack of 3x3 matrices: the given {(i, j): values} entries, zero elsewhere."""
-    out = np.zeros(shape + (3, 3))
-    for (i, j), value in entries.items():
-        out[..., i, j] = value
-    return out
+# Rx(rho) = P0 + cos(rho) P1 + sin(rho) P2
+_RX_PARTS = np.array([
+    [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+])
 
 
 class _DegreeGroup:
@@ -89,8 +89,10 @@ class _DegreeGroup:
 
     ``rz[v, k]`` is the constant sector rotation Rz(theta_k) of fan v, and
     ``factor_ids[v, k]`` the crease whose fold angle enters factor k, which
-    is crease k+1 of the fan (cyclic).  ``rows[v, j]`` are the rows of C and
-    r of the three closure entries of fan v.
+    is crease k+1 of the fan (cyclic).  ``parts`` holds the fan-constant
+    ``A_i = rz @ P_i`` of the factor ``Rz(theta_k) Rx(rho) = A_0 + cos(rho)
+    A_1 + sin(rho) A_2``, stacked on a leading axis.  ``rows[v, j]`` are the
+    rows of C and r of the three closure entries of fan v.
     """
 
     def __init__(self, fans, positions):
@@ -99,22 +101,26 @@ class _DegreeGroup:
         self.factor_ids = np.roll(ids, -1, axis=1)
         theta = np.array([fan.sector_angles for fan in fans], dtype=float)
         c, s = np.cos(theta), np.sin(theta)
-        self.rz = _stacked(
-            theta.shape, {(0, 0): c, (0, 1): -s, (1, 0): s, (1, 1): c, (2, 2): 1.0}
+        zero, one = np.zeros_like(theta), np.ones_like(theta)
+        self.rz = np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=-1).reshape(
+            theta.shape + (3, 3)
         )
+        self.parts = np.stack([self.rz @ part for part in _RX_PARTS])
         self.rows = 3 * np.asarray(positions, dtype=np.intp)[:, None] + np.arange(3)
 
     def residual(self, rho):
         """Residuals (V, 3) of every fan, and what ``jacobian`` needs: the
         cosines and sines of the fold angles, the factors and their prefix
-        products."""
+        products.
+
+        Each factor ``A_0 + c A_1 + s A_2`` has one nonzero product per
+        entry, the one ``rz @ Rx(rho)`` forms, so the two agree bit for bit.
+        """
         n = self.degree
         angle = rho[self.factor_ids]
         c, s = np.cos(angle), np.sin(angle)
-        rx = _stacked(
-            angle.shape, {(0, 0): 1.0, (1, 1): c, (1, 2): -s, (2, 1): s, (2, 2): c}
-        )
-        factors = self.rz @ rx
+        a0, a1, a2 = self.parts
+        factors = a0 + c[..., None, None] * a1 + s[..., None, None] * a2
         prefix = np.empty((len(angle), n + 1, 3, 3))
         prefix[:, 0] = np.eye(3)
         for k in range(n):
@@ -125,18 +131,20 @@ class _DegreeGroup:
         """Jacobian entries (V, 3, n) of every fan, from what ``residual``
         kept.
 
-        The factors and their prefix and suffix products are multiplied in
-        the same order as in the per-vertex reference
+        Each factor's derivative is ``c A_2 - s A_1``, bit for bit ``rz @
+        dRx(rho)``.  The factors and their prefix and suffix products are
+        multiplied in the same order as in the per-vertex reference
         ``vertex_closure_derivatives`` of ``tests/oracles.py``, so both give
         the same numbers.
         """
         n = self.degree
-        drx = _stacked(c.shape, {(1, 1): -s, (1, 2): -c, (2, 1): c, (2, 2): -s})
+        _, a1, a2 = self.parts
+        dfactors = c[..., None, None] * a2 - s[..., None, None] * a1
         suffix = np.empty_like(prefix)
         suffix[:, n] = np.eye(3)
         for k in range(n - 1, -1, -1):
             suffix[:, k] = factors[:, k] @ suffix[:, k + 1]
-        derivs = prefix[:, :n] @ (self.rz @ drx) @ suffix[:, 1:]
+        derivs = prefix[:, :n] @ dfactors @ suffix[:, 1:]
         return derivs[_INDEPENDENT].transpose(0, 2, 1)
 
 
@@ -144,8 +152,10 @@ class CompiledPattern:
     """Constant data a pattern's solvers and embeddings need, computed once.
 
     Holds the vertex fans grouped by degree, with their sector rotations,
-    crease ids and row indices, the flat pattern coordinates lifted to z =
-    0, and the spanning trees built so far, keyed by root facet.  Get it through
+    factor parts, crease ids and row indices; the ``numerics._Layout`` of
+    their constraint blocks, which keeps the band layout of each set of
+    free creases solved on; the flat pattern coordinates lifted to z = 0;
+    and the spanning trees built so far, keyed by root facet.  Get it through
     ``compile_pattern``, which caches it on the (immutable) pattern.
     """
 
@@ -159,6 +169,7 @@ class CompiledPattern:
             _DegreeGroup([fans[k] for k in ks], ks)
             for _, ks in sorted(by_degree.items())
         ]
+        self.layout = _Layout(group.factor_ids for group in self.groups)
         self.flat = np.hstack([p.vertices, np.zeros((len(p.vertices), 1))])
         self.flat.flags.writeable = False
         self.trees = {}
@@ -188,7 +199,7 @@ def assemble_global(p, rho, fans=None):
         res, kept = group.residual(rho)
         r[group.rows] = res
         evaluated.append((group, kept))
-    return GlobalConstraint((compiled.rows, p.n_creases), evaluated, r)
+    return GlobalConstraint((compiled.rows, p.n_creases), evaluated, r, compiled.layout)
 
 
 def dof(constraint):

@@ -15,17 +15,22 @@ The solve has four branches.  For a tall C_F the band w is read from the
 structure: the widest span, first to last free column, of a row block.  Cut
 into blocks of w columns, N = C_F^T C_F is block-tridiagonal, and with at
 least three blocks its diagonal and super-diagonal blocks are formed
-straight from the row blocks.  Both band branches run one kernel, a
+straight from the row blocks.  Where their entries land depends only on
+the blocks' columns and the free set: that layout is computed once per
+free set and shared by every matrix with the same blocks (``_Layout``; an
+assembly's is its compiled pattern's), so a factorization pays for its
+Gram products and one ``bincount``.  Both band branches run one kernel, a
 windowed sweep that counts the eigenvalues of N below a shift (a block
 LDL^T with a computed rounding bound beta) while it factors a shifted N.
 
 - Certified band: one sweep counts below the certificate's shift and
   factors N; a count of zero, with beta under the margin between the shift
   and the cutoff, certifies full rank.  The factors are kept on the
-  ``RowBlocks`` (every L_k^{-1} and two coupling products), and the normal
-  equations are solved on them by matrix products.  A later solve on the
-  same matrix with the same fixed columns reuses them for its own r and f:
-  the Newton loop in ``sequential`` takes its chord steps this way.
+  ``RowBlocks`` (every L_k^{-1}, inverted by 2 x 2 blocks, and two
+  coupling products), and the normal equations are solved on them by
+  matrix products.  A later solve on the same matrix with the same fixed
+  columns reuses them for its own r and f: the Newton loop in
+  ``sequential`` takes its chord steps this way.
 - Deflated band: when the certificate fails, as at the flat states where
   the closure condition degenerates, a second sweep counts at the same
   shift and factors a slightly shifted N, so a flat-seed iterate sweeps its
@@ -104,11 +109,20 @@ class RowBlocks:
     dense matrix is built on first use and kept, and so is the band
     factorization of the last ``free_column_solve`` on this matrix that
     certified full column rank.
+
+    What the blocks' columns alone fix is a ``_Layout``: ``layout`` shares
+    one between matrices whose groups have the same columns in the same
+    order (``assemble_global`` passes the compiled pattern's,
+    ``scale_columns`` its own), and one is built for these blocks when it
+    is not given.
     """
 
-    def __init__(self, shape, groups):
+    def __init__(self, shape, groups, layout=None):
         self.shape = tuple(shape)
         self.groups = tuple(groups)
+        if layout is None:
+            layout = _Layout(cols for _, cols, _ in self.groups)
+        self._layout = layout
         self._dense = None
         self._kept = {}  # free-column mask bytes: certified band factors
 
@@ -134,11 +148,10 @@ class RowBlocks:
         """``C^T @ y``: one batched product per group, summed into its
         columns by one ``bincount``."""
         y = np.asarray(y, dtype=float)
-        index, weight = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for rows, cols, vals in self.groups:
-            index.append(cols.reshape(-1))
+        weight = [np.zeros(0)]
+        for rows, _, vals in self.groups:
             weight.append((y[rows][:, None, :] @ vals).reshape(-1))
-        return np.bincount(np.concatenate(index), np.concatenate(weight), minlength=self.shape[1])
+        return np.bincount(self._layout.columns, np.concatenate(weight), minlength=self.shape[1])
 
     def certified(self, fixed):
         """Whether a ``free_column_solve`` on this matrix with these fixed
@@ -153,7 +166,29 @@ class RowBlocks:
         """This matrix with column j multiplied by ``scale[j]``."""
         return RowBlocks(self.shape, [
             (rows, cols, vals * scale[cols][:, None, :]) for rows, cols, vals in self.groups
-        ])
+        ], self._layout)
+
+
+class _Layout:
+    """What the columns of a ``RowBlocks``' blocks fix, computed once.
+
+    ``columns`` is every block's columns in order, the index ``rmatvec``
+    sums into.  ``band(free)`` is the ``_band_layout`` of one free-column
+    set, built on its first use and kept, keyed by the free mask's bytes.
+    """
+
+    def __init__(self, cols):
+        self.cols = tuple(cols)
+        self.columns = np.concatenate(
+            [np.zeros(0, dtype=np.intp)] + [c.reshape(-1) for c in self.cols]
+        )
+        self._bands = {}
+
+    def band(self, free):
+        key = free.tobytes()
+        if key not in self._bands:
+            self._bands[key] = _band_layout(self.cols, free)
+        return self._bands[key]
 
 
 def free_column_solve(c, r, fixed, f):
@@ -248,10 +283,7 @@ def _band_branches(c, r, b, dx, free, n):
     key = free.tobytes()
     factors = c._kept.get(key)
     if factors is None:
-        # free index of every column of C, -1 for a fixed one
-        pos = np.cumsum(free) - 1
-        pos[~free] = -1
-        band = _gram_band(c, pos, n_free)
+        band = _gram_band(c, free)
         if band is None:
             return None
         factors = _band_factor(band, n_free, n)
@@ -271,20 +303,48 @@ def _band_branches(c, r, b, dx, free, n):
     return _band_cholesky_solve(factors, rhs)[:n_free]
 
 
-def _gram_band(c, pos, n_free):
+def _gram_band(c, free):
     """The band of ``N = C_F^T C_F`` in blocks, or None below three blocks.
 
-    ``pos`` maps each column of C to its free index, -1 for a fixed column.
+    ``free`` is the free-column mask.  Returns the (K, w, 2w) array whose
+    ``[k, :, :w]`` is diagonal block k of N and ``[k, :, w:]`` its
+    super-diagonal block k, zero past the last free column, laid out by the
+    ``_band_layout`` that ``c`` keeps for ``free``: each row block's Gram
+    matrix is one batched product of its entries, the layout picks the
+    entries that fall in the band, and one ``bincount`` sums them into
+    place.
+    """
+    layout = c._layout.band(free)
+    if layout is None:
+        return None
+    shape, index, picks = layout
+    weight = [
+        (vals.transpose(0, 2, 1) @ vals).reshape(-1)[pick]
+        for (_, _, vals), pick in zip(c.groups, picks)
+    ]
+    band = np.bincount(index, np.concatenate(weight), minlength=shape[0] * shape[1] * shape[2])
+    return band.reshape(shape)
+
+
+def _band_layout(cols, free):
+    """Where ``_gram_band`` puts each row block's Gram entries, from the
+    blocks' columns ``cols`` and the free-column mask alone; None below
+    three blocks.
+
     The band w of C_F is the widest span, first to last free column, of a
     row block of C; a block whose columns are all fixed has none.  Cut into
     consecutive blocks of w columns, no row touches two blocks that are not
-    adjacent, so N is block-tridiagonal.  Returns the (K, w, 2w) array whose
-    ``[k, :, :w]`` is diagonal block k of N and ``[k, :, w:]`` its
-    super-diagonal block k, zero past the last free column.  Each row
-    block's Gram matrix is one batched product of its entries, and one
-    ``bincount`` sums them into place.
+    adjacent, so N is block-tridiagonal, and with K blocks its band has the
+    shape (K, w, 2w).  Returns that shape, the band position of every kept
+    Gram entry in order, and per group the flat positions in its (V, k, k)
+    Gram stack of the entries kept: each entry (i, j) with i free and j in
+    the block of i or the next one.
     """
-    free_pos = [pos[cols] for _, cols, _ in c.groups]
+    n_free = int(np.count_nonzero(free))
+    # free index of every column of C, -1 for a fixed one
+    pos = np.cumsum(free) - 1
+    pos[~free] = -1
+    free_pos = [pos[c] for c in cols]
     width = 0
     for p in free_pos:
         # first to last free column of each block, negative when all are fixed
@@ -292,19 +352,16 @@ def _gram_band(c, pos, n_free):
         width = max(width, int(span.max(initial=0)))
     if not width or n_free <= 2 * width:
         return None
-    index, weight = [], []
-    for (_, _, vals), p in zip(c.groups, free_pos):
+    index, picks = [], []
+    for p in free_pos:
         i, j = p[:, :, None], p[:, None, :]
         start = i // width * width  # first column of the block holding i
         keep = (i >= 0) & (j >= start)
         # row i of the band, column j - start: diagonal, then super-diagonal
         index.append((2 * width * i + j - start)[keep])
-        weight.append((vals.transpose(0, 2, 1) @ vals)[keep])
+        picks.append(np.flatnonzero(keep))
     blocks = -(-n_free // width)
-    band = np.bincount(
-        np.concatenate(index), np.concatenate(weight), minlength=2 * width * width * blocks
-    )
-    return band.reshape(blocks, width, 2 * width)
+    return (blocks, width, 2 * width), np.concatenate(index), picks
 
 
 def _band_inf_norm(band):
@@ -404,10 +461,33 @@ def _band_sweep(band, n_free, shift, keep):
 
 def _solve_form(low_diag, below):
     """``_band_cholesky_solve``'s form of ``_band_sweep`` factors (numpy has
-    no triangular solve): every L_k^{-1}, from one batched inverse, and
-    ``L_{k+1}^{-1} B_k^T`` and ``L_k^{-T} B_k``, ``B_k = L_k^{-1} E_k``."""
-    inv = np.linalg.inv(low_diag)
+    no triangular solve): every L_k^{-1}, from one ``_lower_inverse`` of the
+    stack, and ``L_{k+1}^{-1} B_k^T`` and ``L_k^{-T} B_k``, ``B_k = L_k^{-1}
+    E_k``."""
+    inv = _lower_inverse(low_diag)
     return inv, inv[1:] @ below, inv[:-1].transpose(0, 2, 1) @ below.transpose(0, 2, 1)
+
+
+def _lower_inverse(low):
+    """Inverses of a stack of lower-triangular matrices, by 2 x 2 blocks.
+
+    ``[[L_11, 0], [L_21, L_22]]^{-1}`` is ``[[L_11^{-1}, 0], [-L_22^{-1}
+    L_21 L_11^{-1}, L_22^{-1}]]``: the diagonal halves are inverted the same
+    way, the coupling takes two batched products, and the block above it
+    stays exactly zero.  Leaves of at most 8 rows go through one batched
+    ``np.linalg.inv``.
+    """
+    w = low.shape[-1]
+    if w <= 8:
+        return np.linalg.inv(low)
+    h = w // 2
+    top = _lower_inverse(low[:, :h, :h])
+    bottom = _lower_inverse(low[:, h:, h:])
+    inv = np.zeros_like(low)
+    inv[:, :h, :h] = top
+    inv[:, h:, h:] = bottom
+    inv[:, h:, :h] = -(bottom @ (low[:, h:, :h] @ top))
+    return inv
 
 
 def _band_factor(band, n_free, n):

@@ -240,10 +240,15 @@ def _real(value, what):
 def _one_each(values, what, n, whole="pattern has {} creases"):
     """``values`` as a float vector of n entries; any other count is a
     ValueError that names both, from the templates ``what`` and ``whole``
-    ("spring config has {} springs", "pattern has {} creases")."""
+    ("spring config has {} springs", "pattern has {} creases").  A scalar
+    is named as one: "spring config is a scalar", the subject being what
+    precedes " has " in ``what``."""
     values = np.asarray(values, dtype=float)
     if values.shape != (n,):
-        count = values.size if values.ndim <= 1 else values.shape
+        if values.ndim == 0:
+            subject = what.partition(" has ")[0]
+            raise ValueError(f"{subject} is a scalar, {whole.format(n)}")
+        count = values.size if values.ndim == 1 else values.shape
         raise ValueError(f"{what.format(count)}, {whole.format(n)}")
     return values
 

@@ -24,7 +24,8 @@ its per-face and per-vertex numpy code: face tracing, facet orientation,
 validation, vertex fans and crease lengths computed one facet, vertex or
 crease at a time.  The closure constraint's reference is the per-vertex
 chain of 3 x 3 rotations and its prefix and suffix products, one vertex at
-a time.
+a time, and that of its stacked factors is each rotation built as a stack
+of 3 x 3 matrices and multiplied in one batched product.
 
 Five references that only the tests run live here rather than in the
 package: the symmetric waterbomb's closed-form branch
@@ -369,6 +370,27 @@ def rot_z(angle):
 def _drot_x(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
+
+
+def stacked(shape, entries):
+    """Stack of 3x3 matrices: the given {(i, j): values} entries, zero elsewhere."""
+    out = np.zeros(shape + (3, 3))
+    for (i, j), value in entries.items():
+        out[..., i, j] = value
+    return out
+
+
+def stacked_factors(theta, angle):
+    """The closure factors ``Rz(theta) Rx(angle)`` of stacked fans and their
+    derivatives ``Rz(theta) dRx(angle)``, each rotation a stack of 3x3
+    matrices and each product one batched matmul: the reference of the
+    engine's affine factors.  Returns Rz, the factors and the derivatives."""
+    c, s = np.cos(theta), np.sin(theta)
+    rz = stacked(theta.shape, {(0, 0): c, (0, 1): -s, (1, 0): s, (1, 1): c, (2, 2): 1.0})
+    c, s = np.cos(angle), np.sin(angle)
+    rx = stacked(angle.shape, {(0, 0): 1.0, (1, 1): c, (1, 2): -s, (2, 1): s, (2, 2): c})
+    drx = stacked(angle.shape, {(1, 1): -s, (1, 2): -c, (2, 1): c, (2, 2): -s})
+    return rz, rz @ rx, rz @ drx
 
 
 def crease_transform(theta_prev, rho):

@@ -805,7 +805,7 @@ class TestBadInput:
         ("springs", [], "malformed document"),
         ("springs", {"creases": [{"crease": math.inf, "rest": 0.5}]}, "non-integral index inf"),
         ("state", {"x": 1}, "malformed document"),
-        ("state", {"rho": math.inf}, "state has 1 angles"),
+        ("state", {"rho": math.inf}, "malformed document"),
         ("pattern", {"vertices": [1, 2]}, "malformed document"),
         ("pattern", {"creases": [["a", 1, "M"]]}, "malformed document"),
         ("pattern", {"creases": [[0, 1.5, "M"]]}, "non-integral index 1.5"),
@@ -899,6 +899,36 @@ class TestBadInput:
         out = ["--out", str(tmp_path / "run")] if kind != "pattern" else []
         assert main([*command, "--pattern", str(paths["pattern"]), *out]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["info"],
+        ["measure"],
+        ["relax", "--springs", "{springs}", "--out", "{out}"],
+        ["export-obj", "--out", "{out}"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("document", [
+        {"rho": ["x"] + [0.0] * (N_CREASES - 1)},
+        "x",
+        {"rho": 5},
+        5,
+        {"rho": ""},
+    ], ids=["string-angle", "bare-string", "scalar-rho", "bare-number", "empty-string-rho"])
+    def test_state_that_is_no_list_of_numbers_exits_1(self, miura_file, tmp_path, capsys,
+                                                      command, document):
+        """A non-numeric angle, or angles that are not a list, make a
+        malformed document that the message names, before any output."""
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(document))
+        springs = tmp_path / "springs.json"
+        springs.write_text(json.dumps({"k_per_length": 1.0, "creases": [
+            {"crease": i, "k": None, "rest": 0.5} for i in range(N_CREASES)]}))
+        out = tmp_path / "out"
+        argv = [arg.format(springs=springs, out=out) for arg in command]
+        assert main([*argv, "--pattern", str(miura_file), "--state", str(state)]) == 1
+        captured = capsys.readouterr()
+        assert f"malformed document {state}" in captured.err
+        assert captured.out == ""
+        assert not any(out.glob("*"))  # relax makes its directory first, writes nothing
 
 
 class TestFramesUseRecordedResiduals:

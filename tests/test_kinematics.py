@@ -9,6 +9,7 @@ from oracles import (
     loop_closure,
     rot_x,
     rot_z,
+    stacked_factors,
     svd_dof,
     vertex_closure_derivatives,
     vertex_jacobian,
@@ -24,6 +25,7 @@ from rigidfold import (
     generate_waterbomb_base,
     generate_waterbomb_tessellation,
 )
+from rigidfold.kinematics import compile_pattern
 from rigidfold.pattern import CreasePattern, VertexFan
 from rigidfold.sequential import flat_state_seed
 
@@ -222,6 +224,30 @@ class TestAssembleGlobal:
                     gc.C[3 * r_old: 3 * r_old + 3, i],
                     atol=1e-12,
                 )
+
+    @pytest.mark.parametrize("make", [
+        generate_crane, lambda: generate_miura(4, 3),
+        lambda: generate_waterbomb_tessellation(5, 3),
+    ], ids=["crane", "miura4x3", "tess5x3"])
+    def test_affine_factors_are_the_stacked_products(self, make):
+        """Every degree group's rotations and its factors ``A_0 + c A_1 + s
+        A_2`` are the stacked reference's ``Rz(theta) Rx(rho)`` bit for bit;
+        the derivatives ``c A_2 - s A_1`` equal ``Rz(theta) dRx(rho)``, up to
+        the sign of an exact zero, which no sum in the Jacobian keeps."""
+        p = make()
+        fans = build_vertex_fans(p)
+        rng = np.random.default_rng(17)
+        for group in compile_pattern(p).groups:
+            theta = np.array([fans[k].sector_angles for k in group.rows[:, 0] // 3])
+            for rho in (rng.uniform(-math.pi, math.pi, p.n_creases),
+                        rng.uniform(-0.1, 0.1, p.n_creases), np.full(p.n_creases, math.pi)):
+                angle = rho[group.factor_ids]
+                rz, factors, derivs = stacked_factors(theta, angle)
+                assert group.rz.tobytes() == rz.tobytes()
+                _, (c, s, kept_factors, _) = group.residual(rho)
+                assert kept_factors.tobytes() == factors.tobytes()
+                _, a1, a2 = group.parts
+                assert np.array_equal(c[..., None, None] * a2 - s[..., None, None] * a1, derivs)
 
 
 # pattern, seed magnitude in degrees (0: exactly flat) and the DOF there

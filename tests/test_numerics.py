@@ -31,7 +31,7 @@ from rigidfold import (
     serialize_pattern,
 )
 from rigidfold.cli import main
-from rigidfold.kinematics import assemble_global
+from rigidfold.kinematics import assemble_global, compile_pattern
 from rigidfold import numerics, sequential
 from rigidfold.numerics import (
     DEFAULT_CUTOFF,
@@ -200,9 +200,7 @@ def free_band(c, fixed):
         c = row_blocks(c)
     free = np.ones(c.shape[1], dtype=bool)
     free[fixed] = False
-    pos = np.cumsum(free) - 1
-    pos[~free] = -1
-    return _gram_band(c, pos, int(free.sum()))
+    return _gram_band(c, free)
 
 
 def band_certified(band, n, fixed):
@@ -407,6 +405,103 @@ class TestKeptFactorization:
         free_column_solve(gc.blocks, gc.r, [], [])
         assert len(solved) == 1 and solved[0] is not None
         assert not gc.blocks.certified([])
+
+
+class TestLowerInverse:
+    """The 2 x 2 block inverse of lower-triangular stacks against
+    ``np.linalg.inv``: both are backward stable, so they differ by at most
+    a small multiple of ``w eps cond(L)`` relative to the inverse."""
+
+    @staticmethod
+    def check(low):
+        inv = numerics._lower_inverse(low)
+        ref = np.linalg.inv(low)
+        w = low.shape[-1]
+        if w <= 8:  # a leaf is np.linalg.inv itself
+            assert inv.tobytes() == ref.tobytes()
+        cond = np.linalg.cond(low)
+        eps = np.finfo(float).eps
+        error = np.linalg.norm(inv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert np.all(error <= 10 * w * eps * cond)
+        assert np.all(np.abs(inv @ low - np.eye(w)).max(axis=(1, 2)) <= 10 * w * eps * cond)
+
+    def test_random_stacks_of_every_size(self):
+        """Sizes 1-40: the leaves, one split, and odd splits (9 -> 4 + 5,
+        37 -> 18 + 19 -> 9 + 9 and 9 + 10)."""
+        rng = np.random.default_rng(12)
+        for w in range(1, 41):
+            a = rng.standard_normal((3, w, w))
+            self.check(np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(w)))
+
+    def test_kept_factors_of_a_miura_drive_step(self, monkeypatch):
+        """The L_k a certified solve of a Miura 7x7 drive step inverts, and
+        the inverses it keeps."""
+        p = generate_miura(7, 7)
+        gc = assemble_global(p, flat_state_seed(p, math.radians(30.0)))
+        seen = []
+        real = numerics._solve_form
+        monkeypatch.setattr(numerics, "_solve_form",
+                            lambda low, below: seen.append(low) or real(low, below))
+        fixed = [p.meta["driven_crease"]]
+        free_column_solve(gc.blocks, gc.r, fixed, [0.01])
+        assert gc.blocks.certified(fixed) and len(seen) == 1
+        low = seen[0]
+        assert low.shape == (13, 28, 28)
+        self.check(low)
+        kept = next(iter(gc.blocks._kept.values()))[0]
+        assert kept.tobytes() == numerics._lower_inverse(low).tobytes()
+
+
+class TestKeptLayout:
+    """The band layout of each free-column set is computed once per pattern
+    and shared by every assembly and ``scale_columns`` copy, and the solves
+    on it are those on blocks that compute their layout afresh."""
+
+    def test_alternating_fixed_sets(self, monkeypatch):
+        p = generate_miura(5, 5)
+        layouts = []
+        real = numerics._band_layout
+        monkeypatch.setattr(numerics, "_band_layout",
+                            lambda *args: layouts.append(real(*args)) or layouts[-1])
+        driven = p.meta["driven_crease"]
+        rng = np.random.default_rng(8)
+        shared = compile_pattern(p).layout
+        first = {}  # fixed set: the layout its first solve computed
+        for step in range(3):
+            gc = assemble_global(p, flat_state_seed(p, math.radians(20.0 + 10.0 * step)))
+            scale = rng.uniform(0.5, 2.0, p.n_creases)
+            for c in (gc.blocks, gc.blocks.scale_columns(scale)):
+                assert c._layout is shared
+                for fixed in ([driven], [0, driven], [driven]):
+                    f = rng.normal(0.0, 0.02, len(fixed))
+                    dx = free_column_solve(c, gc.r, fixed, f)
+                    assert c.certified(fixed)
+                    free = np.ones(p.n_creases, dtype=bool)
+                    free[fixed] = False
+                    kept = shared._bands[free.tobytes()]
+                    assert first.setdefault(tuple(fixed), kept) is kept
+                    fresh = RowBlocks(c.shape, c.groups)
+                    assert fresh._layout is not shared
+                    assert free_column_solve(fresh, gc.r, fixed, f).tobytes() == dx.tobytes()
+                    dense = c.dense
+                    rebuilt = row_blocks(dense)
+                    assert rebuilt._layout is not shared
+                    assert np.abs(free_column_solve(rebuilt, gc.r, fixed, f) - dx).max() <= (
+                        normal_rounding_bound(dense, fixed, dx))
+        # one kept layout per fixed set, beside the seeds' with every crease free
+        assert len(shared._bands) == 3
+        assert sum(any(layout is kept for kept in shared._bands.values())
+                   for layout in layouts) == 3
+
+    def test_too_few_blocks_is_kept_too(self):
+        """The crane's tall solves have fewer than three blocks: the layout
+        keeps that verdict, and the solve goes to the dense eigenvectors."""
+        p = generate_crane()
+        gc = assemble_global(p, flat_state_seed(p, math.radians(10.0)))
+        free = np.ones(p.n_creases, dtype=bool)
+        free[:6] = False
+        assert _gram_band(gc.blocks, free) is None
+        assert gc.blocks._layout._bands == {free.tobytes(): None}
 
 
 class TestRowBlocks:

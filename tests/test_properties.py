@@ -77,9 +77,7 @@ def check_lu_normal_solve(c, r, fixed, f):
     n = c.shape[1]
     free = np.ones(n, dtype=bool)
     free[fixed] = False
-    pos = np.cumsum(free) - 1
-    pos[fixed] = -1
-    band = _gram_band(c, pos, int(free.sum()))
+    band = _gram_band(c, free)
     c = c.dense
     c_free = c[:, free]
     if c_free.shape[0] < c_free.shape[1]:

@@ -391,16 +391,27 @@ class TestRunSchedule:
         assert info.value.iters == info.value.__cause__.iters == max_iter
 
 
-def test_scalar_state_counts_as_one_angle():
-    """A number where a state belongs is one angle, not a shape ``()``."""
+def test_scalar_state_is_named_a_scalar():
+    """A number where a state belongs is named a scalar, not a shape ``()``
+    or a count of one, which a one-crease pattern would contradict."""
     p = generate_miura(2, 2)
     cfg = SpringConfig.per_unit_length(p, 1.0, np.zeros(p.n_creases))
     schedule = FoldSchedule((Stage(targets={0: 0.1}, steps=1),))
     for call in (lambda: embed(p, 0.5), lambda: assemble_global(p, 0.5),
                  lambda: relax(p, cfg, RelaxSettings(), rho0=0.5),
                  lambda: run_schedule(p, 0.5, schedule)):
-        with pytest.raises(ValueError, match=r"^fold state has 1 angles, pattern has 24 creases$"):
+        with pytest.raises(ValueError, match=r"^fold state is a scalar, pattern has 24 creases$"):
             call()
+    # a square cut by one diagonal crease
+    square = CreasePattern([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 2, "V"]],
+                           [[0, 1], [1, 2], [2, 3], [3, 0]], [[0, 1, 2], [0, 2, 3]])
+    assert square.n_creases == 1
+    for call in (lambda: embed(square, 0.5), lambda: assemble_global(square, 0.5)):
+        with pytest.raises(ValueError, match=r"^fold state is a scalar, pattern has 1 creases$"):
+            call()
+    assert assemble_global(square, [0.5]).r.shape == (0,)
+    with pytest.raises(ValueError, match=r"^fold state has 2 angles, pattern has 1 creases$"):
+        embed(square, [0.5, 0.5])
 
 
 class TestScheduleJson:
