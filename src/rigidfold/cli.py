@@ -260,14 +260,14 @@ def cmd_relax(args):
     if args.settings:
         settings = _load(args.settings, RelaxSettings.from_json)
     _check_tol("residual_tol", settings.residual_tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.state:
         rho0 = _load(args.state, _parse_state, p)
     elif args.seed_magnitude > 0:
         rho0 = flat_state_seed(p, math.radians(args.seed_magnitude))
     else:
         rho0 = np.zeros(p.n_creases)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     result = relax(p, cfg, settings, rho0)
     wall = time.time() - t0

@@ -11,7 +11,7 @@ below ``DEFAULT_CUTOFF * lambda_max * n`` count as zero, with n the column
 count of C.  This is the engine's one rank rule, written once in
 ``_kept``: ``kinematics.dof`` counts with it too, every column free.
 
-The solve has four branches.  For a tall C_F the band w is read from the
+The solve has three branches.  For a tall C_F the band w is read from the
 structure: the widest span, first to last free column, of a row block.  Cut
 into blocks of w columns, N = C_F^T C_F is block-tridiagonal, and with at
 least three blocks its diagonal and super-diagonal blocks are formed
@@ -23,8 +23,9 @@ Gram products and one ``bincount``.  Both band branches run one kernel, a
 windowed sweep that counts the eigenvalues of N below a shift (a block
 LDL^T with a computed rounding bound beta) while it factors a shifted N.
 
-- Certified band: one sweep counts below the certificate's shift and
-  factors N; a count of zero, with beta under the margin between the shift
+- Certified band: one sweep factors N and stops at the first window that
+  fails; a sweep that completes counts no eigenvalue below the
+  certificate's shift and, with beta under the margin between the shift
   and the cutoff, certifies full rank.  The factors are kept on the
   ``RowBlocks`` (every L_k^{-1}, inverted by 2 x 2 blocks, and two
   coupling products), and the normal equations are solved on them by
@@ -38,14 +39,14 @@ LDL^T with a computed rounding bound beta) while it factors a shifted N.
   the null space, the count proves the gap around the cutoff, and
   refinement on the same factors gives the minimum-norm step.  Nothing of
   it outlives the solve.
-- Tall eigh: with fewer than three blocks, or when the deflated solve
-  proves nothing (an eigenvalue near the cutoff, a null space it does not
-  capture), the dense C_F is built once and the step is solved on the kept
-  eigenvectors of N.
-- Wide eigh: a C_F with fewer rows than columns is solved on the kept
-  eigenvectors of C_F C_F^T.
+- Row-space eigh: every other C_F (a wide one, a tall one of fewer than
+  three blocks, or one whose deflated solve proves nothing: an eigenvalue
+  near the cutoff, a null space it does not capture) is built dense once,
+  and the step is ``dx_F = C_F^T y``, y solved on the kept eigenvectors of
+  ``C_F C_F^T``.  Its nonzero eigenvalues are those of N, so the rank rule
+  is the same, and the step lies in the row space of C_F to rounding.
 
-Only the two eigenvector solves read a dense C.  Constraint matrices here
+Only the row-space solve reads a dense C.  Constraint matrices here
 are expressed in radians, so a tight relative cutoff is safe.
 
 No engine path calls an SVD.  The SVD routines (pseudoinverse,
@@ -201,10 +202,10 @@ def free_column_solve(c, r, fixed, f):
     decided on the Gram matrix of C_F: eigenvalues at or below
     ``DEFAULT_CUTOFF * lambda_max * n`` count as zero.
 
-    When C_F has at least as many rows as columns, the Gram matrix is ``N =
-    C_F^T C_F``.  If its band (``_gram_band``) cuts the free columns into at
-    least three blocks, N is formed as its diagonal and super-diagonal
-    blocks, and two band solves are tried in turn:
+    When C_F has at least as many rows as columns and its band
+    (``_gram_band``) cuts the free columns into at least three blocks, ``N =
+    C_F^T C_F`` is formed as its diagonal and super-diagonal blocks, and two
+    band solves are tried in turn:
 
     - ``_band_factor`` certifies in one sweep that none of the eigenvalues
       counts as zero and factors N; the factors solve ``N dx_F = C_F^T b``
@@ -214,13 +215,10 @@ def free_column_solve(c, r, fixed, f):
       eigenvalues count as zero, deflates their eigenvectors and solves on
       the rest, refined from the residual of C_F itself.
 
-    With fewer blocks, or when neither band solve proves its rank, dx_F is
-    solved on the kept eigenvectors of the dense N.  When C_F has fewer
-    rows than columns, N is singular by construction; dx_F = C_F^T y lies
-    in the row space, and y is solved on the kept eigenvectors of ``M = C_F
-    C_F^T``, whose nonzero eigenvalues are those of N.  Either eigenvector
-    solve is refined once against the residual of C_F itself.  With no free
-    columns or no rows, dx_F is zero.
+    Every other C_F, wide or tall, is solved in its row space: ``dx_F = C_F^T
+    y``, with y on the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero
+    eigenvalues are those of N, refined once against the residual of C_F
+    itself.  With no free columns or no rows, dx_F is zero.
     """
     if not isinstance(c, RowBlocks):
         raise TypeError(f"constraint matrix must be RowBlocks, got {type(c).__name__}")
@@ -251,22 +249,15 @@ def free_column_solve(c, r, fixed, f):
         if x is not None:
             dx[free] = x
             return dx
+    # Forming dx_F from C_F^T keeps it in the row space to rounding, where
+    # eigenvectors of C_F^T C_F would leak eps * cond(C_F)^2 of it into the
+    # null space.  Squaring C_F blurs its small kept singular directions, so
+    # y is corrected once from the unsquared residual of C_F.
     c_free = c.dense[:, free]
-    # Squaring C_F blurs its small kept singular directions; each eigenvector
-    # solve below is corrected once from the unsquared residual of C_F.
-    if rows < n_free:
-        # Forming dx_F from C_F^T keeps it in the row space to rounding,
-        # where eigenvectors of N would leak eps * cond(C_F)^2 of it into
-        # the null space.
-        w, v = _kept_eigh(c_free @ c_free.T, n)
-        y = v @ ((v.T @ b) / w)
-        y += v @ ((v.T @ (b - c_free @ (c_free.T @ y))) / w)
-        dx[free] = c_free.T @ y
-        return dx
-    w, v = _kept_eigh(c_free.T @ c_free, n)
-    x = v @ ((v.T @ (c_free.T @ b)) / w)
-    x += v @ ((v.T @ (c_free.T @ (b - c_free @ x))) / w)
-    dx[free] = x
+    w, v = _kept_eigh(c_free @ c_free.T, n)
+    y = v @ ((v.T @ b) / w)
+    y += v @ ((v.T @ (b - c_free @ (c_free.T @ y))) / w)
+    dx[free] = c_free.T @ y
     return dx
 
 
@@ -396,13 +387,15 @@ def _band_sweep(band, n_free, shift, keep):
     E)`` carried in from block k - 1, which bounds what formed S_k.  The
     counted pivot is factored as ``S_k - beta_k I``: a factor proves S_k
     positive and carries on, the sweep then being exact for D_k moved by
-    beta_k.  From the first window that fails, the kept member carries on
-    alone and the counted one block by block: a pivot that does not factor
-    is eigendecomposed, an eigenvalue within beta_k of zero proves nothing,
-    and the signs of the others are counted.  The count is exact for ``N -
-    shift I + E``, E block tridiagonal with ``||E|| <= 4 beta``, beta the
-    largest beta_k, and no eigenvalue of ``N + E`` is farther than
-    ``||E||`` from one of N (Weyl).
+    beta_k.  A sweep that keeps N itself (``keep == 0``) returns None at
+    the first window that fails, so the count it returns is zero.  Only a
+    sweep keeping ``N + keep I`` with ``keep > 0`` counts on past a failing
+    window: the kept member carries on alone and the counted one block by
+    block, a pivot that does not factor is eigendecomposed, an eigenvalue
+    within beta_k of zero proves nothing, and the signs of the others are
+    counted.  The count is exact for ``N - shift I + E``, E block
+    tridiagonal with ``||E|| <= 4 beta``, beta the largest beta_k, and no
+    eigenvalue of ``N + E`` is farther than ``||E||`` from one of N (Weyl).
     """
     blocks, w = band.shape[:2]
     eye = np.eye(w)
@@ -433,7 +426,7 @@ def _band_sweep(band, n_free, shift, keep):
                 low = np.linalg.cholesky(window[lead:, :size, :size])
                 break
             except np.linalg.LinAlgError:
-                if lead:
+                if lead or not keep:
                     return None
                 lead = 1
         low_diag[k] = low[-1, :w, :w]
@@ -497,15 +490,16 @@ def _band_factor(band, n_free, n):
     N is given by its ``_gram_band``.  The certificate is one
     ``_band_sweep`` that counts the eigenvalues below ``2 tau lam_hi``,
     ``tau = DEFAULT_CUTOFF * n``, with ``lam_hi = ||N||_inf >=
-    lambda_max``, and keeps N.  A count of zero with the sweep's rounding
-    ``4 beta < tau lam_hi`` proves ``lambda_min > 2 tau lam_hi - 4 beta >
-    tau lambda_max``: no eigenvalue is at or below the cutoff.  Any other
+    lambda_max``, and keeps N: it stops at the first window that fails, so
+    a sweep that completes counts zero.  With the sweep's rounding ``4 beta
+    < tau lam_hi`` that proves ``lambda_min > 2 tau lam_hi - 4 beta > tau
+    lambda_max``: no eigenvalue is at or below the cutoff.  Any other
     outcome proves nothing; the caller tries ``_deflated_band_solve``.
     """
     lam_hi = _band_inf_norm(band)
     tau = DEFAULT_CUTOFF * n
     swept = _band_sweep(band, n_free, 2.0 * tau * lam_hi, 0.0)
-    if swept is None or swept[0] or 4.0 * swept[1] >= tau * lam_hi:
+    if swept is None or 4.0 * swept[1] >= tau * lam_hi:
         return None
     return _solve_form(*swept[2])
 
@@ -569,7 +563,7 @@ def _deflated_band_solve(band, g, residual, n):
       is left; it must be below ``n_free eps ||x||``.
 
     Any other outcome, ``N + mu I`` failing to factor included, proves
-    nothing: the caller falls back to the eigenvectors of the dense N.
+    nothing: the caller falls back to the row-space solve on the dense C_F.
     With the certificate's own sweep in ``_band_factor``, an iterate that
     reaches this solve sweeps its band twice.
     """

@@ -75,24 +75,6 @@ def _rot(axis, angle):
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
-def _miura_cell_closure_gap(alpha, rho1, h):
-    """Wrap-around defect of the four facets at the driven vertex.
-
-    Crease order anticlockwise (E, up, W, down) with sector angles
-    (pi - alpha, alpha, alpha, pi - alpha); slants fold by rho1, E by h, W
-    by -h.  Marching crease direction u and facet normal n around the vertex
-    must return to the start.
-    """
-    sectors = (math.pi - alpha, alpha, alpha, math.pi - alpha)
-    folds = (rho1, -h, rho1, h)  # crossing up, W, down, then E again
-    u = np.array([1.0, 0.0, 0.0])
-    n = np.array([0.0, 0.0, 1.0])
-    for theta, rho in zip(sectors, folds):
-        u = _rot(n, theta) @ u
-        n = _rot(u, rho) @ n
-    return np.linalg.norm(u - [1.0, 0.0, 0.0]) + np.linalg.norm(n - [0.0, 0.0, 1.0])
-
-
 def _solve_h(alpha, rho1, h_lo, h_hi):
     """Bisection on the signed closure defect between two brackets."""
 
@@ -247,13 +229,6 @@ def miura_folded_sheet(m, n, a, b, alpha, rho1, solved=None):
     rot = (u @ np.diag([1.0, 1.0, d]) @ vt).T
     coords = (coords - src.mean(axis=0)) @ rot.T + dst.mean(axis=0)
     return coords
-
-
-def miura_dims(m, n, a, b, alpha, rho1):
-    """Bounding-box (L, W, H) of the folded sheet, same frame as the engine."""
-    coords = miura_folded_sheet(m, n, a, b, alpha, rho1)
-    spans = coords.max(axis=0) - coords.min(axis=0)
-    return float(spans[0]), float(spans[1]), float(spans[2])
 
 
 def period_frame_dims(coords, m, n):

@@ -866,6 +866,55 @@ class TestDeflatedBandSolve:
             assert _band_inertia(band, np.linalg.eigvalsh(band[0, :, :w])[2]) is None
 
 
+class TestRowSpaceSolve:
+    """Every C_F that neither band solve takes, tall or wide, is solved as
+    ``dx_F = C_F^T y`` on the kept eigenvectors of ``C_F C_F^T``."""
+
+    def test_tall_rank_deficient_step_stays_in_the_row_space(self, monkeypatch):
+        """40 x 30 blocks of rank 20, singular values ``logspace(0, -3.5)``,
+        with a consistent ``b = C z``: each goes through the dense solve and
+        matches the SVD minimum-norm step to 1e-11 of its size, with no
+        more than that of it on the null space."""
+        calls = TestDeflatedBandSolve.dense_calls(monkeypatch)
+        rng = np.random.default_rng(32)
+        for case in range(40):
+            u = np.linalg.qr(rng.standard_normal((40, 20)))[0]
+            v = np.linalg.qr(rng.standard_normal((30, 20)))[0]
+            c = (u * np.logspace(0, -3.5, 20)) @ v.T
+            b = c @ rng.standard_normal(30)
+            dx = free_column_solve(row_blocks(c), -b, [], [])
+            ref = min_norm_solve(c, b)
+            scale = np.abs(ref).max()
+            assert np.abs(dx - ref).max() <= 1e-11 * scale, case
+            null = np.linalg.svd(c)[2][20:]
+            assert np.abs(null @ dx).max() <= 1e-11 * scale, case
+        assert len(calls) == 40
+
+    def test_crane_tall_solves_match_the_bordered_oracle(self, crane):
+        """The crane's stage-2 and stage-3 solves, 15 rows on 14 and 10 free
+        columns of ranks 8 and 6, are the bordered system's minimum-norm
+        increments to 1e-12."""
+        seen = []
+        real = sequential.free_column_solve
+
+        def recording(c, r, fixed, f):
+            seen.append((c, r, fixed, f))
+            return real(c, r, fixed, f)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequential, "free_column_solve", recording)
+            run_schedule(crane, np.zeros(crane.n_creases), crane_schedule(crane))
+        ranks = set()
+        for c, r, fixed, f in seen:
+            n_free = c.shape[1] - len(fixed)
+            if c.shape[0] < n_free:
+                continue
+            ref, rank = bordered_solve(SimpleNamespace(C=c.dense, r=r), fixed, f)
+            assert np.abs(free_column_solve(c, r, fixed, f) - ref).max() <= 1e-12
+            ranks.add((c.shape[0], n_free, rank))
+        assert ranks == {(15, 14, 8), (15, 10, 6)}
+
+
 class TestBandSweep:
     """The one sweep behind both band solves: how many run, and the rounding
     margin of its count."""
@@ -898,6 +947,30 @@ class TestBandSweep:
         free_column_solve(gc.blocks, gc.r, [], [])
         assert calls == []
         assert len(starts) == 2, starts
+
+    def test_certificate_stops_at_its_first_failing_window(self, monkeypatch):
+        """The certificate's sweep keeps N itself, so it returns at the first
+        window that fails instead of counting on: while a Miura 7x7 flat
+        seed runs, no pivot is eigendecomposed inside ``_band_factor``.  The
+        deflated solve's Rayleigh-Ritz runs ``eigh`` outside it."""
+        inside, eighs = [False], []
+        real_eigh, real_factor = np.linalg.eigh, numerics._band_factor
+
+        def eigh(*args):
+            eighs.append(inside[0])
+            return real_eigh(*args)
+
+        def factor(*args):
+            inside[0] = True
+            try:
+                return real_factor(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(numerics, "_band_factor", factor)
+        flat_state_seed(generate_miura(7, 7), math.radians(1.0))
+        assert eighs and not any(eighs)
 
     def test_count_refuses_a_pivot_within_its_rounding(self):
         """Block-diagonal N with exact diagonal blocks: a shift within the

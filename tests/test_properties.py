@@ -66,10 +66,10 @@ def miura_drive(cells, alpha_deg, eps=DEFAULT_EPS):
 def check_lu_normal_solve(c, r, fixed, f):
     """Where the eigenvalue cutoff keeps every direction of C_F^T C_F, the
     free-column solve is the LU solve of the normal equations to rounding,
-    whether it runs in blocks or, below three blocks of the band of C_F, on
-    the kept eigenvectors of the dense N.  ``c`` is a dense array or
-    ``RowBlocks``.  Returns the number of blocks, 0 when the rule drops a
-    direction or C_F is wide."""
+    whether it runs in blocks or, below three blocks of the band of C_F, in
+    the row space on the kept eigenvectors of the dense ``C_F C_F^T``.
+    ``c`` is a dense array or ``RowBlocks``.  Returns the number of blocks,
+    0 when the rule drops a direction or C_F is wide."""
     if not isinstance(c, RowBlocks):
         c = row_blocks(c)
     dx = free_column_solve(c, r, fixed, f)

@@ -703,7 +703,7 @@ class TestChordNewton:
     def test_uncontrolled_loops_are_bit_identical(self, monkeypatch):
         """Loops with no crease controlled solve afresh at every iterate, so
         the oracle's loop gives the same bits: Miura flat seeds (deflated
-        band), the crane's (dense eigh) and a relaxation (wide eigh).  The
+        band), the crane's and a relaxation's (the row-space eigh).  The
         Miura 3x3 seed at 0.3 rad passes an iterate that certifies its band,
         off the compatible states, which are not isolated there; reusing
         that factorization would settle 0.04 rad elsewhere."""
