@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, relax
+from .elastic import STATIONARY_TOL, RelaxSettings, SpringConfig, _check_relax, relax
 from .embedding import EMBED_RESIDUAL_TOL, build_spanning_tree, embed, measure_dimensions
 from .kinematics import assemble_global, dof
 from .pattern import PatternError, _real, parse_pattern, validate_pattern
-from .sequential import (DEFAULT_EPS, ConvergenceError, FoldSchedule, _fold_state,
-                          flat_state_seed, run_schedule)
+from .sequential import (DEFAULT_EPS, ConvergenceError, FoldSchedule, _check_schedule,
+                          _fold_state, flat_state_seed, run_schedule)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -217,6 +217,7 @@ def cmd_fold(args):
             )
             for s in schedule.stages
         ))
+    _check_schedule(p, schedule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -260,6 +261,7 @@ def cmd_relax(args):
     if args.settings:
         settings = _load(args.settings, RelaxSettings.from_json)
     _check_tol("residual_tol", settings.residual_tol)
+    _check_relax(p, cfg, settings)
     if args.state:
         rho0 = _load(args.state, _parse_state, p)
     elif args.seed_magnitude > 0:

@@ -14,11 +14,16 @@ has full row rank this is the explicit-inverse step
     drho = -(H^-1 - G C H^-1) d - G r,   G = H^-1 C^T (C H^-1 C^T)^-1
 
 and with uniform stiffness it is the projected steepest descent
--(1/k0)(I - C+ C) d - C+ r.  Step length is capped so the largest single
-angle change is a factor c, halved whenever the characteristic angle's
-increment reverses; iteration stops once c is below resolution.  A
-relaxation has converged only where it stops stationary, with a projected
-gradient below ``STATIONARY_TOL``.
+-(1/k0)(I - C+ C) d - C+ r.  The residual cleanup after each step is
+Newton's method on the residual part alone, drho = -G r, solved on the same
+scaled columns B.  The row-space solve keeps the eigenpairs of B B^T =
+C H^-1 C^T on the blocks it solved, so the next Lagrange step, solved on
+the scaled blocks of the cleanup's last iterate, costs no eigendecomposition
+of its own: an accepted step costs one per cleanup iteration.  Step length
+is capped so the largest single angle change is a factor c, halved whenever
+the characteristic angle's increment reverses; iteration stops once c is
+below resolution.  A relaxation has converged only where it stops
+stationary, with a projected gradient below ``STATIONARY_TOL``.
 """
 
 import json
@@ -195,11 +200,30 @@ def kkt_step(p, cfg, rho, gc=None):
     _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
     if gc is None:
         gc = assemble_global(p, _fold_state(p, rho))
-    d = spring_gradient(cfg, rho)
     scale = 1.0 / np.sqrt(cfg.stiffness)
-    hinv_d = d / cfg.stiffness
-    u = free_column_solve(gc.blocks.scale_columns(scale), gc.r - gc.blocks @ hinv_d, (), [])
-    return scale * u - hinv_d
+    return _lagrange_step(gc.blocks.scale_columns(scale), scale, gc.r, spring_gradient(cfg, rho))
+
+
+def _lagrange_step(b, scale, r, d):
+    """The Lagrange step ``drho = H^-1/2 u - H^-1 d`` for residual ``r`` and
+    spring gradient ``d``, on ``b``, the constraint blocks B = C H^-1/2
+    scaled by ``scale`` = H^-1/2: u is the minimum-norm solution of
+    ``B u = -(r - B H^-1/2 d)``, so ``C drho = -r``."""
+    v = scale * d
+    return scale * (free_column_solve(b, r - b @ v, (), []) - v)
+
+
+def _check_relax(p, cfg, settings):
+    """Refuse springs that are not one per crease of ``p``, or a
+    characteristic crease outside it, with ``ValueError``: the entry check
+    of ``relax``, which the CLI runs before it makes any output."""
+    _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
+    char = settings.characteristic
+    if char is not None and not 0 <= char < p.n_creases:
+        raise ValueError(
+            f"characteristic crease {char} out of range "
+            f"(pattern has {p.n_creases} creases)"
+        )
 
 
 def relax(p, cfg, settings=None, rho0=None):
@@ -212,25 +236,29 @@ def relax(p, cfg, settings=None, rho0=None):
     step vanishes or after ``max_steps``, and records which of
     these stopped it as ``stop_reason``.  Whatever stopped it, the result is
     converged only if the final state is stationary: its projected gradient
-    is below ``STATIONARY_TOL``.  Each cleanup, the start state's included,
-    gives the state's recorded Newton iterations, and its last assembly
-    serves the next step and gives the state's recorded residual.  A
-    ``rho0`` that is not one finite angle per crease raises ``ValueError``
-    before any solve.
+    is below ``STATIONARY_TOL``.  A ``rho0`` that is not one finite angle per
+    crease raises ``ValueError`` before any solve.
+
+    The cleanup is Newton's method in the springs' metric: each iterate
+    steps by ``-G r``, ``G = H^-1 C^T (C H^-1 C^T)^-1``, the residual part
+    of the Lagrange step, solved on the stiffness-scaled blocks C H^-1/2.
+    Each cleanup, the start state's included, gives the state's recorded
+    Newton iterations, and its last assembly gives the state's recorded
+    residual and the next step's r.  The next Lagrange step is solved on
+    the scaled blocks of the cleanup's last iterate, whose eigenpairs that
+    iterate kept (``numerics.free_column_solve``), so an accepted step
+    costs one eigendecomposition per Newton iteration and none more; only
+    a state whose cleanup made no iteration factors its own blocks.
     """
     settings = settings or RelaxSettings()
-    _one_each(cfg.stiffness, _SPRINGS, p.n_creases)
-    if settings.characteristic is not None:
-        char = int(settings.characteristic)
-        if not 0 <= char < p.n_creases:
-            raise ValueError(
-                f"characteristic crease {char} out of range "
-                f"(pattern has {p.n_creases} creases)"
-            )
+    _check_relax(p, cfg, settings)
     rho = np.zeros(p.n_creases) if rho0 is None else _fold_state(p, rho0).copy()
-    rho, gc, iters, _ = _newton(p, rho, (), settings.residual_tol)
+    scale = 1.0 / np.sqrt(cfg.stiffness)
+    rho, gc, iters, b = _newton(p, rho, (), settings.residual_tol, scale=scale)
     if settings.characteristic is None:
         char = int(np.argmax(np.abs(spring_gradient(cfg, rho))))
+    else:
+        char = int(settings.characteristic)
 
     result = RelaxResult(characteristic=char)
     result.states.append(rho.copy())
@@ -243,7 +271,9 @@ def relax(p, cfg, settings=None, rho0=None):
     i = 0
     while c > settings.step_resolution and i < settings.max_steps:
         i += 1
-        drho = kkt_step(p, cfg, rho, gc=gc)
+        if b is None:
+            b = gc.blocks.scale_columns(scale)
+        drho = _lagrange_step(b, scale, gc.r, spring_gradient(cfg, rho))
         largest = float(np.max(np.abs(drho))) if drho.size else 0.0
         if largest < 1e-15:
             result.stop_reason = "vanishing_step"
@@ -252,7 +282,7 @@ def relax(p, cfg, settings=None, rho0=None):
             c = c / 2.0
         step = c * drho / largest
         new_rho = rho + step
-        new_rho, gc, iters, _ = _newton(p, new_rho, (), settings.residual_tol)
+        new_rho, gc, iters, b = _newton(p, new_rho, (), settings.residual_tol, scale=scale)
         prev_char_move = new_rho[char] - rho[char]
         rho = new_rho
         check_fold_range(rho)

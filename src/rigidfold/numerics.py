@@ -44,7 +44,13 @@ LDL^T with a computed rounding bound beta) while it factors a shifted N.
   near the cutoff, a null space it does not capture) is built dense once,
   and the step is ``dx_F = C_F^T y``, y solved on the kept eigenvectors of
   ``C_F C_F^T``.  Its nonzero eigenvalues are those of N, so the rank rule
-  is the same, and the step lies in the row space of C_F to rounding.
+  is the same, and the step lies in the row space of C_F to rounding.  The
+  dense C_F and its kept eigenpairs are kept on the ``RowBlocks``, as
+  certified band factors are: a later solve on the same matrix with the
+  same fixed columns reuses them for its own r and f, and gives the dx a
+  fresh solve would, bit for bit.  The spring relaxation in ``elastic``
+  takes its Lagrange step this way, on the eigenpairs its last residual
+  cleanup computed.
 
 Only the row-space solve reads a dense C.  Constraint matrices here
 are expressed in radians, so a tight relative cutoff is safe.
@@ -107,9 +113,10 @@ class RowBlocks:
     and k columns each: ``vals[v, i, j]`` is the entry at row ``rows[v, i]``
     and column ``cols[v, j]``.  A row lies in at most one block, a block's
     columns are distinct, and every entry outside the blocks is zero.  The
-    dense matrix is built on first use and kept, and so is the band
+    dense matrix is built on first use and kept, and so are the band
     factorization of the last ``free_column_solve`` on this matrix that
-    certified full column rank.
+    certified full column rank and the dense C_F and kept eigenpairs of the
+    last one that solved in the row space.
 
     What the blocks' columns alone fix is a ``_Layout``: ``layout`` shares
     one between matrices whose groups have the same columns in the same
@@ -126,6 +133,7 @@ class RowBlocks:
         self._layout = layout
         self._dense = None
         self._kept = {}  # free-column mask bytes: certified band factors
+        self._rows = {}  # free-column mask bytes: C_F and its kept row-space eigenpairs
 
     @property
     def dense(self):
@@ -218,7 +226,10 @@ def free_column_solve(c, r, fixed, f):
     Every other C_F, wide or tall, is solved in its row space: ``dx_F = C_F^T
     y``, with y on the kept eigenvectors of ``M = C_F C_F^T``, whose nonzero
     eigenvalues are those of N, refined once against the residual of C_F
-    itself.  With no free columns or no rows, dx_F is zero.
+    itself.  C_F and the kept eigenpairs are kept on ``c``, keyed by the
+    free columns, so that the next row-space solve on ``c`` with the same
+    fixed columns skips the eigendecomposition.  With no free columns or no
+    rows, dx_F is zero.
     """
     if not isinstance(c, RowBlocks):
         raise TypeError(f"constraint matrix must be RowBlocks, got {type(c).__name__}")
@@ -253,8 +264,11 @@ def free_column_solve(c, r, fixed, f):
     # eigenvectors of C_F^T C_F would leak eps * cond(C_F)^2 of it into the
     # null space.  Squaring C_F blurs its small kept singular directions, so
     # y is corrected once from the unsquared residual of C_F.
-    c_free = c.dense[:, free]
-    w, v = _kept_eigh(c_free @ c_free.T, n)
+    key = free.tobytes()
+    if key not in c._rows:
+        c_free = c.dense[:, free]
+        c._rows = {key: (c_free, *_kept_eigh(c_free @ c_free.T, n))}
+    c_free, w, v = c._rows[key]
     y = v @ ((v.T @ b) / w)
     y += v @ ((v.T @ (b - c_free @ (c_free.T @ y))) / w)
     dx[free] = c_free.T @ y

@@ -24,7 +24,9 @@ than ``CHORD_RATIO`` = 0.5 times the one before, and a schedule step hands
 its last kept factorization to the next step's predictor in the same
 stage, whose controlled and held creases are the same.  The deflated and
 eigendecomposition solves, and every solve with no crease controlled
-(seeding, relaxation), are made afresh at every iterate.
+(seeding, relaxation), are made afresh at every iterate.  A relaxation's
+cleanup runs the same loop in the springs' metric (``_newton``'s
+``scale``).
 
 Within a stage the waypoints are equally spaced, so the stage's states
 sample one smooth path at equal steps.  Once the stage's last five steps
@@ -159,17 +161,25 @@ class FoldTrajectory:
         return len(self.states)
 
 
-def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
+def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None, scale=None):
     """One step's Newton loop: every solve of a fold step, seed or cleanup.
 
     With ``f`` given, the first solve is the tangent predictor: it moves
     the controlled creases by ``f`` from ``rho`` and solves on ``kept``
-    when given, else on the blocks of ``gc``, the assembly at ``rho``
+    when it holds a certified band factorization for these controlled
+    creases, else on the blocks of ``gc``, the assembly at ``rho``
     (assembled when not given).  It is no Newton iteration, and no
     convergence test precedes it.  Every later solve has f = 0 and runs
     until the normalized residual passes eps; a loop that needs more than
     ``MAX_ITER`` Newton iterations raises ``ConvergenceError``.  An eps that
     is not finite and positive is a ValueError before any solve.
+
+    ``scale`` sets the metric of the free increment: each solve is on the
+    columns of C multiplied by ``scale`` (``RowBlocks.scale_columns``), and
+    its increment is multiplied by ``scale`` again.  The step is then the
+    minimum-norm one in the metric ``diag(scale)^-2``; the relaxation passes
+    ``H^-1/2``, which makes its cleanup the paper's ``-G r``, ``G = H^-1
+    C^T (C H^-1 C^T)^-1``.  Without it the metric is the radian one.
 
     A chord method (Kelley, Solving Nonlinear Equations with Newton's
     Method, 2003, ch. 2): blocks C0 whose band factorization a solve with
@@ -180,8 +190,9 @@ def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
     eigendecomposition, or with no crease controlled, where the compatible
     states of a mechanism are not isolated and a chord iteration could
     settle elsewhere on them) is made afresh at each iterate: plain Newton.
-    Returns the state, its assembly, the iteration count and the blocks
-    still kept.  A non-finite residual never passes.
+    Returns the state, its assembly, the iteration count and the blocks of
+    the last solve, which keep its factorization (``kept`` as given when
+    the loop made no solve).  A non-finite residual never passes.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
@@ -204,16 +215,21 @@ def _newton(p, rho, controlled, eps, f=None, gc=None, kept=None):
                     iters,
                 )
         # the predictor has no norm before it, so it keeps what it is given
-        if kept is None or norm > CHORD_RATIO * previous:
-            kept = gc.blocks
-        rho = rho + free_column_solve(kept, gc.r, controlled, f if predicting else zero)
-        if not (controlled and kept.certified(controlled)):
-            kept = None
+        if not _chord(kept, controlled) or norm > CHORD_RATIO * previous:
+            kept = gc.blocks if scale is None else gc.blocks.scale_columns(scale)
+        step = free_column_solve(kept, gc.r, controlled, f if predicting else zero)
+        rho = rho + (step if scale is None else scale * step)
         previous = norm
         gc = assemble_global(p, rho)
         iters += not predicting
         predicting = False
     return rho, gc, iters, kept
+
+
+def _chord(kept, controlled):
+    """Whether blocks ``kept`` hold a certified band factorization that a
+    chord step with these controlled creases reuses."""
+    return kept is not None and bool(controlled) and kept.certified(controlled)
 
 
 def _fold_state(p, rho):
@@ -243,6 +259,22 @@ def flat_state_seed(p, magnitude=math.radians(1.0), eps=DEFAULT_EPS):
     return rho
 
 
+def _check_schedule(p, schedule):
+    """Refuse a schedule that names a crease outside ``p`` or sets a target
+    outside the fold-angle range [-pi, pi] with ``ValueError``: the entry
+    check of ``run_schedule``, which the CLI runs before it makes any
+    output."""
+    for stage in schedule.stages:
+        for i in (*stage.targets, *stage.hold):
+            if not 0 <= i < p.n_creases:
+                raise ValueError(
+                    f"crease id {i} out of range (pattern has {p.n_creases} creases)"
+                )
+        for i, target in stage.targets.items():
+            if abs(target) > math.pi + FOLD_RANGE_SLACK:
+                raise ValueError(f"target {target!r} of crease {i} outside [-pi, pi]")
+
+
 def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
     """Execute schedule stages in order, returning the full trajectory.
 
@@ -261,15 +293,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
     solve: a finite but huge target would ask a stage without a step count
     for endless steps.
     """
-    for stage in schedule.stages:
-        for i in (*stage.targets, *stage.hold):
-            if not 0 <= i < p.n_creases:
-                raise ValueError(
-                    f"crease id {i} out of range (pattern has {p.n_creases} creases)"
-                )
-        for i, target in stage.targets.items():
-            if abs(target) > math.pi + FOLD_RANGE_SLACK:
-                raise ValueError(f"target {target!r} of crease {i} outside [-pi, pi]")
+    _check_schedule(p, schedule)
     rho = _fold_state(p, rho0).copy()
     gc = assemble_global(p, rho)
     traj = FoldTrajectory()
@@ -317,7 +341,7 @@ def run_schedule(p, rho0, schedule, eps=DEFAULT_EPS):
                     f"stage {stage_idx}, step {k}/{steps}: {exc}", exc.iters
                 ) from exc
             check_fold_range(rho)
-            if kept is None:
+            if not _chord(kept, controlled):
                 history.clear()
             else:
                 history.append(rho)

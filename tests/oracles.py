@@ -476,19 +476,25 @@ def assignment_seed(p, magnitude):
     return rho
 
 
-def refactoring_newton(p, rho, controlled, eps, max_iter=50):
+def refactoring_newton(p, rho, controlled, eps, max_iter=50, scale=None):
     """Residual elimination with f = 0 that solves at every iterate's own
     state, never on an earlier factorization: plain Newton on the free
-    creases.  Returns the state, its assembly and the iteration count."""
+    creases.  With ``scale``, each solve is on the columns of C multiplied
+    by it and its increment is multiplied by it again, ``sequential._newton``'s
+    metric.  Returns the state, its assembly, the iteration count and the
+    blocks of the last solve (None when it made none)."""
     iters = 0
     gc = assemble_global(p, rho)
+    c = None
     while not gc.normalized_residual < eps:
         if not math.isfinite(gc.normalized_residual) or iters >= max_iter:
             raise ConvergenceError(f"residual {gc.normalized_residual:.3e} after {iters}")
-        rho = rho + free_column_solve(gc.blocks, gc.r, controlled, np.zeros(len(controlled)))
+        c = gc.blocks if scale is None else gc.blocks.scale_columns(scale)
+        dx = free_column_solve(c, gc.r, controlled, np.zeros(len(controlled)))
+        rho = rho + (dx if scale is None else scale * dx)
         gc = assemble_global(p, rho)
         iters += 1
-    return rho, gc, iters
+    return rho, gc, iters, c
 
 
 def refactoring_stage(p, rho, stage, eps, max_iter=50):
@@ -505,7 +511,7 @@ def refactoring_stage(p, rho, stage, eps, max_iter=50):
         f = np.concatenate([waypoint - rho[ids], np.zeros(len(stage.hold))])
         gc = assemble_global(p, rho)
         rho = rho + free_column_solve(gc.blocks, gc.r, controlled, f)
-        rho, _, _ = refactoring_newton(p, rho, controlled, eps, max_iter)
+        rho, _, _, _ = refactoring_newton(p, rho, controlled, eps, max_iter)
         states.append(rho)
     return states
 

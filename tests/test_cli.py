@@ -643,6 +643,40 @@ class TestBadInput:
         assert self.fold(miura_file, schedule, tmp_path) == 1
         assert "out of range" in capsys.readouterr().err
 
+    @staticmethod
+    def refuse_seeds(monkeypatch):
+        """Make a flat-state seed fail the test: the input is refuted first."""
+        def seed(*args, **kwargs):
+            raise AssertionError("seeded before the input was checked")
+
+        monkeypatch.setattr("rigidfold.cli.flat_state_seed", seed)
+
+    @pytest.mark.parametrize("controlled, message", [
+        ({"crease": 999, "target": -0.5}, "crease id 999 out of range"),
+        ({"crease": DRIVEN, "target": 4.0}, "target 4.0 of crease"),
+    ], ids=["crease-999", "target-4-rad"])
+    def test_fold_refuted_schedule_leaves_no_out(self, miura_file, tmp_path, capsys,
+                                                 monkeypatch, controlled, message):
+        """A schedule the pattern refutes exits 1 before the seed and before
+        ``--out`` is made."""
+        self.refuse_seeds(monkeypatch)
+        schedule = {"stages": [{"controlled": [controlled], "steps": 2}]}
+        assert self.fold(miura_file, schedule, tmp_path) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("char", [999, -1])
+    def test_relax_characteristic_out_of_range_leaves_no_out(self, waterbomb_file, tmp_path,
+                                                             capsys, monkeypatch, char):
+        """A characteristic crease outside the pattern exits 1 before the
+        seed and before ``--out`` is made."""
+        self.refuse_seeds(monkeypatch)
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({"characteristic": char}))
+        assert self.relax(waterbomb_file, 8, tmp_path, "--settings", str(path)) == 1
+        assert f"characteristic crease {char} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_fold_every_0(self, miura_file, tmp_path, capsys):
         assert self.fold(miura_file, {"stages": []}, tmp_path, "--every", "0") == 1
         assert "--every" in capsys.readouterr().err

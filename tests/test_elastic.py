@@ -25,9 +25,11 @@ from rigidfold import (
     spring_energy,
     spring_gradient,
 )
+from rigidfold import numerics, sequential
 from rigidfold.elastic import STOP_REASONS
 from rigidfold.numerics import rank
 from rigidfold.pattern import MOUNTAIN
+from rigidfold.sequential import _newton
 
 
 def wb_state(p, theta):
@@ -231,6 +233,33 @@ class TestKktStep:
                 checked += 1
         assert checked >= 40
 
+    def test_cleanup_step_matches_explicit_inverse_varied_stiffness(self, waterbomb,
+                                                                    monkeypatch):
+        """The relaxation's cleanup, ``_newton`` in the metric of
+        ``scale = H^-1/2``, first steps by the paper's ``-G r = -H^-1 C^T
+        (C H^-1 C^T)^-1 r`` from a perturbed full-row-rank state; the explicit
+        inverse is an oracle to 1e-9 on well-conditioned states."""
+        rng = np.random.default_rng(43)
+        assembled = []
+        real = sequential.assemble_global
+        monkeypatch.setattr(sequential, "assemble_global",
+                            lambda p, rho: assembled.append(rho) or real(p, rho))
+        checked = 0
+        for theta in np.linspace(0.3, 2.2, 12):
+            for _ in range(5):
+                rho = wb_state(waterbomb, theta) + rng.normal(0.0, 0.02, 8)
+                gc = assemble_global(waterbomb, rho)
+                if rank(gc.C, 1e-6) != gc.C.shape[0] or np.linalg.cond(gc.C) > 100:
+                    continue
+                stiffness = rng.uniform(0.2, 5.0, 8)
+                assembled.clear()
+                _newton(waterbomb, rho, (), 1e-12, scale=1.0 / np.sqrt(stiffness))
+                step = assembled[1] - assembled[0]
+                explicit = explicit_inverse_step(gc.C, gc.r, stiffness, np.zeros(8))
+                assert np.abs(step - explicit).max() < 1e-9
+                checked += 1
+        assert checked >= 40
+
     @pytest.mark.parametrize("shape", [(3, 2), (5, 3)])
     def test_rank_deficient_tessellation(self, shape):
         p = generate_waterbomb_tessellation(*shape)
@@ -287,11 +316,13 @@ class TestRelax:
 
     def test_start_cleanup_iterations_recorded(self, waterbomb):
         """The start state's cleanup counts its Newton iterations like every
-        later one: 0.05 rad off the 30 degree seed, plain Newton's 3."""
+        later one: 0.05 rad off the 30 degree seed, plain Newton's 3 in the
+        springs' metric."""
         start = flat_state_seed(waterbomb, math.radians(30.0)) + 0.05
         settings = RelaxSettings(max_steps=2)
-        _, _, iters = refactoring_newton(waterbomb, start, (), settings.residual_tol)
         cfg = SpringConfig.per_unit_length(waterbomb, 1.0, np.zeros(8))
+        _, _, iters, _ = refactoring_newton(waterbomb, start, (), settings.residual_tol,
+                                            scale=1.0 / np.sqrt(cfg.stiffness))
         result = relax(waterbomb, cfg, settings, start)
         assert iters == 3
         assert result.newton_iters[0] == iters
@@ -347,6 +378,28 @@ class TestRelax:
             energies = res.energies[:first_halving]
             assert len(energies) > 5
             assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_one_eigendecomposition_per_cleanup_iteration(self, monkeypatch):
+        """The 2x2 tessellation relaxed to springs at -+0.75 pi: each
+        Lagrange step is solved on the eigenpairs the cleanup's last iterate
+        kept, so a relaxation decomposes once per cleanup iteration, once
+        per stepped-from state whose cleanup made none, and once for the
+        final projected gradient."""
+        p = generate_waterbomb_tessellation(2, 2)
+        rest = np.array([-0.75 * math.pi if c.assignment == MOUNTAIN else 0.75 * math.pi
+                         for c in p.creases])
+        cfg = SpringConfig.per_unit_length(p, 1.0, rest)
+        seed = flat_state_seed(p, math.radians(1.0))
+        calls = []
+        real = numerics._kept_eigh
+        monkeypatch.setattr(numerics, "_kept_eigh", lambda *args: calls.append(1) or real(*args))
+        result = relax(p, cfg, RelaxSettings(), seed)
+        assert result.converged
+        # a step is taken from every state but the last, and from the last
+        # too when that step vanished
+        stepped = len(result.step_factors) + (result.stop_reason == "vanishing_step")
+        assert len(calls) == (sum(result.newton_iters)
+                              + result.newton_iters[:stepped].count(0) + 1)
 
     @pytest.mark.xfail(
         raises=ConvergenceError,

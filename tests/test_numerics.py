@@ -406,6 +406,34 @@ class TestKeptFactorization:
         assert len(solved) == 1 and solved[0] is not None
         assert not gc.blocks.certified([])
 
+    def test_row_space_eigenpairs_are_reused(self, monkeypatch):
+        """A wide C_F (the 2x2 waterbomb tessellation at its 10 degree
+        seed) is solved in the row space.  A second solve on the same blocks
+        and free set makes no eigendecomposition and gives the dx of a solve
+        on freshly assembled blocks bit for bit, whatever its r and f; a new
+        free set decomposes again.  No band is certified."""
+        p = generate_waterbomb_tessellation(2, 2)
+        rho = flat_state_seed(p, math.radians(10.0))
+        blocks = assemble_global(p, rho).blocks
+        rows = blocks.shape[0]
+        assert rows < p.n_creases - 2
+        calls = []
+        real = numerics._kept_eigh
+        monkeypatch.setattr(numerics, "_kept_eigh", lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(44)
+        for fixed in ([], [0, 7]):
+            free_column_solve(blocks, rng.normal(0.0, 0.02, rows), fixed,
+                              rng.normal(0.0, 0.02, len(fixed)))
+            assert len(calls) == 1
+            r, f = rng.normal(0.0, 0.02, rows), rng.normal(0.0, 0.02, len(fixed))
+            dx = free_column_solve(blocks, r, fixed, f)
+            assert len(calls) == 1
+            fresh = free_column_solve(assemble_global(p, rho).blocks, r, fixed, f)
+            assert len(calls) == 2
+            assert dx.tobytes() == fresh.tobytes()
+            assert not blocks.certified(fixed)
+            calls.clear()
+
 
 class TestLowerInverse:
     """The 2 x 2 block inverse of lower-triangular stacks against

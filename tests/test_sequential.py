@@ -697,22 +697,23 @@ class TestChordNewton:
         assert calls and all(calls)
         assert gc.normalized_residual < self.EPS and iters < 30
         assert rho[driven] == start[driven]
-        ref, _, _ = refactoring_newton(p, start, (driven,), self.EPS)
+        ref, _, _, _ = refactoring_newton(p, start, (driven,), self.EPS)
         assert np.abs(rho - ref).max() < 1e-9
 
     def test_uncontrolled_loops_are_bit_identical(self, monkeypatch):
         """Loops with no crease controlled solve afresh at every iterate, so
         the oracle's loop gives the same bits: Miura flat seeds (deflated
-        band), the crane's and a relaxation's (the row-space eigh).  The
-        Miura 3x3 seed at 0.3 rad passes an iterate that certifies its band,
-        off the compatible states, which are not isolated there; reusing
-        that factorization would settle 0.04 rad elsewhere."""
+        band), the crane's and a relaxation's (the row-space eigh), the
+        last in the springs' metric, which the oracle takes too.  The Miura
+        3x3 seed at 0.3 rad passes an iterate that certifies its band, off
+        the compatible states, which are not isolated there; reusing that
+        factorization would settle 0.04 rad elsewhere."""
         for p, magnitude in ((generate_miura(3, 3), 0.3), (generate_miura(5, 5), 1.0),
                              (generate_miura(7, 7), 1.0), (generate_crane(), 1.0)):
             rho = np.zeros(p.n_creases)
             rho[[c.assignment == VALLEY for c in p.creases]] = magnitude
             rho[[c.assignment == MOUNTAIN for c in p.creases]] = -magnitude
-            ref, _, _ = refactoring_newton(p, rho, (), sequential.DEFAULT_EPS)
+            ref, _, _, _ = refactoring_newton(p, rho, (), sequential.DEFAULT_EPS)
             assert np.array_equal(flat_state_seed(p, magnitude), ref)
         p = generate_waterbomb_tessellation(3, 2)
         rest = np.array([-0.75 * math.pi if c.assignment == MOUNTAIN else 0.75 * math.pi
@@ -721,8 +722,7 @@ class TestChordNewton:
         settings = RelaxSettings(max_steps=20)
         start = flat_state_seed(p, math.radians(1.0))
         result = relax(p, cfg, settings, start)
-        monkeypatch.setattr(elastic, "_newton",
-                            lambda *args: (*refactoring_newton(*args), None))
+        monkeypatch.setattr(elastic, "_newton", refactoring_newton)
         ref = relax(p, cfg, settings, start)
         assert len(result.states) == len(ref.states) > 10
         assert np.array_equal(np.array(result.states), np.array(ref.states))
